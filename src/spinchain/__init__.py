@@ -84,6 +84,7 @@ from .lax import (
     p_matrix,
     rll_residual,
     spectrum_table,
+    sz_sector_indices,
     transfer,
     transfer_log_derivative,
     triangular_residuals,
@@ -103,7 +104,6 @@ from .bethe import (
     solution_record,
     solve_bae,
     sz,
-    sz_sector_indices,
     validate_against_ed,
 )
 from .boundary import (
@@ -115,7 +115,6 @@ from .boundary import (
     k_blob,
     k_gz_dvgr,
     k_identity,
-    open_boundary_chain,
     open_chain,
     open_hamiltonian,
     open_transfer,

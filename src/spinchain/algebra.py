@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, as_operator, kron_all, mat, rel_norm
+from .linalg import Operator, as_operator, embed, kron_all, mat, rel_norm
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,9 @@ def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> Coproduct:
         raise ValueError(f"q mismatch: {ql} vs {qr}")
     nl = rep_left.gen("Jz").shape[0]
     nr = rep_right.gen("Jz").shape[0]
-    il, ir = np.eye(nl), np.eye(nr)
+    dims = (nl, nr)
     images = {
-        "Jz": np.kron(rep_left.gen("Jz"), ir) + np.kron(il, rep_right.gen("Jz")),
+        "Jz": embed(rep_left.gen("Jz"), 1, dims) + embed(rep_right.gen("Jz"), 2, dims),
         "qJz": np.kron(rep_left.gen("qJz"), rep_right.gen("qJz")),
         "qJzInv": np.kron(rep_left.gen("qJzInv"), rep_right.gen("qJzInv")),
     }
@@ -177,8 +177,16 @@ def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> Coproduct:
         images[label] = np.kron(rep_left.gen("qJzInv"), rep_right.gen(label)) + np.kron(
             rep_left.gen(label), rep_right.gen("qJz")
         )
-    dims = (nl, nr)
     return Coproduct(rep_left, 2, {k: Operator(dims, v) for k, v in images.items()})
+
+
+def _site_sum(g, dims) -> np.ndarray:
+    """Sum of the one-site operator g placed on each site in turn."""
+    D = int(np.prod(dims, dtype=np.int64))
+    acc = np.zeros((D, D), dtype=complex)
+    for i in range(1, len(dims) + 1):
+        acc += embed(g, i, dims)
+    return acc
 
 
 def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
@@ -202,20 +210,11 @@ def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
             for i in range(N):
                 acc += kron_all(*([d] * i), g, *([a] * (N - 1 - i)))
             images[label] = acc
-        jz = rep.gen("Jz")
-        acc = np.zeros((total_dim, total_dim), dtype=complex)
-        for i in range(N):
-            acc += kron_all(np.eye(side**i), jz, np.eye(side ** (N - 1 - i)))
-        images["Jz"] = acc
+        images["Jz"] = _site_sum(rep.gen("Jz"), dims)
         images["qJz"] = kron_all(*([a] * N))
         images["qJzInv"] = kron_all(*([d] * N))
     else:
-        for label in rep.generators:
-            g = rep.gen(label)
-            acc = np.zeros((total_dim, total_dim), dtype=complex)
-            for i in range(N):
-                acc += kron_all(np.eye(side**i), g, np.eye(side ** (N - 1 - i)))
-            images[label] = acc
+        images = {label: _site_sum(rep.gen(label), dims) for label in rep.generators}
     return Coproduct(rep, N, {k: Operator(dims, v) for k, v in images.items()})
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lax import monodromy, transfer, uniform_chain
-from .linalg import embed, mat
+from .lax import monodromy, sz_sector_indices, transfer, uniform_chain
+from .linalg import mat
 
 _ACCEPT = 1e-10
 _DEDUP = 1e-7
@@ -390,17 +390,6 @@ def solution_record(sol: BetheSolution) -> dict:
         "sz": float(sz(sol)),
         "matched": sol.matched_ed_index,
     }
-
-
-def sz_sector_indices(N, n, m):
-    """Basis indices of the Sz = N(n-1)/2 - m sector of an n^N chain."""
-    rep_weights = (n - 1) / 2 - np.arange(n)
-    dims = (n,) * N
-    diag = np.zeros(n**N)
-    for i in range(1, N + 1):
-        diag += np.real(np.diag(mat(embed(np.diag(rep_weights.astype(complex)), i, dims))))
-    target = N * (n - 1) / 2 - m
-    return np.where(np.abs(diag - target) < 1e-9)[0]
 
 
 def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,

@@ -17,11 +17,12 @@ from .lax import (
     ChainSpec,
     TransferFamily,
     _PAULI,
-    _lift_two_aux,
+    _bond_sum,
+    _xxz_bond,
     monodromy,
     uniform_chain,
 )
-from .linalg import Operator, embed, embed_pair, mat, permutation, rel_norm, richardson_derivative
+from .linalg import Operator, embed, mat, permutation, rel_norm, richardson_derivative
 from .rmatrix import gauge_v
 
 
@@ -35,10 +36,6 @@ class KMatrixFamily:
 
     def __call__(self, lam: complex) -> Operator:
         return self.eval(lam)
-
-
-class OpenTransferFamily(TransferFamily):
-    """Double-row transfer matrix family; commuting in lambda."""
 
 
 @dataclass(frozen=True)
@@ -156,19 +153,15 @@ def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
     p = mat(permutation(n))
     rd21, rs21 = p @ rd @ p, p @ rs @ p
     k1m, k2m = mat(k(lam1)), mat(k(lam2))
-    if k1m.shape[0] == n:
-        nq = 1
-        k1 = np.kron(k1m, np.eye(n, dtype=complex))
-        k2 = np.kron(np.eye(n, dtype=complex), k2m)
-    elif k1m.shape[0] % n == 0:
-        nq = k1m.shape[0] // n
-        k1 = _lift_two_aux(k1m, n, 1)
-        k2 = _lift_two_aux(k2m, n, 2)
-    else:
+    if k1m.shape[0] % n:
         raise ValueError("K dimension incompatible with R")
-    lift = lambda x: np.kron(x, np.eye(nq, dtype=complex)) if nq > 1 else x
-    lhs = lift(rd) @ k1 @ lift(rs21) @ k2
-    rhs = k2 @ lift(rs) @ k1 @ lift(rd21)
+    # aux1 (x) aux2 (x) quantum, with a one-dimensional quantum space for a c-number K
+    dims = (n, n, k1m.shape[0] // n)
+    k1 = embed(k1m, (1, 3), dims)
+    k2 = embed(k2m, (2, 3), dims)
+    rd, rs, rd21, rs21 = (embed(x, (1, 2), dims) for x in (rd, rs, rd21, rs21))
+    lhs = rd @ k1 @ rs21 @ k2
+    rhs = k2 @ rs @ k1 @ rd21
     return rel_norm(lhs, rhs)
 
 
@@ -177,9 +170,9 @@ def dressed_k(lax_family, k_family, lam: complex) -> Operator:
     lm = mat(lax_family(lam))
     ln = mat(lax_family(-lam))
     na = getattr(lax_family, "auxiliary_dim", 2)
-    nq = lm.shape[0] // na
-    km = np.kron(mat(k_family(lam)), np.eye(nq, dtype=complex))
-    return Operator((na, nq), lm @ km @ np.linalg.inv(ln))
+    dims = (na, lm.shape[0] // na)
+    km = embed(k_family(lam), 1, dims)
+    return Operator(dims, lm @ km @ np.linalg.inv(ln))
 
 
 def open_chain(model: str, N: int, mu: complex | None = None, n: int = 2,
@@ -192,15 +185,7 @@ def open_chain(model: str, N: int, mu: complex | None = None, n: int = 2,
     return ChainSpec(model, N, base.site_reps, mu, gradation, OpenBoundary(k_minus, k_plus))
 
 
-def open_boundary_chain(rep_sites, model: str, mu: complex | None, gradation: str,
-                        k_minus: KMatrixFamily, k_plus: KMatrixFamily | None = None) -> ChainSpec:
-    """Open chain over explicit site representations."""
-    k_plus = k_plus if k_plus is not None else crossed_k_plus(k_minus, model, mu, gradation)
-    return ChainSpec(model, len(rep_sites), tuple(rep_sites), mu, gradation,
-                     OpenBoundary(k_minus, k_plus))
-
-
-def open_transfer(chain: ChainSpec) -> OpenTransferFamily:
+def open_transfer(chain: ChainSpec) -> TransferFamily:
     """Double-row transfer matrix Tr_0[K+(l) T(l) K-(l) T^{-1}(-l)]."""
     if not isinstance(chain.boundary, OpenBoundary):
         raise ValueError("chain carries no open boundary data")
@@ -210,14 +195,14 @@ def open_transfer(chain: ChainSpec) -> OpenTransferFamily:
         t = mat(monodromy(chain, lam))
         tneg = mat(monodromy(chain, -lam))
         D = t.shape[0] // 2
-        km = np.kron(mat(k_minus(lam)), np.eye(D, dtype=complex))
+        km = embed(k_minus(lam), 1, (2, D))
         dressed = t @ km @ np.linalg.inv(tneg)
         kp = mat(k_plus(lam))
         blocks = dressed.reshape(2, D, 2, D)
         out = sum(kp[a, b] * blocks[b, :, a, :] for a in range(2) for b in range(2))
         return Operator(chain.local_dims, out)
 
-    return OpenTransferFamily(chain, ev, "open_transfer")
+    return TransferFamily(chain, ev, "open_transfer")
 
 
 def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> Operator:
@@ -267,11 +252,7 @@ def uq_invariant_hamiltonian(N: int, mu: complex) -> Operator:
     if N < 2:
         raise ValueError("need at least two sites")
     dims = (2,) * N
-    h = np.zeros((2**N, 2**N), dtype=complex)
-    for axis, weight in (("x", 1.0), ("y", 1.0), ("z", cmath.cosh(1j * mu))):
-        pair = np.kron(_PAULI[axis], _PAULI[axis])
-        for site in range(1, N):
-            h += 0.5 * weight * embed_pair(pair, site, dims)
+    h = _bond_sum(0.5 * _xxz_bond(cmath.cosh(1j * mu)), N, periodic=False)
     boundary = cmath.sinh(1j * mu) / 2
-    h += boundary * (mat(embed(_PAULI["z"], N, dims)) - mat(embed(_PAULI["z"], 1, dims)))
+    h += boundary * (embed(_PAULI["z"], N, dims) - embed(_PAULI["z"], 1, dims))
     return Operator(dims, h)

@@ -87,7 +87,7 @@ def blob_rep(N: int, q: complex, Q: complex, c: complex) -> BraidFamily:
     dims = (2,) * N
     eye = np.eye(2**N)
     e = np.array([[-1 / Q, c], [1 / c, -Q]], dtype=complex)
-    u0 = mat(embed(e, 1, dims))
+    u0 = embed(e, 1, dims)
     gens = {"U0": Operator(dims, u0), "g0": Operator(dims, u0 + Q * eye)}
     u = hecke_u_matrix(2, q)
     for i in range(1, N):

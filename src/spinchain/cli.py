@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -46,6 +47,25 @@ def _check_keys(cfg: dict, allowed: set, required: set = frozenset()) -> None:
     missing = sorted(required - set(cfg))
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
+
+
+def _as_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be an integer, not {value!r}") from exc
+
+
+def _as_float(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, not {value!r}") from exc
+
+
+def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
+    """A command-line flag wins over the integer config key of the same name."""
+    return flag if flag is not None else _as_int(cfg.get(key, default), key)
 
 
 def _as_complex(value, key: str) -> complex:
@@ -145,7 +165,7 @@ def _check(name: str, residual: float, tolerance: float, **params) -> dict:
 def _suite_ybe(cfg, seed, threads) -> list:
     mu = _resolve_mu(cfg)
     model = cfg.get("model", "xxz")
-    pairs = int(cfg.get("pairs", 20))
+    pairs = _as_int(cfg.get("pairs", 20), "pairs")
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
     draws = _random_pairs(rng, pairs)
@@ -175,9 +195,9 @@ def _suite_ybe(cfg, seed, threads) -> list:
         def gauge_gap(p):
             lam = p[0]
             lhs = linalg.mat(rmatrix.r_xxz(lam, mu, "principal"))
-            conj = np.kron(vg(-lam), np.eye(2)) @ linalg.mat(
+            conj = linalg.embed(vg(-lam), 1, (2, 2)) @ linalg.mat(
                 rmatrix.r_xxz(lam, mu, "homogeneous")
-            ) @ np.kron(vg(lam), np.eye(2))
+            ) @ linalg.embed(vg(lam), 1, (2, 2))
             if eps:
                 conj = np.array(conj, copy=True)
                 conj[0, 1] += eps
@@ -200,7 +220,7 @@ def _suite_re(cfg, seed, threads) -> list:
     kappa = _as_complex(cfg.get("kappa", 0.2), "kappa")
     m = _as_complex(cfg.get("m", 0.7), "m")
     gamma = _as_complex(cfg.get("gamma", 0.4), "gamma")
-    pairs = int(cfg.get("pairs", 20))
+    pairs = _as_int(cfg.get("pairs", 20), "pairs")
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
     draws = _random_pairs(rng, pairs)
@@ -273,9 +293,9 @@ def _suite_braid(cfg, seed, threads) -> list:
 
 def _suite_frt(cfg, seed, threads) -> list:
     mu = _resolve_mu(cfg)
-    pairs = int(cfg.get("pairs", 20))
-    p = int(cfg.get("p", 5))
-    k = int(cfg.get("k", 1))
+    pairs = _as_int(cfg.get("pairs", 20), "pairs")
+    p = _as_int(cfg.get("p", 5), "p")
+    k = _as_int(cfg.get("k", 1), "k")
     s = _as_complex(cfg.get("s", 0.7), "s")
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
@@ -329,12 +349,9 @@ def _suite_symmetry(cfg, seed, threads) -> list:
     chain = boundary.open_chain("xxz", 3, mu, 2, "homogeneous")
     fam = boundary.open_transfer(chain)
     cop = algebra.ncoproduct(algebra.uq_sl2_spin_rep(2, q), 3)
-    lams = rng.uniform(-1.0, 1.0, 5)
+    tmats = [linalg.mat(fam(float(lam))) for lam in rng.uniform(-1.0, 1.0, 5)]
     for label in ("Jp", "Jm", "qJz"):
-        worst = max(
-            linalg.comm_norm(linalg.mat(fam(float(lam))), cop.image(label))
-            for lam in lams
-        )
+        worst = max(linalg.comm_norm(t, cop.image(label)) for t in tmats)
         checks.append(_check(f"open transfer commutes with Delta({label})", worst, 1e-10))
     H = linalg.mat(boundary.open_hamiltonian(chain))
     model = linalg.mat(boundary.uq_invariant_hamiltonian(3, mu))
@@ -383,8 +400,8 @@ def cmd_verify(cfg: dict, args) -> int:
         raise ConfigError(f"unknown suite: {suite}; pick one of {sorted(_SUITES)}")
     runner, allowed = _SUITES[suite]
     _check_keys(cfg, allowed)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
+    seed = _flag_or_key(args.seed, cfg, "seed", 0)
+    threads = _flag_or_key(args.threads, cfg, "threads", 1)
     checks = runner(cfg, seed, threads)
     ok = all(c["pass"] for c in checks)
     payload = {
@@ -402,7 +419,7 @@ def cmd_verify(cfg: dict, args) -> int:
 
 def cmd_spectrum(cfg: dict, args) -> int:
     _check_keys(cfg, {"N", "delta", "mu", "boundary"}, {"N"})
-    N = int(cfg["N"])
+    N = _as_int(cfg["N"], "N")
     boundary_kind = cfg.get("boundary", "periodic")
     if boundary_kind not in ("periodic", "open"):
         raise ConfigError("boundary must be periodic or open")
@@ -412,7 +429,7 @@ def cmd_spectrum(cfg: dict, args) -> int:
         delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
     if abs(delta.imag) < 1e-14:
         delta = delta.real
-    if N < 1 or 2**N > 4096:
+    if not 1 <= N <= 12:  # 2^N <= 4096
         raise ConfigError("N must keep the Hilbert dimension within [2, 4096]")
     if N == 1:
         levels = [{"energy": 0.0, "sz": -0.5}, {"energy": 0.0, "sz": 0.5}]
@@ -442,14 +459,19 @@ def cmd_bethe(cfg: dict, args) -> int:
          "validate", "rtol"},
         {"N"},
     )
-    N = int(cfg["N"])
-    s = float(cfg.get("s", 0.5))
+    N = _as_int(cfg["N"], "N")
+    s = _as_float(cfg.get("s", 0.5), "s")
     mu = _resolve_mu(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-    restarts = int(cfg.get("restarts", 120))
+    seed = _flag_or_key(args.seed, cfg, "seed", 0)
+    threads = _flag_or_key(args.threads, cfg, "threads", 1)
+    restarts = _as_int(cfg.get("restarts", 120), "restarts")
     validate = bool(cfg.get("validate", True))
-    rtol = float(cfg.get("rtol", 1e-7))
+    rtol = _as_float(cfg.get("rtol", 1e-7), "rtol")
+    M = _as_int(cfg["M"], "M") if "M" in cfg else None
+    # N <= 12 first, so that a huge N never becomes a huge n^N
+    n = round(2 * s + 1) if math.isfinite(s) else 0
+    if not 1 <= N <= 12 or n < 2 or n**N > 4096:
+        raise ConfigError("N and s must keep the Hilbert dimension (2s+1)^N within 4096")
     payload = {
         "schema": SCHEMA,
         "command": "bethe",
@@ -459,24 +481,23 @@ def cmd_bethe(cfg: dict, args) -> int:
         "seed": seed,
         "restarts": restarts,
     }
-    if validate:
-        m_range = [int(cfg["M"])] if "M" in cfg else None
-        try:
+    if not validate and M is None:
+        raise ConfigError("bethe without validation needs M")
+    try:
+        if validate:
             report = bethe.validate_against_ed(
-                N, s, mu, M_range=m_range, seed=seed, restarts=restarts,
-                threads=threads, rtol=rtol,
+                N, s, mu, M_range=None if M is None else [M], seed=seed,
+                restarts=restarts, threads=threads, rtol=rtol,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        payload["report"] = report
-        ok = report["mismatched_solutions"] == 0
-    else:
-        if "M" not in cfg:
-            raise ConfigError("bethe without validation needs M")
-        sols = bethe.solve_bae(N, s, mu, int(cfg["M"]), seed=seed,
-                               restarts=restarts, threads=threads)
-        payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
-        ok = True
+            payload["report"] = report
+            ok = report["mismatched_solutions"] == 0
+        else:
+            sols = bethe.solve_bae(N, s, mu, M, seed=seed, restarts=restarts,
+                                   threads=threads)
+            payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
+            ok = True
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     payload["status"] = "ok" if ok else "fail"
     _emit(payload, None, args, "json")
     return 0 if ok else 1
@@ -490,12 +511,12 @@ def _delta_grid(cfg: dict) -> list:
     if listed:
         if not isinstance(cfg["deltas"], list) or not cfg["deltas"]:
             raise ConfigError("deltas must be a non-empty list")
-        return [float(d) for d in cfg["deltas"]]
+        return [_as_float(d, "deltas") for d in cfg["deltas"]]
     if ranged:
         try:
-            start = float(cfg["delta_start"])
-            stop = float(cfg["delta_stop"])
-            steps = int(cfg["delta_steps"])
+            start = _as_float(cfg["delta_start"], "delta_start")
+            stop = _as_float(cfg["delta_stop"], "delta_stop")
+            steps = _as_int(cfg["delta_steps"], "delta_steps")
         except KeyError as exc:
             raise ConfigError("delta range needs delta_start, delta_stop, delta_steps") from exc
         if steps < 2:
@@ -511,13 +532,13 @@ def cmd_phase_scan(cfg: dict, args) -> int:
          "threads"},
         {"N"},
     )
-    N = int(cfg["N"])
+    N = _as_int(cfg["N"], "N")
     boundary_kind = cfg.get("boundary", "periodic")
     if boundary_kind not in ("periodic", "open"):
         raise ConfigError("boundary must be periodic or open")
-    if N < 2 or 2**N > 4096:
+    if not 2 <= N <= 12:  # 2^N <= 4096
         raise ConfigError("N must keep the Hilbert dimension within [4, 4096]")
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
+    threads = _flag_or_key(args.threads, cfg, "threads", 1)
     grid = _delta_grid(cfg)
 
     def scan(delta: float) -> dict:
@@ -556,13 +577,14 @@ def cmd_casimir(cfg: dict, args) -> int:
     results = []
     ok = True
     for spin in spins:
-        n = round(2 * float(spin)) + 1
+        spin = _as_float(spin, "spins")
+        n = round(2 * spin) + 1 if math.isfinite(spin) else 0
         if n < 2:
             raise ConfigError(f"invalid spin {spin}")
         rep = algebra.uq_sl2_spin_rep(n, q)
         cas = linalg.mat(algebra.casimir_uq(rep))
         t_plus, t_minus = boundary.casimir_from_asymptotics(rep)
-        entry = {"spin": float(spin), "checks": []}
+        entry = {"spin": spin, "checks": []}
         worst = max(linalg.comm_norm(cas, rep.gen(g)) for g in ("Jp", "Jm", "qJz"))
         entry["checks"].append(_check("commutes with generators", worst, 1e-10))
         scalar = np.trace(cas) / n

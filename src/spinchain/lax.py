@@ -11,7 +11,7 @@ module.
 from __future__ import annotations
 
 import cmath
-import threading
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,6 @@ from .linalg import (
     Operator,
     as_operator,
     embed,
-    embed_pair,
-    embed_wrap_pair,
     mat,
     rel_norm,
     richardson_derivative,
@@ -73,24 +71,15 @@ class LaxOperator:
 
 
 class TransferFamily:
-    """Commuting family lambda -> Operator with a thread-safe value cache."""
+    """Commuting family lambda -> Operator."""
 
     def __init__(self, chain: ChainSpec, eval_fn, name: str = "transfer"):
         self.chain = chain
         self.eval = eval_fn
         self.name = name
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def __call__(self, lam: complex) -> Operator:
-        key = complex(lam)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is None:
-            val = self.eval(key)
-            with self._lock:
-                hit = self._cache.setdefault(key, val)
-        return hit
+        return self.eval(complex(lam))
 
 
 def uniform_chain(
@@ -201,21 +190,6 @@ def lax_xxz_pm(rep: AlgebraRep) -> tuple:
     return Operator((2, n), lp), Operator((2, n), lm)
 
 
-def _lift_two_aux(L: np.ndarray, na: int, slot: int) -> np.ndarray:
-    # embed an aux (x) quantum operator into aux1 (x) aux2 (x) quantum
-    nq = L.shape[0] // na
-    blk = L.reshape(na, nq, na, nq)
-    eye = np.eye(na)
-    out = np.zeros((na * na * nq, na * na * nq), dtype=complex)
-    for a in range(na):
-        for b in range(na):
-            e = np.zeros((na, na))
-            e[a, b] = 1.0
-            pair = np.kron(e, eye) if slot == 1 else np.kron(eye, e)
-            out += np.kron(pair, blk[a, :, b, :])
-    return out
-
-
 def rll_residual(r_family, lax, lam1: complex, lam2: complex, aux_dim: int | None = None) -> float:
     """Residual of R12(l1-l2) L1(l1) L2(l2) = L2(l2) L1(l1) R12(l1-l2).
 
@@ -227,10 +201,10 @@ def rll_residual(r_family, lax, lam1: complex, lam2: complex, aux_dim: int | Non
     na = aux_dim or getattr(lax, "auxiliary_dim", 2)
     r = r_family if callable(r_family) else r_family.eval
     l1m, l2m = mat(ev(lam1)), mat(ev(lam2))
-    nq = l1m.shape[0] // na
-    r12 = np.kron(mat(r(lam1 - lam2)), np.eye(nq))
-    a = _lift_two_aux(l1m, na, 1)
-    b = _lift_two_aux(l2m, na, 2)
+    dims = (na, na, l1m.shape[0] // na)  # aux1 (x) aux2 (x) quantum
+    r12 = embed(r(lam1 - lam2), (1, 2), dims)
+    a = embed(l1m, (1, 3), dims)
+    b = embed(l2m, (2, 3), dims)
     return rel_norm(r12 @ a @ b, b @ a @ r12)
 
 
@@ -243,11 +217,10 @@ def triangular_residuals(rep: AlgebraRep, probe: complex = 0.37) -> dict:
     q = complex(rep.params["q"])
     rp, rm = (mat(x) for x in r_pm(q))
     lp, lm = (mat(x) for x in lax_xxz_pm(rep))
-    nq = lp.shape[0] // 2
-    rp12 = np.kron(rp, np.eye(nq))
-    rm12 = np.kron(rm, np.eye(nq))
-    lp1, lp2 = _lift_two_aux(lp, 2, 1), _lift_two_aux(lp, 2, 2)
-    lm1, lm2 = _lift_two_aux(lm, 2, 1), _lift_two_aux(lm, 2, 2)
+    dims = (2, 2, lp.shape[0] // 2)
+    rp12, rm12 = embed(rp, (1, 2), dims), embed(rm, (1, 2), dims)
+    lp1, lp2 = embed(lp, (1, 3), dims), embed(lp, (2, 3), dims)
+    lm1, lm2 = embed(lm, (1, 3), dims), embed(lm, (2, 3), dims)
     lh = mat(lax_xxz(rep, "homogeneous")(probe))
     rebuild = cmath.exp(probe) * lp - cmath.exp(-probe) * lm
     return {
@@ -293,7 +266,7 @@ def lax_sine_gordon(p: int, s: complex, k: int = 1) -> LaxOperator:
     q = complex(generic.quantum_rep.params["q"])
     m = 1j * q ** (s - 0.5)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    twist = 1j * m * np.kron(sx, np.eye(p))
+    twist = 1j * m * embed(sx, 1, (2, p))
 
     def ev(lam: complex) -> Operator:
         return Operator((2, p), twist @ mat(generic(lam)))
@@ -349,23 +322,19 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     the chain order site1 (x) ... (x) siteN.
     """
     na = 2
-    blocks = [
-        [np.eye(1, dtype=complex) if a == b else np.zeros((1, 1), dtype=complex) for b in range(na)]
-        for a in range(na)
-    ]
+    T = np.eye(na, dtype=complex).reshape(na, na, 1, 1)  # T[a, b] on the sites so far
     for rep in chain.site_reps:
-        lax = _site_lax(chain, rep)
-        lmat = mat(lax(lam))
+        lmat = mat(_site_lax(chain, rep)(lam))
         nq = lmat.shape[0] // na
         lb = lmat.reshape(na, nq, na, nq)
-        blocks = [
-            [
-                sum(np.kron(blocks[c][b], lb[a, :, c, :]) for c in range(na))
-                for b in range(na)
-            ]
-            for a in range(na)
-        ]
-    return blocks
+        d = T.shape[-1]
+        # T'[a, b] = sum_c T[c, b] (x) L[a, c] as a broadcast product with legs
+        # [i, k, j, l]; one block at a time keeps the transient at one block
+        grown = np.zeros((na, na, d, nq, d, nq), dtype=complex)
+        for a, b, c in itertools.product(range(na), repeat=3):
+            grown[a, b] += T[c, b][:, None, :, None] * lb[a, None, :, c, None, :]
+        T = grown.reshape(na, na, d * nq, d * nq)
+    return [list(row) for row in T]
 
 
 def monodromy(chain: ChainSpec, lam: complex) -> Operator:
@@ -395,21 +364,11 @@ def cyclic_shift_matrix(dims) -> Operator:
     dims = tuple(int(d) for d in dims)
     if len(set(dims)) != 1:
         raise ValueError("translation needs equal local dimensions")
-    n, N = dims[0], len(dims)
-    D = n**N
+    D = int(np.prod(dims, dtype=np.int64))
+    # entry [a1 ... aN] of the rolled index tensor is the index of |aN a1 ... a{N-1}>
+    rotated = np.moveaxis(np.arange(D).reshape(dims), 0, -1).ravel()
     out = np.zeros((D, D), dtype=complex)
-    for idx in range(D):
-        digits = []
-        r = idx
-        for _ in range(N):
-            digits.append(r % n)
-            r //= n
-        digits.reverse()  # digits = (a1 ... aN)
-        rotated = [digits[-1]] + digits[:-1]
-        new = 0
-        for d in rotated:
-            new = new * n + d
-        out[new, idx] = 1.0
+    out[rotated, np.arange(D)] = 1.0
     return Operator(dims, out)
 
 
@@ -441,12 +400,7 @@ def hamiltonian_from_transfer(chain: ChainSpec) -> Operator:
         raise ValueError("Hamiltonian extraction implemented for spin-1/2 sites")
     rc = braided(chain_r_family(chain))
     rcdot = richardson_derivative(lambda x: mat(rc(x)), 0.0, 1e-5)
-    dims = chain.local_dims
-    total = np.zeros((2**chain.N, 2**chain.N), dtype=complex)
-    for i in range(1, chain.N):
-        total += embed_pair(rcdot, i, dims)
-    total += embed_wrap_pair(rcdot, dims)
-    return Operator(dims, total)
+    return Operator(chain.local_dims, _bond_sum(rcdot, chain.N, periodic=True))
 
 
 def transfer_log_derivative(chain: ChainSpec, step: float = 1e-5) -> Operator:
@@ -472,7 +426,7 @@ def yangian_charges(chain: ChainSpec) -> tuple:
     for i, rep in enumerate(chain.site_reps, start=1):
         blk = p_blocks(rep)
         site_blocks.append(
-            [[mat(embed(blk[a][b], i, dims)) for b in range(2)] for a in range(2)]
+            [[embed(blk[a][b], i, dims) for b in range(2)] for a in range(2)]
         )
 
     def auxmul(x, y):
@@ -508,6 +462,24 @@ _PAULI = {
 }
 
 
+def _xxz_bond(delta: complex) -> np.ndarray:
+    """Two-site operator sx sx + sy sy + delta sz sz."""
+    xx, yy, zz = (np.kron(_PAULI[axis], _PAULI[axis]) for axis in "xyz")
+    return xx + yy + delta * zz
+
+
+def _bond_sum(bond: np.ndarray, N: int, periodic: bool) -> np.ndarray:
+    """Sum of a two-site operator over the bonds (i, i+1) of N equal sites,
+    plus the wrap bond (N, 1) when periodic."""
+    dims = (round(bond.shape[0] ** 0.5),) * N
+    D = int(np.prod(dims, dtype=np.int64))
+    bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
+    total = np.zeros((D, D), dtype=complex)
+    for sites in bonds:
+        total += embed(bond, sites, dims)
+    return total
+
+
 def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> Operator:
     """H = -1/2 sum_i (sx sx + sy sy + delta sz sz) on N spin-1/2 sites.
 
@@ -516,17 +488,18 @@ def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> Opera
     """
     if N < 2:
         raise ValueError("need at least two sites")
-    dims = (2,) * N
-    coupling = -0.5 if boundary == "periodic" else -1.0
-    h = np.zeros((2**N, 2**N), dtype=complex)
-    for axis in "xyz":
-        weight = delta if axis == "z" else 1.0
-        pair = np.kron(_PAULI[axis], _PAULI[axis])
-        for site in range(1, N):
-            h += coupling * weight * embed_pair(pair, site, dims)
-        if boundary == "periodic":
-            h += coupling * weight * embed_wrap_pair(pair, dims)
-    return Operator(dims, h)
+    periodic = boundary == "periodic"
+    coupling = -0.5 if periodic else -1.0
+    bond = coupling * _xxz_bond(delta)
+    return Operator((2,) * N, _bond_sum(bond, N, periodic))
+
+
+def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
+    """Basis indices of the Sz = N(n-1)/2 - m sector of an n^N chain."""
+    weights = (n - 1) / 2 - np.arange(n)
+    # one open axis per site, broadcast to the (n,) * N table of total Sz
+    sz_total = sum(np.ix_(*[weights] * N)).ravel()
+    return np.flatnonzero(np.abs(sz_total - (N * (n - 1) / 2 - m)) < 1e-9)
 
 
 def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
@@ -538,15 +511,11 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     """
     if 2**N > 4096:
         raise ValueError("Hilbert space dimension above 4096")
-    dims = (2,) * N
     h = mat(xxz_hamiltonian(N, delta, boundary))
-    shift = mat(cyclic_shift_matrix(dims)) if boundary == "periodic" else None
-    sz_diag = np.zeros(2**N)
-    for site in range(1, N + 1):
-        sz_diag += np.real(np.diag(embed(_PAULI["z"] / 2, site, dims).entries))
+    shift = mat(cyclic_shift_matrix((2,) * N)) if boundary == "periodic" else None
     levels = []
     for m in range(N + 1):
-        sector = np.flatnonzero(np.abs(sz_diag - (N / 2 - m)) < 1e-9)
+        sector = sz_sector_indices(N, 2, m)
         evals, evecs = np.linalg.eigh(h[np.ix_(sector, sector)])
         entry = {"sz": N / 2 - m}
         if shift is None:

@@ -82,32 +82,37 @@ def kron_all(*ops) -> np.ndarray:
     return out
 
 
-def embed(a, site: int, dims) -> Operator:
-    """Place a one-site operator at the 1-indexed site of a product space,
-    identity everywhere else."""
+def embed(a, sites, dims) -> np.ndarray:
+    """Place an operator on 1-indexed sites of a product space, identity
+    everywhere else.
+
+    sites is one site or a tuple of distinct sites in the operator's own
+    tensor order, so (N, 1) puts its first factor on the last site.  The
+    operator is padded by one Kronecker product with the identity and its
+    tensor legs are then moved into chain order.
+    """
     dims = tuple(int(d) for d in dims)
-    if not 1 <= site <= len(dims):
-        raise ValueError(f"site {site} out of range for {len(dims)} factors")
+    sites = (int(sites),) if np.ndim(sites) == 0 else tuple(int(s) for s in sites)
+    N = len(dims)
+    if not sites or len(set(sites)) != len(sites) or not all(1 <= s <= N for s in sites):
+        raise ValueError(f"sites {sites} invalid for {N} factors")
     m = mat(a)
-    if m.shape[0] != dims[site - 1]:
-        raise ValueError(f"operator dim {m.shape[0]} != local dim {dims[site - 1]}")
-    left = int(np.prod(dims[: site - 1], dtype=np.int64))
-    right = int(np.prod(dims[site:], dtype=np.int64))
-    return Operator(dims, kron_all(np.eye(left), m, np.eye(right)))
+    side = int(np.prod([dims[s - 1] for s in sites], dtype=np.int64))
+    if m.shape != (side, side):
+        raise ValueError(f"operator shape {m.shape} != local dimension {side} of sites {sites}")
+    D = int(np.prod(dims, dtype=np.int64))
+    padded = np.kron(m, np.eye(D // side))
+    # legs of padded: the operator's sites, then the other sites in chain order
+    order = sites + tuple(s for s in range(1, N + 1) if s not in sites)
+    legs = [dims[s - 1] for s in order]
+    perm = [order.index(s) for s in range(1, N + 1)]
+    tensor = padded.reshape(legs + legs).transpose(perm + [N + p for p in perm])
+    return tensor.reshape(D, D)
 
 
 def embed_pair(a, site: int, dims) -> np.ndarray:
     """Place a two-site operator on the adjacent pair (site, site+1)."""
-    dims = tuple(int(d) for d in dims)
-    if not 1 <= site <= len(dims) - 1:
-        raise ValueError("pair site out of range")
-    n1, n2 = dims[site - 1], dims[site]
-    m = mat(a)
-    if m.shape[0] != n1 * n2:
-        raise ValueError("two-site operator dimension mismatch")
-    left = int(np.prod(dims[: site - 1], dtype=np.int64))
-    right = int(np.prod(dims[site + 1 :], dtype=np.int64))
-    return kron_all(np.eye(left), m, np.eye(right))
+    return embed(a, (site, site + 1), dims)
 
 
 def embed_wrap_pair(a, dims) -> np.ndarray:
@@ -116,26 +121,7 @@ def embed_wrap_pair(a, dims) -> np.ndarray:
     The first tensor index of the operator acts on the last chain site, the
     second on site 1, matching the periodic bond H_{N,1}.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2:
-        raise ValueError("need at least two factors")
-    nN, n1 = dims[-1], dims[0]
-    m = mat(a).reshape(nN, n1, nN, n1)
-    mid = int(np.prod(dims[1:-1], dtype=np.int64))
-    D = int(np.prod(dims, dtype=np.int64))
-    out = np.zeros((D, D), dtype=complex)
-    # destination index = a1 * (mid*nN) + m * nN + aN
-    for aNp in range(nN):
-        for a1p in range(n1):
-            for aN in range(nN):
-                for a1 in range(n1):
-                    v = m[aNp, a1p, aN, a1]
-                    if v == 0:
-                        continue
-                    rows = a1p * mid * nN + np.arange(mid) * nN + aNp
-                    cols = a1 * mid * nN + np.arange(mid) * nN + aN
-                    out[rows, cols] += v
-    return out
+    return embed(a, (len(dims), 1), dims)
 
 
 def permutation(n: int) -> Operator:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidFamily
-from .linalg import Operator, comm_norm, mat, permutation, rel_norm
+from .linalg import Operator, comm_norm, embed, mat, permutation, rel_norm
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,11 @@ def braided(family) -> SpectralMatrixFamily:
     )
 
 
-def _three_site(r: np.ndarray, n: int) -> tuple:
-    eye = np.eye(n)
-    r12 = np.kron(r, eye)
-    r23 = np.kron(eye, r)
-    p23 = np.kron(eye, mat(permutation(n)))
-    r13 = p23 @ r12 @ p23
-    return r12, r13, r23
+def _on_three_sites(m, sites) -> np.ndarray:
+    # place a two-site matrix on n (x) n (x) n
+    m = mat(m)
+    n = round(m.shape[0] ** 0.5)
+    return embed(m, sites, (n, n, n))
 
 
 def ybe_residual(r_family, lam1: complex, lam2: complex) -> float:
@@ -127,11 +125,9 @@ def ybe_residual(r_family, lam1: complex, lam2: complex) -> float:
     R12(l1-l2) R13(l1) R23(l2) = R23(l2) R13(l1) R12(l1-l2) on n^3.
     """
     r = r_family if callable(r_family) else r_family.eval
-    m12 = mat(r(lam1 - lam2))
-    n = round(m12.shape[0] ** 0.5)
-    r12, _, _ = _three_site(m12, n)
-    _, r13, _ = _three_site(mat(r(lam1)), n)
-    _, _, r23 = _three_site(mat(r(lam2)), n)
+    r12 = _on_three_sites(r(lam1 - lam2), (1, 2))
+    r13 = _on_three_sites(r(lam1), (1, 3))
+    r23 = _on_three_sites(r(lam2), (2, 3))
     return rel_norm(r12 @ r13 @ r23, r23 @ r13 @ r12)
 
 
@@ -141,19 +137,12 @@ def braided_ybe_residual(rc_family, lam1: complex, lam2: complex) -> float:
     Rc12(l1-l2) Rc23(l1) Rc12(l2) = Rc23(l2) Rc12(l1) Rc23(l1-l2).
     """
     rc = rc_family if callable(rc_family) else rc_family.eval
-
-    def pair(lam):
-        m = mat(rc(lam))
-        n = round(m.shape[0] ** 0.5)
-        eye = np.eye(n)
-        return np.kron(m, eye), np.kron(eye, m)
-
-    a12, _ = pair(lam1 - lam2)
-    _, b23 = pair(lam1)
-    c12, _ = pair(lam2)
-    _, d23 = pair(lam2)
-    e12, _ = pair(lam1)
-    _, f23 = pair(lam1 - lam2)
+    a12 = _on_three_sites(rc(lam1 - lam2), (1, 2))
+    b23 = _on_three_sites(rc(lam1), (2, 3))
+    c12 = _on_three_sites(rc(lam2), (1, 2))
+    d23 = _on_three_sites(rc(lam2), (2, 3))
+    e12 = _on_three_sites(rc(lam1), (1, 2))
+    f23 = _on_three_sites(rc(lam1 - lam2), (2, 3))
     return rel_norm(a12 @ b23 @ c12, d23 @ e12 @ f23)
 
 

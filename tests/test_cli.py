@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from spinchain import cli
+from spinchain import bethe, cli
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -66,18 +66,57 @@ def test_verify_braid_rejects_perturb(tmp_path, capsys):
     assert "config error" in err
 
 
-def test_config_validation_errors(tmp_path, capsys):
-    cases = [
-        {"suite": "ybe", "mu": 0.3, "delta": 0.5},  # both anisotropy forms
-        {"suite": "ybe", "bogus": 1},  # unknown key
-        {"suite": "nope"},  # unknown suite
-        {},  # missing suite
-    ]
-    for i, obj in enumerate(cases):
-        cfg = write_cfg(tmp_path, obj, f"bad{i}.json")
-        code, _, err = run(capsys, ["verify", "--config", cfg])
-        assert code == 2
-        assert "config error" in err
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        pytest.param("verify", {"suite": "ybe", "mu": 0.3, "delta": 0.5}, id="verify-mu-and-delta"),
+        pytest.param("verify", {"suite": "ybe", "bogus": 1}, id="verify-unknown-key"),
+        pytest.param("verify", {"suite": "nope"}, id="verify-unknown-suite"),
+        pytest.param("verify", {}, id="verify-missing-suite"),
+        pytest.param("spectrum", {"N": "abc"}, id="spectrum-N-text"),
+        pytest.param("spectrum", {"N": NAN}, id="spectrum-N-nan"),
+        pytest.param("spectrum", {"N": None}, id="spectrum-N-null"),
+        pytest.param("spectrum", {"N": 10**18}, id="spectrum-N-huge"),
+        pytest.param("phase-scan", {"N": 10**18, "deltas": [0.5]}, id="phase-scan-N-huge"),
+        pytest.param("phase-scan", {"N": 4, "deltas": [0.5, "x"]}, id="phase-scan-deltas-text"),
+        pytest.param("phase-scan", {"N": 4, "delta_start": 0, "delta_stop": 1,
+                                    "delta_steps": "many"}, id="phase-scan-steps-text"),
+        pytest.param("bethe", {"N": 4, "s": "half", "M": 1, "validate": False},
+                     id="bethe-s-text"),
+        pytest.param("bethe", {"N": 2, "s": NAN, "M": 1, "validate": False}, id="bethe-s-nan"),
+        pytest.param("bethe", {"N": "four"}, id="bethe-N-text"),
+        pytest.param("bethe", {"N": 2, "M": [1]}, id="bethe-M-list"),
+        pytest.param("bethe", {"N": 2, "rtol": "tight"}, id="bethe-rtol-text"),
+        pytest.param("bethe", {"N": 2, "restarts": INF}, id="bethe-restarts-inf"),
+        pytest.param("bethe", {"N": 10**18, "M": 1, "validate": False}, id="bethe-N-huge"),
+        pytest.param("bethe", {"N": 8, "s": 1.0, "M": 1, "validate": False},
+                     id="bethe-dimension-6561"),
+        pytest.param("verify", {"suite": "ybe", "pairs": "many"}, id="verify-pairs-text"),
+        pytest.param("verify", {"suite": "frt", "p": "five"}, id="verify-p-text"),
+        pytest.param("verify", {"suite": "braid", "seed": "x"}, id="verify-seed-text"),
+        pytest.param("verify", {"suite": "ybe", "threads": None}, id="verify-threads-null"),
+        pytest.param("casimir", {"spins": ["half"]}, id="casimir-spin-text"),
+        pytest.param("casimir", {"spins": [INF]}, id="casimir-spin-inf"),
+    ],
+)
+def test_config_validation_errors(tmp_path, capsys, command, obj):
+    cfg = write_cfg(tmp_path, obj)
+    code, out, err = run(capsys, [command, "--config", cfg])
+    assert code == 2
+    assert "config error" in err and out == ""
+
+
+def test_bethe_dimension_cap_before_solving(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solve_bae ran above the dimension cap")
+
+    monkeypatch.setattr(bethe, "solve_bae", never)
+    cfg = write_cfg(tmp_path, {"N": 13, "M": 1, "validate": False})
+    code, _, err = run(capsys, ["bethe", "--config", cfg])
+    assert code == 2 and "config error" in err
 
 
 def test_unreadable_and_malformed_configs(tmp_path, capsys):

@@ -110,6 +110,36 @@ def test_frt_relation_for_monodromy():
     assert res < 1e-10
 
 
+@pytest.mark.parametrize(
+    "model, N, n",
+    [("xxz", 2, 2), ("xxz", 4, 2), ("xxz", 6, 2), ("xxz", 2, 3), ("xxz", 3, 3), ("xxx", 3, 2)],
+)
+def test_monodromy_blocks_match_kron_recursion(model, N, n):
+    # reference: grow every block by an explicit Kronecker product per site
+    ch = lax.uniform_chain(model, N, MU if model == "xxz" else None, n)
+    lam = 0.41 - 0.23j
+    lb = sc.mat(lax._site_lax(ch, ch.site_reps[0])(lam)).reshape(2, n, 2, n)
+    ref = [[np.eye(1, dtype=complex) * (a == b) for b in range(2)] for a in range(2)]
+    for _ in range(N):
+        ref = [
+            [sum(np.kron(ref[c][b], lb[a, :, c, :]) for c in range(2)) for b in range(2)]
+            for a in range(2)
+        ]
+    blocks = sc.monodromy_blocks(ch, lam)
+    for a in range(2):
+        for b in range(2):
+            assert np.array_equal(blocks[a][b], ref[a][b])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2,) * 4, (3, 3, 3)])
+def test_cyclic_shift_matches_basis_rotation(dims):
+    D = int(np.prod(dims))
+    ref = np.zeros((D, D))
+    for col, state in enumerate(np.ndindex(*dims)):
+        ref[np.ravel_multi_index(state[-1:] + state[:-1], dims), col] = 1.0
+    assert np.array_equal(sc.mat(sc.cyclic_shift_matrix(dims)), ref)
+
+
 def test_momentum_operator_is_cyclic_shift():
     ch = lax.uniform_chain("xxz", 4, MU, 2, "principal")
     pi_op = sc.mat(sc.momentum_operator(ch))
@@ -248,6 +278,15 @@ def test_spectrum_table_ferromagnetic_point_multiplet():
     assert len(ground) == 5
     assert sorted(rec["sz"] for rec in ground) == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert all(rec["momentum"] == 0 for rec in ground)
+
+
+@pytest.mark.parametrize("N, n", [(1, 2), (5, 2), (1, 3), (4, 3)])
+def test_sz_sector_indices_match_enumeration(N, n):
+    weights = (n - 1) / 2 - np.arange(n)
+    totals = [sum(weights[a] for a in state) for state in np.ndindex(*(n,) * N)]
+    for m in range(N * (n - 1) + 1):
+        want = [i for i, t in enumerate(totals) if t == N * (n - 1) / 2 - m]
+        assert sc.sz_sector_indices(N, n, m).tolist() == want
 
 
 def test_spectrum_table_dimension_gate():

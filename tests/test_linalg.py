@@ -49,6 +49,79 @@ def test_embed_pair_and_wrap():
     assert np.allclose(wrap, manual)
 
 
+def _random_matrix(rng, side):
+    return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+
+
+def _chain_kron(factors, dims):
+    """Kronecker product over the chain; sites missing from factors get the identity."""
+    return sc.kron_all(*(factors.get(s, np.eye(d)) for s, d in enumerate(dims, start=1)))
+
+
+def _placement_by_permutation(a, sites, dims):
+    """kron(a, 1) conjugated by the basis permutation that lists the operator's
+    sites first, built by enumerating basis states."""
+    order = list(sites) + [s for s in range(1, len(dims) + 1) if s not in sites]
+    D = int(np.prod(dims))
+    perm = np.zeros((D, D))
+    for col, state in enumerate(np.ndindex(*dims)):
+        reordered = [state[s - 1] for s in order]
+        perm[np.ravel_multi_index(reordered, [dims[s - 1] for s in order]), col] = 1.0
+    return perm.T @ np.kron(a, np.eye(D // a.shape[0])) @ perm
+
+
+@pytest.mark.parametrize(
+    "sites, dims",
+    [
+        ((2,), (2, 2, 2)),
+        ((2, 3), (2, 2, 2)),
+        ((1, 3), (2, 2, 2)),
+        ((3, 1), (2, 2, 2)),
+        ((1, 3), (2, 3, 2)),
+        ((3, 1), (2, 3, 2)),
+        ((2, 1), (2, 3, 2)),
+        ((3, 1, 2), (2, 3, 2)),
+        ((2, 4, 1), (3, 2, 2, 3)),
+    ],
+)
+def test_embed_placements(sites, dims):
+    rng = np.random.default_rng(len(sites) * 10 + sum(dims))
+    local = {s: _random_matrix(rng, dims[s - 1]) for s in sites}
+    product = sc.kron_all(*(local[s] for s in sites))
+    assert np.allclose(sc.embed(product, sites, dims), _chain_kron(local, dims), atol=1e-13)
+    generic = _random_matrix(rng, product.shape[0])
+    assert np.array_equal(sc.embed(generic, sites, dims),
+                          _placement_by_permutation(generic, sites, dims))
+
+
+def test_embed_single_site_and_pair_spellings():
+    dims = (2, 3, 2)
+    a = np.arange(9.0).reshape(3, 3)
+    assert np.array_equal(sc.embed(a, 2, dims), sc.embed(a, (2,), dims))
+    pair = np.arange(36.0).reshape(6, 6)
+    assert np.array_equal(sc.linalg.embed_pair(pair, 1, dims), sc.embed(pair, (1, 2), dims))
+    wrap = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(sc.linalg.embed_wrap_pair(wrap, dims), sc.embed(wrap, (3, 1), dims))
+
+
+@pytest.mark.parametrize(
+    "op, sites",
+    [
+        (SZ, 0),
+        (SZ, 4),
+        (np.eye(4), (1, 4)),
+        (np.eye(4), (2, 2)),
+        (np.eye(3), 1),
+        (np.eye(4), (1, 2, 3)),
+        (np.eye(4), ()),
+    ],
+    ids=["site-0", "site-N+1", "pair-past-N", "repeated", "wrong-dim", "short-op", "no-sites"],
+)
+def test_embed_rejects_bad_placement(op, sites):
+    with pytest.raises(ValueError):
+        sc.embed(op, sites, (2, 2, 2))
+
+
 def test_permutation_swaps_factors():
     p = sc.mat(sc.permutation(2))
     a = np.array([[1, 2], [3, 4.0]])
