@@ -12,16 +12,11 @@ algebra on top of numpy is the only numerical backend.
 """
 
 from .linalg import (
-    Operator,
-    Spectrum,
     comm_norm,
-    eig,
     embed,
     fit_affine,
-    kron,
     kron_all,
     mat,
-    partial_trace_first,
     permutation,
     polynomial_matrix_coefficients,
     rel_norm,

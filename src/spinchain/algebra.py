@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, as_operator, embed, kron_all, mat, rel_norm
+from .linalg import embed, kron_all, mat, rel_norm
 
 
 @dataclass(frozen=True)
 class AlgebraRep:
     """A named family of generator matrices plus the parameters that built it.
 
-    generators maps labels (Jz, Jp, Jm, qJz, qJzInv, X, Y, ...) to Operators
-    of one shared dimension; params records q, n, s, p as applicable.
+    generators maps labels (Jz, Jp, Jm, qJz, qJzInv, X, Y, ...) to complex
+    matrices of one shared dimension; params records q, n, s, p as
+    applicable.
     """
 
     name: str
@@ -31,14 +32,16 @@ class AlgebraRep:
     params: dict
 
     def __post_init__(self):
-        sides = {as_operator(g).side for g in self.generators.values()}
+        generators = {label: mat(g) for label, g in self.generators.items()}
+        sides = {g.shape[0] for g in generators.values()}
         if len(sides) > 1:
             raise ValueError(f"generators of {self.name} differ in dimension: {sides}")
+        object.__setattr__(self, "generators", generators)
 
     def gen(self, label: str) -> np.ndarray:
         if label not in self.generators:
             raise KeyError(f"{self.name} has no generator {label!r}")
-        return mat(self.generators[label])
+        return self.generators[label]
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class Coproduct:
     def image(self, label: str) -> np.ndarray:
         if label not in self.images:
             raise KeyError(f"no co-product image for {label!r}")
-        return mat(self.images[label])
+        return self.images[label]
 
 
 def q_integer(k: int, q: complex) -> complex:
@@ -77,9 +80,9 @@ def sl2_spin_rep(n: int) -> AlgebraRep:
         raise ValueError("dimension must be >= 1")
     ladder = np.array([math.sqrt(k * (n - k)) for k in range(1, n)], dtype=complex)
     gens = {
-        "Jz": Operator((n,), np.diag(np.array(_weights(n), dtype=complex))),
-        "Jp": Operator((n,), np.diag(ladder, 1)),
-        "Jm": Operator((n,), np.diag(ladder, -1)),
+        "Jz": np.diag(np.array(_weights(n), dtype=complex)),
+        "Jp": np.diag(ladder, 1),
+        "Jm": np.diag(ladder, -1),
     }
     return AlgebraRep("sl2", gens, {"n": n, "s": (n - 1) / 2})
 
@@ -107,11 +110,11 @@ def uq_sl2_spin_rep(n: int, q: complex) -> AlgebraRep:
     )
     a = np.diag(np.array([q**w for w in weights], dtype=complex))
     gens = {
-        "Jz": Operator((n,), np.diag(np.array(weights, dtype=complex))),
-        "Jp": Operator((n,), np.diag(ladder, 1)),
-        "Jm": Operator((n,), np.diag(ladder, -1)),
-        "qJz": Operator((n,), a),
-        "qJzInv": Operator((n,), np.diag(1 / np.diag(a))),
+        "Jz": np.diag(np.array(weights, dtype=complex)),
+        "Jp": np.diag(ladder, 1),
+        "Jm": np.diag(ladder, -1),
+        "qJz": a,
+        "qJzInv": np.diag(1 / np.diag(a)),
     }
     return AlgebraRep("uq_sl2", gens, {"n": n, "s": (n - 1) / 2, "q": q})
 
@@ -129,7 +132,7 @@ def cyclic_rep(p: int, k: int = 1) -> AlgebraRep:
     y = np.zeros((p, p), dtype=complex)
     for j in range(p):
         y[j, (j + 1) % p] = 1.0
-    gens = {"X": Operator((p,), x), "Y": Operator((p,), y)}
+    gens = {"X": x, "Y": y}
     return AlgebraRep("heisenberg_weyl", gens, {"p": p, "k": k, "q": q})
 
 
@@ -145,9 +148,9 @@ def q_oscillator_rep(p: int, k: int = 1) -> AlgebraRep:
     xinv = np.diag(1 / np.diag(x))
     yinv = np.linalg.inv(y)
     gens = {
-        "V": Operator((p,), x),
-        "a": Operator((p,), y @ x),
-        "adag": Operator((p,), (xinv - q * x) @ yinv),
+        "V": x,
+        "a": y @ x,
+        "adag": (xinv - q * x) @ yinv,
     }
     return AlgebraRep("q_oscillator", gens, {"p": p, "k": k, "q": q})
 
@@ -177,7 +180,7 @@ def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> Coproduct:
         images[label] = np.kron(rep_left.gen("qJzInv"), rep_right.gen(label)) + np.kron(
             rep_left.gen(label), rep_right.gen("qJz")
         )
-    return Coproduct(rep_left, 2, {k: Operator(dims, v) for k, v in images.items()})
+    return Coproduct(rep_left, 2, images)
 
 
 def _site_sum(g, dims) -> np.ndarray:
@@ -198,7 +201,7 @@ def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
     """
     if N < 1:
         raise ValueError("need at least one copy")
-    side = as_operator(next(iter(rep.generators.values()))).side
+    side = next(iter(rep.generators.values())).shape[0]
     dims = (side,) * N
     total_dim = side**N
     images = {}
@@ -215,7 +218,7 @@ def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
         images["qJzInv"] = kron_all(*([d] * N))
     else:
         images = {label: _site_sum(rep.gen(label), dims) for label in rep.generators}
-    return Coproduct(rep, N, {k: Operator(dims, v) for k, v in images.items()})
+    return Coproduct(rep, N, images)
 
 
 def _gens_params(rep) -> tuple:
@@ -223,12 +226,12 @@ def _gens_params(rep) -> tuple:
         gens = {k: mat(v) for k, v in rep.images.items()}
         src = rep.base
     else:
-        gens = {k: mat(v) for k, v in rep.generators.items()}
+        gens = rep.generators
         src = rep
     return gens, src.params, src.name
 
 
-def casimir_uq(rep) -> Operator:
+def casimir_uq(rep) -> np.ndarray:
     """Quantum Casimir q qJz^2 + q^-1 qJzInv^2 + (q - q^-1)^2 Jm Jp.
 
     Accepts a representation or a co-product.  Commutes with every
@@ -240,11 +243,7 @@ def casimir_uq(rep) -> Operator:
             raise KeyError(f"casimir needs generator {need!r} (missing from {name})")
     q = complex(params["q"])
     a, d, jp, jm = gens["qJz"], gens["qJzInv"], gens["Jp"], gens["Jm"]
-    c = q * (a @ a) + (1 / q) * (d @ d) + (q - 1 / q) ** 2 * (jm @ jp)
-    dims = rep.images[next(iter(rep.images))].dims if isinstance(rep, Coproduct) else (
-        as_operator(next(iter(rep.generators.values()))).dims
-    )
-    return Operator(dims, c)
+    return q * (a @ a) + (1 / q) * (d @ d) + (q - 1 / q) ** 2 * (jm @ jp)
 
 
 def check_relations(rep) -> dict:

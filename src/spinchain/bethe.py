@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lax import monodromy_blocks, sz_sector_indices, transfer, uniform_chain
-from .linalg import mat, rel_norm
+from .linalg import rel_norm
 
 _ACCEPT = 1e-10
 _DEDUP = 1e-7
@@ -348,6 +348,12 @@ def _certify(system: BetheSystem, chain, tmat):
     return _finish(system, fn), vec
 
 
+def _is_new_state(kept, vec) -> bool:
+    # one state, one solution: root sets may differ by runaway or i pi-shifted
+    # roots and still build the same vector
+    return all(abs(np.vdot(other, vec)) <= 1 - _GAP for _, other in kept)
+
+
 def refine(system: BetheSystem) -> BetheSystem:
     """Re-run Newton from the system's own roots (fixed point for solutions)."""
     if system.M == 0:
@@ -358,16 +364,17 @@ def refine(system: BetheSystem) -> BetheSystem:
     return replace(system, roots=tuple(_canonical(lams)))
 
 
-def solve_bae(N, s, mu, M, seed=0, restarts=120, threads=1, require_admissible=True):
+def solve_bae(N, s, mu, M, seed=0, restarts=120, threads=1):
     """Distinct converged root sets for the (N, s, mu) chain with M roots.
 
     Solutions are deduplicated as multisets up to the i pi period, gated
-    against poles and collisions, and (by default) kept only if the
-    transfer matrix acting on the constructed Bethe vector reproduces
-    Lambda at a probe point to 1e-8.  Fixed seed stream per (N, s, mu, M)
-    makes the output deterministic; restarts are independent, so they can
-    be spread over threads.  Which solutions are found depends on which
-    starts converge; `validate_against_ed` does not use this search.
+    against poles and collisions, and kept only if the transfer matrix
+    acting on the constructed Bethe vector reproduces Lambda at a probe
+    point to 1e-8; of root sets that build the same state, the first found
+    is kept.  Fixed seed stream per (N, s, mu, M) makes the output
+    deterministic; restarts are independent, so they can be spread over
+    threads.  Which solutions are found depends on which starts converge;
+    `validate_against_ed` does not use this search.
     """
     mu, s = complex(mu), float(s)
     if M == 0:
@@ -395,17 +402,13 @@ def solve_bae(N, s, mu, M, seed=0, restarts=120, threads=1, require_admissible=T
         found.append(lams)
 
     chain = uniform_chain("xxz", N, mu, round(2 * s + 1), "principal")
-    tmat = mat(transfer(chain)(_GAP_PROBE)) if require_admissible else None
-    sols = []
+    tmat = transfer(chain)(_GAP_PROBE)
+    kept = []
     for lams in found:
-        system = BetheSystem(N, s, mu, tuple(lams))
-        if not require_admissible:
-            if bae_residual(system) < _ACCEPT:
-                sols.append(_finish(system))
-            continue
-        certified = _certify(system, chain, tmat)
-        if certified is not None:
-            sols.append(certified[0])
+        certified = _certify(BetheSystem(N, s, mu, tuple(lams)), chain, tmat)
+        if certified is not None and _is_new_state(kept, certified[1]):
+            kept.append(certified)
+    sols = [sol for sol, _ in kept]
     sols.sort(key=lambda so: tuple((round(z.real, 9), round(z.imag, 9)) for z in so.system.roots))
     return sols
 
@@ -450,7 +453,7 @@ def _sector_levels(fam, teig, sectors, points):
         bases[M] = (np.linalg.inv(vecs), vecs)
     table = {M: np.empty((sel.size, len(points)), dtype=complex) for M, sel in sectors.items()}
     for k, lam in enumerate(points):
-        t = mat(fam(lam))
+        t = fam(lam)
         for M, sel in sectors.items():
             inv, vecs = bases[M]
             table[M][:, k] = np.einsum("ij,ji->i", inv, t[np.ix_(sel, sel)] @ vecs)
@@ -477,13 +480,8 @@ def _reconstruct(N, s, mu, chain, tmat, teig, sectors):
             if not _passes_pole_gates(np.asarray(system.roots), N, s, mu):
                 continue
             certified = _certify(system, chain, tmat)
-            if certified is None:
-                continue
-            # one state, one solution: root sets may differ by runaway or
-            # i pi-shifted roots and still build the same vector
-            if any(abs(np.vdot(vec, certified[1])) > 1 - _GAP for _, vec in kept):
-                continue
-            kept.append(certified)
+            if certified is not None and _is_new_state(kept, certified[1]):
+                kept.append(certified)
         out[M] = kept
     return out
 
@@ -529,10 +527,11 @@ def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,
     probes: the flipped vector, on the all-down vacuum, must pass the
     eigen-gap gate again.  Otherwise those sectors are reconstructed
     directly.  A solution is matched when its Lambda agrees with a sector
-    eigenvalue to rtol at all probes.  Coverage counts sector levels
-    matched by at least one solution; it is fixed by the chain alone.
-    seed, restarts and threads steer only `solve_bae` and are accepted
-    here for a uniform call signature.
+    eigenvalue to rtol at all probes, relative to max(|Lambda|,
+    1e-8 |t(p)|_F) so that a level with Lambda = 0 can match.  Coverage
+    counts sector levels matched by at least one solution; it is fixed by
+    the chain alone.  seed, restarts and threads steer only `solve_bae`
+    and are accepted here for a uniform call signature.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
@@ -545,7 +544,7 @@ def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,
         M_range = range(top + 1)
     sectors = {M: sel for M in M_range if (sel := sz_sector_indices(N, n, M)).size}
 
-    tmat, teig = mat(fam(_GAP_PROBE)), mat(fam(_EIG_PROBE))
+    tmat, teig = fam(_GAP_PROBE), fam(_EIG_PROBE)
     flip = all(rel_norm(t[::-1, ::-1], t) < 1e-12 for t in (tmat, teig))
 
     def source(M):
@@ -556,8 +555,10 @@ def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,
                          {M: sz_sector_indices(N, n, M) for M in direct})
     del teig  # at the 4096 cap every full transfer matrix holds 268 MB
     evs = {M: [] for M in sectors}
+    floors = []  # a level with Lambda = 0 is matched on the scale of t itself
     for p in probes:
-        t = mat(fam(complex(p)))
+        t = fam(complex(p))
+        floors.append(1e-8 * np.linalg.norm(t))
         for M, sel in sectors.items():
             evs[M].append(np.linalg.eigvals(t[np.ix_(sel, sel)]))
 
@@ -586,7 +587,7 @@ def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,
             ok = True
             for k, p in enumerate(probes):
                 val = sol.eigenvalue_fn(complex(p))
-                dist = np.abs(evs[M][k] - val) / max(abs(val), 1e-300)
+                dist = np.abs(evs[M][k] - val) / max(abs(val), floors[k], 1e-300)
                 j = int(np.argmin(dist))
                 if dist[j] >= rtol:
                     ok = False

@@ -22,19 +22,19 @@ from .lax import (
     monodromy,
     uniform_chain,
 )
-from .linalg import Operator, embed, mat, permutation, rel_norm, richardson_derivative
+from .linalg import embed, mat, permutation, rel_norm, richardson_derivative
 from .rmatrix import gauge_v
 
 
 @dataclass(frozen=True)
 class KMatrixFamily:
-    """Boundary matrix family lambda -> Operator on the auxiliary space."""
+    """Boundary matrix family lambda -> complex matrix on the auxiliary space."""
 
     name: str
     eval: object
     params: dict
 
-    def __call__(self, lam: complex) -> Operator:
+    def __call__(self, lam: complex) -> np.ndarray:
         return self.eval(lam)
 
 
@@ -47,7 +47,7 @@ class OpenBoundary:
 
 
 def k_identity() -> KMatrixFamily:
-    eye = Operator((2,), np.eye(2, dtype=complex))
+    eye = np.eye(2, dtype=complex)
     return KMatrixFamily("k_identity", lambda lam: eye, {})
 
 
@@ -73,11 +73,11 @@ def k_gz_dvgr(xi: complex, kappa: complex, gradation: str = "principal") -> KMat
         )
 
     if gradation == "homogeneous":
-        ev = lambda lam: Operator((2,), homogeneous(lam))
+        ev = homogeneous
     else:
-        def ev(lam: complex) -> Operator:
-            v = mat(gauge_v(-lam))
-            return Operator((2,), v @ homogeneous(lam) @ v)
+        def ev(lam: complex) -> np.ndarray:
+            v = gauge_v(-lam)
+            return v @ homogeneous(lam) @ v
 
     return KMatrixFamily(f"k_gz_dvgr_{gradation}", ev, {"xi": xi, "kappa": kappa, "gradation": gradation})
 
@@ -96,10 +96,10 @@ def k_blob(mu: complex, m: complex, gamma: complex, c: complex = 1.0) -> KMatrix
     e = np.array([[-1 / Q, c], [1 / c, -Q]], dtype=complex)
     eye = np.eye(2, dtype=complex)
 
-    def ev(lam: complex) -> Operator:
+    def ev(lam: complex) -> np.ndarray:
         x = (Q + 1 / Q) * cmath.cosh(2 * lam + 1j * mu) - cmath.cosh(2j * mu * gamma) - kappa * cmath.cosh(2 * lam)
         y = 2 * cmath.sinh(1j * mu) * cmath.sinh(2 * lam)
-        return Operator((2,), x * eye + y * e)
+        return x * eye + y * e
 
     return KMatrixFamily("k_blob", ev, {"mu": mu, "m": m, "gamma": gamma, "c": c, "Q": Q, "kappa": kappa})
 
@@ -128,8 +128,8 @@ def crossed_k_plus(k_minus, model: str = "xxz", mu: complex | None = None,
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    def ev(lam: complex) -> Operator:
-        return Operator((2,), m @ mat(k_minus(-lam - shift)).T)
+    def ev(lam: complex) -> np.ndarray:
+        return m @ mat(k_minus(-lam - shift)).T
 
     name = getattr(k_minus, "name", "k")
     return KMatrixFamily(f"k_plus({name})", ev, {"model": model, "mu": mu, "gradation": gradation})
@@ -143,16 +143,14 @@ def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
     auxiliary space or an operator on auxiliary (x) quantum (a dressed K),
     in which case both auxiliary copies share the quantum space.
     """
-    r = r_family if callable(r_family) else r_family.eval
-    k = k_family if callable(k_family) else k_family.eval
-    rd = mat(r(lam1 - lam2))
-    rs = mat(r(lam1 + lam2))
+    rd = mat(r_family(lam1 - lam2))
+    rs = mat(r_family(lam1 + lam2))
     n = int(round(np.sqrt(rd.shape[0])))
     if n * n != rd.shape[0]:
         raise ValueError("R must act on a two-fold tensor square")
-    p = mat(permutation(n))
+    p = permutation(n)
     rd21, rs21 = p @ rd @ p, p @ rs @ p
-    k1m, k2m = mat(k(lam1)), mat(k(lam2))
+    k1m, k2m = mat(k_family(lam1)), mat(k_family(lam2))
     if k1m.shape[0] % n:
         raise ValueError("K dimension incompatible with R")
     # aux1 (x) aux2 (x) quantum, with a one-dimensional quantum space for a c-number K
@@ -165,14 +163,14 @@ def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
     return rel_norm(lhs, rhs)
 
 
-def dressed_k(lax_family, k_family, lam: complex) -> Operator:
-    """Operator reflection matrix L(l) K(l) L^{-1}(-l) on aux (x) quantum."""
+def dressed_k(lax_family, k_family, lam: complex) -> np.ndarray:
+    """Dressed reflection matrix L(l) K(l) L^{-1}(-l) on aux (x) quantum."""
     lm = mat(lax_family(lam))
     ln = mat(lax_family(-lam))
     na = getattr(lax_family, "auxiliary_dim", 2)
     dims = (na, lm.shape[0] // na)
     km = embed(k_family(lam), 1, dims)
-    return Operator(dims, lm @ km @ np.linalg.inv(ln))
+    return lm @ km @ np.linalg.inv(ln)
 
 
 def open_chain(model: str, N: int, mu: complex | None = None, n: int = 2,
@@ -191,21 +189,20 @@ def open_transfer(chain: ChainSpec) -> TransferFamily:
         raise ValueError("chain carries no open boundary data")
     k_minus, k_plus = chain.boundary.k_minus, chain.boundary.k_plus
 
-    def ev(lam: complex) -> Operator:
-        t = mat(monodromy(chain, lam))
-        tneg = mat(monodromy(chain, -lam))
+    def ev(lam: complex) -> np.ndarray:
+        t = monodromy(chain, lam)
+        tneg = monodromy(chain, -lam)
         D = t.shape[0] // 2
         km = embed(k_minus(lam), 1, (2, D))
         dressed = t @ km @ np.linalg.inv(tneg)
         kp = mat(k_plus(lam))
         blocks = dressed.reshape(2, D, 2, D)
-        out = sum(kp[a, b] * blocks[b, :, a, :] for a in range(2) for b in range(2))
-        return Operator(chain.local_dims, out)
+        return sum(kp[a, b] * blocks[b, :, a, :] for a in range(2) for b in range(2))
 
     return TransferFamily(chain, ev, "open_transfer")
 
 
-def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> Operator:
+def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
     """Derivative of the open transfer matrix at the origin.
 
     t(0) must be a nonzero multiple of the identity (regular boundary);
@@ -213,13 +210,12 @@ def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> Operator:
     an affine (scale, shift) fit, which callers report.
     """
     fam = open_transfer(chain)
-    t0 = mat(fam(0.0))
+    t0 = fam(0.0)
     D = t0.shape[0]
     scalar = np.trace(t0) / D
     if abs(scalar) < 1e-12 or rel_norm(t0, scalar * np.eye(D)) > 1e-10:
         raise ValueError("open transfer is singular at the origin")
-    deriv = richardson_derivative(lambda x: mat(fam.eval(x)), 0.0, step)
-    return Operator(chain.local_dims, deriv)
+    return richardson_derivative(fam.eval, 0.0, step)
 
 
 def casimir_from_asymptotics(rep) -> tuple:
@@ -238,11 +234,10 @@ def casimir_from_asymptotics(rep) -> tuple:
     )
     fam = open_transfer(chain)
     lam = 18.0
-    dims = chain.local_dims
-    return Operator(dims, mat(fam(lam))), Operator(dims, mat(fam(-lam)))
+    return fam(lam), fam(-lam)
 
 
-def uq_invariant_hamiltonian(N: int, mu: complex) -> Operator:
+def uq_invariant_hamiltonian(N: int, mu: complex) -> np.ndarray:
     """Open-chain Hamiltonian that commutes with every ncoproduct image.
 
     1/2 sum_{i<N} (sx sx + sy sy + cosh(i mu) sz sz) plus the boundary term
@@ -255,4 +250,4 @@ def uq_invariant_hamiltonian(N: int, mu: complex) -> Operator:
     h = _bond_sum(0.5 * _xxz_bond(cmath.cosh(1j * mu)), N, periodic=False)
     boundary = cmath.sinh(1j * mu) / 2
     h += boundary * (embed(_PAULI["z"], N, dims) - embed(_PAULI["z"], 1, dims))
-    return Operator(dims, h)
+    return h

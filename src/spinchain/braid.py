@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, comm_norm, embed, embed_pair, mat, rel_norm
+from .linalg import comm_norm, embed, embed_pair, rel_norm
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class BraidFamily:
     """Braid-group generators realised on an N-site chain.
 
     generators maps labels U1..U{N-1} and g1..g{N-1} (plus U0/g0 for the
-    blob kind) to Operators on the full chain; params carries q and, for
-    blob, Q, c, kappa.
+    blob kind) to complex matrices on the full chain; params carries q
+    and, for blob, Q, c, kappa.
     """
 
     N: int
@@ -31,10 +31,10 @@ class BraidFamily:
     generators: dict
 
     def u(self, i: int) -> np.ndarray:
-        return mat(self.generators[f"U{i}"])
+        return self.generators[f"U{i}"]
 
     def g(self, i: int) -> np.ndarray:
-        return mat(self.generators[f"g{i}"])
+        return self.generators[f"g{i}"]
 
 
 def hecke_u_matrix(n: int, q: complex) -> np.ndarray:
@@ -68,8 +68,8 @@ def hecke_rep(n: int, N: int, q: complex) -> BraidFamily:
     gens = {}
     for i in range(1, N):
         ui = embed_pair(u, i, dims)
-        gens[f"U{i}"] = Operator(dims, ui)
-        gens[f"g{i}"] = Operator(dims, ui + q * eye)
+        gens[f"U{i}"] = ui
+        gens[f"g{i}"] = ui + q * eye
     return BraidFamily(N, n, "hecke", {"q": q}, gens)
 
 
@@ -88,12 +88,12 @@ def blob_rep(N: int, q: complex, Q: complex, c: complex) -> BraidFamily:
     eye = np.eye(2**N)
     e = np.array([[-1 / Q, c], [1 / c, -Q]], dtype=complex)
     u0 = embed(e, 1, dims)
-    gens = {"U0": Operator(dims, u0), "g0": Operator(dims, u0 + Q * eye)}
+    gens = {"U0": u0, "g0": u0 + Q * eye}
     u = hecke_u_matrix(2, q)
     for i in range(1, N):
         ui = embed_pair(u, i, dims)
-        gens[f"U{i}"] = Operator(dims, ui)
-        gens[f"g{i}"] = Operator(dims, ui + q * eye)
+        gens[f"U{i}"] = ui
+        gens[f"g{i}"] = ui + q * eye
     params = {"q": q, "Q": Q, "c": c, "kappa": q / Q + Q / q}
     return BraidFamily(N, 2, "blob", params, gens)
 

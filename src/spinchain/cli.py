@@ -134,7 +134,7 @@ def _emit(payload: dict, rows, args, default_format: str) -> None:
 def _perturbed(family, eps: complex):
     """Corrupt a matrix family by adding eps to its (0, 1) entry."""
     def ev(lam):
-        m = np.array(linalg.mat(family(lam)), copy=True)
+        m = np.array(family(lam), copy=True)
         m[0, 1] += eps
         return m
 
@@ -194,9 +194,9 @@ def _suite_ybe(cfg, seed, threads) -> list:
 
         def gauge_gap(p):
             lam = p[0]
-            lhs = linalg.mat(rmatrix.r_xxz(lam, mu, "principal"))
-            conj = linalg.embed(vg(-lam), 1, (2, 2)) @ linalg.mat(
-                rmatrix.r_xxz(lam, mu, "homogeneous")
+            lhs = rmatrix.r_xxz(lam, mu, "principal")
+            conj = linalg.embed(vg(-lam), 1, (2, 2)) @ rmatrix.r_xxz(
+                lam, mu, "homogeneous"
             ) @ linalg.embed(vg(lam), 1, (2, 2))
             if eps:
                 conj = np.array(conj, copy=True)
@@ -245,7 +245,7 @@ def _suite_re(cfg, seed, threads) -> list:
         )
         checks.append(_check(f"reflection equation: {name}", worst, 1e-10, pairs=pairs))
     kgz = boundary.k_gz_dvgr(xi, kappa, "homogeneous")
-    gap = linalg.rel_norm(linalg.mat(kgz(0.0)), cmath.sinh(1j * xi) * np.eye(2))
+    gap = linalg.rel_norm(kgz(0.0), cmath.sinh(1j * xi) * np.eye(2))
     checks.append(_check("GZ-DVGR K(0) = sinh(i xi) I", gap, 1e-12))
     for n, label in ((2, "spin-1/2"), (3, "spin-1")):
         rep = algebra.uq_sl2_spin_rep(n, cmath.exp(1j * mu))
@@ -254,7 +254,7 @@ def _suite_re(cfg, seed, threads) -> list:
 
         def dressed_res(p, lfam=lfam, rfam=rfam):
             def kd(lam):
-                return linalg.mat(boundary.dressed_k(lfam, boundary.k_identity(), lam))
+                return boundary.dressed_k(lfam, boundary.k_identity(), lam)
 
             return boundary.re_residual(rfam, kd, p[0], p[1])
 
@@ -285,7 +285,7 @@ def _suite_braid(cfg, seed, threads) -> list:
         checks.append(_check(f"blob B-type: {relname}", residual, 1e-10))
     rng = np.random.default_rng(seed)
     lam1, lam2 = (complex(a, b) for a, b in rng.uniform(-1.0, 1.0, size=(2, 2)))
-    bax = lambda lam: linalg.mat(rmatrix.baxterize(hecke2, 1, lam))[:4, :4]
+    bax = lambda lam: rmatrix.baxterize(hecke2, 1, lam)[:4, :4]
     res = rmatrix.braided_ybe_residual(bax, lam1, lam2)
     checks.append(_check("baxterized Hecke satisfies braided YBE", res, 1e-10))
     return checks
@@ -335,6 +335,26 @@ def _suite_frt(cfg, seed, threads) -> list:
     return checks
 
 
+def _casimir_entry(spin: float, n: int, q: complex) -> dict:
+    """Checks of the quantum Casimir C on the n-dimensional irrep: C commutes
+    with the generators, is a scalar there, and the transfer limits t+- are
+    multiples of it; with the scalar and the two multiples."""
+    rep = algebra.uq_sl2_spin_rep(n, q)
+    cas = algebra.casimir_uq(rep)
+    worst = max(linalg.comm_norm(cas, rep.gen(g)) for g in ("Jp", "Jm", "qJz"))
+    scalar = np.trace(cas) / n
+    entry = {"spin": spin, "casimir_scalar": _comp(scalar), "checks": [
+        _check("commutes with generators", worst, 1e-10),
+        _check("scalar on the irrep", linalg.rel_norm(cas, scalar * np.eye(n)), 1e-10),
+    ]}
+    for label, tmat in zip(("plus", "minus"), boundary.casimir_from_asymptotics(rep)):
+        coef = np.vdot(cas, tmat) / np.vdot(cas, cas)
+        entry["checks"].append(_check(f"t_{label} proportional to the Casimir",
+                                      linalg.rel_norm(tmat, coef * cas), 1e-9))
+        entry[f"t_{label}_coefficient"] = _comp(coef)
+    return entry
+
+
 def _suite_symmetry(cfg, seed, threads) -> list:
     mu = _resolve_mu(cfg)
     if "perturb" in cfg and cfg["perturb"]:
@@ -343,38 +363,26 @@ def _suite_symmetry(cfg, seed, threads) -> list:
     rng = np.random.default_rng(seed)
     checks = []
     for grad, mmat in (("homogeneous", np.diag([q, 1 / q])), ("principal", np.eye(2))):
-        r = linalg.mat(rmatrix.r_xxz(0.31, mu, grad))
+        r = rmatrix.r_xxz(0.31, mu, grad)
         gap = linalg.comm_norm(r, np.kron(mmat, mmat))
         checks.append(_check(f"[R, M x M] = 0, {grad}", gap, 1e-12))
     chain = boundary.open_chain("xxz", 3, mu, 2, "homogeneous")
     fam = boundary.open_transfer(chain)
     cop = algebra.ncoproduct(algebra.uq_sl2_spin_rep(2, q), 3)
-    tmats = [linalg.mat(fam(float(lam))) for lam in rng.uniform(-1.0, 1.0, 5)]
+    tmats = [fam(float(lam)) for lam in rng.uniform(-1.0, 1.0, 5)]
     for label in ("Jp", "Jm", "qJz"):
         worst = max(linalg.comm_norm(t, cop.image(label)) for t in tmats)
         checks.append(_check(f"open transfer commutes with Delta({label})", worst, 1e-10))
-    H = linalg.mat(boundary.open_hamiltonian(chain))
-    model = linalg.mat(boundary.uq_invariant_hamiltonian(3, mu))
+    H = boundary.open_hamiltonian(chain)
+    model = boundary.uq_invariant_hamiltonian(3, mu)
     _, resid = linalg.fit_affine(H, [model, np.eye(8)])
     checks.append(_check("open H fits the invariant form (affine)", resid, 1e-8))
+    names = ("Casimir commutes with generators", "Casimir scalar on the irrep",
+             "transfer asymptotics proportional to Casimir")
     for n, label in ((2, "spin-1/2"), (3, "spin-1")):
-        rep = algebra.uq_sl2_spin_rep(n, q)
-        cas = linalg.mat(algebra.casimir_uq(rep))
-        worst = max(
-            linalg.comm_norm(cas, rep.gen(g)) for g in ("Jp", "Jm", "qJz")
-        )
-        checks.append(_check(f"Casimir commutes with generators, {label}", worst, 1e-10))
-        scalar = np.trace(cas) / n
-        checks.append(
-            _check(f"Casimir scalar on the irrep, {label}",
-                   linalg.rel_norm(cas, scalar * np.eye(n)), 1e-10)
-        )
-        t_plus, _ = boundary.casimir_from_asymptotics(rep)
-        coef = np.vdot(cas, linalg.mat(t_plus)) / np.vdot(cas, cas)
-        checks.append(
-            _check(f"transfer asymptotics proportional to Casimir, {label}",
-                   linalg.rel_norm(linalg.mat(t_plus), coef * cas), 1e-9)
-        )
+        entry = _casimir_entry((n - 1) / 2, n, q)
+        # the first three Casimir checks (t_plus only), under this suite's names
+        checks += [dict(c, identity=f"{name}, {label}") for c, name in zip(entry["checks"], names)]
     return checks
 
 
@@ -581,25 +589,7 @@ def cmd_casimir(cfg: dict, args) -> int:
         n = round(2 * spin) + 1 if math.isfinite(spin) else 0
         if n < 2:
             raise ConfigError(f"invalid spin {spin}")
-        rep = algebra.uq_sl2_spin_rep(n, q)
-        cas = linalg.mat(algebra.casimir_uq(rep))
-        t_plus, t_minus = boundary.casimir_from_asymptotics(rep)
-        entry = {"spin": spin, "checks": []}
-        worst = max(linalg.comm_norm(cas, rep.gen(g)) for g in ("Jp", "Jm", "qJz"))
-        entry["checks"].append(_check("commutes with generators", worst, 1e-10))
-        scalar = np.trace(cas) / n
-        entry["checks"].append(
-            _check("scalar on the irrep", linalg.rel_norm(cas, scalar * np.eye(n)), 1e-10)
-        )
-        entry["casimir_scalar"] = _comp(scalar)
-        for tmat, label in ((t_plus, "plus"), (t_minus, "minus")):
-            tm = linalg.mat(tmat)
-            coef = np.vdot(cas, tm) / np.vdot(cas, cas)
-            entry["checks"].append(
-                _check(f"t_{label} proportional to the Casimir",
-                       linalg.rel_norm(tm, coef * cas), 1e-9)
-            )
-            entry[f"t_{label}_coefficient"] = _comp(coef)
+        entry = _casimir_entry(spin, n, q)
         ok = ok and all(c["pass"] for c in entry["checks"])
         results.append(entry)
     payload = {

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
-from .linalg import (
-    Operator,
-    as_operator,
-    embed,
-    mat,
-    rel_norm,
-    richardson_derivative,
-)
+from .linalg import embed, mat, rel_norm, richardson_derivative
 from .rmatrix import SpectralMatrixFamily, braided, r_pm, xxx_family, xxz_family
 
 
@@ -53,12 +46,12 @@ class ChainSpec:
 
     @property
     def local_dims(self) -> tuple:
-        return tuple(as_operator(next(iter(r.generators.values()))).side for r in self.site_reps)
+        return tuple(next(iter(r.generators.values())).shape[0] for r in self.site_reps)
 
 
 @dataclass(frozen=True)
 class LaxOperator:
-    """Family lambda -> Operator on auxiliary (x) quantum space."""
+    """Family lambda -> complex matrix on auxiliary (x) quantum space."""
 
     name: str
     auxiliary_dim: int
@@ -66,19 +59,19 @@ class LaxOperator:
     gradation: str
     eval: object
 
-    def __call__(self, lam: complex) -> Operator:
+    def __call__(self, lam: complex) -> np.ndarray:
         return self.eval(lam)
 
 
 class TransferFamily:
-    """Commuting family lambda -> Operator."""
+    """Commuting family lambda -> complex matrix on the quantum space."""
 
     def __init__(self, chain: ChainSpec, eval_fn, name: str = "transfer"):
         self.chain = chain
         self.eval = eval_fn
         self.name = name
 
-    def __call__(self, lam: complex) -> Operator:
+    def __call__(self, lam: complex) -> np.ndarray:
         return self.eval(complex(lam))
 
 
@@ -116,27 +109,24 @@ def p_blocks(rep: AlgebraRep) -> list:
     return [[jz + half, jm], [jp, -jz + half]]
 
 
-def p_matrix(rep: AlgebraRep) -> Operator:
+def p_matrix(rep: AlgebraRep) -> np.ndarray:
     """The matrix [[Jz + 1/2, Jm], [Jp, -Jz + 1/2]] on aux (x) quantum.
 
     For spin-1/2 this is exactly the permutation operator.
     """
-    blocks = p_blocks(rep)
-    n = blocks[0][0].shape[0]
-    return Operator((2, n), np.block(blocks))
+    return np.block(p_blocks(rep))
 
 
 def lax_xxx(rep: AlgebraRep) -> LaxOperator:
     """Rational Lax operator lambda I + i p over any sl2 representation."""
-    pm = mat(p_matrix(rep))
+    pm = p_matrix(rep)
     eye = np.eye(pm.shape[0], dtype=complex)
-    n = pm.shape[0] // 2
     return LaxOperator(
         "lax_xxx",
         2,
         rep,
         "rational",
-        lambda lam: Operator((2, n), lam * eye + 1j * pm),
+        lambda lam: lam * eye + 1j * pm,
     )
 
 
@@ -157,18 +147,17 @@ def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = 
     if gradation not in ("principal", "homogeneous"):
         raise ValueError(f"unknown gradation {gradation!r}")
     jz, jp, jm = rep.gen("Jz"), rep.gen("Jp"), rep.gen("Jm")
-    n = jz.shape[0]
     weights = np.diag(jz)
     c = cmath.sinh(1j * mu)
 
-    def ev(lam: complex) -> Operator:
+    def ev(lam: complex) -> np.ndarray:
         dplus = np.diag(np.sinh(lam + 1j * mu / 2 + 1j * mu * weights))
         dminus = np.diag(np.sinh(lam + 1j * mu / 2 - 1j * mu * weights))
         up, down = c * jm, c * jp
         if gradation == "homogeneous":
             up = cmath.exp(lam) * up
             down = cmath.exp(-lam) * down
-        return Operator((2, n), np.block([[dplus, up], [down, dminus]]))
+        return np.block([[dplus, up], [down, dminus]])
 
     return LaxOperator(f"lax_xxz_{gradation}", 2, rep, gradation, ev)
 
@@ -187,7 +176,7 @@ def lax_xxz_pm(rep: AlgebraRep) -> tuple:
     delta = q - 1 / q
     lp = np.block([[c * a, delta * jm], [zero, c * d]])
     lm = np.block([[d / c, zero], [-delta * jp, a / c]])
-    return Operator((2, n), lp), Operator((2, n), lm)
+    return lp, lm
 
 
 def rll_residual(r_family, lax, lam1: complex, lam2: complex, aux_dim: int | None = None) -> float:
@@ -197,12 +186,10 @@ def rll_residual(r_family, lax, lam1: complex, lam2: complex, aux_dim: int | Non
     aux (x) quantum; the same check therefore serves the monodromy (FRT)
     relation by passing the monodromy evaluator.
     """
-    ev = lax.eval if isinstance(lax, LaxOperator) else lax
     na = aux_dim or getattr(lax, "auxiliary_dim", 2)
-    r = r_family if callable(r_family) else r_family.eval
-    l1m, l2m = mat(ev(lam1)), mat(ev(lam2))
+    l1m, l2m = mat(lax(lam1)), mat(lax(lam2))
     dims = (na, na, l1m.shape[0] // na)  # aux1 (x) aux2 (x) quantum
-    r12 = embed(r(lam1 - lam2), (1, 2), dims)
+    r12 = embed(r_family(lam1 - lam2), (1, 2), dims)
     a = embed(l1m, (1, 3), dims)
     b = embed(l2m, (2, 3), dims)
     return rel_norm(r12 @ a @ b, b @ a @ r12)
@@ -215,13 +202,13 @@ def triangular_residuals(rep: AlgebraRep, probe: complex = 0.37) -> dict:
     probe point.
     """
     q = complex(rep.params["q"])
-    rp, rm = (mat(x) for x in r_pm(q))
-    lp, lm = (mat(x) for x in lax_xxz_pm(rep))
+    rp, rm = r_pm(q)
+    lp, lm = lax_xxz_pm(rep)
     dims = (2, 2, lp.shape[0] // 2)
     rp12, rm12 = embed(rp, (1, 2), dims), embed(rm, (1, 2), dims)
     lp1, lp2 = embed(lp, (1, 3), dims), embed(lp, (2, 3), dims)
     lm1, lm2 = embed(lm, (1, 3), dims), embed(lm, (2, 3), dims)
-    lh = mat(lax_xxz(rep, "homogeneous")(probe))
+    lh = lax_xxz(rep, "homogeneous")(probe)
     rebuild = cmath.exp(probe) * lp - cmath.exp(-probe) * lm
     return {
         "R+ L+1 L+2 = L+2 L+1 R+": rel_norm(rp12 @ lp1 @ lp2, lp2 @ lp1 @ rp12),
@@ -252,9 +239,9 @@ def lax_generic_xxz(p: int, s: complex, k: int = 1) -> LaxOperator:
     """
     cyc, _, x, xinv, db, dc = _cyclic_generic_blocks(p, s, k)
 
-    def ev(lam: complex) -> Operator:
+    def ev(lam: complex) -> np.ndarray:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return Operator((2, p), np.block([[ep * x - em * xinv, db], [dc, ep * xinv - em * x]]))
+        return np.block([[ep * x - em * xinv, db], [dc, ep * xinv - em * x]])
 
     return LaxOperator("lax_generic_xxz", 2, cyc, "principal", ev)
 
@@ -268,8 +255,8 @@ def lax_sine_gordon(p: int, s: complex, k: int = 1) -> LaxOperator:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     twist = 1j * m * embed(sx, 1, (2, p))
 
-    def ev(lam: complex) -> Operator:
-        return Operator((2, p), twist @ mat(generic(lam)))
+    def ev(lam: complex) -> np.ndarray:
+        return twist @ generic(lam)
 
     return LaxOperator("lax_sine_gordon", 2, generic.quantum_rep, "principal", ev)
 
@@ -281,9 +268,9 @@ def lax_qoscillator(p: int, k: int = 1) -> LaxOperator:
     vinv = np.diag(1 / np.diag(v))
     zero = np.zeros_like(v)
 
-    def ev(lam: complex) -> Operator:
+    def ev(lam: complex) -> np.ndarray:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return Operator((2, p), np.block([[ep * v - em * vinv, adag], [a, -em * v]]))
+        return np.block([[ep * v - em * vinv, adag], [a, -em * v]])
 
     return LaxOperator("lax_qoscillator", 2, osc, "principal", ev)
 
@@ -302,9 +289,9 @@ def lax_liouville(p: int, alpha: complex, k: int = 1) -> LaxOperator:
     xyinv = np.linalg.inv(xy)
     h = np.eye(p, dtype=complex) + alpha**2 * q * (x @ x)
 
-    def ev(lam: complex) -> Operator:
+    def ev(lam: complex) -> np.ndarray:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return Operator((2, p), np.block([[xy, alpha * em * x], [alpha * (ep * x - em * xinv), h @ xyinv]]))
+        return np.block([[xy, alpha * em * x], [alpha * (ep * x - em * xinv), h @ xyinv]])
 
     return LaxOperator("lax_liouville", 2, cyc, "principal", ev)
 
@@ -324,7 +311,7 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     na = 2
     T = np.eye(na, dtype=complex).reshape(na, na, 1, 1)  # T[a, b] on the sites so far
     for rep in chain.site_reps:
-        lmat = mat(_site_lax(chain, rep)(lam))
+        lmat = _site_lax(chain, rep)(lam)
         nq = lmat.shape[0] // na
         lb = lmat.reshape(na, nq, na, nq)
         d = T.shape[-1]
@@ -337,10 +324,9 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     return [list(row) for row in T]
 
 
-def monodromy(chain: ChainSpec, lam: complex) -> Operator:
+def monodromy(chain: ChainSpec, lam: complex) -> np.ndarray:
     """Monodromy matrix on aux (x) quantum for a periodic-convention chain."""
-    blocks = monodromy_blocks(chain, lam)
-    return Operator((2,) + chain.local_dims, np.block(blocks))
+    return np.block(monodromy_blocks(chain, lam))
 
 
 def transfer(chain: ChainSpec) -> TransferFamily:
@@ -348,14 +334,14 @@ def transfer(chain: ChainSpec) -> TransferFamily:
     if chain.boundary != "periodic":
         raise ValueError("open chains are handled by the boundary module")
 
-    def ev(lam: complex) -> Operator:
+    def ev(lam: complex) -> np.ndarray:
         blocks = monodromy_blocks(chain, lam)
-        return Operator(chain.local_dims, blocks[0][0] + blocks[1][1])
+        return blocks[0][0] + blocks[1][1]
 
     return TransferFamily(chain, ev)
 
 
-def cyclic_shift_matrix(dims) -> Operator:
+def cyclic_shift_matrix(dims) -> np.ndarray:
     """Translation by one site: |a1 ... aN> -> |aN a1 ... a{N-1}>.
 
     Built by index rotation, independently of any transfer matrix; serves
@@ -369,10 +355,10 @@ def cyclic_shift_matrix(dims) -> Operator:
     rotated = np.moveaxis(np.arange(D).reshape(dims), 0, -1).ravel()
     out = np.zeros((D, D), dtype=complex)
     out[rotated, np.arange(D)] = 1.0
-    return Operator(dims, out)
+    return out
 
 
-def momentum_operator(chain: ChainSpec) -> Operator:
+def momentum_operator(chain: ChainSpec) -> np.ndarray:
     """t(0) divided by the recorded R(0) = c P constant to the power N.
 
     Requires fundamental (spin-1/2) sites; the result is the cyclic shift
@@ -385,11 +371,10 @@ def momentum_operator(chain: ChainSpec) -> Operator:
     c, resid = regularity_constant(chain_r_family(chain))
     if resid > 1e-10:
         raise ValueError("R family is not regular at the origin")
-    t0 = mat(transfer(chain).eval(0.0))
-    return Operator(chain.local_dims, t0 / c**chain.N)
+    return transfer(chain).eval(0.0) / c**chain.N
 
 
-def hamiltonian_from_transfer(chain: ChainSpec) -> Operator:
+def hamiltonian_from_transfer(chain: ChainSpec) -> np.ndarray:
     """Nearest-neighbour Hamiltonian sum_i Rc'_{i,i+1}(0) with periodic wrap.
 
     Rc = P R is differentiated at the origin by Richardson extrapolation;
@@ -399,22 +384,21 @@ def hamiltonian_from_transfer(chain: ChainSpec) -> Operator:
     if any(d != 2 for d in chain.local_dims):
         raise ValueError("Hamiltonian extraction implemented for spin-1/2 sites")
     rc = braided(chain_r_family(chain))
-    rcdot = richardson_derivative(lambda x: mat(rc(x)), 0.0, 1e-5)
-    return Operator(chain.local_dims, _bond_sum(rcdot, chain.N, periodic=True))
+    rcdot = richardson_derivative(rc, 0.0, 1e-5)
+    return _bond_sum(rcdot, chain.N, periodic=True)
 
 
-def transfer_log_derivative(chain: ChainSpec, step: float = 1e-5) -> Operator:
+def transfer_log_derivative(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
     """t(0)^-1 t'(0) with the derivative by Richardson extrapolation."""
     fam = transfer(chain)
-    t0 = mat(fam(0.0))
-    tdot = richardson_derivative(lambda x: mat(fam.eval(x)), 0.0, step)
-    return Operator(chain.local_dims, np.linalg.solve(t0, tdot))
+    tdot = richardson_derivative(fam.eval, 0.0, step)
+    return np.linalg.solve(fam(0.0), tdot)
 
 
 def yangian_charges(chain: ChainSpec) -> tuple:
     """Level-0 and level-1 Yangian charges of the rational chain.
 
-    Returned as 2x2 nested lists of Operators indexed so that
+    Returned as 2x2 nested lists of complex matrices indexed so that
     [Q0_ab, Q0_cd] = i d_cb Q0_ad - i d_ad Q0_cb holds; entry (a, b) is the
     (b, a) block of the auxiliary-space charge matrix.
     """
@@ -449,9 +433,8 @@ def yangian_charges(chain: ChainSpec) -> tuple:
         for j in range(i + 1, len(site_blocks)):
             q1 = auxadd(q1, auxmul(blk, site_blocks[j]), 0.5)
             q1 = auxadd(q1, auxmul(site_blocks[j], blk), -0.5)
-    dims_full = dims
-    q0_ops = [[Operator(dims_full, q0[b][a]) for b in range(2)] for a in range(2)]
-    q1_ops = [[Operator(dims_full, q1[b][a]) for b in range(2)] for a in range(2)]
+    q0_ops = [[q0[b][a] for b in range(2)] for a in range(2)]
+    q1_ops = [[q1[b][a] for b in range(2)] for a in range(2)]
     return q0_ops, q1_ops
 
 
@@ -480,7 +463,7 @@ def _bond_sum(bond: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     return total
 
 
-def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> Operator:
+def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> np.ndarray:
     """H = -1/2 sum_i (sx sx + sy sy + delta sz sz) on N spin-1/2 sites.
 
     The periodic sum runs over all N bonds; "open" drops the wrap term and
@@ -491,7 +474,7 @@ def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> Opera
     periodic = boundary == "periodic"
     coupling = -0.5 if periodic else -1.0
     bond = coupling * _xxz_bond(delta)
-    return Operator((2,) * N, _bond_sum(bond, N, periodic))
+    return _bond_sum(bond, N, periodic)
 
 
 def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
@@ -511,8 +494,8 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     """
     if 2**N > 4096:
         raise ValueError("Hilbert space dimension above 4096")
-    h = mat(xxz_hamiltonian(N, delta, boundary))
-    shift = mat(cyclic_shift_matrix((2,) * N)) if boundary == "periodic" else None
+    h = xxz_hamiltonian(N, delta, boundary)
+    shift = cyclic_shift_matrix((2,) * N) if boundary == "periodic" else None
     levels = []
     for m in range(N + 1):
         sector = sz_sector_indices(N, 2, m)

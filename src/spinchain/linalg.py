@@ -1,81 +1,24 @@
 """Dense complex linear algebra primitives for many-body operator work.
 
-Operators on a tensor product of local spaces are stored as plain dense
-matrices together with the ordered list of local dimensions.  At desk scale
-(total dimension <= 4096) dense storage and LAPACK eigen-solves beat any
-sparse machinery, so that is all we use.
+Every operator on a tensor product of local spaces is a plain dense complex
+ndarray; the local dimensions travel with the call that needs them, as in
+embed(op, sites, dims).  At desk scale (total dimension <= 4096) dense
+storage and LAPACK eigen-solves beat any sparse machinery, so that is all
+we use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Operator:
-    """A complex matrix acting on an ordered tensor product of local spaces.
-
-    dims lists the local dimensions in tensor order; entries is the full
-    (prod dims) x (prod dims) matrix.
-    """
-
-    dims: tuple
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("dims must be nonempty with every entry >= 1")
-        entries = np.asarray(self.entries, dtype=complex)
-        side = int(np.prod(dims))
-        if entries.shape != (side, side):
-            raise ValueError(f"entries must be {side}x{side} for dims {dims}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def side(self) -> int:
-        return self.entries.shape[0]
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.dims, self.entries @ mat(other))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by (real, imag), with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
 def mat(x) -> np.ndarray:
-    """Entries of an Operator, or a bare ndarray coerced to complex."""
-    if isinstance(x, Operator):
-        return x.entries
+    """A caller-supplied matrix coerced to a complex ndarray."""
     return np.asarray(x, dtype=complex)
 
 
-def as_operator(x, dims=None) -> Operator:
-    if isinstance(x, Operator):
-        return x
-    m = mat(x)
-    if dims is None:
-        dims = (m.shape[0],)
-    return Operator(tuple(dims), m)
-
-
-def kron(a, b) -> Operator:
-    """Tensor product; dims concatenate, entries follow the block rule
-    (A (x) B)_{ij,kl} = a_ij b_kl."""
-    a, b = as_operator(a), as_operator(b)
-    return Operator(a.dims + b.dims, np.kron(a.entries, b.entries))
-
-
 def kron_all(*ops) -> np.ndarray:
-    """Bare-matrix n-fold Kronecker product, for internal assembly loops."""
+    """n-fold Kronecker product of the factors, in order."""
     out = np.eye(1, dtype=complex)
     for op in ops:
         out = np.kron(out, mat(op))
@@ -124,40 +67,13 @@ def embed_wrap_pair(a, dims) -> np.ndarray:
     return embed(a, (len(dims), 1), dims)
 
 
-def permutation(n: int) -> Operator:
+def permutation(n: int) -> np.ndarray:
     """Exchange operator on n (x) n: P (a (x) b) = b (x) a; P^2 = I."""
     P = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
             P[i * n + j, j * n + i] = 1.0
-    return Operator((n, n), P)
-
-
-def partial_trace_first(op) -> Operator:
-    """Trace out the first tensor factor."""
-    op = as_operator(op)
-    if len(op.dims) < 2:
-        raise ValueError("need at least two tensor factors to trace one out")
-    n0 = op.dims[0]
-    rest = int(np.prod(op.dims[1:], dtype=np.int64))
-    blocks = op.entries.reshape(n0, rest, n0, rest)
-    return Operator(op.dims[1:], np.trace(blocks, axis1=0, axis2=2))
-
-
-def eig(op, hermitian: bool = False) -> Spectrum:
-    """Eigen-decomposition with deterministic (real, imag) eigenvalue order.
-
-    With hermitian=True the input is symmetrized first and real eigenvalues
-    are returned.
-    """
-    m = mat(op)
-    if hermitian:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-        w = w.astype(complex)
-    else:
-        w, v = np.linalg.eig(m)
-    order = np.lexsort((w.imag, w.real))
-    return Spectrum(w[order], v[:, order])
+    return P
 
 
 def comm_norm(a, b) -> float:

@@ -15,19 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidFamily
-from .linalg import Operator, comm_norm, embed, mat, permutation, rel_norm
+from .linalg import comm_norm, embed, mat, permutation, rel_norm
 
 
 @dataclass(frozen=True)
 class SpectralMatrixFamily:
-    """A named family lambda -> Operator on a pair of local spaces."""
+    """A named family lambda -> complex matrix on a pair of local spaces."""
 
     name: str
     local_dims: tuple
     eval: object
     params: dict
 
-    def __call__(self, lam: complex) -> Operator:
+    def __call__(self, lam: complex) -> np.ndarray:
         return self.eval(lam)
 
 
@@ -36,13 +36,12 @@ def gauge_v(lam: complex) -> np.ndarray:
     return np.diag([cmath.exp(lam / 2), cmath.exp(-lam / 2)]).astype(complex)
 
 
-def r_xxx(lam: complex) -> Operator:
+def r_xxx(lam: complex) -> np.ndarray:
     """Rational R-matrix lambda I + i P on two spin-1/2 spaces."""
-    p = mat(permutation(2))
-    return Operator((2, 2), lam * np.eye(4) + 1j * p)
+    return lam * np.eye(4) + 1j * permutation(2)
 
 
-def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> Operator:
+def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> np.ndarray:
     """Trigonometric six-vertex R-matrix at anisotropy mu (Delta = cos mu).
 
     Corner entries are sinh(lambda + i mu) and the inner diagonal sinh
@@ -64,7 +63,7 @@ def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> Operator:
         r[2, 1] = cmath.exp(-lam) * c
     else:
         raise ValueError(f"unknown gradation {gradation!r}")
-    return Operator((2, 2), r)
+    return r
 
 
 def xxx_family() -> SpectralMatrixFamily:
@@ -94,28 +93,26 @@ def r_pm(q: complex) -> tuple:
     rm = np.array(
         [[1 / q, 0, 0, 0], [0, 1, 0, 0], [0, -d, 1, 0], [0, 0, 0, 1 / q]], dtype=complex
     )
-    return Operator((2, 2), rp), Operator((2, 2), rm)
+    return rp, rm
 
 
 def braided(family) -> SpectralMatrixFamily:
     """Braided form Rc(lambda) = P R(lambda) of a square-dimension family."""
-    base = family if callable(family) else family.eval
-    probe = mat(base(0.0))
+    probe = mat(family(0.0))
     n = round(probe.shape[0] ** 0.5)
     if n * n != probe.shape[0]:
         raise ValueError("braided form needs equal local dimensions")
-    p = mat(permutation(n))
+    p = permutation(n)
     name = getattr(family, "name", "family")
     params = dict(getattr(family, "params", {}))
     return SpectralMatrixFamily(
-        f"braided({name})", (n, n), lambda lam: Operator((n, n), p @ mat(base(lam))), params
+        f"braided({name})", (n, n), lambda lam: p @ mat(family(lam)), params
     )
 
 
 def _on_three_sites(m, sites) -> np.ndarray:
     # place a two-site matrix on n (x) n (x) n
-    m = mat(m)
-    n = round(m.shape[0] ** 0.5)
+    n = round(np.shape(m)[0] ** 0.5)
     return embed(m, sites, (n, n, n))
 
 
@@ -124,10 +121,9 @@ def ybe_residual(r_family, lam1: complex, lam2: complex) -> float:
 
     R12(l1-l2) R13(l1) R23(l2) = R23(l2) R13(l1) R12(l1-l2) on n^3.
     """
-    r = r_family if callable(r_family) else r_family.eval
-    r12 = _on_three_sites(r(lam1 - lam2), (1, 2))
-    r13 = _on_three_sites(r(lam1), (1, 3))
-    r23 = _on_three_sites(r(lam2), (2, 3))
+    r12 = _on_three_sites(r_family(lam1 - lam2), (1, 2))
+    r13 = _on_three_sites(r_family(lam1), (1, 3))
+    r23 = _on_three_sites(r_family(lam2), (2, 3))
     return rel_norm(r12 @ r13 @ r23, r23 @ r13 @ r12)
 
 
@@ -136,27 +132,25 @@ def braided_ybe_residual(rc_family, lam1: complex, lam2: complex) -> float:
 
     Rc12(l1-l2) Rc23(l1) Rc12(l2) = Rc23(l2) Rc12(l1) Rc23(l1-l2).
     """
-    rc = rc_family if callable(rc_family) else rc_family.eval
-    a12 = _on_three_sites(rc(lam1 - lam2), (1, 2))
-    b23 = _on_three_sites(rc(lam1), (2, 3))
-    c12 = _on_three_sites(rc(lam2), (1, 2))
-    d23 = _on_three_sites(rc(lam2), (2, 3))
-    e12 = _on_three_sites(rc(lam1), (1, 2))
-    f23 = _on_three_sites(rc(lam1 - lam2), (2, 3))
+    a12 = _on_three_sites(rc_family(lam1 - lam2), (1, 2))
+    b23 = _on_three_sites(rc_family(lam1), (2, 3))
+    c12 = _on_three_sites(rc_family(lam2), (1, 2))
+    d23 = _on_three_sites(rc_family(lam2), (2, 3))
+    e12 = _on_three_sites(rc_family(lam1), (1, 2))
+    f23 = _on_three_sites(rc_family(lam1 - lam2), (2, 3))
     return rel_norm(a12 @ b23 @ c12, d23 @ e12 @ f23)
 
 
 def regularity_constant(r_family) -> tuple:
     """Fit R(0) = c P; returns (c, relative residual of the fit)."""
-    r = r_family if callable(r_family) else r_family.eval
-    m = mat(r(0.0))
+    m = mat(r_family(0.0))
     n = round(m.shape[0] ** 0.5)
-    p = mat(permutation(n))
+    p = permutation(n)
     c = complex(np.vdot(p, m) / np.vdot(p, p))
     return c, rel_norm(m, c * p)
 
 
-def baxterize(fam: BraidFamily, i: int, lam: complex) -> Operator:
+def baxterize(fam: BraidFamily, i: int, lam: complex) -> np.ndarray:
     """Spectral braid matrix e^lambda g_i - e^{-lambda} g_i^{-1}.
 
     The inverse comes from the Hecke condition, g^{-1} = g - (q - 1/q),
@@ -172,8 +166,7 @@ def baxterize(fam: BraidFamily, i: int, lam: complex) -> Operator:
     if hecke > 1e-8:
         raise ValueError(f"generator g{i} fails the Hecke condition: residual {hecke:.2e}")
     ginv = g - (q - 1 / q) * eye
-    dims = (fam.local_dim,) * fam.N
-    return Operator(dims, cmath.exp(lam) * g - cmath.exp(-lam) * ginv)
+    return cmath.exp(lam) * g - cmath.exp(-lam) * ginv
 
 
 def intertwiner_residual(r_family, rep, lam: complex) -> float:
@@ -185,12 +178,11 @@ def intertwiner_residual(r_family, rep, lam: complex) -> float:
     """
     from .algebra import coproduct_uq
 
-    r = r_family if callable(r_family) else r_family.eval
-    m = mat(r(lam))
+    m = mat(r_family(lam))
     n = rep.gen("Jz").shape[0]
     if m.shape[0] != n * n:
         raise ValueError(f"R acts on {m.shape[0]}, rep pair needs {n * n}")
-    p = mat(permutation(n))
+    p = permutation(n)
     cop = coproduct_uq(rep, rep)
     worst = 0.0
     for label in ("qJz", "Jp", "Jm"):

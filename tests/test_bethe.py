@@ -261,3 +261,22 @@ def test_validation_independent_of_seed_and_threads():
     for report in runs[1:]:
         assert report["coverage"] == runs[0]["coverage"]
         assert report["sectors"] == runs[0]["sectors"]
+
+
+def test_zero_eigenvalue_levels_match():
+    # at q = i the spin-1 vacua have Lambda = 0 at every probe; the match is
+    # then judged on the scale of the transfer matrix, not of Lambda
+    report = sc.validate_against_ed(3, 1.0, np.pi / 2)
+    assert report["mismatched_solutions"] == 0
+    assert report["coverage"][0] >= 2
+
+
+@pytest.mark.parametrize("N, M, dimension", [(2, 2, 1), (4, 3, 4)])
+def test_solve_bae_reports_each_state_once(N, M, dimension):
+    # runaway root families build one state many times over
+    sols = sc.solve_bae(N, 0.5, MU, M)
+    assert 1 <= len(sols) <= dimension
+    vecs = [sc.bethe_vector(sol.system) for sol in sols]
+    for i, a in enumerate(vecs):
+        for b in vecs[:i]:
+            assert abs(np.vdot(a, b)) < 1 - 1e-8

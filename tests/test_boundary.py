@@ -267,9 +267,7 @@ def test_gauge_paired_boundaries_share_spectra():
     # diag(e^-l, e^l)
     k_id_p = boundary.KMatrixFamily(
         "identity-gauge-image",
-        lambda lam: sc.linalg.Operator(
-            (2,), np.diag([cmath.exp(-lam), cmath.exp(lam)]).astype(complex)
-        ),
+        lambda lam: np.diag([cmath.exp(-lam), cmath.exp(lam)]).astype(complex),
         {},
     )
     cases = [

@@ -10,23 +10,11 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_operator_round_trip():
-    op = sc.Operator((2, 2), np.eye(4, dtype=complex))
-    assert op.dims == (2, 2)
-    assert sc.mat(op).shape == (4, 4)
+    # mat is the one coercion for caller-supplied matrices
     assert sc.mat(np.eye(3)).dtype == complex
 
 
-def test_as_operator_infers_square_dims():
-    op = sc.linalg.as_operator(np.eye(4))
-    assert np.prod(op.dims) == 4
-
-
 def test_kron_dims_and_entries():
-    a = sc.Operator((2,), SX)
-    b = sc.Operator((2,), SZ)
-    k = sc.kron(a, b)
-    assert k.dims == (2, 2)
-    assert np.array_equal(sc.mat(k), np.kron(SX, SZ))
     assert np.array_equal(sc.kron_all(SX, SZ, SX), np.kron(SX, np.kron(SZ, SX)))
 
 
@@ -130,23 +118,6 @@ def test_permutation_swaps_factors():
     assert np.allclose(p @ p, np.eye(4))
 
 
-def test_partial_trace_first():
-    a = np.array([[1, 2], [3, 4.0]])
-    b = np.array([[0, 1], [5, 7.0]])
-    op = sc.Operator((2, 2), np.kron(a, b))
-    out = sc.partial_trace_first(op)
-    assert np.allclose(sc.mat(out), np.trace(a) * b)
-
-
-def test_eig_sorting_and_vectors():
-    m = np.diag([3.0, -1.0, 1.0])
-    spec = sc.eig(sc.Operator((3,), m.astype(complex)))
-    assert np.allclose(spec.eigenvalues, [-1, 1, 3])
-    spec_h = sc.eig(sc.Operator((3,), m.astype(complex)), hermitian=True)
-    assert np.allclose(spec_h.eigenvalues, [-1, 1, 3])
-    assert spec_h.eigenvectors is not None
-
-
 def test_comm_norm_and_rel_norm():
     assert sc.comm_norm(SZ, np.eye(2)) == 0.0
     assert sc.comm_norm(SX, SZ) > 1.0
@@ -193,3 +164,85 @@ def test_polynomial_matrix_coefficients_exact():
 def test_embed_rejects_bad_site():
     with pytest.raises((ValueError, IndexError)):
         sc.embed(SZ, 0, (2, 2))
+
+
+MU = 0.3
+Q = np.exp(1j * MU)
+
+
+def _builders():
+    """Every public builder at real arguments, as (thunk -> matrices, side)."""
+    spin1 = sc.sl2_spin_rep(3)
+    uq1 = sc.uq_sl2_spin_rep(3, Q)
+    uq_half = sc.uq_sl2_spin_rep(2, Q)
+    xxz3 = sc.uniform_chain("xxz", 3, MU)
+    xxx3 = sc.uniform_chain("xxx", 3)
+    open3 = sc.open_chain("xxz", 3, MU, 2, "homogeneous")
+    hecke = sc.hecke_rep(2, 3, Q)
+    # a caller-built representation with float64 generators (exact at real q)
+    real_rep = sc.AlgebraRep(
+        "real", {k: g.real for k, g in sc.uq_sl2_spin_rep(2, 2.0).generators.items()}, {"q": 2.0}
+    )
+    gens = lambda rep: list(rep.generators.values())
+    flat = lambda nested: [m for row in nested for m in row]
+    return {
+        "permutation": (lambda: [sc.permutation(3)], 9),
+        "embed_and_kron_all": (lambda: [sc.embed(np.eye(2), 2, (2, 2, 2)),
+                                        sc.kron_all(np.eye(2), np.eye(2), SZ.real)], 8),
+        "r_xxx": (lambda: [sc.r_xxx(0.4)], 4),
+        "r_xxz": (lambda: [sc.r_xxz(0.4, MU, g) for g in ("principal", "homogeneous")], 4),
+        "r_pm": (lambda: list(sc.r_pm(Q)), 4),
+        "families": (lambda: [sc.xxx_family()(0.4), sc.xxz_family(MU)(0.4)], 4),
+        "braided": (lambda: [sc.braided(sc.xxx_family())(0.4)], 4),
+        "baxterize": (lambda: [sc.baxterize(hecke, 1, 0.4)], 8),
+        "sl2_spin_rep": (lambda: gens(spin1), 3),
+        "uq_sl2_spin_rep": (lambda: gens(uq1), 3),
+        "cyclic_rep": (lambda: gens(sc.cyclic_rep(3)), 3),
+        "q_oscillator_rep": (lambda: gens(sc.q_oscillator_rep(3)), 3),
+        "coproduct_uq": (lambda: list(sc.coproduct_uq(uq_half, uq_half).images.values()), 4),
+        "ncoproduct": (lambda: list(sc.ncoproduct(sc.sl2_spin_rep(2), 3).images.values())
+                       + list(sc.ncoproduct(uq_half, 3).images.values()), 8),
+        "caller_rep": (lambda: gens(real_rep), 2),
+        "caller_rep_coproduct": (lambda: list(sc.coproduct_uq(real_rep, real_rep).images.values()), 4),
+        "casimir_uq": (lambda: [sc.casimir_uq(uq1)], 3),
+        "casimir_uq_coproduct": (lambda: [sc.casimir_uq(sc.coproduct_uq(uq_half, uq_half))], 4),
+        "hecke_rep": (lambda: gens(hecke), 8),
+        "blob_rep": (lambda: gens(sc.blob_rep(3, Q, 1j * Q, 1.0)), 8),
+        "p_matrix": (lambda: [sc.p_matrix(spin1)], 6),
+        "lax_xxx": (lambda: [sc.lax_xxx(spin1)(0.4)], 6),
+        "lax_xxz": (lambda: [sc.lax_xxz(uq1, g)(0.4) for g in ("principal", "homogeneous")], 6),
+        "lax_xxz_pm": (lambda: list(sc.lax_xxz_pm(uq1)), 6),
+        "cyclic_lax": (lambda: [sc.lax_generic_xxz(3, 0.7)(0.4), sc.lax_sine_gordon(3, 0.7)(0.4),
+                                sc.lax_qoscillator(3)(0.4), sc.lax_liouville(3, 0.7)(0.4)], 6),
+        "monodromy": (lambda: [sc.monodromy(xxz3, 0.4)], 16),
+        "monodromy_blocks": (lambda: flat(sc.monodromy_blocks(xxz3, 0.4)), 8),
+        "transfer": (lambda: [sc.transfer(xxz3)(0.4), sc.transfer(xxx3)(0.4)], 8),
+        "cyclic_shift_matrix": (lambda: [sc.cyclic_shift_matrix((2, 2, 2))], 8),
+        "momentum_operator": (lambda: [sc.momentum_operator(xxx3)], 8),
+        "hamiltonian_from_transfer": (lambda: [sc.hamiltonian_from_transfer(xxx3)], 8),
+        "transfer_log_derivative": (lambda: [sc.transfer_log_derivative(xxz3)], 8),
+        "yangian_charges": (lambda: [m for q in sc.yangian_charges(xxx3) for m in flat(q)], 8),
+        "xxz_hamiltonian": (lambda: [sc.xxz_hamiltonian(3, 0.5, b) for b in ("periodic", "open")], 8),
+        "k_families": (lambda: [sc.k_identity()(0.4), sc.k_gz_dvgr(0.5, 0.2)(0.4),
+                                sc.k_gz_dvgr(0.5, 0.2, "homogeneous")(0.4),
+                                sc.k_blob(MU, 0.7, 0.4)(0.4),
+                                sc.crossed_k_plus(sc.k_identity(), "xxz", MU)(0.4),
+                                sc.crossed_k_plus(sc.k_identity(), "xxx")(0.4)], 2),
+        "dressed_k": (lambda: [sc.dressed_k(sc.lax_xxz(uq1), sc.k_identity(), 0.4)], 6),
+        "open_transfer": (lambda: [sc.open_transfer(open3)(0.4)], 8),
+        "open_hamiltonian": (lambda: [sc.open_hamiltonian(open3)], 8),
+        "casimir_from_asymptotics": (lambda: list(sc.casimir_from_asymptotics(uq1)), 3),
+        "uq_invariant_hamiltonian": (lambda: [sc.uq_invariant_hamiltonian(3, MU)], 8),
+    }
+
+
+_BUILDERS = _builders()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_return_complex_ndarray(name):
+    thunk, side = _BUILDERS[name]
+    for m in thunk():
+        assert type(m) is np.ndarray
+        assert m.dtype == np.complex128
+        assert m.shape == (side, side)
