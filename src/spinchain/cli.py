@@ -435,6 +435,8 @@ def cmd_spectrum(cfg: dict, args) -> int:
         delta = _as_complex(cfg["delta"], "delta")
     else:
         delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
+    if abs(delta.imag) > 1e-14:
+        raise ConfigError("spectrum needs a real delta (a real mu); H is not Hermitian otherwise")
     if abs(delta.imag) < 1e-14:
         delta = delta.real
     if not 1 <= N <= 12:  # 2^N <= 4096

@@ -350,12 +350,17 @@ def cyclic_shift_matrix(dims) -> np.ndarray:
     dims = tuple(int(d) for d in dims)
     if len(set(dims)) != 1:
         raise ValueError("translation needs equal local dimensions")
+    rotated = _shift_targets(dims)
+    out = np.zeros((rotated.size, rotated.size), dtype=complex)
+    out[rotated, np.arange(rotated.size)] = 1.0
+    return out
+
+
+def _shift_targets(dims) -> np.ndarray:
+    """Entry x is the index of the translate of basis state x."""
     D = int(np.prod(dims, dtype=np.int64))
     # entry [a1 ... aN] of the rolled index tensor is the index of |aN a1 ... a{N-1}>
-    rotated = np.moveaxis(np.arange(D).reshape(dims), 0, -1).ravel()
-    out = np.zeros((D, D), dtype=complex)
-    out[rotated, np.arange(D)] = 1.0
-    return out
+    return np.moveaxis(np.arange(D).reshape(dims), 0, -1).ravel()
 
 
 def momentum_operator(chain: ChainSpec) -> np.ndarray:
@@ -451,30 +456,48 @@ def _xxz_bond(delta: complex) -> np.ndarray:
     return xx + yy + delta * zz
 
 
-def _bond_sum(bond: np.ndarray, N: int, periodic: bool) -> np.ndarray:
+def _bond_sum(bond: np.ndarray, N: int, periodic: bool, sector=None) -> np.ndarray:
     """Sum of a two-site operator over the bonds (i, i+1) of N equal sites,
-    plus the wrap bond (N, 1) when periodic."""
-    dims = (round(bond.shape[0] ** 0.5),) * N
-    D = int(np.prod(dims, dtype=np.int64))
+    plus the wrap bond (N, 1) when periodic, on the sorted basis indices in
+    sector (all n^N of them when None).
+
+    Each bond reads the two local digits of every basis index and adds
+    bond[out, in] to the row whose digits are replaced by out, found by
+    searchsorted; rows outside the sector are dropped, so the block equals
+    the full sum sliced with np.ix_(sector, sector), bit for bit.
+    """
+    n = round(bond.shape[0] ** 0.5)
+    basis = np.arange(n**N) if sector is None else np.asarray(sector)
+    L = basis.size
+    total = np.zeros((L, L), dtype=complex)
+    outs = np.arange(n * n)[:, None]
+    cols = np.broadcast_to(np.arange(L), (n * n, L))
     bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
-    total = np.zeros((D, D), dtype=complex)
-    for sites in bonds:
-        total += embed(bond, sites, dims)
+    for i, j in bonds:
+        wi, wj = n ** (N - i), n ** (N - j)
+        a, b = basis // wi % n, basis // wj % n
+        amp = bond[outs, a * n + b]
+        target = basis + (outs // n - a) * wi + (outs % n - b) * wj
+        rows = np.minimum(np.searchsorted(basis, target), L - 1)
+        # within one bond every (row, column) pair occurs once
+        hit = (basis[rows] == target) & (amp != 0)
+        total[rows[hit], cols[hit]] += amp[hit]
     return total
 
 
-def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> np.ndarray:
+def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic", sector=None) -> np.ndarray:
     """H = -1/2 sum_i (sx sx + sy sy + delta sz sz) on N spin-1/2 sites.
 
     The periodic sum runs over all N bonds; "open" drops the wrap term and
     doubles the remaining coupling so the N=2 chain matches the periodic one.
+    Given sorted basis indices in sector, only that diagonal block is built.
     """
     if N < 2:
         raise ValueError("need at least two sites")
     periodic = boundary == "periodic"
     coupling = -0.5 if periodic else -1.0
     bond = coupling * _xxz_bond(delta)
-    return _bond_sum(bond, N, periodic)
+    return _bond_sum(bond, N, periodic, sector)
 
 
 def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
@@ -491,20 +514,28 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     Returns one dict per state: energy, sz, and for periodic chains the
     integer k with translation eigenvalue e^{2 pi i k / N}, resolved by
     diagonalising the shift inside each degenerate (energy, sz) block.
+    H is assembled one Sz sector at a time by basis-index arithmetic, and
+    the shift acts on a sector's eigenvectors as a permutation of their
+    rows, so no 2^N x 2^N array is formed.  delta must be real, since the
+    sector solve reads one triangle of a Hermitian block.
     """
     if 2**N > 4096:
         raise ValueError("Hilbert space dimension above 4096")
-    h = xxz_hamiltonian(N, delta, boundary)
-    shift = cyclic_shift_matrix((2,) * N) if boundary == "periodic" else None
+    if abs(complex(delta).imag) > 1e-14:
+        raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
+    periodic = boundary == "periodic"
+    targets = _shift_targets((2,) * N) if periodic else None
     levels = []
     for m in range(N + 1):
         sector = sz_sector_indices(N, 2, m)
-        evals, evecs = np.linalg.eigh(h[np.ix_(sector, sector)])
+        evals, evecs = np.linalg.eigh(xxz_hamiltonian(N, delta, boundary, sector))
         entry = {"sz": N / 2 - m}
-        if shift is None:
+        if not periodic:
             levels.extend([{"energy": float(e), **entry} for e in evals])
             continue
-        shift_sector = shift[np.ix_(sector, sector)]
+        # the shift T sends sector[j] to sector[moved[j]], so for any block
+        # of vectors block^H T = block[moved]^H, and T is never formed
+        moved = np.searchsorted(sector, targets[sector])
         start = 0
         while start < len(evals):
             stop = start + 1
@@ -512,7 +543,7 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
                 stop += 1
             block = evecs[:, start:stop]
             # translation restricted to the degenerate block is unitary
-            phases = np.linalg.eigvals(block.conj().T @ shift_sector @ block)
+            phases = np.linalg.eigvals(block[moved].conj().T @ block)
             ks = sorted((round(float(np.angle(p)) * N / (2 * np.pi)) % N) for p in phases)
             levels.extend(
                 {"energy": float(evals[start]), "momentum": int(k), **entry} for k in ks

@@ -4,7 +4,10 @@ Every operator on a tensor product of local spaces is a plain dense complex
 ndarray; the local dimensions travel with the call that needs them, as in
 embed(op, sites, dims).  At desk scale (total dimension <= 4096) dense
 storage and LAPACK eigen-solves beat any sparse machinery, so that is all
-we use.
+we use.  Nearest-neighbour Hamiltonians are the exception to embed: the
+lax module writes their bond terms by basis-index arithmetic, into the
+full matrix or straight into one Sz-sector block, so a spectrum at the
+cap never holds a 4096 x 4096 array.
 """
 
 from __future__ import annotations

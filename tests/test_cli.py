@@ -171,6 +171,17 @@ def test_spectrum_dimension_gate(tmp_path, capsys):
     assert code == 2 and "config error" in err
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{"N": 4, "delta": [0.5, 0.3]}, {"N": 4, "mu": [0.5, 0.3]}, {"N": 1, "delta": [0.5, 1e-13]}],
+)
+def test_spectrum_rejects_non_real_delta(tmp_path, capsys, obj):
+    # eigh reads one triangle, so a non-Hermitian H once gave the delta = 0.5 levels
+    cfg = write_cfg(tmp_path, obj)
+    code, out, err = run(capsys, ["spectrum", "--config", cfg])
+    assert code == 2 and out == "" and "real delta" in err
+
+
 def test_bethe_validated_sector(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"N": 2, "s": 0.5, "mu": 0.3, "M": 1, "restarts": 40})
     code, out, _ = run(capsys, ["bethe", "--config", cfg])

@@ -1,6 +1,7 @@
 """Lax operators, monodromy/transfer, momentum, charges, display spectra."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,3 +293,108 @@ def test_sz_sector_indices_match_enumeration(N, n):
 def test_spectrum_table_dimension_gate():
     with pytest.raises(ValueError):
         sc.spectrum_table(13, 0.5)
+
+
+def _embed_bond_sum(bond, N, periodic):
+    # the dense reference: one identity-padded placement per bond, in bond order
+    dims = (round(bond.shape[0] ** 0.5),) * N
+    bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
+    total = np.zeros((dims[0] ** N,) * 2, dtype=complex)
+    for sites in bonds:
+        total += sc.linalg.embed(bond, sites, dims)
+    return total
+
+
+def _bit_identical(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+_BONDS = {
+    "random": np.random.default_rng(5).normal(size=(4, 4, 2)) @ [1, 1j],
+    "xxz": lax._xxz_bond(0.37),
+    "braided-derivative": sc.linalg.richardson_derivative(
+        sc.rmatrix.braided(sc.rmatrix.xxz_family(0.3)), 0.0, 1e-5
+    ),
+}
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("N", range(2, 8))
+@pytest.mark.parametrize("bond", sorted(_BONDS))
+def test_bond_sum_equals_embed_sum(bond, N, periodic):
+    op = _BONDS[bond]
+    assert _bit_identical(lax._bond_sum(op, N, periodic), _embed_bond_sum(op, N, periodic))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("N", range(2, 6))
+def test_bond_sum_generic_local_dimension(N, periodic):
+    op = np.random.default_rng(6).normal(size=(9, 9, 2)) @ [1, 1j]
+    assert _bit_identical(lax._bond_sum(op, N, periodic), _embed_bond_sum(op, N, periodic))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("delta", [-1.0, 0.37, 1.0, 2.5])
+def test_sector_blocks_equal_dense_slices(delta, boundary):
+    for N in range(2, 11):
+        h = sc.xxz_hamiltonian(N, delta, boundary)
+        for m in range(N + 1):
+            s = sc.sz_sector_indices(N, 2, m)
+            assert _bit_identical(sc.xxz_hamiltonian(N, delta, boundary, s), h[np.ix_(s, s)])
+
+
+def _dense_spectrum_table(N, delta, boundary):
+    # the full-matrix algorithm: dense H and shift, sliced per Sz sector
+    periodic = boundary == "periodic"
+    bond = (-0.5 if periodic else -1.0) * lax._xxz_bond(delta)
+    h = _embed_bond_sum(bond, N, periodic)
+    shift = sc.cyclic_shift_matrix((2,) * N)
+    levels = []
+    for m in range(N + 1):
+        sector = sc.sz_sector_indices(N, 2, m)
+        evals, evecs = np.linalg.eigh(h[np.ix_(sector, sector)])
+        entry = {"sz": N / 2 - m}
+        if not periodic:
+            levels.extend([{"energy": float(e), **entry} for e in evals])
+            continue
+        shift_sector = shift[np.ix_(sector, sector)]
+        start = 0
+        while start < len(evals):
+            stop = start + 1
+            while stop < len(evals) and evals[stop] - evals[start] < 1e-10:
+                stop += 1
+            block = evecs[:, start:stop]
+            phases = np.linalg.eigvals(block.conj().T @ shift_sector @ block)
+            ks = sorted((round(float(np.angle(p)) * N / (2 * np.pi)) % N) for p in phases)
+            levels.extend({"energy": float(evals[start]), "momentum": int(k), **entry} for k in ks)
+            start = stop
+    levels.sort(key=lambda rec: (rec["energy"], rec["sz"], rec.get("momentum", 0)))
+    return levels
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("delta", [-1.0, -0.45, 0.0, 0.37, 1.0, 2.2])
+def test_spectrum_table_equals_dense_algorithm(delta, boundary):
+    assert sc.spectrum_table(8, delta, boundary) == _dense_spectrum_table(8, delta, boundary)
+
+
+def test_spectrum_table_never_allocates_the_full_space():
+    # one 2048 x 2048 complex array alone is 64 MiB
+    tracemalloc.start()
+    try:
+        sc.spectrum_table(11, 0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("delta", [0.5 + 0.3j, 1e-13j])
+def test_spectrum_table_rejects_non_real_delta(delta):
+    with pytest.raises(ValueError):
+        sc.spectrum_table(4, delta)
