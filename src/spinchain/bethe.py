@@ -18,7 +18,6 @@ Without ED (`solve_bae`) roots come from seeded multistart Newton.
 from __future__ import annotations
 
 import cmath
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -364,7 +363,7 @@ def refine(system: BetheSystem) -> BetheSystem:
     return replace(system, roots=tuple(_canonical(lams)))
 
 
-def solve_bae(N, s, mu, M, seed=0, restarts=120, threads=1):
+def solve_bae(N, s, mu, M, seed=0, restarts=120):
     """Distinct converged root sets for the (N, s, mu) chain with M roots.
 
     Solutions are deduplicated as multisets up to the i pi period, gated
@@ -372,26 +371,15 @@ def solve_bae(N, s, mu, M, seed=0, restarts=120, threads=1):
     acting on the constructed Bethe vector reproduces Lambda at a probe
     point to 1e-8; of root sets that build the same state, the first found
     is kept.  Fixed seed stream per (N, s, mu, M) makes the output
-    deterministic; restarts are independent, so they can be spread over
-    threads.  Which solutions are found depends on which starts converge;
-    `validate_against_ed` does not use this search.
+    deterministic.  Which solutions are found depends on which starts
+    converge; `validate_against_ed` does not use this search.
     """
     mu, s = complex(mu), float(s)
     if M == 0:
         return [_finish(BetheSystem(N, s, mu, ()))]
-    starts = _structured_seeds(M, restarts, seed, N, s)
-
-    def run(start):
-        return _newton(start, N, s, mu)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(start) for start in starts]
-
     found = []
-    for lams in results:
+    for start in _structured_seeds(M, restarts, seed, N, s):
+        lams = _newton(start, N, s, mu)
         if lams is None:
             continue
         lams = _canonical(lams)
@@ -514,8 +502,7 @@ def solution_record(sol: BetheSolution) -> dict:
     return record
 
 
-def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,
-                        probes=_PROBES, rtol=1e-7):
+def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
     """Bethe states reconstructed from, and matched against, sector ED.
 
     For each sector the transfer matrix is restricted to Sz = N s - M.
@@ -530,8 +517,7 @@ def validate_against_ed(N, s, mu, M_range=None, seed=0, restarts=120, threads=1,
     eigenvalue to rtol at all probes, relative to max(|Lambda|,
     1e-8 |t(p)|_F) so that a level with Lambda = 0 can match.  Coverage
     counts sector levels matched by at least one solution; it is fixed by
-    the chain alone.  seed, restarts and threads steer only `solve_bae`
-    and are accepted here for a uniform call signature.
+    the chain alone: no random start takes part.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)

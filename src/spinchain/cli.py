@@ -14,13 +14,17 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import algebra, bethe, boundary, braid, lax, linalg, rmatrix
 
 SCHEMA = "v1"
+# validated bethe diagonalizes dense transfer matrices: (6, 1) at D = 729 took
+# 92 s and (10, 1/2) at D = 1024 took 315 s on a 2-core box, so larger chains
+# are refused until the monodromy is applied matrix-free
+VALIDATE_DIM = 1024
+MAX_DELTA_STEPS = 10_000
 
 
 class ConfigError(Exception):
@@ -58,9 +62,12 @@ def _as_int(value, key: str) -> int:
 
 def _as_float(value, key: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number, not {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, not {value!r}")
+    return x
 
 
 def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
@@ -68,14 +75,19 @@ def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
     return flag if flag is not None else _as_int(cfg.get(key, default), key)
 
 
+def _check_threads(cfg: dict, args) -> None:
+    """--threads and the threads key are validated and otherwise ignored:
+    the work holds the interpreter lock, so every command runs on one thread."""
+    _flag_or_key(args.threads, cfg, "threads", 1)
+
+
 def _as_complex(value, key: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{key} must be a number or a [re, im] pair")
+        value = [value, 0.0]
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) for v in value)):
+        raise ConfigError(f"{key} must be a number or a [re, im] pair")
+    return complex(*(_as_float(v, key) for v in value))
 
 
 def _resolve_mu(cfg: dict, default: complex = 0.3) -> complex:
@@ -102,13 +114,6 @@ def _num(z):
     if z.imag == 0.0:
         return z.real
     return [z.real, z.imag]
-
-
-def _pmap(fn, items, threads: int) -> list:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _emit(payload: dict, rows, args, default_format: str) -> None:
@@ -162,7 +167,7 @@ def _check(name: str, residual: float, tolerance: float, **params) -> dict:
 
 # ---------------------------------------------------------------- verify
 
-def _suite_ybe(cfg, seed, threads) -> list:
+def _suite_ybe(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     model = cfg.get("model", "xxz")
     pairs = _as_int(cfg.get("pairs", 20), "pairs")
@@ -184,7 +189,7 @@ def _suite_ybe(cfg, seed, threads) -> list:
     for name, fam, is_braided in families:
         fam = _perturbed(fam, eps) if eps else fam
         res_fn = rmatrix.braided_ybe_residual if is_braided else rmatrix.ybe_residual
-        worst = max(_pmap(lambda p: res_fn(fam, *p), draws, threads))
+        worst = max(res_fn(fam, *p) for p in draws)
         checks.append(_check(f"Yang-Baxter: {name}", worst, 1e-11, pairs=pairs))
         if not is_braided:
             _, reg = rmatrix.regularity_constant(fam)
@@ -203,18 +208,16 @@ def _suite_ybe(cfg, seed, threads) -> list:
                 conj[0, 1] += eps
             return linalg.rel_norm(lhs, conj)
 
-        worst = max(_pmap(gauge_gap, draws, threads))
+        worst = max(map(gauge_gap, draws))
         checks.append(_check("gradation gauge transform", worst, 1e-12, pairs=pairs))
         rep = algebra.uq_sl2_spin_rep(2, cmath.exp(1j * mu))
         fam = _perturbed(hom.eval, eps) if eps else hom.eval
-        worst = max(
-            _pmap(lambda p: rmatrix.intertwiner_residual(fam, rep, p[0]), draws, threads)
-        )
+        worst = max(rmatrix.intertwiner_residual(fam, rep, p[0]) for p in draws)
         checks.append(_check("coproduct intertwiner (homogeneous)", worst, 1e-10))
     return checks
 
 
-def _suite_re(cfg, seed, threads) -> list:
+def _suite_re(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     xi = _as_complex(cfg.get("xi", 0.5), "xi")
     kappa = _as_complex(cfg.get("kappa", 0.2), "kappa")
@@ -240,9 +243,7 @@ def _suite_re(cfg, seed, threads) -> list:
     checks = []
     for name, rfam, kfam in cases:
         kev = _perturbed(kfam.eval, eps) if eps else kfam
-        worst = max(
-            _pmap(lambda p: boundary.re_residual(rfam, kev, *p), draws, threads)
-        )
+        worst = max(boundary.re_residual(rfam, kev, *p) for p in draws)
         checks.append(_check(f"reflection equation: {name}", worst, 1e-10, pairs=pairs))
     kgz = boundary.k_gz_dvgr(xi, kappa, "homogeneous")
     gap = linalg.rel_norm(kgz(0.0), cmath.sinh(1j * xi) * np.eye(2))
@@ -258,12 +259,12 @@ def _suite_re(cfg, seed, threads) -> list:
 
             return boundary.re_residual(rfam, kd, p[0], p[1])
 
-        worst = max(_pmap(dressed_res, draws[: max(4, pairs // 4)], threads))
+        worst = max(map(dressed_res, draws[: max(4, pairs // 4)]))
         checks.append(_check(f"dressed operatorial RE, {label}", worst, 1e-10))
     return checks
 
 
-def _suite_braid(cfg, seed, threads) -> list:
+def _suite_braid(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     m = _as_complex(cfg.get("m", 0.7), "m")
     q = cmath.exp(1j * mu)
@@ -291,7 +292,7 @@ def _suite_braid(cfg, seed, threads) -> list:
     return checks
 
 
-def _suite_frt(cfg, seed, threads) -> list:
+def _suite_frt(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     pairs = _as_int(cfg.get("pairs", 20), "pairs")
     p = _as_int(cfg.get("p", 5), "p")
@@ -327,7 +328,7 @@ def _suite_frt(cfg, seed, threads) -> list:
         def rll(pair, rev=rev, lx=lx):
             return lax.rll_residual(rev, lx, pair[0], pair[1])
 
-        worst = max(_pmap(rll, draws, threads))
+        worst = max(map(rll, draws))
         checks.append(_check(f"RLL relation: {name}", worst, 1e-10, pairs=pairs))
     rep = algebra.uq_sl2_spin_rep(2, q)
     for relname, residual in lax.triangular_residuals(rep).items():
@@ -355,7 +356,7 @@ def _casimir_entry(spin: float, n: int, q: complex) -> dict:
     return entry
 
 
-def _suite_symmetry(cfg, seed, threads) -> list:
+def _suite_symmetry(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     if "perturb" in cfg and cfg["perturb"]:
         raise ConfigError("perturb is not supported for the symmetry suite")
@@ -409,8 +410,8 @@ def cmd_verify(cfg: dict, args) -> int:
     runner, allowed = _SUITES[suite]
     _check_keys(cfg, allowed)
     seed = _flag_or_key(args.seed, cfg, "seed", 0)
-    threads = _flag_or_key(args.threads, cfg, "threads", 1)
-    checks = runner(cfg, seed, threads)
+    _check_threads(cfg, args)
+    checks = runner(cfg, seed)
     ok = all(c["pass"] for c in checks)
     payload = {
         "schema": SCHEMA,
@@ -434,11 +435,13 @@ def cmd_spectrum(cfg: dict, args) -> int:
     if "delta" in cfg:
         delta = _as_complex(cfg["delta"], "delta")
     else:
-        delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
+        try:
+            delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
+        except OverflowError as exc:
+            raise ConfigError(f"cos(mu) is out of range: {exc}") from exc
     if abs(delta.imag) > 1e-14:
         raise ConfigError("spectrum needs a real delta (a real mu); H is not Hermitian otherwise")
-    if abs(delta.imag) < 1e-14:
-        delta = delta.real
+    delta = delta.real
     if not 1 <= N <= 12:  # 2^N <= 4096
         raise ConfigError("N must keep the Hilbert dimension within [2, 4096]")
     if N == 1:
@@ -473,15 +476,22 @@ def cmd_bethe(cfg: dict, args) -> int:
     s = _as_float(cfg.get("s", 0.5), "s")
     mu = _resolve_mu(cfg)
     seed = _flag_or_key(args.seed, cfg, "seed", 0)
-    threads = _flag_or_key(args.threads, cfg, "threads", 1)
+    _check_threads(cfg, args)
     restarts = _as_int(cfg.get("restarts", 120), "restarts")
     validate = bool(cfg.get("validate", True))
     rtol = _as_float(cfg.get("rtol", 1e-7), "rtol")
     M = _as_int(cfg["M"], "M") if "M" in cfg else None
     # N <= 12 first, so that a huge N never becomes a huge n^N
-    n = round(2 * s + 1) if math.isfinite(s) else 0
+    n = round(2 * s + 1) if 0 < s < 4096 else 0
     if not 1 <= N <= 12 or n < 2 or n**N > 4096:
         raise ConfigError("N and s must keep the Hilbert dimension (2s+1)^N within 4096")
+    if validate and n**N > VALIDATE_DIM:
+        raise ConfigError(
+            f"validated bethe needs (2s+1)^N <= {VALIDATE_DIM} (its dense ED takes minutes "
+            "there already); validate: false allows 4096"
+        )
+    if M is not None and not 0 <= M <= (n - 1) * N:
+        raise ConfigError(f"M must lie in [0, 2sN] = [0, {(n - 1) * N}]")
     payload = {
         "schema": SCHEMA,
         "command": "bethe",
@@ -496,17 +506,15 @@ def cmd_bethe(cfg: dict, args) -> int:
     try:
         if validate:
             report = bethe.validate_against_ed(
-                N, s, mu, M_range=None if M is None else [M], seed=seed,
-                restarts=restarts, threads=threads, rtol=rtol,
+                N, s, mu, M_range=None if M is None else [M], rtol=rtol
             )
             payload["report"] = report
             ok = report["mismatched_solutions"] == 0
         else:
-            sols = bethe.solve_bae(N, s, mu, M, seed=seed, restarts=restarts,
-                                   threads=threads)
+            sols = bethe.solve_bae(N, s, mu, M, seed=seed, restarts=restarts)
             payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
             ok = True
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: q = e^{i mu} out of range
         raise ConfigError(str(exc)) from exc
     payload["status"] = "ok" if ok else "fail"
     _emit(payload, None, args, "json")
@@ -529,8 +537,8 @@ def _delta_grid(cfg: dict) -> list:
             steps = _as_int(cfg["delta_steps"], "delta_steps")
         except KeyError as exc:
             raise ConfigError("delta range needs delta_start, delta_stop, delta_steps") from exc
-        if steps < 2:
-            raise ConfigError("delta_steps must be at least 2")
+        if not 2 <= steps <= MAX_DELTA_STEPS:
+            raise ConfigError(f"delta_steps must lie in [2, {MAX_DELTA_STEPS}]")
         return [float(d) for d in np.linspace(start, stop, steps)]
     raise ConfigError("phase-scan needs deltas or a delta range")
 
@@ -548,7 +556,7 @@ def cmd_phase_scan(cfg: dict, args) -> int:
         raise ConfigError("boundary must be periodic or open")
     if not 2 <= N <= 12:  # 2^N <= 4096
         raise ConfigError("N must keep the Hilbert dimension within [4, 4096]")
-    threads = _flag_or_key(args.threads, cfg, "threads", 1)
+    _check_threads(cfg, args)
     grid = _delta_grid(cfg)
 
     def scan(delta: float) -> dict:
@@ -562,7 +570,7 @@ def cmd_phase_scan(cfg: dict, args) -> int:
             "sz_abs": max(abs(rec["sz"]) for rec in ground),
         }
 
-    table = _pmap(scan, grid, threads)
+    table = [scan(delta) for delta in grid]
     payload = {
         "schema": SCHEMA,
         "command": "phase-scan",

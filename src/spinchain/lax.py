@@ -456,28 +456,37 @@ def _xxz_bond(delta: complex) -> np.ndarray:
     return xx + yy + delta * zz
 
 
+def _bond_moves(bond: np.ndarray, N: int, periodic: bool, basis: np.ndarray):
+    """Yield (amp, target) for each bond (i, i+1) of N equal sites, and the
+    wrap bond (N, 1) when periodic, acting on the basis indices in basis.
+
+    Row `out` of both arrays holds, per basis index, bond[out, in] for its
+    two local digits `in` and the index whose digits are replaced by out.
+    """
+    n = round(bond.shape[0] ** 0.5)
+    outs = np.arange(n * n)[:, None]
+    bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
+    for i, j in bonds:
+        wi, wj = n ** (N - i), n ** (N - j)
+        a, b = basis // wi % n, basis // wj % n
+        yield bond[outs, a * n + b], basis + (outs // n - a) * wi + (outs % n - b) * wj
+
+
 def _bond_sum(bond: np.ndarray, N: int, periodic: bool, sector=None) -> np.ndarray:
     """Sum of a two-site operator over the bonds (i, i+1) of N equal sites,
     plus the wrap bond (N, 1) when periodic, on the sorted basis indices in
     sector (all n^N of them when None).
 
-    Each bond reads the two local digits of every basis index and adds
-    bond[out, in] to the row whose digits are replaced by out, found by
-    searchsorted; rows outside the sector are dropped, so the block equals
-    the full sum sliced with np.ix_(sector, sector), bit for bit.
+    Each bond term (`_bond_moves`) is added to the row of its target, found
+    by searchsorted; rows outside the sector are dropped, so the block
+    equals the full sum sliced with np.ix_(sector, sector), bit for bit.
     """
     n = round(bond.shape[0] ** 0.5)
     basis = np.arange(n**N) if sector is None else np.asarray(sector)
     L = basis.size
     total = np.zeros((L, L), dtype=complex)
-    outs = np.arange(n * n)[:, None]
     cols = np.broadcast_to(np.arange(L), (n * n, L))
-    bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
-    for i, j in bonds:
-        wi, wj = n ** (N - i), n ** (N - j)
-        a, b = basis // wi % n, basis // wj % n
-        amp = bond[outs, a * n + b]
-        target = basis + (outs // n - a) * wi + (outs % n - b) * wj
+    for amp, target in _bond_moves(bond, N, periodic, basis):
         rows = np.minimum(np.searchsorted(basis, target), L - 1)
         # within one bond every (row, column) pair occurs once
         hit = (basis[rows] == target) & (amp != 0)
@@ -508,46 +517,86 @@ def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
     return np.flatnonzero(np.abs(sz_total - (N * (n - 1) / 2 - m)) < 1e-9)
 
 
+def _translation_orbits(N: int) -> tuple:
+    """Orbits of the one-site shift T on the 2^N basis of N spin-1/2 sites.
+
+    Returns, per basis index x, its representative (the smallest index in
+    its orbit), the distance l with x = T^l rep, and the orbit period R.
+    """
+    targets = _shift_targets((2,) * N)
+    orbit = np.empty((N, targets.size), dtype=np.int64)  # orbit[r, x] = T^r x
+    orbit[0] = np.arange(targets.size)
+    for r in range(1, N):
+        orbit[r] = targets[orbit[r - 1]]
+    first = orbit.argmin(axis=0)
+    back = orbit[1:] == orbit[0]
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, N)
+    return orbit.min(axis=0), -first % N, period
+
+
+def _momentum_blocks(N: int, delta: float):
+    """Yield (m, k, reps, block): xxz_hamiltonian in the Sz = N/2 - m,
+    momentum k sector of the periodic chain.
+
+    Row and column j stand for |a(k)> = R_a^-1/2 sum_{r < R_a}
+    e^{-2 pi i k r / N} T^r |a>, a = reps[j], which has T eigenvalue
+    e^{2 pi i k / N} and exists when k R_a = 0 mod N.  A bond term
+    amp |t> of H|a> adds amp e^{2 pi i k l / N} sqrt(R_a / R_b) to row b,
+    where t = T^l b.  The block is real for k = 0 and k = N/2.
+    """
+    rep, dist, period = _translation_orbits(N)
+    bond = -0.5 * _xxz_bond(delta).real
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(N), np.arange(N)) % N) / N)
+    for m in range(N + 1):
+        sector = sz_sector_indices(N, 2, m)
+        reps = sector[rep[sector] == sector]
+        L, R = reps.size, period[reps]
+        cols = np.broadcast_to(np.arange(L), (4, L))
+        terms = np.zeros((N, L, L))  # terms[l]: the bond terms with t = T^l b
+        for amp, target in _bond_moves(bond, N, True, reps):
+            hit = amp != 0  # XXZ keeps Sz, so every target lies in the sector
+            # one bond sends a column to distinct t, and t = T^l b fixes (l, b)
+            t = target[hit]
+            terms[dist[t], np.searchsorted(reps, rep[t]), cols[hit]] += amp[hit]
+        terms *= np.sqrt(R / R[:, None])
+        for k in range(N):
+            keep = k * R % N == 0
+            if not keep.any():
+                continue
+            block = np.tensordot(phases[k], terms[:, keep][:, :, keep], axes=1)
+            yield m, k, reps[keep], block.real if 2 * k % N == 0 else block
+
+
 def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     """Sorted eigenvalues of xxz_hamiltonian with S^z and momentum labels.
 
     Returns one dict per state: energy, sz, and for periodic chains the
-    integer k with translation eigenvalue e^{2 pi i k / N}, resolved by
-    diagonalising the shift inside each degenerate (energy, sz) block.
-    H is assembled one Sz sector at a time by basis-index arithmetic, and
-    the shift acts on a sector's eigenvectors as a permutation of their
-    rows, so no 2^N x 2^N array is formed.  delta must be real, since the
-    sector solve reads one triangle of a Hermitian block.
+    integer k with translation eigenvalue e^{2 pi i k / N}.  A periodic
+    chain is solved one (Sz, k) block at a time in the basis of translation
+    orbits (`_momentum_blocks`), so every label is the block the level was
+    solved in; an open chain is solved one Sz block at a time.  Only
+    eigenvalues are computed, and no 2^N x 2^N array is formed.  delta must
+    be real, since H is Hermitian only then; the open chain's blocks and
+    the momentum blocks with k = 0 and k = N/2 are then real.
     """
     if 2**N > 4096:
         raise ValueError("Hilbert space dimension above 4096")
     if abs(complex(delta).imag) > 1e-14:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
-    periodic = boundary == "periodic"
-    targets = _shift_targets((2,) * N) if periodic else None
-    levels = []
-    for m in range(N + 1):
-        sector = sz_sector_indices(N, 2, m)
-        evals, evecs = np.linalg.eigh(xxz_hamiltonian(N, delta, boundary, sector))
-        entry = {"sz": N / 2 - m}
-        if not periodic:
-            levels.extend([{"energy": float(e), **entry} for e in evals])
-            continue
-        # the shift T sends sector[j] to sector[moved[j]], so for any block
-        # of vectors block^H T = block[moved]^H, and T is never formed
-        moved = np.searchsorted(sector, targets[sector])
-        start = 0
-        while start < len(evals):
-            stop = start + 1
-            while stop < len(evals) and evals[stop] - evals[start] < 1e-10:
-                stop += 1
-            block = evecs[:, start:stop]
-            # translation restricted to the degenerate block is unitary
-            phases = np.linalg.eigvals(block[moved].conj().T @ block)
-            ks = sorted((round(float(np.angle(p)) * N / (2 * np.pi)) % N) for p in phases)
-            levels.extend(
-                {"energy": float(evals[start]), "momentum": int(k), **entry} for k in ks
+    delta = complex(delta).real
+    if boundary == "periodic":
+        levels = [
+            {"energy": float(e), "sz": N / 2 - m, "momentum": k}
+            for m, k, _, block in _momentum_blocks(N, delta)
+            for e in np.linalg.eigvalsh(block)
+        ]
+    else:
+        levels = [
+            {"energy": float(e), "sz": N / 2 - m}
+            for m in range(N + 1)
+            for e in np.linalg.eigvalsh(
+                xxz_hamiltonian(N, delta, boundary, sz_sector_indices(N, 2, m)).real
             )
-            start = stop
+        ]
     levels.sort(key=lambda rec: (rec["energy"], rec["sz"], rec.get("momentum", 0)))
     return levels

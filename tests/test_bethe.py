@@ -1,12 +1,13 @@
 """Bethe-equation solver: roots, eigenvalue function, ED cross-validation."""
 
 import cmath
+import json
 
 import numpy as np
 import pytest
 
 import spinchain as sc
-from spinchain import bethe, lax
+from spinchain import bethe, cli, lax
 
 MU = 0.3
 
@@ -252,12 +253,14 @@ def test_mirrored_sectors_built_on_all_down_vacuum(N, s):
             assert np.linalg.norm(tm @ vec - val * vec) / np.linalg.norm(tm @ vec) < 1e-8
 
 
-def test_validation_independent_of_seed_and_threads():
+def test_validation_independent_of_seed_and_threads(tmp_path, capsys):
     # coverage is fixed by the chain: no random start stream takes part
-    runs = [
-        sc.validate_against_ed(6, 0.5, MU, seed=seed, threads=threads)
-        for seed, threads in ((0, 1), (1, 1), (0, 2), (1, 2), (0, 1))
-    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 6, "s": 0.5, "mu": MU}))
+    runs = []
+    for seed, threads in ((0, 1), (1, 1), (0, 2), (1, 2), (0, 1)):
+        cli.main(["bethe", "--config", str(cfg), "--seed", str(seed), "--threads", str(threads)])
+        runs.append(json.loads(capsys.readouterr().out)["report"])
     for report in runs[1:]:
         assert report["coverage"] == runs[0]["coverage"]
         assert report["sectors"] == runs[0]["sectors"]

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: exit codes, schemas, formats, determinism."""
 
+import cmath
 import json
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from spinchain import bethe, cli
+from spinchain import bethe, cli, lax
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -119,6 +123,22 @@ def test_bethe_dimension_cap_before_solving(tmp_path, capsys, monkeypatch):
     assert code == 2 and "config error" in err
 
 
+@pytest.mark.parametrize("N, s", [(11, 0.5), (12, 0.5), (7, 1.0), (6, 1.5)])
+def test_validated_bethe_dimension_bound(tmp_path, capsys, monkeypatch, N, s):
+    def never(*args, **kwargs):
+        raise AssertionError("validate_against_ed ran above the validation bound")
+
+    monkeypatch.setattr(bethe, "validate_against_ed", never)
+    cfg = write_cfg(tmp_path, {"N": N, "s": s})
+    code, out, err = run(capsys, ["bethe", "--config", cfg])
+    assert code == 2 and out == "" and "config error" in err and "1024" in err
+    # without validation the 4096 cap still holds
+    monkeypatch.setattr(bethe, "solve_bae", lambda *args, **kwargs: [])
+    cfg = write_cfg(tmp_path, {"N": N, "s": s, "M": 1, "validate": False}, "free.json")
+    code, out, _ = run(capsys, ["bethe", "--config", cfg])
+    assert code == 0 and json.loads(out)["solutions"] == []
+
+
 def test_unreadable_and_malformed_configs(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", "--config", str(tmp_path / "missing.json")])
     assert code == 2 and "config error" in err
@@ -182,6 +202,17 @@ def test_spectrum_rejects_non_real_delta(tmp_path, capsys, obj):
     assert code == 2 and out == "" and "real delta" in err
 
 
+def test_spectrum_real_delta_threshold(tmp_path, capsys):
+    # |Im delta| <= 1e-14 counts as real: the real part is used and echoed
+    texts = []
+    for i, delta in enumerate(([0.5, 1e-14], 0.5)):
+        cfg = write_cfg(tmp_path, {"N": 4, "delta": delta}, f"d{i}.json")
+        code, out, _ = run(capsys, ["spectrum", "--config", cfg])
+        assert code == 0
+        texts.append(out)
+    assert texts[0] == texts[1]
+
+
 def test_bethe_validated_sector(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"N": 2, "s": 0.5, "mu": 0.3, "M": 1, "restarts": 40})
     code, out, _ = run(capsys, ["bethe", "--config", cfg])
@@ -239,6 +270,24 @@ def test_verify_byte_identical_across_threads(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("spectrum", {"N": 9, "delta": 0.37}),
+        ("spectrum", {"N": 7, "delta": -1.0, "boundary": "open"}),
+        ("phase-scan", {"N": 6, "delta_start": -1.5, "delta_stop": 1.5, "delta_steps": 7}),
+    ],
+)
+def test_spectrum_and_phase_scan_byte_identical_across_threads(tmp_path, capsys, command, obj):
+    cfg = write_cfg(tmp_path, obj)
+    texts = []
+    for threads in ("1", "2", "1"):
+        code, out, _ = run(capsys, [command, "--config", cfg, "--threads", threads])
+        assert code == 0
+        texts.append(out)
+    assert texts[0] == texts[1] == texts[2]
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"suite": "ybe", "mu": 0.3, "pairs": 4, "seed": 1})
     code, out, _ = run(capsys, ["verify", "--config", cfg, "--seed", "5"])
@@ -276,6 +325,122 @@ def test_phase_scan_grid_validation(tmp_path, capsys):
     rows = json.loads(out)["rows"]
     assert [r["delta"] for r in rows] == [0.5, 1.0, 1.5]
     assert [r["degeneracy"] for r in rows] == [1, 3, 2]
+
+
+class _Reached(Exception):
+    """A config passed validation and reached the numerical work."""
+
+
+def _reached_spectrum(N, delta, boundary):
+    assert 2 <= N <= 12 and boundary in ("periodic", "open")
+    assert isinstance(delta, float) and math.isfinite(delta)
+    raise _Reached
+
+
+def _reached_linspace(start, stop, steps):
+    assert 2 <= steps <= cli.MAX_DELTA_STEPS and math.isfinite(start) and math.isfinite(stop)
+    raise _Reached
+
+
+def _reached_validation(N, s, mu, M_range=None, rtol=1e-7):
+    n = round(2 * s + 1)
+    assert n**N <= cli.VALIDATE_DIM and cmath.isfinite(mu) and math.isfinite(rtol)
+    assert M_range is None or all(0 <= M <= (n - 1) * N for M in M_range)
+    raise _Reached
+
+
+def _reached_solver(N, s, mu, M, seed=0, restarts=120):
+    n = round(2 * s + 1)
+    assert 1 <= N and n >= 2 and n**N <= 4096 and 0 <= M <= (n - 1) * N
+    assert cmath.isfinite(mu)
+    raise _Reached
+
+
+def test_delta_steps_bound_before_allocation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.np, "linspace", _reached_linspace)
+    cfg = write_cfg(tmp_path, {"N": 2, "delta_start": 0, "delta_stop": 1, "delta_steps": 10**12})
+    code, out, err = run(capsys, ["phase-scan", "--config", cfg])
+    assert code == 2 and out == "" and "config error" in err and "10000" in err
+    cfg = write_cfg(tmp_path, {"N": 2, "delta_start": 0, "delta_stop": 1, "delta_steps": 10000})
+    with pytest.raises(_Reached):
+        cli.main(["phase-scan", "--config", cfg])
+
+
+_FLOATS = st.floats(-3, 3)
+_VALID = {
+    "spectrum": st.fixed_dictionaries(
+        {"N": st.integers(1, 12)},
+        optional={"delta": _FLOATS, "boundary": st.sampled_from(["periodic", "open"])},
+    ),
+    "phase-scan": st.one_of(
+        st.fixed_dictionaries(
+            {"N": st.integers(2, 12), "deltas": st.lists(_FLOATS, min_size=1, max_size=3)}
+        ),
+        st.fixed_dictionaries({
+            "N": st.integers(2, 12), "delta_start": _FLOATS, "delta_stop": _FLOATS,
+            "delta_steps": st.integers(2, cli.MAX_DELTA_STEPS),
+        }),
+    ),
+    "bethe": st.fixed_dictionaries(
+        {"N": st.integers(1, 12), "s": st.sampled_from([0.5, 1.0, 1.5]), "mu": st.floats(0.1, 1.4)},
+        optional={"M": st.integers(0, 12), "validate": st.booleans(),
+                  "restarts": st.integers(0, 200)},
+    ),
+}
+_KEYS = {
+    "spectrum": ["N", "delta", "mu", "boundary"],
+    "phase-scan": ["N", "deltas", "delta_start", "delta_stop", "delta_steps", "boundary",
+                   "threads"],
+    "bethe": ["N", "s", "mu", "delta", "M", "seed", "restarts", "validate", "rtol", "threads"],
+}
+# non-numeric values, NaN, huge values, [re, im] pairs of the wrong length or range
+_BAD = st.one_of(
+    st.sampled_from([
+        None, True, "x", "12", NAN, INF, -INF, 10**400, 10**18, -(10**18), 1e308, -1, 0,
+        2048.0, 10001, [], [0.5], [0.5, 0.3], [0.5, 1e-14], [0.5, 2e-14], [1, 2, 3],
+        [NAN, 0], [0, -1000], [1e308, 1e308], ["a", 1], {"a": 1},
+    ]),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+)
+
+
+@st.composite
+def _configs(draw):
+    # a valid config with up to two keys replaced by a bad value
+    command = draw(st.sampled_from(sorted(_VALID)))
+    cfg = draw(_VALID[command])
+    for key in draw(st.lists(st.sampled_from(_KEYS[command]), max_size=2, unique=True)):
+        cfg[key] = draw(_BAD)
+    return command, cfg
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_configs())
+@example(case=("phase-scan", {"N": 4, "delta_start": 0, "delta_stop": 1, "delta_steps": 10**12}))
+@example(case=("spectrum", {"N": 4, "delta": [10**400, 0]}))
+@example(case=("spectrum", {"N": 4, "mu": [0, -1000]}))
+@example(case=("bethe", {"N": 2, "s": 1e308, "M": 1}))
+@example(case=("bethe", {"N": 12, "s": 0.5}))
+def test_config_fuzz_exits_2_or_reaches_bounded_work(tmp_path, capsys, monkeypatch, case):
+    # the work itself is replaced, so an oversized value is never allocated
+    monkeypatch.setattr(lax, "spectrum_table", _reached_spectrum)
+    monkeypatch.setattr(cli.np, "linspace", _reached_linspace)
+    monkeypatch.setattr(bethe, "validate_against_ed", _reached_validation)
+    monkeypatch.setattr(bethe, "solve_bae", _reached_solver)
+    command, obj = case
+    cfg = write_cfg(tmp_path, obj)
+    try:
+        code = cli.main([command, "--config", cfg])
+    except _Reached:
+        capsys.readouterr()
+        return
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert "config error" in err and out == ""
+    else:  # only the one-site spectrum is answered without any solve
+        assert (command, code) == ("spectrum", 0) and json.loads(out)["N"] == 1
 
 
 def test_casimir_coefficients(tmp_path, capsys):

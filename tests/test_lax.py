@@ -2,6 +2,7 @@
 
 import cmath
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -377,10 +378,50 @@ def _dense_spectrum_table(N, delta, boundary):
     return levels
 
 
+def _label_clusters(levels):
+    # (sz, momentum) multisets of the runs of levels closer than 1e-8
+    clusters = []
+    for prev, rec in zip([None] + levels, levels):
+        if prev is None or rec["energy"] - prev["energy"] >= 1e-8:
+            clusters.append(Counter())
+        clusters[-1][rec["sz"], rec.get("momentum")] += 1
+    return clusters
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 @pytest.mark.parametrize("delta", [-1.0, -0.45, 0.0, 0.37, 1.0, 2.2])
 def test_spectrum_table_equals_dense_algorithm(delta, boundary):
-    assert sc.spectrum_table(8, delta, boundary) == _dense_spectrum_table(8, delta, boundary)
+    # other eigensolvers change the last bits, so energies match to 1e-12, and
+    # every cluster of degenerate levels carries the same (sz, momentum) labels
+    got, want = sc.spectrum_table(8, delta, boundary), _dense_spectrum_table(8, delta, boundary)
+    assert len(got) == len(want)
+    assert max(abs(a["energy"] - b["energy"]) for a, b in zip(got, want)) < 1e-12
+    assert _label_clusters(got) == _label_clusters(want)
+
+
+@pytest.mark.parametrize("delta", [-1.0, -0.45, 0.37, 1.0, 2.2])
+def test_momentum_blocks_are_eigenvectors(delta):
+    for N in range(2, 9):
+        h = sc.xxz_hamiltonian(N, delta)
+        shift = sc.cyclic_shift_matrix((2,) * N)
+        powers = [np.eye(2**N)]
+        for _ in range(N - 1):
+            powers.append(shift @ powers[-1])
+        seen = 0
+        for m, k, reps, block in lax._momentum_blocks(N, delta):
+            assert np.abs(block - block.conj().T).max() < 1e-14
+            assert np.isrealobj(block) == (2 * k % N == 0)
+            # column j is |a(k)> = sum_r e^{-2 pi i k r / N} T^r |a>, a = reps[j], normalized
+            basis = sum(np.exp(-2j * np.pi * k * r / N) * powers[r][:, reps] for r in range(N))
+            basis /= np.linalg.norm(basis, axis=0)
+            energies, vecs = np.linalg.eigh(block)
+            lifted = basis @ vecs
+            assert np.abs(lifted.conj().T @ lifted - np.eye(reps.size)).max() < 1e-12
+            assert np.abs(h @ lifted - lifted * energies).max() < 1e-12
+            assert np.abs(shift @ lifted - np.exp(2j * np.pi * k / N) * lifted).max() < 1e-12
+            assert np.isin(reps, sc.sz_sector_indices(N, 2, m)).all()
+            seen += reps.size
+        assert seen == 2**N
 
 
 def test_spectrum_table_never_allocates_the_full_space():
@@ -398,3 +439,7 @@ def test_spectrum_table_never_allocates_the_full_space():
 def test_spectrum_table_rejects_non_real_delta(delta):
     with pytest.raises(ValueError):
         sc.spectrum_table(4, delta)
+
+
+def test_spectrum_table_takes_the_real_part_at_the_threshold():
+    assert sc.spectrum_table(4, 0.5 + 1e-14j) == sc.spectrum_table(4, 0.5)
