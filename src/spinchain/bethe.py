@@ -3,7 +3,9 @@
 Every root set is certified the same way: Newton polishing of the log-form
 equations (`refine`), a Bethe-equation residual below 1e-10, gates against
 poles and collisions, and the transfer matrix acting on the constructed
-Bethe vector B...B|0> with eigenvalue Lambda to 1e-8.
+Bethe vector B...B|0> with eigenvalue Lambda to 1e-8.  The Bethe vector is
+built matrix-free: each B(lambda) is applied to the state one site at a
+time (`lax.apply_monodromy_block`), so no D x D monodromy block is formed.
 
 Where roots come from depends on whether exact diagonalization is at hand.
 `validate_against_ed` reconstructs them deterministically, one candidate per
@@ -12,7 +14,9 @@ commuting family on a small circle and Baxter's TQ relation
 Lambda Q(l) = a Q(l - i mu) + d Q(l + i mu) is solved as a linear system for
 Q, whose zeros are the roots.  Sectors with M > N s follow from sector
 2 N s - M by the spin flip F (m -> -m on every site) whenever F t F = t.
-Without ED (`solve_bae`) roots come from seeded multistart Newton.
+Without ED (`solve_bae`) roots come from seeded multistart Newton, sectors
+with M > N s are mirrored the same way, and the eigen-gap gate applies t
+matrix-free (`lax.apply_transfer`), so no D x D array is formed at all.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .lax import monodromy_blocks, sz_sector_indices, transfer, uniform_chain
+from .lax import (apply_monodromy_block, apply_transfer, site_lax_matrices,
+                  sz_sector_indices, transfer, uniform_chain)
 from .linalg import rel_norm
 
 _ACCEPT = 1e-10
@@ -284,7 +290,11 @@ def sz(sol) -> Fraction:
 def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     """Normalized B(lambda_1 - i mu/2) ... B(lambda_M - i mu/2) |up...up>,
     or its spin flip F B...B|up...up> = C...C|down...down> on the all-down
-    vacuum (an eigenvector whenever F t F = t)."""
+    vacuum (an eigenvector whenever F t F = t).
+
+    Matrix-free: each B is applied site by site by
+    `lax.apply_monodromy_block`, in O(N n^2 D) per root, and no D x D
+    array is formed."""
     if chain is None:
         chain = uniform_chain("xxz", system.N, system.mu, system.n, "principal")
     D = int(np.prod(chain.local_dims, dtype=np.int64))
@@ -292,7 +302,7 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     vec[0] = 1.0
     for lam in system.roots:
         with np.errstate(over="ignore", invalid="ignore"):
-            vec = monodromy_blocks(chain, lam - 0.5j * system.mu)[0][1] @ vec
+            vec = apply_monodromy_block(chain, lam - 0.5j * system.mu, 0, 1, vec)
             norm = float(np.linalg.norm(vec))
         if not np.isfinite(norm) or norm < 1e-280:
             raise ValueError("Bethe vector vanished during construction")
@@ -301,9 +311,10 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     return vec if system.vacuum == "up" else vec[::-1]
 
 
-def _eigen_gap(tmat, vec, value) -> float:
-    # relative defect |t v - Lambda v| / |t v| of a candidate eigenvector
-    tv = tmat @ vec
+def _eigen_gap(apply_t, vec, value) -> float:
+    # relative defect |t v - Lambda v| / |t v| of a candidate eigenvector;
+    # apply_t maps v to t v
+    tv = apply_t(vec)
     return float(np.linalg.norm(tv - value * vec) / max(np.linalg.norm(tv), 1e-300))
 
 
@@ -331,10 +342,10 @@ def _finish(system: BetheSystem, fn=None) -> BetheSolution:
     return BetheSolution(system, bae_residual(system), fn, e, p)
 
 
-def _certify(system: BetheSystem, chain, tmat):
+def _certify(system: BetheSystem, chain, apply_t):
     """(solution, Bethe vector) when the equations hold to _ACCEPT and the
-    transfer matrix tmat at _GAP_PROBE has the vector as eigenvector with
-    Lambda to _GAP; None otherwise."""
+    transfer matrix at _GAP_PROBE, applied by apply_t, has the vector as
+    eigenvector with Lambda to _GAP; None otherwise."""
     if bae_residual(system) >= _ACCEPT:
         return None
     fn = eigenvalue_fn(system)
@@ -342,9 +353,17 @@ def _certify(system: BetheSystem, chain, tmat):
         vec = bethe_vector(system, chain)
     except ValueError:
         return None
-    if _eigen_gap(tmat, vec, fn(_GAP_PROBE)) >= _GAP:
+    if _eigen_gap(apply_t, vec, fn(_GAP_PROBE)) >= _GAP:
         return None
     return _finish(system, fn), vec
+
+
+def _flip_symmetric(chain) -> bool:
+    """F t F = t, shown site by site at two probes: a Lax matrix invariant
+    under flipping its auxiliary and site legs together (which reverses its
+    row and column order) makes the transfer matrix flip invariant."""
+    return all(rel_norm(lmat[::-1, ::-1], lmat) < 1e-12
+               for p in (_GAP_PROBE, _EIG_PROBE) for lmat in site_lax_matrices(chain, p))
 
 
 def _is_new_state(kept, vec) -> bool:
@@ -372,9 +391,16 @@ def solve_bae(N, s, mu, M, seed=0, restarts=120):
     point to 1e-8; of root sets that build the same state, the first found
     is kept.  Fixed seed stream per (N, s, mu, M) makes the output
     deterministic.  Which solutions are found depends on which starts
-    converge; `validate_against_ed` does not use this search.
+    converge; `validate_against_ed` does not use this search.  As there, a
+    sector with M > N s is solved as sector 2 N s - M on the all-down
+    vacuum when F t F = t.  No D x D array is formed.
     """
     mu, s = complex(mu), float(s)
+    n = round(2 * s + 1)
+    top = (n - 1) * N
+    if 2 * M > top and _flip_symmetric(uniform_chain("xxz", N, mu, n, "principal")):
+        return [replace(sol, system=replace(sol.system, vacuum="down"))
+                for sol in solve_bae(N, s, mu, top - M, seed, restarts)]
     if M == 0:
         return [_finish(BetheSystem(N, s, mu, ()))]
     found = []
@@ -389,11 +415,11 @@ def solve_bae(N, s, mu, M, seed=0, restarts=120):
             continue
         found.append(lams)
 
-    chain = uniform_chain("xxz", N, mu, round(2 * s + 1), "principal")
-    tmat = transfer(chain)(_GAP_PROBE)
+    chain = uniform_chain("xxz", N, mu, n, "principal")
+    apply_t = partial(apply_transfer, chain, _GAP_PROBE)
     kept = []
     for lams in found:
-        certified = _certify(BetheSystem(N, s, mu, tuple(lams)), chain, tmat)
+        certified = _certify(BetheSystem(N, s, mu, tuple(lams)), chain, apply_t)
         if certified is not None and _is_new_state(kept, certified[1]):
             kept.append(certified)
     sols = [sol for sol, _ in kept]
@@ -448,7 +474,7 @@ def _sector_levels(fam, teig, sectors, points):
     return table
 
 
-def _reconstruct(N, s, mu, chain, tmat, teig, sectors):
+def _reconstruct(N, s, mu, chain, apply_t, teig, sectors):
     """Certified (solution, vector) pairs per sector, at most one candidate
     per eigenvector of the sector block of teig, each state once."""
     K = 2 * N * round(2 * s + 1) + 8
@@ -467,7 +493,7 @@ def _reconstruct(N, s, mu, chain, tmat, teig, sectors):
                 continue
             if not _passes_pole_gates(np.asarray(system.roots), N, s, mu):
                 continue
-            certified = _certify(system, chain, tmat)
+            certified = _certify(system, chain, apply_t)
             if certified is not None and _is_new_state(kept, certified[1]):
                 kept.append(certified)
         out[M] = kept
@@ -510,14 +536,14 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
     through `tq_roots`; a candidate counts when it passes the certifier
     (`refine`, residual, pole gates, Bethe vector eigen-gap) and is kept
     once per state.  Sectors with M > N s are covered from sector
-    2 N s - M by the spin flip F when F t F = t holds to 1e-12 at two
-    probes: the flipped vector, on the all-down vacuum, must pass the
-    eigen-gap gate again.  Otherwise those sectors are reconstructed
-    directly.  A solution is matched when its Lambda agrees with a sector
-    eigenvalue to rtol at all probes, relative to max(|Lambda|,
-    1e-8 |t(p)|_F) so that a level with Lambda = 0 can match.  Coverage
-    counts sector levels matched by at least one solution; it is fixed by
-    the chain alone: no random start takes part.
+    2 N s - M by the spin flip F when F t F = t (`_flip_symmetric`): the
+    flipped vector, on the all-down vacuum, must pass the eigen-gap gate
+    again.  Otherwise those sectors are reconstructed directly.  A
+    solution is matched when its Lambda agrees with a sector eigenvalue to
+    rtol at all probes, relative to max(|Lambda|, 1e-8 |t(p)|_F) so that a
+    level with Lambda = 0 can match.  Coverage counts sector levels matched
+    by at least one solution; it is fixed by the chain alone: no random
+    start takes part.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
@@ -531,13 +557,14 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
     sectors = {M: sel for M in M_range if (sel := sz_sector_indices(N, n, M)).size}
 
     tmat, teig = fam(_GAP_PROBE), fam(_EIG_PROBE)
-    flip = all(rel_norm(t[::-1, ::-1], t) < 1e-12 for t in (tmat, teig))
+    flip = _flip_symmetric(chain)
+    apply_t = partial(np.matmul, tmat)
 
     def source(M):
         return top - M if flip and 2 * M > top else M
 
     direct = sorted({source(M) for M in sectors})
-    found = _reconstruct(N, s, mu, chain, tmat, teig,
+    found = _reconstruct(N, s, mu, chain, apply_t, teig,
                          {M: sz_sector_indices(N, n, M) for M in direct})
     del teig  # at the 4096 cap every full transfer matrix holds 268 MB
     evs = {M: [] for M in sectors}
@@ -563,7 +590,7 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
         sols = [sol for sol, _ in found[M]] if source(M) == M else [
             replace(sol, system=replace(sol.system, vacuum="down"))
             for sol, vec in found[source(M)]
-            if _eigen_gap(tmat, vec[::-1], sol.eigenvalue_fn(_GAP_PROBE)) < _GAP
+            if _eigen_gap(apply_t, vec[::-1], sol.eigenvalue_fn(_GAP_PROBE)) < _GAP
         ]
         hit = np.zeros(sel.size, dtype=bool)
         entries = []

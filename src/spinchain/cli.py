@@ -20,11 +20,17 @@ import numpy as np
 from . import algebra, bethe, boundary, braid, lax, linalg, rmatrix
 
 SCHEMA = "v1"
-# validated bethe diagonalizes dense transfer matrices: (6, 1) at D = 729 took
-# 92 s and (10, 1/2) at D = 1024 took 315 s on a 2-core box, so larger chains
-# are refused until the monodromy is applied matrix-free
+# validated bethe diagonalizes dense transfer matrices: (6, 1) at D = 729 takes
+# 6 s and (10, 1/2) at D = 1024 takes 14 s and 187 MB on a 2-core box; larger
+# chains, which need K = 2Nn + 8 dense matrices of up to 268 MB, are refused
 VALIDATE_DIM = 1024
+# casimir's one-site open transfer at 2s+1 = 256 takes 2 s and 172 MB on a
+# 2-core box, at 1024 already 55 s and 2.3 GB
+MAX_CASIMIR_DIM = 256
 MAX_DELTA_STEPS = 10_000
+MAX_PAIRS = 10_000
+# the frt suite embeds the cyclic Lax operators in (4p) x (4p) matrices
+MAX_CYCLIC_ORDER = 64
 
 
 class ConfigError(Exception):
@@ -153,6 +159,13 @@ def _random_pairs(rng, count: int):
     ]
 
 
+def _pairs(cfg: dict) -> int:
+    pairs = _as_int(cfg.get("pairs", 20), "pairs")
+    if not 1 <= pairs <= MAX_PAIRS:
+        raise ConfigError(f"pairs must lie in [1, {MAX_PAIRS}]")
+    return pairs
+
+
 def _check(name: str, residual: float, tolerance: float, **params) -> dict:
     rec = {
         "identity": name,
@@ -170,7 +183,7 @@ def _check(name: str, residual: float, tolerance: float, **params) -> dict:
 def _suite_ybe(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     model = cfg.get("model", "xxz")
-    pairs = _as_int(cfg.get("pairs", 20), "pairs")
+    pairs = _pairs(cfg)
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
     draws = _random_pairs(rng, pairs)
@@ -223,7 +236,7 @@ def _suite_re(cfg, seed) -> list:
     kappa = _as_complex(cfg.get("kappa", 0.2), "kappa")
     m = _as_complex(cfg.get("m", 0.7), "m")
     gamma = _as_complex(cfg.get("gamma", 0.4), "gamma")
-    pairs = _as_int(cfg.get("pairs", 20), "pairs")
+    pairs = _pairs(cfg)
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
     draws = _random_pairs(rng, pairs)
@@ -267,10 +280,12 @@ def _suite_re(cfg, seed) -> list:
 def _suite_braid(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     m = _as_complex(cfg.get("m", 0.7), "m")
-    q = cmath.exp(1j * mu)
-    Q = 1j * cmath.exp(1j * mu * m)
     if "perturb" in cfg and cfg["perturb"]:
         raise ConfigError("perturb is not supported for the braid suite")
+    rng = np.random.default_rng(seed)
+    lam1, lam2 = (complex(a, b) for a, b in rng.uniform(-1.0, 1.0, size=(2, 2)))
+    q = cmath.exp(1j * mu)
+    Q = 1j * cmath.exp(1j * mu * m)
     checks = []
     hecke2 = braid.hecke_rep(2, 4, q)
     hecke3 = braid.hecke_rep(3, 3, q)
@@ -284,8 +299,6 @@ def _suite_braid(cfg, seed) -> list:
         checks.append(_check(f"blob: {relname}", residual, 1e-10))
     for relname, residual in braid.check_btype_quotients(blob_fam).items():
         checks.append(_check(f"blob B-type: {relname}", residual, 1e-10))
-    rng = np.random.default_rng(seed)
-    lam1, lam2 = (complex(a, b) for a, b in rng.uniform(-1.0, 1.0, size=(2, 2)))
     bax = lambda lam: rmatrix.baxterize(hecke2, 1, lam)[:4, :4]
     res = rmatrix.braided_ybe_residual(bax, lam1, lam2)
     checks.append(_check("baxterized Hecke satisfies braided YBE", res, 1e-10))
@@ -294,8 +307,10 @@ def _suite_braid(cfg, seed) -> list:
 
 def _suite_frt(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
-    pairs = _as_int(cfg.get("pairs", 20), "pairs")
+    pairs = _pairs(cfg)
     p = _as_int(cfg.get("p", 5), "p")
+    if not 2 <= p <= MAX_CYCLIC_ORDER:
+        raise ConfigError(f"p must lie in [2, {MAX_CYCLIC_ORDER}]")
     k = _as_int(cfg.get("k", 1), "k")
     s = _as_complex(cfg.get("s", 0.7), "s")
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
@@ -405,13 +420,18 @@ def cmd_verify(cfg: dict, args) -> int:
     if "suite" not in cfg:
         raise ConfigError("verify config needs a suite")
     suite = cfg["suite"]
-    if suite not in _SUITES:
-        raise ConfigError(f"unknown suite: {suite}; pick one of {sorted(_SUITES)}")
+    if not isinstance(suite, str) or suite not in _SUITES:
+        raise ConfigError(f"unknown suite: {suite!r}; pick one of {sorted(_SUITES)}")
     runner, allowed = _SUITES[suite]
     _check_keys(cfg, allowed)
     seed = _flag_or_key(args.seed, cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, not {seed}")
     _check_threads(cfg, args)
-    checks = runner(cfg, seed)
+    try:
+        checks = runner(cfg, seed)
+    except (ValueError, ArithmeticError) as exc:  # e.g. q = e^{i mu} = 1, or out of range
+        raise ConfigError(f"{suite} suite: {exc}") from exc
     ok = all(c["pass"] for c in checks)
     payload = {
         "schema": SCHEMA,
@@ -588,20 +608,23 @@ def cmd_phase_scan(cfg: dict, args) -> int:
 def cmd_casimir(cfg: dict, args) -> int:
     _check_keys(cfg, {"spins", "mu", "delta"})
     mu = _resolve_mu(cfg)
-    q = cmath.exp(1j * mu)
     spins = cfg.get("spins", [0.5, 1.0])
     if not isinstance(spins, list) or not spins:
         raise ConfigError("spins must be a non-empty list")
-    results = []
-    ok = True
+    reps = []
     for spin in spins:
         spin = _as_float(spin, "spins")
-        n = round(2 * spin) + 1 if math.isfinite(spin) else 0
-        if n < 2:
-            raise ConfigError(f"invalid spin {spin}")
-        entry = _casimir_entry(spin, n, q)
-        ok = ok and all(c["pass"] for c in entry["checks"])
-        results.append(entry)
+        # the bound first, so that round() never sees a huge spin
+        n = round(2 * spin) + 1 if 0 < spin < MAX_CASIMIR_DIM else 0
+        if not 2 <= n <= MAX_CASIMIR_DIM:
+            raise ConfigError(f"invalid spin {spin}: 2s+1 must lie in [2, {MAX_CASIMIR_DIM}]")
+        reps.append((spin, n))
+    try:
+        q = cmath.exp(1j * mu)
+        results = [_casimir_entry(spin, n, q) for spin, n in reps]
+    except (ValueError, ArithmeticError) as exc:  # e.g. q = e^{i mu} = 1, or out of range
+        raise ConfigError(f"casimir: {exc}") from exc
+    ok = all(c["pass"] for entry in results for c in entry["checks"])
     payload = {
         "schema": SCHEMA,
         "command": "casimir",

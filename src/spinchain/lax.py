@@ -2,10 +2,11 @@
 
 A Lax operator lives on auxiliary (x) quantum space; the monodromy is the
 auxiliary-space-ordered product L_N ... L_1 (site 1 rightmost) whose
-auxiliary trace is the transfer matrix.  Everything downstream of the
-transfer matrix (translation operator, local Hamiltonian, Yangian charges)
-is extracted here for periodic chains; open chains live in the boundary
-module.
+auxiliary trace is the transfer matrix; `apply_monodromy_block` and
+`apply_transfer` apply them to a vector site by site, without forming
+either.  Everything downstream of the transfer matrix (translation
+operator, local Hamiltonian, Yangian charges) is extracted here for
+periodic chains; open chains live in the boundary module.
 """
 
 from __future__ import annotations
@@ -149,15 +150,20 @@ def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = 
     jz, jp, jm = rep.gen("Jz"), rep.gen("Jp"), rep.gen("Jm")
     weights = np.diag(jz)
     c = cmath.sinh(1j * mu)
+    n = weights.size
+    diag = np.arange(n)
 
     def ev(lam: complex) -> np.ndarray:
-        dplus = np.diag(np.sinh(lam + 1j * mu / 2 + 1j * mu * weights))
-        dminus = np.diag(np.sinh(lam + 1j * mu / 2 - 1j * mu * weights))
+        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        out[diag, diag] = np.sinh(lam + 1j * mu / 2 + 1j * mu * weights)
+        out[n + diag, n + diag] = np.sinh(lam + 1j * mu / 2 - 1j * mu * weights)
         up, down = c * jm, c * jp
         if gradation == "homogeneous":
             up = cmath.exp(lam) * up
             down = cmath.exp(-lam) * down
-        return np.block([[dplus, up], [down, dminus]])
+        out[:n, n:] = up
+        out[n:, :n] = down
+        return out
 
     return LaxOperator(f"lax_xxz_{gradation}", 2, rep, gradation, ev)
 
@@ -302,16 +308,26 @@ def _site_lax(chain: ChainSpec, rep: AlgebraRep) -> LaxOperator:
     return lax_xxz(rep, chain.gradation, chain.mu)
 
 
+def site_lax_matrices(chain: ChainSpec, lam: complex) -> list:
+    """The Lax matrix of every site at lam, in chain order; each distinct
+    site representation is evaluated once and its matrix shared."""
+    evaluated = {}
+    for rep in chain.site_reps:
+        if id(rep) not in evaluated:
+            evaluated[id(rep)] = _site_lax(chain, rep)(lam)
+    return [evaluated[id(rep)] for rep in chain.site_reps]
+
+
 def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     """Auxiliary 2x2 blocks of T(lambda) = L_N ... L_1, site 1 rightmost.
 
     Block [a][b] is a matrix on the full quantum space; entry labels follow
-    the chain order site1 (x) ... (x) siteN.
+    the chain order site1 (x) ... (x) siteN.  The dense oracle of
+    `apply_monodromy_block`, and the builder of `transfer`.
     """
     na = 2
     T = np.eye(na, dtype=complex).reshape(na, na, 1, 1)  # T[a, b] on the sites so far
-    for rep in chain.site_reps:
-        lmat = _site_lax(chain, rep)(lam)
+    for lmat in site_lax_matrices(chain, lam):
         nq = lmat.shape[0] // na
         lb = lmat.reshape(na, nq, na, nq)
         d = T.shape[-1]
@@ -322,6 +338,34 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
             grown[a, b] += T[c, b][:, None, :, None] * lb[a, None, :, c, None, :]
         T = grown.reshape(na, na, d * nq, d * nq)
     return [list(row) for row in T]
+
+
+def _monodromy_column(chain: ChainSpec, laxes: list, b: int, vec) -> np.ndarray:
+    """Rows a = 0, 1 of T[a][b] @ vec, for the site Lax matrices laxes.
+
+    The state |b> (x) vec is held with legs [aux, site 1, ..., site N];
+    L_k contracts the aux leg and site leg k, site 1 first, so no D x D
+    array is formed and the cost is O(N n^2 D).
+    """
+    state = np.zeros((2,) + chain.local_dims, dtype=complex)
+    state[b] = np.reshape(vec, chain.local_dims)
+    for k, lmat in enumerate(laxes, start=1):
+        n = lmat.shape[0] // 2
+        # legs of L: [aux out, site out, aux in, site in]
+        state = np.tensordot(lmat.reshape(2, n, 2, n), state, axes=([2, 3], [0, k]))
+        state = np.moveaxis(state, 1, k)
+    return state.reshape(2, -1)
+
+
+def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -> np.ndarray:
+    """monodromy_blocks(chain, lam)[a][b] @ vec, matrix-free."""
+    return _monodromy_column(chain, site_lax_matrices(chain, lam), b, vec)[a]
+
+
+def apply_transfer(chain: ChainSpec, lam: complex, vec) -> np.ndarray:
+    """transfer(chain)(lam) @ vec = T[0][0] vec + T[1][1] vec, matrix-free."""
+    laxes = site_lax_matrices(chain, lam)
+    return _monodromy_column(chain, laxes, 0, vec)[0] + _monodromy_column(chain, laxes, 1, vec)[1]
 
 
 def monodromy(chain: ChainSpec, lam: complex) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,3 +284,82 @@ def test_solve_bae_reports_each_state_once(N, M, dimension):
     for i, a in enumerate(vecs):
         for b in vecs[:i]:
             assert abs(np.vdot(a, b)) < 1 - 1e-8
+
+
+def _replace_everywhere(monkeypatch, func, replacement):
+    # a module that imported func by name holds its own reference to it
+    for module in (lax, bethe):
+        for name, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, name, replacement)
+
+
+def test_bethe_vector_and_solve_bae_form_no_dense_transfer(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense monodromy or transfer matrix was built")
+
+    _replace_everywhere(monkeypatch, lax.monodromy_blocks, dense)
+    _replace_everywhere(monkeypatch, lax.transfer, dense)
+    for M in (2, 3):
+        sols = sc.solve_bae(4, 0.5, MU, M)
+        assert sols
+        for sol in sols:
+            assert np.isclose(np.linalg.norm(sc.bethe_vector(sol.system)), 1.0)
+
+
+def test_solve_bae_memory_stays_far_below_one_dense_block():
+    # at N = 10 one dense 1024 x 1024 complex monodromy block is 16 MiB
+    tracemalloc.start()
+    try:
+        sols = sc.solve_bae(10, 0.5, MU, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sols and peak < 4 * 2**20
+
+
+def test_validation_builds_transfer_matrices_only(monkeypatch):
+    # K = 2 N n + 8 = 32 TQ points, tmat, teig and the 3 ED probes; the
+    # Bethe vectors never build a dense monodromy
+    calls = []
+    inside = []
+    blocks, vector = lax.monodromy_blocks, bethe.bethe_vector
+
+    def counted_blocks(chain, lam):
+        assert not inside, "bethe_vector built a dense monodromy"
+        calls.append(lam)
+        return blocks(chain, lam)
+
+    def flagged_vector(*args):
+        inside.append(True)
+        try:
+            return vector(*args)
+        finally:
+            inside.pop()
+
+    _replace_everywhere(monkeypatch, blocks, counted_blocks)
+    monkeypatch.setattr(bethe, "bethe_vector", flagged_vector)
+    report = sc.validate_against_ed(6, 0.5, MU)
+    assert report["total_solutions"] > 0
+    assert len(calls) == 2 * 6 * 2 + 8 + 2 + 3
+
+
+@pytest.mark.parametrize("N, s", [(2, 0.5), (4, 0.5), (5, 0.5), (2, 1.0)])
+def test_solve_bae_mirrors_sectors_beyond_the_equator(N, s):
+    # M > N s is solved as sector 2 N s - M on the all-down vacuum, so the
+    # runaway root families of the direct search never appear
+    top = round(2 * s) * N
+    ch = lax.uniform_chain("xxz", N, MU, round(2 * s + 1), "principal")
+    tm = sc.mat(sc.transfer(ch)(0.233))
+    for M in range(top // 2 + 1, top + 1):
+        sols = sc.solve_bae(N, s, MU, M)
+        mirror = sc.solve_bae(N, s, MU, top - M)
+        assert [sol.system.roots for sol in sols] == [sol.system.roots for sol in mirror]
+        for sol in sols:
+            assert sol.system.vacuum == "down" and sol.system.M == top - M
+            assert sc.solution_record(sol)["sz"] == N * s - M
+            vec = sc.bethe_vector(sol.system, ch)
+            val = sol.eigenvalue_fn(0.233)
+            assert np.linalg.norm(tm @ vec - val * vec) / np.linalg.norm(tm @ vec) < 1e-8
+    (vacuum,) = sc.solve_bae(N, s, MU, top)
+    assert vacuum.system.roots == () and vacuum.system.vacuum == "down"

@@ -104,11 +104,26 @@ NAN, INF = float("nan"), float("inf")
         pytest.param("verify", {"suite": "ybe", "threads": None}, id="verify-threads-null"),
         pytest.param("casimir", {"spins": ["half"]}, id="casimir-spin-text"),
         pytest.param("casimir", {"spins": [INF]}, id="casimir-spin-inf"),
+        pytest.param("verify", {"suite": "ybe", "seed": -1, "pairs": 2},
+                     id="verify-seed-negative"),
+        pytest.param("verify --seed -1", {"suite": "ybe", "pairs": 2},
+                     id="verify-seed-flag-negative"),
+        pytest.param("verify", {"suite": "ybe", "pairs": -3}, id="verify-pairs-negative"),
+        pytest.param("verify", {"suite": "re", "pairs": 0}, id="verify-pairs-zero"),
+        pytest.param("verify", {"suite": "ybe", "pairs": 10001}, id="verify-pairs-above-bound"),
+        pytest.param("verify", {"suite": "frt", "p": 0}, id="verify-frt-p-zero"),
+        pytest.param("verify", {"suite": "frt", "p": 65}, id="verify-frt-p-above-bound"),
+        pytest.param("verify", {"suite": "symmetry", "delta": 1}, id="verify-degenerate-q"),
+        pytest.param("verify", {"suite": "braid", "mu": [0, -1000]}, id="verify-mu-overflow"),
+        pytest.param("verify", {"suite": ["ybe"]}, id="verify-suite-list"),
+        pytest.param("casimir", {"spins": [1e308]}, id="casimir-spin-huge"),
+        pytest.param("casimir", {"spins": [200]}, id="casimir-spin-above-bound"),
+        pytest.param("casimir", {"mu": [0, -1000]}, id="casimir-mu-overflow"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, command, obj):
     cfg = write_cfg(tmp_path, obj)
-    code, out, err = run(capsys, [command, "--config", cfg])
+    code, out, err = run(capsys, [*command.split(), "--config", cfg])
     assert code == 2
     assert "config error" in err and out == ""
 
@@ -356,6 +371,23 @@ def _reached_solver(N, s, mu, M, seed=0, restarts=120):
     raise _Reached
 
 
+class _ReachedRng:
+    """Stands in for a verify suite's generator: its first draw is the work."""
+
+    def __init__(self, seed):
+        assert isinstance(seed, int) and seed >= 0
+
+    def uniform(self, low, high, size):
+        # pairs draw (pairs, 4) values, the braid and symmetry suites 4 and 5
+        assert 1 <= np.prod(size) <= 4 * cli.MAX_PAIRS
+        raise _Reached
+
+
+def _reached_casimir(spin, n, q):
+    assert 2 <= n <= cli.MAX_CASIMIR_DIM and math.isfinite(spin) and cmath.isfinite(q)
+    raise _Reached
+
+
 def test_delta_steps_bound_before_allocation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.np, "linspace", _reached_linspace)
     cfg = write_cfg(tmp_path, {"N": 2, "delta_start": 0, "delta_stop": 1, "delta_steps": 10**12})
@@ -386,12 +418,21 @@ _VALID = {
         optional={"M": st.integers(0, 12), "validate": st.booleans(),
                   "restarts": st.integers(0, 200)},
     ),
+    "verify": st.fixed_dictionaries(
+        {"suite": st.sampled_from(sorted(cli._SUITES)), "mu": st.floats(0.1, 1.4)},
+        optional={"seed": st.integers(0, 2**32), "pairs": st.integers(1, cli.MAX_PAIRS)},
+    ),
+    "casimir": st.fixed_dictionaries(
+        {"spins": st.lists(st.sampled_from([0.5, 1.0, 1.5, 127.5]), min_size=1, max_size=3)},
+        optional={"mu": st.floats(0.1, 1.4)},
+    ),
 }
 _KEYS = {
     "spectrum": ["N", "delta", "mu", "boundary"],
     "phase-scan": ["N", "deltas", "delta_start", "delta_stop", "delta_steps", "boundary",
                    "threads"],
     "bethe": ["N", "s", "mu", "delta", "M", "seed", "restarts", "validate", "rtol", "threads"],
+    "casimir": ["spins", "mu", "delta"],
 }
 # non-numeric values, NaN, huge values, [re, im] pairs of the wrong length or range
 _BAD = st.one_of(
@@ -410,12 +451,18 @@ def _configs(draw):
     # a valid config with up to two keys replaced by a bad value
     command = draw(st.sampled_from(sorted(_VALID)))
     cfg = draw(_VALID[command])
-    for key in draw(st.lists(st.sampled_from(_KEYS[command]), max_size=2, unique=True)):
+    if command == "verify":
+        keys = sorted(cli._SUITES[cfg["suite"]][1])  # every key the suite accepts
+        if cfg["suite"] in ("braid", "symmetry"):
+            cfg.pop("pairs", None)
+    else:
+        keys = _KEYS[command]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         cfg[key] = draw(_BAD)
     return command, cfg
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+@settings(max_examples=850, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_configs())
 @example(case=("phase-scan", {"N": 4, "delta_start": 0, "delta_stop": 1, "delta_steps": 10**12}))
@@ -423,12 +470,18 @@ def _configs(draw):
 @example(case=("spectrum", {"N": 4, "mu": [0, -1000]}))
 @example(case=("bethe", {"N": 2, "s": 1e308, "M": 1}))
 @example(case=("bethe", {"N": 12, "s": 0.5}))
+@example(case=("verify", {"suite": "ybe", "seed": -1, "pairs": 2}))
+@example(case=("verify", {"suite": "frt", "pairs": 10**12}))
+@example(case=("verify", {"suite": "braid", "mu": [0, -1000]}))
+@example(case=("casimir", {"spins": [1e308]}))
 def test_config_fuzz_exits_2_or_reaches_bounded_work(tmp_path, capsys, monkeypatch, case):
     # the work itself is replaced, so an oversized value is never allocated
     monkeypatch.setattr(lax, "spectrum_table", _reached_spectrum)
     monkeypatch.setattr(cli.np, "linspace", _reached_linspace)
     monkeypatch.setattr(bethe, "validate_against_ed", _reached_validation)
     monkeypatch.setattr(bethe, "solve_bae", _reached_solver)
+    monkeypatch.setattr(cli.np.random, "default_rng", _ReachedRng)
+    monkeypatch.setattr(cli, "_casimir_entry", _reached_casimir)
     command, obj = case
     cfg = write_cfg(tmp_path, obj)
     try:

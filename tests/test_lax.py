@@ -133,6 +133,57 @@ def test_monodromy_blocks_match_kron_recursion(model, N, n):
             assert np.array_equal(blocks[a][b], ref[a][b])
 
 
+def _mixed_spin_chain():
+    q = cmath.exp(1j * MU)
+    half = sc.uq_sl2_spin_rep(2, q)
+    return lax.ChainSpec("xxz", 3, (half, sc.uq_sl2_spin_rep(3, q), half), MU, "homogeneous")
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lax.uniform_chain("xxz", 3, MU, 2),
+        lax.uniform_chain("xxz", 6, MU, 2),
+        lax.uniform_chain("xxz", 4, MU, 3),
+        lax.uniform_chain("xxz", 2, MU, 4),
+        _mixed_spin_chain(),
+        lax.uniform_chain("xxx", 4, None, 2),
+    ],
+    ids=["3-half", "6-half", "4-one", "2-three-halves", "mixed-half-one-half", "xxx-4-half"],
+)
+@pytest.mark.parametrize("lam", [0.37, 0.41 - 0.23j])
+def test_apply_monodromy_block_matches_dense(chain, lam):
+    # the dense blocks are the oracle of the matrix-free kernel
+    D = int(np.prod(chain.local_dims))
+    rng = np.random.default_rng(D)
+    vec = rng.normal(size=D) + 1j * rng.normal(size=D)
+    blocks = sc.monodromy_blocks(chain, lam)
+    for a in range(2):
+        for b in range(2):
+            want = blocks[a][b] @ vec
+            got = lax.apply_monodromy_block(chain, lam, a, b, vec)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    want = sc.transfer(chain)(lam) @ vec
+    got = lax.apply_transfer(chain, lam, vec)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_one_lax_evaluation_per_distinct_site_rep(monkeypatch):
+    calls = []
+    site_lax = lax._site_lax
+
+    def counted(chain, rep):
+        calls.append(rep)
+        return site_lax(chain, rep)
+
+    monkeypatch.setattr(lax, "_site_lax", counted)
+    sc.monodromy_blocks(lax.uniform_chain("xxz", 6, MU, 2), 0.37)
+    assert len(calls) == 1
+    calls.clear()
+    lax.apply_transfer(_mixed_spin_chain(), 0.37, np.ones(12))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2,) * 4, (3, 3, 3)])
 def test_cyclic_shift_matches_basis_rotation(dims):
     D = int(np.prod(dims))
