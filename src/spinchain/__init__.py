@@ -45,7 +45,6 @@ from .braid import (
     hecke_u_matrix,
 )
 from .rmatrix import (
-    SpectralMatrixFamily,
     baxterize,
     braided,
     braided_ybe_residual,
@@ -61,8 +60,6 @@ from .rmatrix import (
 )
 from .lax import (
     ChainSpec,
-    LaxOperator,
-    TransferFamily,
     chain_r_family,
     cyclic_shift_matrix,
     hamiltonian_from_transfer,
@@ -103,7 +100,6 @@ from .bethe import (
     validate_against_ed,
 )
 from .boundary import (
-    KMatrixFamily,
     OpenBoundary,
     casimir_from_asymptotics,
     crossed_k_plus,

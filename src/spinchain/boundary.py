@@ -3,7 +3,8 @@
 c-number K-matrices solving the reflection equation, the crossing
 construction K+ = M K^t(-lambda - i rho), operator dressings, the open
 transfer matrix Tr_0[K+ T K- T^{-1}(-lambda)], open Hamiltonians and the
-quadratic Casimir recovered from transfer asymptotics.
+quadratic Casimir recovered from transfer asymptotics.  Every K and open
+transfer family is a plain function lambda -> complex ndarray.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .lax import (
     ChainSpec,
-    TransferFamily,
     _PAULI,
     _bond_sum,
     _xxz_bond,
@@ -27,31 +27,21 @@ from .rmatrix import gauge_v
 
 
 @dataclass(frozen=True)
-class KMatrixFamily:
-    """Boundary matrix family lambda -> complex matrix on the auxiliary space."""
-
-    name: str
-    eval: object
-    params: dict
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(lam)
-
-
-@dataclass(frozen=True)
 class OpenBoundary:
-    """A (K-, K+) pairing attached to a ChainSpec via its boundary field."""
+    """A (K-, K+) pairing attached to a ChainSpec via its boundary field;
+    each is a function lambda -> 2x2 matrix."""
 
-    k_minus: KMatrixFamily
-    k_plus: KMatrixFamily
+    k_minus: object
+    k_plus: object
 
 
-def k_identity() -> KMatrixFamily:
+def k_identity():
+    """The constant family lambda -> I."""
     eye = np.eye(2, dtype=complex)
-    return KMatrixFamily("k_identity", lambda lam: eye, {})
+    return lambda lam: eye
 
 
-def k_gz_dvgr(xi: complex, kappa: complex, gradation: str = "principal") -> KMatrixFamily:
+def k_gz_dvgr(xi: complex, kappa: complex, gradation: str = "principal"):
     """Non-diagonal reflection matrix with parameters (xi, kappa).
 
     Homogeneous form [[sinh(-l + i xi) e^l, kappa sinh 2l],
@@ -79,10 +69,10 @@ def k_gz_dvgr(xi: complex, kappa: complex, gradation: str = "principal") -> KMat
             v = gauge_v(-lam)
             return v @ homogeneous(lam) @ v
 
-    return KMatrixFamily(f"k_gz_dvgr_{gradation}", ev, {"xi": xi, "kappa": kappa, "gradation": gradation})
+    return ev
 
 
-def k_blob(mu: complex, m: complex, gamma: complex, c: complex = 1.0) -> KMatrixFamily:
+def k_blob(mu: complex, m: complex, gamma: complex, c: complex = 1.0):
     """Boundary matrix x(l) I + y(l) e built on the blob idempotent direction.
 
     e = [[-1/Q, c], [1/c, -Q]] with Q = i e^{i mu m},
@@ -101,11 +91,11 @@ def k_blob(mu: complex, m: complex, gamma: complex, c: complex = 1.0) -> KMatrix
         y = 2 * cmath.sinh(1j * mu) * cmath.sinh(2 * lam)
         return x * eye + y * e
 
-    return KMatrixFamily("k_blob", ev, {"mu": mu, "m": m, "gamma": gamma, "c": c, "Q": Q, "kappa": kappa})
+    return ev
 
 
 def crossed_k_plus(k_minus, model: str = "xxz", mu: complex | None = None,
-                   gradation: str = "principal") -> KMatrixFamily:
+                   gradation: str = "principal"):
     """K+(l) = M K-^t(-l - i mu rho) with crossing parameter rho = 1.
 
     M is the identity in the principal gradation and diag(q, 1/q) in the
@@ -131,8 +121,7 @@ def crossed_k_plus(k_minus, model: str = "xxz", mu: complex | None = None,
     def ev(lam: complex) -> np.ndarray:
         return m @ mat(k_minus(-lam - shift)).T
 
-    name = getattr(k_minus, "name", "k")
-    return KMatrixFamily(f"k_plus({name})", ev, {"model": model, "mu": mu, "gradation": gradation})
+    return ev
 
 
 def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
@@ -164,18 +153,21 @@ def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
 
 
 def dressed_k(lax_family, k_family, lam: complex) -> np.ndarray:
-    """Dressed reflection matrix L(l) K(l) L^{-1}(-l) on aux (x) quantum."""
+    """Dressed reflection matrix L(l) K(l) L^{-1}(-l) on aux (x) quantum.
+
+    The auxiliary dimension is that of the c-number K(l).
+    """
     lm = mat(lax_family(lam))
     ln = mat(lax_family(-lam))
-    na = getattr(lax_family, "auxiliary_dim", 2)
+    k = k_family(lam)
+    na = np.shape(k)[0]
     dims = (na, lm.shape[0] // na)
-    km = embed(k_family(lam), 1, dims)
+    km = embed(k, 1, dims)
     return lm @ km @ np.linalg.inv(ln)
 
 
 def open_chain(model: str, N: int, mu: complex | None = None, n: int = 2,
-               gradation: str = "principal", k_minus: KMatrixFamily | None = None,
-               k_plus: KMatrixFamily | None = None) -> ChainSpec:
+               gradation: str = "principal", k_minus=None, k_plus=None) -> ChainSpec:
     """Uniform chain with an open boundary; K+ defaults to the crossing of K-."""
     k_minus = k_minus if k_minus is not None else k_identity()
     k_plus = k_plus if k_plus is not None else crossed_k_plus(k_minus, model, mu, gradation)
@@ -183,13 +175,14 @@ def open_chain(model: str, N: int, mu: complex | None = None, n: int = 2,
     return ChainSpec(model, N, base.site_reps, mu, gradation, OpenBoundary(k_minus, k_plus))
 
 
-def open_transfer(chain: ChainSpec) -> TransferFamily:
+def open_transfer(chain: ChainSpec):
     """Double-row transfer matrix Tr_0[K+(l) T(l) K-(l) T^{-1}(-l)]."""
     if not isinstance(chain.boundary, OpenBoundary):
         raise ValueError("chain carries no open boundary data")
     k_minus, k_plus = chain.boundary.k_minus, chain.boundary.k_plus
 
     def ev(lam: complex) -> np.ndarray:
+        lam = complex(lam)
         t = monodromy(chain, lam)
         tneg = monodromy(chain, -lam)
         D = t.shape[0] // 2
@@ -199,7 +192,7 @@ def open_transfer(chain: ChainSpec) -> TransferFamily:
         blocks = dressed.reshape(2, D, 2, D)
         return sum(kp[a, b] * blocks[b, :, a, :] for a in range(2) for b in range(2))
 
-    return TransferFamily(chain, ev, "open_transfer")
+    return ev
 
 
 def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
@@ -215,7 +208,7 @@ def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
     scalar = np.trace(t0) / D
     if abs(scalar) < 1e-12 or rel_norm(t0, scalar * np.eye(D)) > 1e-10:
         raise ValueError("open transfer is singular at the origin")
-    return richardson_derivative(fam.eval, 0.0, step)
+    return richardson_derivative(fam, 0.0, step)
 
 
 def casimir_from_asymptotics(rep) -> tuple:

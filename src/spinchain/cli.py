@@ -60,10 +60,14 @@ def _check_keys(cfg: dict, allowed: set, required: set = frozenset()) -> None:
 
 
 def _as_int(value, key: str) -> int:
+    """An integral number, such as 4 or 4.0; booleans and fractions are refused."""
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be an integer, not {value!r}") from exc
+    if isinstance(value, bool) or n != value:
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return n
 
 
 def _as_float(value, key: str) -> float:
@@ -74,6 +78,15 @@ def _as_float(value, key: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{key} must be finite, not {value!r}")
     return x
+
+
+def _as_spin(value, key: str, max_dim: int) -> tuple:
+    """(s, 2s+1) for a positive half-integer spin s with 2s+1 <= max_dim."""
+    s = _as_float(value, key)
+    if not (s > 0 and (2 * s).is_integer() and 2 * s + 1 <= max_dim):
+        raise ConfigError(f"{key}: spin {value!r} is not a positive half-integer "
+                          f"with 2s+1 <= {max_dim}")
+    return s, int(2 * s) + 1
 
 
 def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
@@ -187,14 +200,14 @@ def _suite_ybe(cfg, seed) -> list:
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
     draws = _random_pairs(rng, pairs)
-    families = [("xxx rational R", rmatrix.xxx_family().eval, False)]
+    families = [("xxx rational R", rmatrix.xxx_family(), False)]
     if model == "xxz":
         hom = rmatrix.xxz_family(mu, "homogeneous")
         pri = rmatrix.xxz_family(mu, "principal")
         families += [
-            ("xxz homogeneous R", hom.eval, False),
-            ("xxz principal R", pri.eval, False),
-            ("xxz homogeneous braided R", rmatrix.braided(hom).eval, True),
+            ("xxz homogeneous R", hom, False),
+            ("xxz principal R", pri, False),
+            ("xxz homogeneous braided R", rmatrix.braided(hom), True),
         ]
     elif model != "xxx":
         raise ConfigError("model must be xxx or xxz")
@@ -224,7 +237,7 @@ def _suite_ybe(cfg, seed) -> list:
         worst = max(map(gauge_gap, draws))
         checks.append(_check("gradation gauge transform", worst, 1e-12, pairs=pairs))
         rep = algebra.uq_sl2_spin_rep(2, cmath.exp(1j * mu))
-        fam = _perturbed(hom.eval, eps) if eps else hom.eval
+        fam = _perturbed(hom, eps) if eps else hom
         worst = max(rmatrix.intertwiner_residual(fam, rep, p[0]) for p in draws)
         checks.append(_check("coproduct intertwiner (homogeneous)", worst, 1e-10))
     return checks
@@ -255,7 +268,7 @@ def _suite_re(cfg, seed) -> list:
     ]
     checks = []
     for name, rfam, kfam in cases:
-        kev = _perturbed(kfam.eval, eps) if eps else kfam
+        kev = _perturbed(kfam, eps) if eps else kfam
         worst = max(boundary.re_residual(rfam, kev, *p) for p in draws)
         checks.append(_check(f"reflection equation: {name}", worst, 1e-10, pairs=pairs))
     kgz = boundary.k_gz_dvgr(xi, kappa, "homogeneous")
@@ -312,6 +325,9 @@ def _suite_frt(cfg, seed) -> list:
     if not 2 <= p <= MAX_CYCLIC_ORDER:
         raise ConfigError(f"p must lie in [2, {MAX_CYCLIC_ORDER}]")
     k = _as_int(cfg.get("k", 1), "k")
+    if k % p == 0:
+        raise ConfigError("k must not be a multiple of p: q = e^{2 pi i k/p} = 1 "
+                          "degenerates the cyclic representation")
     s = _as_complex(cfg.get("s", 0.7), "s")
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
@@ -338,7 +354,7 @@ def _suite_frt(cfg, seed) -> list:
     ]
     checks = []
     for name, rfam, lx in cases:
-        rev = _perturbed(rfam.eval, eps) if eps else rfam
+        rev = _perturbed(rfam, eps) if eps else rfam
 
         def rll(pair, rev=rev, lx=lx):
             return lax.rll_residual(rev, lx, pair[0], pair[1])
@@ -493,17 +509,18 @@ def cmd_bethe(cfg: dict, args) -> int:
         {"N"},
     )
     N = _as_int(cfg["N"], "N")
-    s = _as_float(cfg.get("s", 0.5), "s")
+    s, n = _as_spin(cfg.get("s", 0.5), "s", 4096)
     mu = _resolve_mu(cfg)
     seed = _flag_or_key(args.seed, cfg, "seed", 0)
     _check_threads(cfg, args)
     restarts = _as_int(cfg.get("restarts", 120), "restarts")
-    validate = bool(cfg.get("validate", True))
+    validate = cfg.get("validate", True)
+    if not isinstance(validate, bool):
+        raise ConfigError(f"validate must be true or false, not {validate!r}")
     rtol = _as_float(cfg.get("rtol", 1e-7), "rtol")
     M = _as_int(cfg["M"], "M") if "M" in cfg else None
     # N <= 12 first, so that a huge N never becomes a huge n^N
-    n = round(2 * s + 1) if 0 < s < 4096 else 0
-    if not 1 <= N <= 12 or n < 2 or n**N > 4096:
+    if not 1 <= N <= 12 or n**N > 4096:
         raise ConfigError("N and s must keep the Hilbert dimension (2s+1)^N within 4096")
     if validate and n**N > VALIDATE_DIM:
         raise ConfigError(
@@ -611,14 +628,7 @@ def cmd_casimir(cfg: dict, args) -> int:
     spins = cfg.get("spins", [0.5, 1.0])
     if not isinstance(spins, list) or not spins:
         raise ConfigError("spins must be a non-empty list")
-    reps = []
-    for spin in spins:
-        spin = _as_float(spin, "spins")
-        # the bound first, so that round() never sees a huge spin
-        n = round(2 * spin) + 1 if 0 < spin < MAX_CASIMIR_DIM else 0
-        if not 2 <= n <= MAX_CASIMIR_DIM:
-            raise ConfigError(f"invalid spin {spin}: 2s+1 must lie in [2, {MAX_CASIMIR_DIM}]")
-        reps.append((spin, n))
+    reps = [_as_spin(spin, "spins", MAX_CASIMIR_DIM) for spin in spins]
     try:
         q = cmath.exp(1j * mu)
         results = [_casimir_entry(spin, n, q) for spin, n in reps]

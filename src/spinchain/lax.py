@@ -1,12 +1,14 @@
 """Lax operators, monodromy and transfer matrices, momentum and charges.
 
-A Lax operator lives on auxiliary (x) quantum space; the monodromy is the
+A Lax operator is a plain function lambda -> complex ndarray on the
+two-dimensional auxiliary space (x) the quantum space; the monodromy is the
 auxiliary-space-ordered product L_N ... L_1 (site 1 rightmost) whose
-auxiliary trace is the transfer matrix; `apply_monodromy_block` and
-`apply_transfer` apply them to a vector site by site, without forming
-either.  Everything downstream of the transfer matrix (translation
-operator, local Hamiltonian, Yangian charges) is extracted here for
-periodic chains; open chains live in the boundary module.
+auxiliary trace is the transfer matrix, again a function of lambda;
+`apply_monodromy_block` and `apply_transfer` apply them to a vector site
+by site, without forming either.  Everything downstream of the transfer
+matrix (translation operator, local Hamiltonian, Yangian charges) is
+extracted here for periodic chains; open chains live in the boundary
+module.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
 from .linalg import embed, mat, rel_norm, richardson_derivative
-from .rmatrix import SpectralMatrixFamily, braided, r_pm, xxx_family, xxz_family
+from .rmatrix import braided, r_pm, xxx_family, xxz_family
 
 
 @dataclass(frozen=True)
@@ -50,32 +52,6 @@ class ChainSpec:
         return tuple(next(iter(r.generators.values())).shape[0] for r in self.site_reps)
 
 
-@dataclass(frozen=True)
-class LaxOperator:
-    """Family lambda -> complex matrix on auxiliary (x) quantum space."""
-
-    name: str
-    auxiliary_dim: int
-    quantum_rep: AlgebraRep
-    gradation: str
-    eval: object
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(lam)
-
-
-class TransferFamily:
-    """Commuting family lambda -> complex matrix on the quantum space."""
-
-    def __init__(self, chain: ChainSpec, eval_fn, name: str = "transfer"):
-        self.chain = chain
-        self.eval = eval_fn
-        self.name = name
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(complex(lam))
-
-
 def uniform_chain(
     model: str,
     N: int,
@@ -96,7 +72,7 @@ def uniform_chain(
     return ChainSpec(model, N, (rep,) * N, mu, gradation, boundary)
 
 
-def chain_r_family(chain: ChainSpec) -> SpectralMatrixFamily:
+def chain_r_family(chain: ChainSpec):
     """The auxiliary-space R family matching the chain's Lax operators."""
     if chain.model == "xxx":
         return xxx_family()
@@ -118,20 +94,14 @@ def p_matrix(rep: AlgebraRep) -> np.ndarray:
     return np.block(p_blocks(rep))
 
 
-def lax_xxx(rep: AlgebraRep) -> LaxOperator:
+def lax_xxx(rep: AlgebraRep):
     """Rational Lax operator lambda I + i p over any sl2 representation."""
     pm = p_matrix(rep)
     eye = np.eye(pm.shape[0], dtype=complex)
-    return LaxOperator(
-        "lax_xxx",
-        2,
-        rep,
-        "rational",
-        lambda lam: lam * eye + 1j * pm,
-    )
+    return lambda lam: lam * eye + 1j * pm
 
 
-def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = None) -> LaxOperator:
+def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = None):
     """Trigonometric spin-s Lax operator at anisotropy mu, q = e^{i mu}.
 
     Principal form: [[sinh(l + i mu/2 + i mu Jz), sinh(i mu) Jm],
@@ -165,7 +135,7 @@ def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = 
         out[n:, :n] = down
         return out
 
-    return LaxOperator(f"lax_xxz_{gradation}", 2, rep, gradation, ev)
+    return ev
 
 
 def lax_xxz_pm(rep: AlgebraRep) -> tuple:
@@ -185,17 +155,18 @@ def lax_xxz_pm(rep: AlgebraRep) -> tuple:
     return lp, lm
 
 
-def rll_residual(r_family, lax, lam1: complex, lam2: complex, aux_dim: int | None = None) -> float:
+def rll_residual(r_family, lax, lam1: complex, lam2: complex) -> float:
     """Residual of R12(l1-l2) L1(l1) L2(l2) = L2(l2) L1(l1) R12(l1-l2).
 
-    lax may be a LaxOperator or any callable lambda -> matrix on
-    aux (x) quantum; the same check therefore serves the monodromy (FRT)
-    relation by passing the monodromy evaluator.
+    lax is any callable lambda -> matrix on aux (x) quantum, with the
+    auxiliary dimension sqrt(dim R); the same check therefore serves the
+    monodromy (FRT) relation by passing the monodromy evaluator.
     """
-    na = aux_dim or getattr(lax, "auxiliary_dim", 2)
+    r = r_family(lam1 - lam2)
+    na = round(np.shape(r)[0] ** 0.5)
     l1m, l2m = mat(lax(lam1)), mat(lax(lam2))
     dims = (na, na, l1m.shape[0] // na)  # aux1 (x) aux2 (x) quantum
-    r12 = embed(r_family(lam1 - lam2), (1, 2), dims)
+    r12 = embed(r, (1, 2), dims)
     a = embed(l1m, (1, 3), dims)
     b = embed(l2m, (2, 3), dims)
     return rel_norm(r12 @ a @ b, b @ a @ r12)
@@ -236,7 +207,7 @@ def _cyclic_generic_blocks(p: int, s: complex, k: int) -> tuple:
     return cyc, q, x, xinv, delta * b, delta * c
 
 
-def lax_generic_xxz(p: int, s: complex, k: int = 1) -> LaxOperator:
+def lax_generic_xxz(p: int, s: complex, k: int = 1):
     """Spin-s Lax operator over the cyclic representation at q = e^{2 pi i k/p}.
 
     L = [[e^l X - e^{-l} X^-1, (q - 1/q) B], [(q - 1/q) C,
@@ -249,25 +220,20 @@ def lax_generic_xxz(p: int, s: complex, k: int = 1) -> LaxOperator:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
         return np.block([[ep * x - em * xinv, db], [dc, ep * xinv - em * x]])
 
-    return LaxOperator("lax_generic_xxz", 2, cyc, "principal", ev)
+    return ev
 
 
-def lax_sine_gordon(p: int, s: complex, k: int = 1) -> LaxOperator:
+def lax_sine_gordon(p: int, s: complex, k: int = 1):
     """Lattice sine-Gordon Lax operator: the generic spin-s L twisted by
-    i m sigma^x in the auxiliary space, m = i q^{s - 1/2}."""
+    i m sigma^x in the auxiliary space, m = i q^{s - 1/2}, q = e^{2 pi i k/p}."""
     generic = lax_generic_xxz(p, s, k)
-    q = complex(generic.quantum_rep.params["q"])
+    q = cmath.exp(2j * cmath.pi * k / p)
     m = 1j * q ** (s - 0.5)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    twist = 1j * m * embed(sx, 1, (2, p))
-
-    def ev(lam: complex) -> np.ndarray:
-        return twist @ generic(lam)
-
-    return LaxOperator("lax_sine_gordon", 2, generic.quantum_rep, "principal", ev)
+    twist = 1j * m * embed(_PAULI["x"], 1, (2, p))
+    return lambda lam: twist @ generic(lam)
 
 
-def lax_qoscillator(p: int, k: int = 1) -> LaxOperator:
+def lax_qoscillator(p: int, k: int = 1):
     """q-oscillator Lax operator [[e^l V - e^{-l} V^-1, adag], [a, -e^{-l} V]]."""
     osc = q_oscillator_rep(p, k)
     v, a, adag = osc.gen("V"), osc.gen("a"), osc.gen("adag")
@@ -278,10 +244,10 @@ def lax_qoscillator(p: int, k: int = 1) -> LaxOperator:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
         return np.block([[ep * v - em * vinv, adag], [a, -em * v]])
 
-    return LaxOperator("lax_qoscillator", 2, osc, "principal", ev)
+    return ev
 
 
-def lax_liouville(p: int, alpha: complex, k: int = 1) -> LaxOperator:
+def lax_liouville(p: int, alpha: complex, k: int = 1):
     """Lattice Liouville Lax operator over the cyclic representation.
 
     L = [[XY, alpha e^{-l} X], [alpha (e^l X - e^{-l} X^-1),
@@ -299,10 +265,10 @@ def lax_liouville(p: int, alpha: complex, k: int = 1) -> LaxOperator:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
         return np.block([[xy, alpha * em * x], [alpha * (ep * x - em * xinv), h @ xyinv]])
 
-    return LaxOperator("lax_liouville", 2, cyc, "principal", ev)
+    return ev
 
 
-def _site_lax(chain: ChainSpec, rep: AlgebraRep) -> LaxOperator:
+def _site_lax(chain: ChainSpec, rep: AlgebraRep):
     if chain.model == "xxx":
         return lax_xxx(rep)
     return lax_xxz(rep, chain.gradation, chain.mu)
@@ -373,16 +339,16 @@ def monodromy(chain: ChainSpec, lam: complex) -> np.ndarray:
     return np.block(monodromy_blocks(chain, lam))
 
 
-def transfer(chain: ChainSpec) -> TransferFamily:
+def transfer(chain: ChainSpec):
     """Auxiliary trace of the monodromy; one-parameter commuting family."""
     if chain.boundary != "periodic":
         raise ValueError("open chains are handled by the boundary module")
 
     def ev(lam: complex) -> np.ndarray:
-        blocks = monodromy_blocks(chain, lam)
+        blocks = monodromy_blocks(chain, complex(lam))
         return blocks[0][0] + blocks[1][1]
 
-    return TransferFamily(chain, ev)
+    return ev
 
 
 def cyclic_shift_matrix(dims) -> np.ndarray:
@@ -420,7 +386,7 @@ def momentum_operator(chain: ChainSpec) -> np.ndarray:
     c, resid = regularity_constant(chain_r_family(chain))
     if resid > 1e-10:
         raise ValueError("R family is not regular at the origin")
-    return transfer(chain).eval(0.0) / c**chain.N
+    return transfer(chain)(0.0) / c**chain.N
 
 
 def hamiltonian_from_transfer(chain: ChainSpec) -> np.ndarray:
@@ -440,7 +406,7 @@ def hamiltonian_from_transfer(chain: ChainSpec) -> np.ndarray:
 def transfer_log_derivative(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
     """t(0)^-1 t'(0) with the derivative by Richardson extrapolation."""
     fam = transfer(chain)
-    tdot = richardson_derivative(fam.eval, 0.0, step)
+    tdot = richardson_derivative(fam, 0.0, step)
     return np.linalg.solve(fam(0.0), tdot)
 
 

@@ -2,33 +2,20 @@
 
 The two workhorse families are the rational 4x4 R(lambda) = lambda I + i P
 and the trigonometric six-vertex R in its two gradations, related by
-conjugation with V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}).  Residual
-functions accept any callable lambda -> matrix, so partially applied
-families and Baxterized braid generators all go through the same checks.
+conjugation with V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}).  A family
+is a plain function lambda -> complex ndarray; the residual functions take
+any such callable, so partially applied families and Baxterized braid
+generators all go through the same checks.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .braid import BraidFamily
 from .linalg import comm_norm, embed, mat, permutation, rel_norm
-
-
-@dataclass(frozen=True)
-class SpectralMatrixFamily:
-    """A named family lambda -> complex matrix on a pair of local spaces."""
-
-    name: str
-    local_dims: tuple
-    eval: object
-    params: dict
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(lam)
 
 
 def gauge_v(lam: complex) -> np.ndarray:
@@ -66,17 +53,14 @@ def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> np.ndarray
     return r
 
 
-def xxx_family() -> SpectralMatrixFamily:
-    return SpectralMatrixFamily("xxx", (2, 2), r_xxx, {})
+def xxx_family():
+    """The rational family lambda -> r_xxx(lambda)."""
+    return r_xxx
 
 
-def xxz_family(mu: complex, gradation: str = "principal") -> SpectralMatrixFamily:
-    return SpectralMatrixFamily(
-        f"xxz_{gradation}",
-        (2, 2),
-        lambda lam: r_xxz(lam, mu, gradation),
-        {"mu": complex(mu), "gradation": gradation},
-    )
+def xxz_family(mu: complex, gradation: str = "principal"):
+    """The six-vertex family lambda -> r_xxz(lambda, mu, gradation)."""
+    return lambda lam: r_xxz(lam, mu, gradation)
 
 
 def r_pm(q: complex) -> tuple:
@@ -96,18 +80,14 @@ def r_pm(q: complex) -> tuple:
     return rp, rm
 
 
-def braided(family) -> SpectralMatrixFamily:
+def braided(family):
     """Braided form Rc(lambda) = P R(lambda) of a square-dimension family."""
     probe = mat(family(0.0))
     n = round(probe.shape[0] ** 0.5)
     if n * n != probe.shape[0]:
         raise ValueError("braided form needs equal local dimensions")
     p = permutation(n)
-    name = getattr(family, "name", "family")
-    params = dict(getattr(family, "params", {}))
-    return SpectralMatrixFamily(
-        f"braided({name})", (n, n), lambda lam: p @ mat(family(lam)), params
-    )
+    return lambda lam: p @ mat(family(lam))
 
 
 def _on_three_sites(m, sites) -> np.ndarray:

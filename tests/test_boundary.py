@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinchain as sc
-from spinchain import boundary, lax
+from spinchain import lax
 
 MU = 0.3
 Q = cmath.exp(1j * MU)
@@ -42,8 +42,13 @@ def test_k_gz_dvgr_entries_and_origin():
 
 def test_k_blob_structure():
     kb = sc.k_blob(MU, 0.7, 0.4)
-    Qb = complex(kb.params["Q"])
-    assert abs(Qb - 1j * cmath.exp(1j * MU * 0.7)) < 1e-14
+    # the docstring's closed form x(l) I + y(l) e at one point pins Q
+    lam, q, Qb = 0.37 - 0.1j, cmath.exp(1j * MU), 1j * cmath.exp(1j * MU * 0.7)
+    e = np.array([[-1 / Qb, 1.0], [1.0, -Qb]])
+    x = ((Qb + 1 / Qb) * cmath.cosh(2 * lam + 1j * MU) - cmath.cosh(2j * MU * 0.4)
+         - (q / Qb + Qb / q) * cmath.cosh(2 * lam))
+    y = 2 * cmath.sinh(1j * MU) * cmath.sinh(2 * lam)
+    assert sc.rel_norm(kb(lam), x * np.eye(2) + y * e) < 1e-14
     # at the origin the idempotent direction drops out
     k0 = sc.mat(kb(0.0))
     assert abs(k0[0, 1]) < 1e-14 and abs(k0[1, 0]) < 1e-14
@@ -265,11 +270,7 @@ def test_gauge_paired_boundaries_share_spectra():
     # principal and homogeneous pipelines agree when K_p is the two-sided
     # gauge image of a diagonal K_h; the homogeneous identity pairs with
     # diag(e^-l, e^l)
-    k_id_p = boundary.KMatrixFamily(
-        "identity-gauge-image",
-        lambda lam: np.diag([cmath.exp(-lam), cmath.exp(lam)]).astype(complex),
-        {},
-    )
+    k_id_p = lambda lam: np.diag([cmath.exp(-lam), cmath.exp(lam)]).astype(complex)
     cases = [
         (2, sc.k_identity(), k_id_p),
         (3, sc.k_identity(), k_id_p),

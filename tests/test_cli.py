@@ -119,6 +119,15 @@ NAN, INF = float("nan"), float("inf")
         pytest.param("casimir", {"spins": [1e308]}, id="casimir-spin-huge"),
         pytest.param("casimir", {"spins": [200]}, id="casimir-spin-above-bound"),
         pytest.param("casimir", {"mu": [0, -1000]}, id="casimir-mu-overflow"),
+        pytest.param("verify", {"suite": "frt", "k": 0}, id="verify-frt-k-zero"),
+        pytest.param("verify", {"suite": "frt", "k": 5, "p": 5}, id="verify-frt-k-equals-p"),
+        pytest.param("bethe", {"N": 4.7, "M": 1, "validate": False}, id="bethe-N-fraction"),
+        pytest.param("spectrum", {"N": 2.9}, id="spectrum-N-fraction"),
+        pytest.param("verify", {"suite": "ybe", "pairs": 2.5}, id="verify-pairs-fraction"),
+        pytest.param("bethe", {"N": True, "M": 1, "validate": False}, id="bethe-N-bool"),
+        pytest.param("bethe", {"N": 4, "s": 0.3}, id="bethe-s-not-half-integer"),
+        pytest.param("casimir", {"spins": [0.7]}, id="casimir-spin-not-half-integer"),
+        pytest.param("bethe", {"N": 2, "validate": "false"}, id="bethe-validate-text"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, command, obj):
@@ -176,6 +185,16 @@ def test_spectrum_json_two_sites(tmp_path, capsys):
     energies = sorted(rec["energy"] for rec in payload["levels"])
     assert np.abs(np.asarray(energies) - [-1.5, -0.5, -0.5, 2.5]).max() < 1e-12
     assert all({"energy", "sz", "momentum"} <= set(rec) for rec in payload["levels"])
+
+
+def test_integral_float_is_an_integer(tmp_path, capsys):
+    outs = []
+    for N in (2, 2.0):
+        cfg = write_cfg(tmp_path, {"N": N, "delta": 0.5})
+        code, out, _ = run(capsys, ["spectrum", "--config", cfg])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_spectrum_csv_format(tmp_path, capsys):
@@ -446,9 +465,24 @@ _BAD = st.one_of(
 )
 
 
+_INT_KEYS = {"N", "M", "seed", "restarts", "threads", "pairs", "p", "k", "delta_steps"}
+# values of a JSON type the key takes that still break its rule: booleans and
+# fractions for integer keys, spins that are no half-integer, a validate flag
+# that is no JSON boolean
+_NOT_HALF_INTEGER = st.floats(0.01, 8).filter(lambda x: not (2 * x).is_integer())
+_BAD_FOR_KEY = {
+    **dict.fromkeys(_INT_KEYS, st.one_of(
+        st.booleans(), st.floats(-20, 20).filter(lambda x: not x.is_integer()))),
+    "s": _NOT_HALF_INTEGER,
+    "spins": st.lists(_NOT_HALF_INTEGER, min_size=1, max_size=3),
+    "validate": st.sampled_from(["false", "true", 0, 1, None]),
+}
+
+
 @st.composite
 def _configs(draw):
-    # a valid config with up to two keys replaced by a bad value
+    # a valid config with up to two keys replaced by a bad value, and up to one
+    # more by a value of the key's own JSON type that breaks its rule
     command = draw(st.sampled_from(sorted(_VALID)))
     cfg = draw(_VALID[command])
     if command == "verify":
@@ -459,7 +493,25 @@ def _configs(draw):
         keys = _KEYS[command]
     for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         cfg[key] = draw(_BAD)
+    typed = [key for key in keys if key in _BAD_FOR_KEY]
+    for key in draw(st.lists(st.sampled_from(typed), max_size=1)):
+        cfg[key] = draw(_BAD_FOR_KEY[key])
     return command, cfg
+
+
+def _well_typed(command, obj):
+    """Integer keys hold integral non-boolean numbers, spins are positive
+    half-integers, validate is a boolean, and the frt suite's q is not 1."""
+    ints = [obj[key] for key in _INT_KEYS & set(obj)]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v == int(v)
+               for v in ints):
+        return False
+    spins = {"bethe": [obj.get("s", 0.5)], "casimir": obj.get("spins", [0.5])}.get(command, [])
+    if not all(float(x) > 0 and (2 * float(x)).is_integer() for x in spins):
+        return False
+    if obj.get("suite") == "frt" and obj.get("k", 1) % obj.get("p", 5) == 0:
+        return False
+    return isinstance(obj.get("validate", True), bool)
 
 
 @settings(max_examples=850, deadline=None, derandomize=True, database=None,
@@ -488,6 +540,7 @@ def test_config_fuzz_exits_2_or_reaches_bounded_work(tmp_path, capsys, monkeypat
         code = cli.main([command, "--config", cfg])
     except _Reached:
         capsys.readouterr()
+        assert _well_typed(command, obj), obj
         return
     out, err = capsys.readouterr()
     if code == 2:

@@ -108,7 +108,7 @@ def test_frt_relation_for_monodromy():
     reps = (sc.uq_sl2_spin_rep(2, q), sc.uq_sl2_spin_rep(3, q))
     ch = lax.ChainSpec("xxz", 2, reps, MU, "principal")
     fam = sc.xxz_family(MU, "principal")
-    res = sc.rll_residual(fam, lambda lam: sc.monodromy(ch, lam), 0.37, -0.21 + 0.4j, aux_dim=2)
+    res = sc.rll_residual(fam, lambda lam: sc.monodromy(ch, lam), 0.37, -0.21 + 0.4j)
     assert res < 1e-10
 
 

@@ -81,7 +81,6 @@ def test_ybe_xxx():
 @pytest.mark.parametrize("mu", MU_VALUES)
 def test_braided_ybe(mu):
     rc = sc.braided(sc.xxz_family(mu, "homogeneous"))
-    assert rc.name == "braided(xxz_homogeneous)"
     for l1, l2 in seeded_pairs(5):
         assert sc.braided_ybe_residual(rc, l1, l2) < 1e-11
 
