@@ -1,22 +1,18 @@
 """Algebraic Bethe ansatz for the spin-s six-vertex hierarchy.
 
-Every root set is certified the same way: Newton polishing of the log-form
-equations (`refine`), a Bethe-equation residual below 1e-10, gates against
-poles and collisions, and the transfer matrix acting on the constructed
-Bethe vector B...B|0> with eigenvalue Lambda to 1e-8.  The Bethe vector is
-built matrix-free: each B(lambda) is applied to the state one site at a
-time (`lax.apply_monodromy_block`), so no D x D monodromy block is formed.
-
-Where roots come from depends on whether exact diagonalization is at hand.
-`validate_against_ed` reconstructs them deterministically, one candidate per
-eigenvector of the sector-restricted transfer matrix: Lambda is read off the
-commuting family on a small circle and Baxter's TQ relation
-Lambda Q(l) = a Q(l - i mu) + d Q(l + i mu) is solved as a linear system for
-Q, whose zeros are the roots.  Sectors with M > N s follow from sector
-2 N s - M by the spin flip F (m -> -m on every site) whenever F t F = t.
-Without ED (`solve_bae`) roots come from seeded multistart Newton, sectors
-with M > N s are mirrored the same way, and the eigen-gap gate applies t
-matrix-free (`lax.apply_transfer`), so no D x D array is formed at all.
+Roots come from one of two sources: seeded multistart Newton on the
+log-form equations (`solve_bae`), or, where exact diagonalization is at
+hand, one candidate per eigenvector of the sector-restricted transfer
+matrix (`validate_against_ed`): Lambda is read off the commuting family on
+a small circle, Baxter's TQ relation Lambda Q(l) = a Q(l - i mu) +
+d Q(l + i mu) is solved as a linear system for Q, and its zeros, polished
+by Newton (`refine`), are the roots.  Every candidate then passes one
+certifier: pole gates, the equations to 1e-10, and the transfer matrix on
+the Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per
+state is kept.  The Bethe vector is built matrix-free, one site at a time
+(`lax.apply_monodromy_block`).  A sector with M > N s is solved as sector
+2 N s - M and flipped (F: m -> -m on every site) onto the all-down vacuum
+whenever F t F = t; each flipped vector passes the eigen-gap gate again.
 """
 
 from __future__ import annotations
@@ -189,8 +185,8 @@ def _same_multiset(a, b, tol=_DEDUP):
     for z in a:
         d = np.minimum(np.abs(b - z), np.minimum(np.abs(b - z - 1j * np.pi), np.abs(b - z + 1j * np.pi)))
         d[used] = np.inf
-        j = int(np.argmin(d)) if b.size else 0
-        if not b.size or d[j] >= tol:
+        j = int(np.argmin(d))
+        if d[j] >= tol:
             return False
         used[j] = True
     return True
@@ -206,8 +202,6 @@ def _passes_pole_gates(lams, N, s, mu):
             return False
         for b in lams[:i]:
             d = a - b
-            if abs(cmath.sinh(d)) < 1e-8:
-                return False
             if min(abs(cmath.sinh(d + 1j * mu)), abs(cmath.sinh(d - 1j * mu))) < 1e-10:
                 return False
     return True
@@ -324,38 +318,64 @@ def _structured_seeds(M, restarts, seed, N, s):
     seeds = [scale * base for scale in (0.02, 0.3, 0.7, 1.3)]
     seeds.append(0.3 * base + 0.45j * alt)
     seeds.append(0.6 * base + 0.45j * alt)
-    shifted = 0.3 * base.copy()
-    shifted[-1] += 0.5j * np.pi
+    shifted = 0.3 * base
+    shifted[-1:] += 0.5j * np.pi
     seeds.append(shifted)
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**63, N, round(2 * s), M]))
-    for _ in range(restarts):
-        seeds.append(rng.uniform(-2.5, 2.5, M) + 1j * rng.uniform(-1.5, 1.5, M))
-    return seeds
+    return seeds + [rng.uniform(-2.5, 2.5, M) + 1j * rng.uniform(-1.5, 1.5, M)
+                    for _ in range(restarts)]
 
 
-def _finish(system: BetheSystem, fn=None) -> BetheSolution:
-    fn = fn if fn is not None else eigenvalue_fn(system)
-    if abs(system.s - 0.5) < 1e-12:
-        e, p = energy(system), momentum(system)
-    else:
-        e = p = None
-    return BetheSolution(system, bae_residual(system), fn, e, p)
+def _certified(N, s, mu, candidates, chain, apply_t) -> list:
+    """(solution, Bethe vector) pairs, the first per state, of the candidate
+    root arrays that pass the one certifier: a valid `BetheSystem`, the pole
+    gates, the equations to _ACCEPT, and the transfer matrix at _GAP_PROBE,
+    applied by apply_t, having the vector as eigenvector with Lambda to _GAP.
+    """
+    kept = []
+    for lams in candidates:
+        try:
+            system = BetheSystem(N, s, mu, tuple(lams))
+        except ValueError:
+            continue
+        if not _passes_pole_gates(np.asarray(system.roots), N, s, mu):
+            continue
+        residual = bae_residual(system)
+        if residual >= _ACCEPT:
+            continue
+        fn = eigenvalue_fn(system)
+        try:
+            vec = bethe_vector(system, chain)
+        except ValueError:
+            continue
+        if _eigen_gap(apply_t, vec, fn(_GAP_PROBE)) >= _GAP:
+            continue
+        # one state, one solution: root sets may differ by runaway or i pi
+        # shifted roots and still build the same vector
+        if any(abs(np.vdot(other, vec)) > 1 - _GAP for _, other in kept):
+            continue
+        e, p = (energy(system), momentum(system)) if abs(system.s - 0.5) < 1e-12 else (None, None)
+        kept.append((BetheSolution(system, residual, fn, e, p), vec))
+    return kept
 
 
-def _certify(system: BetheSystem, chain, apply_t):
-    """(solution, Bethe vector) when the equations hold to _ACCEPT and the
-    transfer matrix at _GAP_PROBE, applied by apply_t, has the vector as
-    eigenvector with Lambda to _GAP; None otherwise."""
-    if bae_residual(system) >= _ACCEPT:
-        return None
-    fn = eigenvalue_fn(system)
-    try:
-        vec = bethe_vector(system, chain)
-    except ValueError:
-        return None
-    if _eigen_gap(apply_t, vec, fn(_GAP_PROBE)) >= _GAP:
-        return None
-    return _finish(system, fn), vec
+def _source(M, top, flip) -> int:
+    # sector M > N s = top / 2 is solved as its mirror when F t F = t (flip)
+    return top - M if flip and 2 * M > top else M
+
+
+def _in_sector(M, source, kept, apply_t) -> list:
+    """Sector M's (solution, vector) pairs from those of its source sector.
+    A mirrored state is flipped onto the all-down vacuum, and the flipped
+    vector must pass the eigen-gap gate again."""
+    if source == M:
+        return kept
+    out = []
+    for sol, vec in kept:
+        flipped = vec[::-1]
+        if _eigen_gap(apply_t, flipped, sol.eigenvalue_fn(_GAP_PROBE)) < _GAP:
+            out.append((replace(sol, system=replace(sol.system, vacuum="down")), flipped))
+    return out
 
 
 def _flip_symmetric(chain) -> bool:
@@ -366,16 +386,8 @@ def _flip_symmetric(chain) -> bool:
                for p in (_GAP_PROBE, _EIG_PROBE) for lmat in site_lax_matrices(chain, p))
 
 
-def _is_new_state(kept, vec) -> bool:
-    # one state, one solution: root sets may differ by runaway or i pi-shifted
-    # roots and still build the same vector
-    return all(abs(np.vdot(other, vec)) <= 1 - _GAP for _, other in kept)
-
-
 def refine(system: BetheSystem) -> BetheSystem:
     """Re-run Newton from the system's own roots (fixed point for solutions)."""
-    if system.M == 0:
-        return system
     lams = _newton(np.asarray(system.roots), system.N, system.s, system.mu)
     if lams is None:
         raise ValueError("Newton did not converge from the supplied roots")
@@ -385,43 +397,30 @@ def refine(system: BetheSystem) -> BetheSystem:
 def solve_bae(N, s, mu, M, seed=0, restarts=120):
     """Distinct converged root sets for the (N, s, mu) chain with M roots.
 
-    Solutions are deduplicated as multisets up to the i pi period, gated
-    against poles and collisions, and kept only if the transfer matrix
-    acting on the constructed Bethe vector reproduces Lambda at a probe
-    point to 1e-8; of root sets that build the same state, the first found
-    is kept.  Fixed seed stream per (N, s, mu, M) makes the output
-    deterministic.  Which solutions are found depends on which starts
-    converge; `validate_against_ed` does not use this search.  As there, a
-    sector with M > N s is solved as sector 2 N s - M on the all-down
-    vacuum when F t F = t.  No D x D array is formed.
+    Newton runs from a fixed seed stream per (N, s, mu, M), so the output is
+    deterministic; its results are deduplicated as multisets up to the i pi
+    period and go through the certifier shared with `validate_against_ed`
+    (`_certified`), with the transfer matrix applied matrix-free
+    (`lax.apply_transfer`), so no D x D array is formed.  Of root sets that
+    build the same state, the first found is kept.  Which solutions are
+    found depends on which starts converge; `validate_against_ed` does not
+    use this search.  As there, a sector with M > N s is solved as sector
+    2 N s - M and flipped onto the all-down vacuum when F t F = t.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
-    top = (n - 1) * N
-    if 2 * M > top and _flip_symmetric(uniform_chain("xxz", N, mu, n, "principal")):
-        return [replace(sol, system=replace(sol.system, vacuum="down"))
-                for sol in solve_bae(N, s, mu, top - M, seed, restarts)]
-    if M == 0:
-        return [_finish(BetheSystem(N, s, mu, ()))]
+    chain = uniform_chain("xxz", N, mu, n, "principal")
+    apply_t = partial(apply_transfer, chain, _GAP_PROBE)
+    source = _source(M, (n - 1) * N, _flip_symmetric(chain))
     found = []
-    for start in _structured_seeds(M, restarts, seed, N, s):
+    for start in _structured_seeds(source, restarts, seed, N, s):
         lams = _newton(start, N, s, mu)
         if lams is None:
             continue
         lams = _canonical(lams)
-        if not _passes_pole_gates(lams, N, s, mu):
-            continue
-        if any(_same_multiset(lams, prev) for prev in found):
-            continue
-        found.append(lams)
-
-    chain = uniform_chain("xxz", N, mu, n, "principal")
-    apply_t = partial(apply_transfer, chain, _GAP_PROBE)
-    kept = []
-    for lams in found:
-        certified = _certify(BetheSystem(N, s, mu, tuple(lams)), chain, apply_t)
-        if certified is not None and _is_new_state(kept, certified[1]):
-            kept.append(certified)
+        if not any(_same_multiset(lams, prev) for prev in found):
+            found.append(lams)
+    kept = _in_sector(M, source, _certified(N, s, mu, found, chain, apply_t), apply_t)
     sols = [sol for sol, _ in kept]
     sols.sort(key=lambda so: tuple((round(z.real, 9), round(z.imag, 9)) for z in so.system.roots))
     return sols
@@ -474,30 +473,26 @@ def _sector_levels(fam, teig, sectors, points):
     return table
 
 
+def _tq_candidates(values, points, N, s, mu, M):
+    # one candidate root set per level: its TQ roots, polished by Newton
+    for row in values:
+        roots = tq_roots(row, points, N, s, mu, M)
+        if roots is None:
+            continue
+        try:
+            yield refine(BetheSystem(N, s, mu, tuple(roots))).roots
+        except ValueError:
+            continue
+
+
 def _reconstruct(N, s, mu, chain, apply_t, teig, sectors):
-    """Certified (solution, vector) pairs per sector, at most one candidate
-    per eigenvector of the sector block of teig, each state once."""
+    """Certified (solution, vector) pairs per sector, from at most one
+    candidate per eigenvector of the sector block of teig."""
     K = 2 * N * round(2 * s + 1) + 8
     points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
     table = _sector_levels(transfer(chain), teig, sectors, points)
-    out = {}
-    for M, values in table.items():
-        kept = []
-        for row in values:
-            roots = tq_roots(row, points, N, s, mu, M)
-            if roots is None:
-                continue
-            try:
-                system = refine(BetheSystem(N, s, mu, tuple(roots)))
-            except ValueError:
-                continue
-            if not _passes_pole_gates(np.asarray(system.roots), N, s, mu):
-                continue
-            certified = _certify(system, chain, apply_t)
-            if certified is not None and _is_new_state(kept, certified[1]):
-                kept.append(certified)
-        out[M] = kept
-    return out
+    return {M: _certified(N, s, mu, _tq_candidates(values, points, N, s, mu, M), chain, apply_t)
+            for M, values in table.items()}
 
 
 def solution_record(sol: BetheSolution) -> dict:
@@ -533,12 +528,12 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
 
     For each sector the transfer matrix is restricted to Sz = N s - M.
     Every eigenvector of that block yields at most one candidate root set,
-    through `tq_roots`; a candidate counts when it passes the certifier
-    (`refine`, residual, pole gates, Bethe vector eigen-gap) and is kept
-    once per state.  Sectors with M > N s are covered from sector
-    2 N s - M by the spin flip F when F t F = t (`_flip_symmetric`): the
-    flipped vector, on the all-down vacuum, must pass the eigen-gap gate
-    again.  Otherwise those sectors are reconstructed directly.  A
+    through `tq_roots` and `refine`; a candidate counts when it passes the
+    certifier shared with `solve_bae` (`_certified`) and is kept once per
+    state.  Sectors with M > N s are covered from sector 2 N s - M by the
+    spin flip F when F t F = t (`_flip_symmetric`): the flipped vector, on
+    the all-down vacuum, must pass the eigen-gap gate again.  Otherwise
+    those sectors are reconstructed directly.  A
     solution is matched when its Lambda agrees with a sector eigenvalue to
     rtol at all probes, relative to max(|Lambda|, 1e-8 |t(p)|_F) so that a
     level with Lambda = 0 can match.  Coverage counts sector levels matched
@@ -557,15 +552,11 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
     sectors = {M: sel for M in M_range if (sel := sz_sector_indices(N, n, M)).size}
 
     tmat, teig = fam(_GAP_PROBE), fam(_EIG_PROBE)
-    flip = _flip_symmetric(chain)
     apply_t = partial(np.matmul, tmat)
-
-    def source(M):
-        return top - M if flip and 2 * M > top else M
-
-    direct = sorted({source(M) for M in sectors})
+    flip = _flip_symmetric(chain)
+    sources = {M: _source(M, top, flip) for M in sectors}
     found = _reconstruct(N, s, mu, chain, apply_t, teig,
-                         {M: sz_sector_indices(N, n, M) for M in direct})
+                         {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))})
     del teig  # at the 4096 cap every full transfer matrix holds 268 MB
     evs = {M: [] for M in sectors}
     floors = []  # a level with Lambda = 0 is matched on the scale of t itself
@@ -583,35 +574,23 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
         "rtol": rtol,
         "sectors": [],
     }
-    covered = 0
-    mismatched = 0
-    total_solutions = 0
+    covered = mismatched = total_solutions = 0
     for M, sel in sectors.items():
-        sols = [sol for sol, _ in found[M]] if source(M) == M else [
-            replace(sol, system=replace(sol.system, vacuum="down"))
-            for sol, vec in found[source(M)]
-            if _eigen_gap(apply_t, vec[::-1], sol.eigenvalue_fn(_GAP_PROBE)) < _GAP
-        ]
         hit = np.zeros(sel.size, dtype=bool)
         entries = []
-        for sol in sols:
-            total_solutions += 1
-            matched_index = None
-            ok = True
-            for k, p in enumerate(probes):
-                val = sol.eigenvalue_fn(complex(p))
-                dist = np.abs(evs[M][k] - val) / max(abs(val), floors[k], 1e-300)
-                j = int(np.argmin(dist))
-                if dist[j] >= rtol:
-                    ok = False
-                    break
-                if k == 0:
-                    matched_index = j
-            if ok:
-                hit[matched_index] = True
-            else:
+        for sol, _ in _in_sector(M, sources[M], found[sources[M]], apply_t):
+            vals = [sol.eigenvalue_fn(complex(p)) for p in probes]
+            dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
+                     for ev, val, floor in zip(evs[M], vals, floors)]
+            # matched to the nearest level at the first probe when every
+            # probe has a level within rtol
+            matched = None if any(d.min() >= rtol for d in dists) else int(np.argmin(dists[0]))
+            if matched is None:
                 mismatched += 1
-            entries.append(solution_record(replace(sol, matched_ed_index=matched_index if ok else None)))
+            else:
+                hit[matched] = True
+            entries.append(solution_record(replace(sol, matched_ed_index=matched)))
+        total_solutions += len(entries)
         report["sectors"].append({
             "M": M,
             "sz": float(N * s - M),

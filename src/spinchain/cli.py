@@ -71,9 +71,12 @@ def _as_int(value, key: str) -> int:
 
 
 def _as_float(value, key: str) -> float:
+    """A finite JSON number; booleans and numeric strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{key} must be a number, not {value!r}") from exc
     if not math.isfinite(x):
         raise ConfigError(f"{key} must be finite, not {value!r}")
@@ -468,9 +471,9 @@ def cmd_spectrum(cfg: dict, args) -> int:
     boundary_kind = cfg.get("boundary", "periodic")
     if boundary_kind not in ("periodic", "open"):
         raise ConfigError("boundary must be periodic or open")
-    if "delta" in cfg:
+    if "delta" in cfg and "mu" not in cfg:
         delta = _as_complex(cfg["delta"], "delta")
-    else:
+    else:  # _resolve_mu refuses delta and mu together
         try:
             delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
         except OverflowError as exc:
@@ -518,6 +521,8 @@ def cmd_bethe(cfg: dict, args) -> int:
     if not isinstance(validate, bool):
         raise ConfigError(f"validate must be true or false, not {validate!r}")
     rtol = _as_float(cfg.get("rtol", 1e-7), "rtol")
+    if not 0 < rtol < 1:
+        raise ConfigError(f"rtol must lie in (0, 1), not {rtol!r}")
     M = _as_int(cfg["M"], "M") if "M" in cfg else None
     # N <= 12 first, so that a huge N never becomes a huge n^N
     if not 1 <= N <= 12 or n**N > 4096:

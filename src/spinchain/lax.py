@@ -413,44 +413,22 @@ def transfer_log_derivative(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
 def yangian_charges(chain: ChainSpec) -> tuple:
     """Level-0 and level-1 Yangian charges of the rational chain.
 
-    Returned as 2x2 nested lists of complex matrices indexed so that
-    [Q0_ab, Q0_cd] = i d_cb Q0_ad - i d_ad Q0_cb holds; entry (a, b) is the
-    (b, a) block of the auxiliary-space charge matrix.
+    With P_i the p matrix of site i on aux (x) quantum, Q0 = i sum_i P_i and
+    Q1 = 1/2 sum_i P_i^2 + 1/2 sum_{i<j} [P_i, P_j].  Each is returned as a
+    (2, 2, D, D) array whose entry (a, b) is the (b, a) auxiliary block, so
+    that [Q0_ab, Q0_cd] = i d_cb Q0_ad - i d_ad Q0_cb holds.
     """
     if chain.model != "xxx":
         raise ValueError("Yangian charges are defined for the rational chain")
-    dims = chain.local_dims
-    D = int(np.prod(dims, dtype=np.int64))
-    site_blocks = []
-    for i, rep in enumerate(chain.site_reps, start=1):
-        blk = p_blocks(rep)
-        site_blocks.append(
-            [[embed(blk[a][b], i, dims) for b in range(2)] for a in range(2)]
-        )
-
-    def auxmul(x, y):
-        return [
-            [sum(x[a][c] @ y[c][b] for c in range(2)) for b in range(2)]
-            for a in range(2)
-        ]
-
-    zero = [[np.zeros((D, D), dtype=complex) for _ in range(2)] for _ in range(2)]
-
-    def auxadd(x, y, scale=1.0):
-        return [[x[a][b] + scale * y[a][b] for b in range(2)] for a in range(2)]
-
-    q0 = zero
-    for blk in site_blocks:
-        q0 = auxadd(q0, blk, 1j)
-    q1 = zero
-    for i, blk in enumerate(site_blocks):
-        q1 = auxadd(q1, auxmul(blk, blk), 0.5)
-        for j in range(i + 1, len(site_blocks)):
-            q1 = auxadd(q1, auxmul(blk, site_blocks[j]), 0.5)
-            q1 = auxadd(q1, auxmul(site_blocks[j], blk), -0.5)
-    q0_ops = [[q0[b][a] for b in range(2)] for a in range(2)]
-    q1_ops = [[q1[b][a] for b in range(2)] for a in range(2)]
-    return q0_ops, q1_ops
+    dims = (2,) + tuple(chain.local_dims)  # chain site i is factor i + 1
+    ps = [embed(p_matrix(rep), (1, i), dims) for i, rep in enumerate(chain.site_reps, start=2)]
+    q0 = 1j * sum(ps)
+    q1 = 0.5 * sum(p @ p for p in ps)
+    for i, p in enumerate(ps):
+        for other in ps[i + 1:]:
+            q1 = q1 + 0.5 * (p @ other - other @ p)
+    D = q0.shape[0] // 2
+    return tuple(q.reshape(2, D, 2, D).transpose(2, 0, 1, 3) for q in (q0, q1))
 
 
 _PAULI = {

@@ -363,3 +363,18 @@ def test_solve_bae_mirrors_sectors_beyond_the_equator(N, s):
             assert np.linalg.norm(tm @ vec - val * vec) / np.linalg.norm(tm @ vec) < 1e-8
     (vacuum,) = sc.solve_bae(N, s, MU, top)
     assert vacuum.system.roots == () and vacuum.system.vacuum == "down"
+
+
+def test_mirrored_states_pass_the_gate_again(monkeypatch):
+    # both entry points re-gate a flipped vector: with the gate failing on
+    # the all-down state only, the mirrored M = 2 sector of (2, 1/2) is empty
+    assert len(sc.solve_bae(2, 0.5, MU, 2)) == 1
+    gap = bethe._eigen_gap
+
+    def fails_on_all_down(apply_t, vec, value):
+        return 1.0 if abs(vec[-1]) > 0.5 else gap(apply_t, vec, value)
+
+    monkeypatch.setattr(bethe, "_eigen_gap", fails_on_all_down)
+    assert sc.solve_bae(2, 0.5, MU, 0) and sc.solve_bae(2, 0.5, MU, 2) == []
+    (sector,) = sc.validate_against_ed(2, 0.5, MU, M_range=[2])["sectors"]
+    assert sector["solutions"] == [] and sector["levels_matched"] == 0

@@ -40,6 +40,17 @@ def test_verify_ybe_passes(tmp_path, capsys):
     assert any("intertwiner" in n for n in names)
 
 
+def test_verify_ybe_rational_model(tmp_path, capsys):
+    # the xxx model runs the rational checks only
+    cfg = write_cfg(tmp_path, {"suite": "ybe", "model": "xxx", "pairs": 4})
+    code, out, _ = run(capsys, ["verify", "--config", cfg])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    assert [c["identity"] for c in payload["checks"]] == [
+        "Yang-Baxter: xxx rational R", "regularity R(0) = c P: xxx rational R"]
+
+
 def test_verify_perturbation_fails(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"suite": "ybe", "mu": 0.3, "pairs": 4, "perturb": 1e-4})
     code, out, _ = run(capsys, ["verify", "--config", cfg])
@@ -128,6 +139,14 @@ NAN, INF = float("nan"), float("inf")
         pytest.param("bethe", {"N": 4, "s": 0.3}, id="bethe-s-not-half-integer"),
         pytest.param("casimir", {"spins": [0.7]}, id="casimir-spin-not-half-integer"),
         pytest.param("bethe", {"N": 2, "validate": "false"}, id="bethe-validate-text"),
+        pytest.param("bethe", {"N": 2, "s": "1", "M": 1, "validate": False},
+                     id="bethe-s-numeric-text"),
+        pytest.param("verify", {"suite": "ybe", "mu": True}, id="verify-mu-bool"),
+        pytest.param("casimir", {"spins": [True]}, id="casimir-spin-bool"),
+        pytest.param("bethe", {"N": 2, "rtol": -1}, id="bethe-rtol-negative"),
+        pytest.param("bethe", {"N": 2, "rtol": 5}, id="bethe-rtol-above-one"),
+        pytest.param("verify", {"suite": "ybe", "model": "xyz"}, id="verify-ybe-unknown-model"),
+        pytest.param("spectrum", {"N": 2, "delta": 0.5, "mu": 0.3}, id="spectrum-mu-and-delta"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, command, obj):
@@ -260,6 +279,20 @@ def test_bethe_validated_sector(tmp_path, capsys):
     assert all(rec["matched"] is not None for rec in sector["solutions"])
 
 
+def test_bethe_mismatch_is_a_failure(tmp_path, capsys):
+    # negative control: no Lambda agrees with ED to 1e-300, so every
+    # solution is mismatched and the run fails
+    cfg = write_cfg(tmp_path, {"N": 2, "mu": 0.3, "rtol": 1e-300})
+    code, out, _ = run(capsys, ["bethe", "--config", cfg])
+    assert code == 1
+    payload = json.loads(out)
+    report = payload["report"]
+    assert payload["status"] == "fail"
+    assert report["mismatched_solutions"] == report["total_solutions"] == 4
+    assert report["coverage"] == [0, 4]
+    assert all(rec["matched"] is None for sec in report["sectors"] for rec in sec["solutions"])
+
+
 def test_bethe_unvalidated_needs_m(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"N": 2, "validate": False})
     code, _, err = run(capsys, ["bethe", "--config", cfg])
@@ -378,7 +411,7 @@ def _reached_linspace(start, stop, steps):
 
 def _reached_validation(N, s, mu, M_range=None, rtol=1e-7):
     n = round(2 * s + 1)
-    assert n**N <= cli.VALIDATE_DIM and cmath.isfinite(mu) and math.isfinite(rtol)
+    assert n**N <= cli.VALIDATE_DIM and cmath.isfinite(mu) and 0 < rtol < 1
     assert M_range is None or all(0 <= M <= (n - 1) * N for M in M_range)
     raise _Reached
 
@@ -466,15 +499,23 @@ _BAD = st.one_of(
 
 
 _INT_KEYS = {"N", "M", "seed", "restarts", "threads", "pairs", "p", "k", "delta_steps"}
+# keys holding a number, a list of numbers, or a [re, im] pair
+_FLOAT_KEYS = {"s", "spins", "mu", "delta", "deltas", "delta_start", "delta_stop", "rtol",
+               "perturb", "xi", "kappa", "m", "gamma"}
 # values of a JSON type the key takes that still break its rule: booleans and
-# fractions for integer keys, spins that are no half-integer, a validate flag
-# that is no JSON boolean
+# fractions for integer keys, booleans and numeric strings for float keys,
+# spins that are no half-integer, an rtol outside (0, 1), a validate flag that
+# is no JSON boolean
+_NOT_A_NUMBER = st.one_of(st.booleans(), _FLOATS.map(str))
 _NOT_HALF_INTEGER = st.floats(0.01, 8).filter(lambda x: not (2 * x).is_integer())
 _BAD_FOR_KEY = {
     **dict.fromkeys(_INT_KEYS, st.one_of(
         st.booleans(), st.floats(-20, 20).filter(lambda x: not x.is_integer()))),
-    "s": _NOT_HALF_INTEGER,
-    "spins": st.lists(_NOT_HALF_INTEGER, min_size=1, max_size=3),
+    **dict.fromkeys(_FLOAT_KEYS, _NOT_A_NUMBER),
+    "s": st.one_of(_NOT_HALF_INTEGER, _NOT_A_NUMBER),
+    "spins": st.lists(st.one_of(_NOT_HALF_INTEGER, _NOT_A_NUMBER), min_size=1, max_size=3),
+    "deltas": st.lists(st.one_of(_FLOATS, _NOT_A_NUMBER), min_size=1, max_size=3),
+    "rtol": st.one_of(_NOT_A_NUMBER, st.floats(-2, 0), st.floats(1, 10)),
     "validate": st.sampled_from(["false", "true", 0, 1, None]),
 }
 
@@ -499,12 +540,20 @@ def _configs(draw):
     return command, cfg
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _well_typed(command, obj):
-    """Integer keys hold integral non-boolean numbers, spins are positive
-    half-integers, validate is a boolean, and the frt suite's q is not 1."""
-    ints = [obj[key] for key in _INT_KEYS & set(obj)]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v == int(v)
-               for v in ints):
+    """Integer keys hold integral non-boolean numbers, float keys non-boolean
+    numbers (or lists of them), spins are positive half-integers, rtol lies
+    in (0, 1), validate is a boolean, and the frt suite's q is not 1."""
+    if not all(_is_number(v) and v == int(v) for v in (obj[key] for key in _INT_KEYS & set(obj))):
+        return False
+    floats = [obj[key] for key in _FLOAT_KEYS & set(obj)]
+    if not all(_is_number(x) for v in floats for x in (v if isinstance(v, list) else [v])):
+        return False
+    if command == "bethe" and not 0 < obj.get("rtol", 1e-7) < 1:
         return False
     spins = {"bethe": [obj.get("s", 0.5)], "casimir": obj.get("spins", [0.5])}.get(command, [])
     if not all(float(x) > 0 and (2 * float(x)).is_integer() for x in spins):
@@ -526,6 +575,7 @@ def _well_typed(command, obj):
 @example(case=("verify", {"suite": "frt", "pairs": 10**12}))
 @example(case=("verify", {"suite": "braid", "mu": [0, -1000]}))
 @example(case=("casimir", {"spins": [1e308]}))
+@example(case=("bethe", {"N": 2, "M": 1, "rtol": 5}))
 def test_config_fuzz_exits_2_or_reaches_bounded_work(tmp_path, capsys, monkeypatch, case):
     # the work itself is replaced, so an oversized value is never allocated
     monkeypatch.setattr(lax, "spectrum_table", _reached_spectrum)
