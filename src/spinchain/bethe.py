@@ -11,8 +11,10 @@ certifier: pole gates, the equations to 1e-10, and the transfer matrix on
 the Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per
 state is kept.  The Bethe vector is built matrix-free, one site at a time
 (`lax.apply_monodromy_block`).  A sector with M > N s is solved as sector
-2 N s - M and flipped (F: m -> -m on every site) onto the all-down vacuum
-whenever F t F = t; each flipped vector passes the eigen-gap gate again.
+2 N s - M and flipped (F: m -> -m on every site) onto the all-down vacuum:
+the principal Lax matrix is unchanged by reversing its row and column
+order, so F t F = t, and each flipped vector passes the eigen-gap gate
+again.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from functools import partial
 
 import numpy as np
 
-from .lax import (apply_monodromy_block, apply_transfer, site_lax_matrices,
-                  sz_sector_indices, transfer, uniform_chain)
-from .linalg import rel_norm
+from .lax import apply_monodromy_block, apply_transfer, sz_sector_indices, transfer, uniform_chain
 
 _ACCEPT = 1e-10
 _DEDUP = 1e-7
+_NEWTON_STEPS = 200
 _GAP = 1e-8
 _PROBES = (0.233, -0.377, 0.151 + 0.09j)
 _GAP_PROBE = 0.233
@@ -136,11 +137,11 @@ def _jacobian(lams, N, s, mu):
     return jac
 
 
-def _newton(start, N, s, mu, max_iter=200):
+def _newton(start, N, s, mu):
     lams = np.asarray(start, dtype=complex).copy()
     r = _log_residual(lams, N, s, mu)
     nr = float(np.abs(r).max()) if r.size else 0.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if nr < 1e-13:
             break
         try:
@@ -178,9 +179,8 @@ def _canonical(lams):
 
 def _same_multiset(a, b, tol=_DEDUP):
     # order-free comparison, quotienting the i pi period once more so that
-    # roots straddling the Im = pi/2 branch boundary still match
-    if a.size != b.size:
-        return False
+    # roots straddling the Im = pi/2 branch boundary still match; a and b
+    # have the same size, as every start of one solve has M roots
     used = np.zeros(b.size, dtype=bool)
     for z in a:
         d = np.minimum(np.abs(b - z), np.minimum(np.abs(b - z - 1j * np.pi), np.abs(b - z + 1j * np.pi)))
@@ -284,7 +284,7 @@ def sz(sol) -> Fraction:
 def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     """Normalized B(lambda_1 - i mu/2) ... B(lambda_M - i mu/2) |up...up>,
     or its spin flip F B...B|up...up> = C...C|down...down> on the all-down
-    vacuum (an eigenvector whenever F t F = t).
+    vacuum, an eigenvector too since F t F = t.
 
     Matrix-free: each B is applied site by site by
     `lax.apply_monodromy_block`, in O(N n^2 D) per root, and no D x D
@@ -313,17 +313,23 @@ def _eigen_gap(apply_t, vec, value) -> float:
 
 
 def _structured_seeds(M, restarts, seed, N, s):
+    # Newton starts: seven structured ones, then `restarts` random ones; the
+    # empty root set is its own only start
+    if M == 0:
+        yield np.zeros(0, dtype=complex)
+        return
     base = (np.arange(M) - (M - 1) / 2).astype(complex)
     alt = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
-    seeds = [scale * base for scale in (0.02, 0.3, 0.7, 1.3)]
-    seeds.append(0.3 * base + 0.45j * alt)
-    seeds.append(0.6 * base + 0.45j * alt)
+    for scale in (0.02, 0.3, 0.7, 1.3):
+        yield scale * base
+    yield 0.3 * base + 0.45j * alt
+    yield 0.6 * base + 0.45j * alt
     shifted = 0.3 * base
     shifted[-1:] += 0.5j * np.pi
-    seeds.append(shifted)
+    yield shifted
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**63, N, round(2 * s), M]))
-    return seeds + [rng.uniform(-2.5, 2.5, M) + 1j * rng.uniform(-1.5, 1.5, M)
-                    for _ in range(restarts)]
+    for _ in range(restarts):
+        yield rng.uniform(-2.5, 2.5, M) + 1j * rng.uniform(-1.5, 1.5, M)
 
 
 def _certified(N, s, mu, candidates, chain, apply_t) -> list:
@@ -359,9 +365,9 @@ def _certified(N, s, mu, candidates, chain, apply_t) -> list:
     return kept
 
 
-def _source(M, top, flip) -> int:
-    # sector M > N s = top / 2 is solved as its mirror when F t F = t (flip)
-    return top - M if flip and 2 * M > top else M
+def _source(M, top) -> int:
+    # sector M > N s = top / 2 is solved as its mirror 2 N s - M
+    return top - M if 2 * M > top else M
 
 
 def _in_sector(M, source, kept, apply_t) -> list:
@@ -376,14 +382,6 @@ def _in_sector(M, source, kept, apply_t) -> list:
         if _eigen_gap(apply_t, flipped, sol.eigenvalue_fn(_GAP_PROBE)) < _GAP:
             out.append((replace(sol, system=replace(sol.system, vacuum="down")), flipped))
     return out
-
-
-def _flip_symmetric(chain) -> bool:
-    """F t F = t, shown site by site at two probes: a Lax matrix invariant
-    under flipping its auxiliary and site legs together (which reverses its
-    row and column order) makes the transfer matrix flip invariant."""
-    return all(rel_norm(lmat[::-1, ::-1], lmat) < 1e-12
-               for p in (_GAP_PROBE, _EIG_PROBE) for lmat in site_lax_matrices(chain, p))
 
 
 def refine(system: BetheSystem) -> BetheSystem:
@@ -405,13 +403,14 @@ def solve_bae(N, s, mu, M, seed=0, restarts=120):
     build the same state, the first found is kept.  Which solutions are
     found depends on which starts converge; `validate_against_ed` does not
     use this search.  As there, a sector with M > N s is solved as sector
-    2 N s - M and flipped onto the all-down vacuum when F t F = t.
+    2 N s - M and flipped onto the all-down vacuum.  The M = 0 sector gets
+    one Newton start, since every start of it is the empty root set.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
     chain = uniform_chain("xxz", N, mu, n, "principal")
     apply_t = partial(apply_transfer, chain, _GAP_PROBE)
-    source = _source(M, (n - 1) * N, _flip_symmetric(chain))
+    source = _source(M, (n - 1) * N)
     found = []
     for start in _structured_seeds(source, restarts, seed, N, s):
         lams = _newton(start, N, s, mu)
@@ -523,7 +522,7 @@ def solution_record(sol: BetheSolution) -> dict:
     return record
 
 
-def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
+def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     """Bethe states reconstructed from, and matched against, sector ED.
 
     For each sector the transfer matrix is restricted to Sz = N s - M.
@@ -531,11 +530,10 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
     through `tq_roots` and `refine`; a candidate counts when it passes the
     certifier shared with `solve_bae` (`_certified`) and is kept once per
     state.  Sectors with M > N s are covered from sector 2 N s - M by the
-    spin flip F when F t F = t (`_flip_symmetric`): the flipped vector, on
-    the all-down vacuum, must pass the eigen-gap gate again.  Otherwise
-    those sectors are reconstructed directly.  A
-    solution is matched when its Lambda agrees with a sector eigenvalue to
-    rtol at all probes, relative to max(|Lambda|, 1e-8 |t(p)|_F) so that a
+    spin flip F, since F t F = t: the flipped vector, on the all-down
+    vacuum, must pass the eigen-gap gate again.  A solution is matched
+    when its Lambda agrees with a sector eigenvalue to rtol at the three
+    probes _PROBES, relative to max(|Lambda|, 1e-8 |t(p)|_F) so that a
     level with Lambda = 0 can match.  Coverage counts sector levels matched
     by at least one solution; it is fixed by the chain alone: no random
     start takes part.
@@ -553,14 +551,13 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
 
     tmat, teig = fam(_GAP_PROBE), fam(_EIG_PROBE)
     apply_t = partial(np.matmul, tmat)
-    flip = _flip_symmetric(chain)
-    sources = {M: _source(M, top, flip) for M in sectors}
+    sources = {M: _source(M, top) for M in sectors}
     found = _reconstruct(N, s, mu, chain, apply_t, teig,
                          {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))})
     del teig  # at the 4096 cap every full transfer matrix holds 268 MB
     evs = {M: [] for M in sectors}
     floors = []  # a level with Lambda = 0 is matched on the scale of t itself
-    for p in probes:
+    for p in _PROBES:
         t = fam(complex(p))
         floors.append(1e-8 * np.linalg.norm(t))
         for M, sel in sectors.items():
@@ -570,7 +567,7 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
         "N": N,
         "s": s,
         "mu": [mu.real, mu.imag],
-        "probes": [[complex(p).real, complex(p).imag] for p in probes],
+        "probes": [[complex(p).real, complex(p).imag] for p in _PROBES],
         "rtol": rtol,
         "sectors": [],
     }
@@ -579,7 +576,7 @@ def validate_against_ed(N, s, mu, M_range=None, probes=_PROBES, rtol=1e-7):
         hit = np.zeros(sel.size, dtype=bool)
         entries = []
         for sol, _ in _in_sector(M, sources[M], found[sources[M]], apply_t):
-            vals = [sol.eigenvalue_fn(complex(p)) for p in probes]
+            vals = [sol.eigenvalue_fn(complex(p)) for p in _PROBES]
             dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
                      for ev, val, floor in zip(evs[M], vals, floors)]
             # matched to the nearest level at the first probe when every

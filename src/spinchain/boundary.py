@@ -195,7 +195,7 @@ def open_transfer(chain: ChainSpec):
     return ev
 
 
-def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
+def open_hamiltonian(chain: ChainSpec) -> np.ndarray:
     """Derivative of the open transfer matrix at the origin.
 
     t(0) must be a nonzero multiple of the identity (regular boundary);
@@ -208,7 +208,7 @@ def open_hamiltonian(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
     scalar = np.trace(t0) / D
     if abs(scalar) < 1e-12 or rel_norm(t0, scalar * np.eye(D)) > 1e-10:
         raise ValueError("open transfer is singular at the origin")
-    return richardson_derivative(fam, 0.0, step)
+    return richardson_derivative(fam, 0.0, 1e-5)
 
 
 def casimir_from_asymptotics(rep) -> tuple:

@@ -178,21 +178,21 @@ def check_braid_hecke(fam: BraidFamily) -> dict:
     return out
 
 
-def _distinct_eigenvalues(m: np.ndarray, tol: float = 1e-8) -> list:
+def _distinct_eigenvalues(m: np.ndarray) -> list:
     w = np.linalg.eigvals(m)
     order = np.lexsort((w.imag, w.real))
     distinct: list = []
     for z in w[order]:
-        if not distinct or abs(z - distinct[-1]) > tol:
+        if not distinct or abs(z - distinct[-1]) > 1e-8:
             distinct.append(complex(z))
     return distinct
 
 
-def check_btype_quotients(fam: BraidFamily, gammas=None) -> dict:
+def check_btype_quotients(fam: BraidFamily) -> dict:
     """Residuals of polynomial conditions on the boundary braid generator.
 
-    Without gammas, the factors are the numerically distinct eigenvalues of
-    g0, so the report states the minimal polynomial actually satisfied; the
+    The factors are the numerically distinct eigenvalues of g0 (to 1e-8),
+    so the report states the minimal polynomial actually satisfied; the
     two-eigenvalue case is the quadratic quotient condition.  A pairing
     entry records how far the two roots are from gamma1 gamma2 = -1, the
     customary normalization.
@@ -201,9 +201,7 @@ def check_btype_quotients(fam: BraidFamily, gammas=None) -> dict:
         raise KeyError("family has no boundary generator g0")
     g0 = fam.g(0)
     eye = np.eye(g0.shape[0])
-    if gammas is None:
-        gammas = _distinct_eigenvalues(g0)
-    gammas = [complex(g) for g in gammas]
+    gammas = _distinct_eigenvalues(g0)
     prod = eye.copy()
     for gamma in gammas:
         prod = prod @ (g0 - gamma * eye)

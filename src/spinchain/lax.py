@@ -58,9 +58,9 @@ def uniform_chain(
     mu: complex | None = None,
     n: int = 2,
     gradation: str = "principal",
-    boundary: object = "periodic",
 ) -> ChainSpec:
-    """Homogeneous chain of N spin-(n-1)/2 sites."""
+    """Homogeneous periodic chain of N spin-(n-1)/2 sites; open chains
+    come from `boundary.open_chain`."""
     if model == "xxx":
         rep = sl2_spin_rep(n)
     elif model == "xxz":
@@ -69,7 +69,7 @@ def uniform_chain(
         rep = uq_sl2_spin_rep(n, cmath.exp(1j * complex(mu)))
     else:
         raise ValueError(f"unknown model {model!r}")
-    return ChainSpec(model, N, (rep,) * N, mu, gradation, boundary)
+    return ChainSpec(model, N, (rep,) * N, mu, gradation)
 
 
 def chain_r_family(chain: ChainSpec):
@@ -172,12 +172,13 @@ def rll_residual(r_family, lax, lam1: complex, lam2: complex) -> float:
     return rel_norm(r12 @ a @ b, b @ a @ r12)
 
 
-def triangular_residuals(rep: AlgebraRep, probe: complex = 0.37) -> dict:
+def triangular_residuals(rep: AlgebraRep) -> dict:
     """Exchange relations of the triangular Lax pair with (R+, R-).
 
-    Also checks the spectral rebuild e^l L+ - e^{-l} L- = 2 L^h(l) at the
-    probe point.
+    Also checks the spectral rebuild e^l L+ - e^{-l} L- = 2 L^h(l) at
+    l = 0.37.
     """
+    probe = 0.37
     q = complex(rep.params["q"])
     rp, rm = r_pm(q)
     lp, lm = lax_xxz_pm(rep)
@@ -403,10 +404,10 @@ def hamiltonian_from_transfer(chain: ChainSpec) -> np.ndarray:
     return _bond_sum(rcdot, chain.N, periodic=True)
 
 
-def transfer_log_derivative(chain: ChainSpec, step: float = 1e-5) -> np.ndarray:
+def transfer_log_derivative(chain: ChainSpec) -> np.ndarray:
     """t(0)^-1 t'(0) with the derivative by Richardson extrapolation."""
     fam = transfer(chain)
-    tdot = richardson_derivative(fam, 0.0, step)
+    tdot = richardson_derivative(fam, 0.0, 1e-5)
     return np.linalg.solve(fam(0.0), tdot)
 
 

@@ -254,6 +254,17 @@ def test_mirrored_sectors_built_on_all_down_vacuum(N, s):
             assert np.linalg.norm(tm @ vec - val * vec) / np.linalg.norm(tm @ vec) < 1e-8
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_principal_lax_is_flip_symmetric(n):
+    # the mirror of sectors M > N s relies on it for every mu: reversing the
+    # row and column order of the site Lax matrix leaves it unchanged
+    for mu in (MU, 0.3 + 0.2j, 1.1, 2.1 - 0.4j):
+        ch = lax.uniform_chain("xxz", 1, mu, n, "principal")
+        for lam in (0.233, 0.31 + 0.17j, -1.4 + 0.6j):
+            (lmat,) = lax.site_lax_matrices(ch, lam)
+            assert sc.rel_norm(lmat[::-1, ::-1], lmat) < 1e-12
+
+
 def test_validation_independent_of_seed_and_threads(tmp_path, capsys):
     # coverage is fixed by the chain: no random start stream takes part
     cfg = tmp_path / "cfg.json"

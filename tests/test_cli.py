@@ -147,6 +147,17 @@ NAN, INF = float("nan"), float("inf")
         pytest.param("bethe", {"N": 2, "rtol": 5}, id="bethe-rtol-above-one"),
         pytest.param("verify", {"suite": "ybe", "model": "xyz"}, id="verify-ybe-unknown-model"),
         pytest.param("spectrum", {"N": 2, "delta": 0.5, "mu": 0.3}, id="spectrum-mu-and-delta"),
+        pytest.param("verify", {"suite": "braid", "perturb": False},
+                     id="verify-braid-perturb-false"),
+        pytest.param("verify", {"suite": "symmetry", "perturb": 0},
+                     id="verify-symmetry-perturb-zero"),
+        pytest.param("bethe", {"N": 2, "restarts": -5}, id="bethe-restarts-negative"),
+        pytest.param("bethe", {"N": 2, "M": 1, "validate": False, "restarts": 10001},
+                     id="bethe-restarts-above-bound"),
+        pytest.param("bethe", {"N": 2, "s": 1, "mu": 3.141592653589793},
+                     id="bethe-q-root-of-unity"),
+        pytest.param("phase-scan", {"N": 2, "delta_start": 0, "delta_stop": 1},
+                     id="phase-scan-partial-range"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, command, obj):
@@ -419,7 +430,7 @@ def _reached_validation(N, s, mu, M_range=None, rtol=1e-7):
 def _reached_solver(N, s, mu, M, seed=0, restarts=120):
     n = round(2 * s + 1)
     assert 1 <= N and n >= 2 and n**N <= 4096 and 0 <= M <= (n - 1) * N
-    assert cmath.isfinite(mu)
+    assert cmath.isfinite(mu) and 0 <= restarts <= cli.MAX_RESTARTS
     raise _Reached
 
 
@@ -451,6 +462,27 @@ def test_delta_steps_bound_before_allocation(tmp_path, capsys, monkeypatch):
 
 
 _FLOATS = st.floats(-3, 3)
+
+
+@st.composite
+def _bethe_configs(draw):
+    # N, s, M and validate within the dimension and M rules, so that one bad
+    # key is what a config gets refused for
+    s = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    n = round(2 * s + 1)
+    validate = draw(st.booleans())
+    cap = cli.VALIDATE_DIM if validate else 4096
+    N = draw(st.integers(1, max(N for N in range(1, 13) if n**N <= cap)))
+    cfg = {"N": N, "s": s, "mu": draw(st.floats(0.1, 1.4))}
+    if not validate or draw(st.booleans()):
+        cfg["M"] = draw(st.integers(0, (n - 1) * N))
+    if not validate or draw(st.booleans()):
+        cfg["validate"] = validate
+    if draw(st.booleans()):
+        cfg["restarts"] = draw(st.integers(0, cli.MAX_RESTARTS))
+    return cfg
+
+
 _VALID = {
     "spectrum": st.fixed_dictionaries(
         {"N": st.integers(1, 12)},
@@ -465,11 +497,7 @@ _VALID = {
             "delta_steps": st.integers(2, cli.MAX_DELTA_STEPS),
         }),
     ),
-    "bethe": st.fixed_dictionaries(
-        {"N": st.integers(1, 12), "s": st.sampled_from([0.5, 1.0, 1.5]), "mu": st.floats(0.1, 1.4)},
-        optional={"M": st.integers(0, 12), "validate": st.booleans(),
-                  "restarts": st.integers(0, 200)},
-    ),
+    "bethe": _bethe_configs(),
     "verify": st.fixed_dictionaries(
         {"suite": st.sampled_from(sorted(cli._SUITES)), "mu": st.floats(0.1, 1.4)},
         optional={"seed": st.integers(0, 2**32), "pairs": st.integers(1, cli.MAX_PAIRS)},
@@ -504,18 +532,20 @@ _FLOAT_KEYS = {"s", "spins", "mu", "delta", "deltas", "delta_start", "delta_stop
                "perturb", "xi", "kappa", "m", "gamma"}
 # values of a JSON type the key takes that still break its rule: booleans and
 # fractions for integer keys, booleans and numeric strings for float keys,
-# spins that are no half-integer, an rtol outside (0, 1), a validate flag that
-# is no JSON boolean
+# spins that are no half-integer, an rtol outside (0, 1), restarts outside
+# [0, MAX_RESTARTS], a validate flag that is no JSON boolean
 _NOT_A_NUMBER = st.one_of(st.booleans(), _FLOATS.map(str))
+_NOT_AN_INTEGER = st.one_of(st.booleans(), st.floats(-20, 20).filter(lambda x: not x.is_integer()))
 _NOT_HALF_INTEGER = st.floats(0.01, 8).filter(lambda x: not (2 * x).is_integer())
 _BAD_FOR_KEY = {
-    **dict.fromkeys(_INT_KEYS, st.one_of(
-        st.booleans(), st.floats(-20, 20).filter(lambda x: not x.is_integer()))),
+    **dict.fromkeys(_INT_KEYS, _NOT_AN_INTEGER),
     **dict.fromkeys(_FLOAT_KEYS, _NOT_A_NUMBER),
     "s": st.one_of(_NOT_HALF_INTEGER, _NOT_A_NUMBER),
     "spins": st.lists(st.one_of(_NOT_HALF_INTEGER, _NOT_A_NUMBER), min_size=1, max_size=3),
     "deltas": st.lists(st.one_of(_FLOATS, _NOT_A_NUMBER), min_size=1, max_size=3),
     "rtol": st.one_of(_NOT_A_NUMBER, st.floats(-2, 0), st.floats(1, 10)),
+    "restarts": st.one_of(_NOT_AN_INTEGER, st.integers(-(10**6), -1),
+                          st.integers(cli.MAX_RESTARTS + 1, 10**6)),
     "validate": st.sampled_from(["false", "true", 0, 1, None]),
 }
 
@@ -547,13 +577,15 @@ def _is_number(v):
 def _well_typed(command, obj):
     """Integer keys hold integral non-boolean numbers, float keys non-boolean
     numbers (or lists of them), spins are positive half-integers, rtol lies
-    in (0, 1), validate is a boolean, and the frt suite's q is not 1."""
+    in (0, 1), restarts in [0, MAX_RESTARTS], validate is a boolean, and the
+    frt suite's q is not 1."""
     if not all(_is_number(v) and v == int(v) for v in (obj[key] for key in _INT_KEYS & set(obj))):
         return False
     floats = [obj[key] for key in _FLOAT_KEYS & set(obj)]
     if not all(_is_number(x) for v in floats for x in (v if isinstance(v, list) else [v])):
         return False
-    if command == "bethe" and not 0 < obj.get("rtol", 1e-7) < 1:
+    if command == "bethe" and not (0 < obj.get("rtol", 1e-7) < 1
+                                   and 0 <= obj.get("restarts", 120) <= cli.MAX_RESTARTS):
         return False
     spins = {"bethe": [obj.get("s", 0.5)], "casimir": obj.get("spins", [0.5])}.get(command, [])
     if not all(float(x) > 0 and (2 * float(x)).is_integer() for x in spins):
@@ -576,6 +608,7 @@ def _well_typed(command, obj):
 @example(case=("verify", {"suite": "braid", "mu": [0, -1000]}))
 @example(case=("casimir", {"spins": [1e308]}))
 @example(case=("bethe", {"N": 2, "M": 1, "rtol": 5}))
+@example(case=("verify", {"suite": "braid", "mu": 1.0, "perturb": False}))
 def test_config_fuzz_exits_2_or_reaches_bounded_work(tmp_path, capsys, monkeypatch, case):
     # the work itself is replaced, so an oversized value is never allocated
     monkeypatch.setattr(lax, "spectrum_table", _reached_spectrum)
