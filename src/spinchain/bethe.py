@@ -1,15 +1,17 @@
 """Algebraic Bethe ansatz for the spin-s six-vertex hierarchy.
 
-Roots come from one of two sources: seeded multistart Newton on the
-log-form equations (`solve_bae`), or, where exact diagonalization is at
-hand, one candidate per eigenvector of the sector-restricted transfer
-matrix (`validate_against_ed`): Lambda is read off the commuting family on
-a small circle, Baxter's TQ relation Lambda Q(l) = a Q(l - i mu) +
-d Q(l + i mu) is solved as a linear system for Q, and its zeros, polished
-by Newton (`refine`), are the roots.  Every candidate then passes one
-certifier: pole gates, the equations to 1e-10, and the transfer matrix on
-the Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per
-state is kept.  The Bethe vector is built matrix-free, one site at a time
+Roots come from one source, a census of the sector-restricted transfer
+matrix: one candidate per eigenvector of the sector block.  Lambda is read
+off the commuting family on a small circle, Baxter's TQ relation
+Lambda Q(l) = a Q(l - i mu) + d Q(l + i mu) is solved as a linear system
+for Q, and its zeros, polished by Newton (`refine`), are the roots.
+`solve_bae` runs the census on one sector, `validate_against_ed` on every
+sector, matching each solution against ED.  The sector blocks come from
+one batched matrix-free `lax.apply_transfer` on their unit columns
+(`_sector_blocks`).  Every candidate then passes one certifier: pole
+gates, the equations to 1e-10, and the transfer matrix on the Bethe vector
+B...B|0> giving Lambda to 1e-8; the first root set per state is kept.  The
+Bethe vector is built matrix-free, one site at a time
 (`lax.apply_monodromy_block`).  A sector with M > N s is solved as sector
 2 N s - M and flipped (F: m -> -m on every site) onto the all-down vacuum:
 the principal Lax matrix is unchanged by reversing its row and column
@@ -29,7 +31,6 @@ import numpy as np
 from .lax import apply_monodromy_block, apply_transfer, sz_sector_indices, transfer, uniform_chain
 
 _ACCEPT = 1e-10
-_DEDUP = 1e-7
 _NEWTON_STEPS = 200
 _GAP = 1e-8
 _PROBES = (0.233, -0.377, 0.151 + 0.09j)
@@ -173,23 +174,10 @@ def _normalize_mod_ipi(lams):
 
 
 def _canonical(lams):
+    # sorted on rounded parts, so that a conjugate pair, whose real parts
+    # differ in the last bits only, keeps one order
     out = _normalize_mod_ipi(np.asarray(lams, dtype=complex))
-    return out[np.lexsort((out.imag, out.real))]
-
-
-def _same_multiset(a, b, tol=_DEDUP):
-    # order-free comparison, quotienting the i pi period once more so that
-    # roots straddling the Im = pi/2 branch boundary still match; a and b
-    # have the same size, as every start of one solve has M roots
-    used = np.zeros(b.size, dtype=bool)
-    for z in a:
-        d = np.minimum(np.abs(b - z), np.minimum(np.abs(b - z - 1j * np.pi), np.abs(b - z + 1j * np.pi)))
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if d[j] >= tol:
-            return False
-        used[j] = True
-    return True
+    return out[np.lexsort((np.round(out.imag, 9), np.round(out.real, 9)))]
 
 
 def _passes_pole_gates(lams, N, s, mu):
@@ -312,26 +300,6 @@ def _eigen_gap(apply_t, vec, value) -> float:
     return float(np.linalg.norm(tv - value * vec) / max(np.linalg.norm(tv), 1e-300))
 
 
-def _structured_seeds(M, restarts, seed, N, s):
-    # Newton starts: seven structured ones, then `restarts` random ones; the
-    # empty root set is its own only start
-    if M == 0:
-        yield np.zeros(0, dtype=complex)
-        return
-    base = (np.arange(M) - (M - 1) / 2).astype(complex)
-    alt = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
-    for scale in (0.02, 0.3, 0.7, 1.3):
-        yield scale * base
-    yield 0.3 * base + 0.45j * alt
-    yield 0.6 * base + 0.45j * alt
-    shifted = 0.3 * base
-    shifted[-1:] += 0.5j * np.pi
-    yield shifted
-    rng = np.random.default_rng(np.random.SeedSequence([seed % 2**63, N, round(2 * s), M]))
-    for _ in range(restarts):
-        yield rng.uniform(-2.5, 2.5, M) + 1j * rng.uniform(-1.5, 1.5, M)
-
-
 def _certified(N, s, mu, candidates, chain, apply_t) -> list:
     """(solution, Bethe vector) pairs, the first per state, of the candidate
     root arrays that pass the one certifier: a valid `BetheSystem`, the pole
@@ -392,37 +360,34 @@ def refine(system: BetheSystem) -> BetheSystem:
     return replace(system, roots=tuple(_canonical(lams)))
 
 
-def solve_bae(N, s, mu, M, seed=0, restarts=120):
-    """Distinct converged root sets for the (N, s, mu) chain with M roots.
+def _report_order(sol: BetheSolution) -> tuple:
+    # by matched ED level, unmatched last, then by the roots, rounded so that
+    # last-bit noise in the eigensolver does not reorder the output
+    m = sol.matched_ed_index
+    return m is None, m or 0, tuple((round(z.real, 9), round(z.imag, 9)) for z in sol.system.roots)
 
-    Newton runs from a fixed seed stream per (N, s, mu, M), so the output is
-    deterministic; its results are deduplicated as multisets up to the i pi
-    period and go through the certifier shared with `validate_against_ed`
-    (`_certified`), with the transfer matrix applied matrix-free
-    (`lax.apply_transfer`), so no D x D array is formed.  Of root sets that
-    build the same state, the first found is kept.  Which solutions are
-    found depends on which starts converge; `validate_against_ed` does not
-    use this search.  As there, a sector with M > N s is solved as sector
-    2 N s - M and flipped onto the all-down vacuum.  The M = 0 sector gets
-    one Newton start, since every start of it is the empty root set.
+
+def solve_bae(N, s, mu, M):
+    """Certified root sets for the (N, s, mu) chain with M roots.
+
+    The TQ census of `validate_against_ed` limited to sector M, without the
+    ED match: one candidate per eigenvector of the sector block of the
+    transfer matrix, through `tq_roots` and `refine`, each passing the same
+    certifier (`_certified`) and kept once per state.  The sector blocks
+    and the eigen-gap gate apply the transfer matrix matrix-free
+    (`lax.apply_transfer`), so no D x D array is formed.  No random start
+    takes part: the output is fixed by the chain.  As there, a sector with
+    M > N s is solved as sector 2 N s - M and flipped onto the all-down
+    vacuum.  Solutions are sorted by their roots.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
     chain = uniform_chain("xxz", N, mu, n, "principal")
     apply_t = partial(apply_transfer, chain, _GAP_PROBE)
     source = _source(M, (n - 1) * N)
-    found = []
-    for start in _structured_seeds(source, restarts, seed, N, s):
-        lams = _newton(start, N, s, mu)
-        if lams is None:
-            continue
-        lams = _canonical(lams)
-        if not any(_same_multiset(lams, prev) for prev in found):
-            found.append(lams)
-    kept = _in_sector(M, source, _certified(N, s, mu, found, chain, apply_t), apply_t)
-    sols = [sol for sol, _ in kept]
-    sols.sort(key=lambda so: tuple((round(z.real, 9), round(z.imag, 9)) for z in so.system.roots))
-    return sols
+    found = _reconstruct(N, s, mu, chain, apply_t, {source: sz_sector_indices(N, n, source)})
+    kept = _in_sector(M, source, found[source], apply_t)
+    return sorted((sol for sol, _ in kept), key=_report_order)
 
 
 def tq_roots(values, points, N, s, mu, M) -> np.ndarray | None:
@@ -451,24 +416,37 @@ def tq_roots(values, points, N, s, mu, M) -> np.ndarray | None:
     return 0.5 * np.log(zeros) + 0.5j * mu
 
 
-def _sector_levels(fam, teig, sectors, points):
+def _sector_blocks(chain, lam, sectors) -> dict:
+    """{M: t(lam)[sel, sel]} for the index arrays sel = sectors[M], from one
+    batched `apply_transfer` on the unit columns of every sector, so no
+    D x D array is formed."""
+    cols = np.concatenate(list(sectors.values()))
+    unit = np.zeros((int(np.prod(chain.local_dims)), cols.size), dtype=complex)
+    unit[cols, np.arange(cols.size)] = 1.0
+    image = apply_transfer(chain, lam, unit)
+    blocks, start = {}, 0
+    for M, sel in sectors.items():
+        blocks[M] = image[sel, start:start + sel.size]
+        start += sel.size
+    return blocks
+
+
+def _sector_levels(chain, sectors, points):
     """Lambda at the points for every eigenvector of every sector block.
 
-    The eigenvectors V of each block are those of teig, the transfer matrix
-    at a generic probe; Lambda of level j at lambda is
-    (V^-1 t(lambda) V)_jj.  One further full transfer matrix is alive at a
-    time and only its sector blocks are kept.
+    The eigenvectors V of each block are those of the transfer matrix at
+    the generic probe _EIG_PROBE; Lambda of level j at lambda is
+    (V^-1 t(lambda) V)_jj.
     """
     bases = {}
-    for M, sel in sectors.items():
-        vecs = np.linalg.eig(teig[np.ix_(sel, sel)])[1]
+    for M, block in _sector_blocks(chain, _EIG_PROBE, sectors).items():
+        vecs = np.linalg.eig(block)[1]
         bases[M] = (np.linalg.inv(vecs), vecs)
     table = {M: np.empty((sel.size, len(points)), dtype=complex) for M, sel in sectors.items()}
     for k, lam in enumerate(points):
-        t = fam(lam)
-        for M, sel in sectors.items():
+        for M, block in _sector_blocks(chain, lam, sectors).items():
             inv, vecs = bases[M]
-            table[M][:, k] = np.einsum("ij,ji->i", inv, t[np.ix_(sel, sel)] @ vecs)
+            table[M][:, k] = np.einsum("ij,ji->i", inv, block @ vecs)
     return table
 
 
@@ -484,12 +462,13 @@ def _tq_candidates(values, points, N, s, mu, M):
             continue
 
 
-def _reconstruct(N, s, mu, chain, apply_t, teig, sectors):
+def _reconstruct(N, s, mu, chain, apply_t, sectors):
     """Certified (solution, vector) pairs per sector, from at most one
-    candidate per eigenvector of the sector block of teig."""
+    candidate per eigenvector of the sector block; apply_t is the
+    certifier's transfer matrix at _GAP_PROBE."""
     K = 2 * N * round(2 * s + 1) + 8
     points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
-    table = _sector_levels(transfer(chain), teig, sectors, points)
+    table = _sector_levels(chain, sectors, points)
     return {M: _certified(N, s, mu, _tq_candidates(values, points, N, s, mu, M), chain, apply_t)
             for M, values in table.items()}
 
@@ -529,14 +508,18 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     Every eigenvector of that block yields at most one candidate root set,
     through `tq_roots` and `refine`; a candidate counts when it passes the
     certifier shared with `solve_bae` (`_certified`) and is kept once per
-    state.  Sectors with M > N s are covered from sector 2 N s - M by the
-    spin flip F, since F t F = t: the flipped vector, on the all-down
-    vacuum, must pass the eigen-gap gate again.  A solution is matched
+    state.  The sector blocks are applied matrix-free, as in `solve_bae`;
+    the certifier's gate and the three ED probes use dense transfer
+    matrices, four in all, as an independent oracle.  Sectors with M > N s
+    are covered from sector 2 N s - M by the spin flip F, since F t F = t:
+    the flipped vector, on the all-down vacuum, must pass the eigen-gap
+    gate again.  A solution is matched
     when its Lambda agrees with a sector eigenvalue to rtol at the three
     probes _PROBES, relative to max(|Lambda|, 1e-8 |t(p)|_F) so that a
-    level with Lambda = 0 can match.  Coverage counts sector levels matched
-    by at least one solution; it is fixed by the chain alone: no random
-    start takes part.
+    level with Lambda = 0 can match.  Each sector's solutions are sorted
+    by matched level, unmatched last.  Coverage counts sector levels
+    matched by at least one solution; it is fixed by the chain alone: no
+    random start takes part.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
@@ -549,12 +532,10 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
         M_range = range(top + 1)
     sectors = {M: sel for M in M_range if (sel := sz_sector_indices(N, n, M)).size}
 
-    tmat, teig = fam(_GAP_PROBE), fam(_EIG_PROBE)
-    apply_t = partial(np.matmul, tmat)
+    apply_t = partial(np.matmul, fam(_GAP_PROBE))
     sources = {M: _source(M, top) for M in sectors}
-    found = _reconstruct(N, s, mu, chain, apply_t, teig,
+    found = _reconstruct(N, s, mu, chain, apply_t,
                          {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))})
-    del teig  # at the 4096 cap every full transfer matrix holds 268 MB
     evs = {M: [] for M in sectors}
     floors = []  # a level with Lambda = 0 is matched on the scale of t itself
     for p in _PROBES:
@@ -574,7 +555,7 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     covered = mismatched = total_solutions = 0
     for M, sel in sectors.items():
         hit = np.zeros(sel.size, dtype=bool)
-        entries = []
+        sols = []
         for sol, _ in _in_sector(M, sources[M], found[sources[M]], apply_t):
             vals = [sol.eigenvalue_fn(complex(p)) for p in _PROBES]
             dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
@@ -586,7 +567,8 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
                 mismatched += 1
             else:
                 hit[matched] = True
-            entries.append(solution_record(replace(sol, matched_ed_index=matched)))
+            sols.append(replace(sol, matched_ed_index=matched))
+        entries = [solution_record(sol) for sol in sorted(sols, key=_report_order)]
         total_solutions += len(entries)
         report["sectors"].append({
             "M": M,

@@ -20,17 +20,22 @@ import numpy as np
 from . import algebra, bethe, boundary, braid, lax, linalg, rmatrix
 
 SCHEMA = "v1"
-# validated bethe diagonalizes dense transfer matrices: (6, 1) at D = 729 takes
-# 6 s and (10, 1/2) at D = 1024 takes 14 s and 187 MB on a 2-core box; larger
-# chains, which need K = 2Nn + 8 dense matrices of up to 268 MB, are refused
+# validated bethe checks its census against four dense transfer matrices and
+# dense sector ED: (6, 1) at D = 729 takes 5 s and (10, 1/2) at D = 1024 takes
+# 13 s and 176 MB on a 2-core box; larger chains are refused, since at the
+# 4096 cap each dense matrix holds 268 MB and the census of (12, 1/2, M = 6)
+# alone takes 174 s
 VALIDATE_DIM = 1024
-# casimir's one-site open transfer at 2s+1 = 256 takes 2 s and 172 MB on a
-# 2-core box, at 1024 already 55 s and 2.3 GB
-MAX_CASIMIR_DIM = 256
+# the site dimension 2s+1 of casimir and bethe: casimir's one-site open
+# transfer at 256 takes 2 s and 172 MB on a 2-core box, at 1024 already 55 s
+# and 2.3 GB; bethe builds a 2(2s+1)-square Lax matrix at each of its
+# 2N(2s+1) + 8 TQ points, and one site at 2s+1 = 1024 takes 70 s
+MAX_SITE_DIM = 256
 MAX_DELTA_STEPS = 10_000
 MAX_PAIRS = 10_000
-# each bethe restart is one Newton solve: 10 000 of them take 5 s at N = 2 on
-# a 2-core box
+# bethe's seed and restarts no longer change the result (its roots come from
+# the TQ census of the sector); both stay accepted, bounded and echoed, so
+# that existing configs keep working
 MAX_RESTARTS = 10_000
 # the frt suite embeds the cyclic Lax operators in (4p) x (4p) matrices
 MAX_CYCLIC_ORDER = 64
@@ -498,7 +503,7 @@ def cmd_bethe(cfg: dict, args) -> int:
         {"N"},
     )
     N = _as_int(cfg["N"], "N")
-    s, n = _as_spin(cfg.get("s", 0.5), "s", 4096)
+    s, n = _as_spin(cfg.get("s", 0.5), "s", MAX_SITE_DIM)
     mu = _resolve_mu(cfg)
     seed = _flag_or_key(args.seed, cfg, "seed", 0)
     _check_threads(cfg, args)
@@ -541,7 +546,7 @@ def cmd_bethe(cfg: dict, args) -> int:
             payload["report"] = report
             ok = report["mismatched_solutions"] == 0
         else:
-            sols = bethe.solve_bae(N, s, mu, M, seed=seed, restarts=restarts)
+            sols = bethe.solve_bae(N, s, mu, M)
             payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
             ok = True
     except (ValueError, OverflowError) as exc:  # OverflowError: q = e^{i mu} out of range
@@ -621,7 +626,7 @@ def cmd_casimir(cfg: dict, args) -> int:
     spins = cfg.get("spins", [0.5, 1.0])
     if not isinstance(spins, list) or not spins:
         raise ConfigError("spins must be a non-empty list")
-    reps = [_as_spin(spin, "spins", MAX_CASIMIR_DIM) for spin in spins]
+    reps = [_as_spin(spin, "spins", MAX_SITE_DIM) for spin in spins]
     try:
         q = cmath.exp(1j * mu)
         results = [_casimir_entry(spin, n, q) for spin, n in reps]

@@ -308,20 +308,22 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
 
 
 def _monodromy_column(chain: ChainSpec, laxes: list, b: int, vec) -> np.ndarray:
-    """Rows a = 0, 1 of T[a][b] @ vec, for the site Lax matrices laxes.
+    """Rows a = 0, 1 of T[a][b] @ vec, for the site Lax matrices laxes;
+    vec is one (D,) vector or a (D, L) batch of columns.
 
-    The state |b> (x) vec is held with legs [aux, site 1, ..., site N];
-    L_k contracts the aux leg and site leg k, site 1 first, so no D x D
-    array is formed and the cost is O(N n^2 D).
+    The state |b> (x) vec is held with legs [aux, site 1, ..., site N,
+    batch]; L_k contracts the aux leg and site leg k, site 1 first, so no
+    D x D array is formed and the cost is O(N n^2 D) per column.
     """
-    state = np.zeros((2,) + chain.local_dims, dtype=complex)
-    state[b] = np.reshape(vec, chain.local_dims)
+    batch = np.shape(vec)[1:]
+    state = np.zeros((2,) + chain.local_dims + batch, dtype=complex)
+    state[b] = np.reshape(vec, chain.local_dims + batch)
     for k, lmat in enumerate(laxes, start=1):
         n = lmat.shape[0] // 2
         # legs of L: [aux out, site out, aux in, site in]
         state = np.tensordot(lmat.reshape(2, n, 2, n), state, axes=([2, 3], [0, k]))
         state = np.moveaxis(state, 1, k)
-    return state.reshape(2, -1)
+    return state.reshape((2, -1) + batch)
 
 
 def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -> np.ndarray:
@@ -330,7 +332,8 @@ def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -
 
 
 def apply_transfer(chain: ChainSpec, lam: complex, vec) -> np.ndarray:
-    """transfer(chain)(lam) @ vec = T[0][0] vec + T[1][1] vec, matrix-free."""
+    """transfer(chain)(lam) @ vec = T[0][0] vec + T[1][1] vec, matrix-free;
+    vec is a (D,) vector or a (D, L) batch of columns."""
     laxes = site_lax_matrices(chain, lam)
     return _monodromy_column(chain, laxes, 0, vec)[0] + _monodromy_column(chain, laxes, 1, vec)[1]
 

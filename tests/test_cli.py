@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, schemas, formats, determinism."""
 
 import cmath
+import itertools
 import json
 import math
 import shutil
@@ -158,6 +159,9 @@ NAN, INF = float("nan"), float("inf")
                      id="bethe-q-root-of-unity"),
         pytest.param("phase-scan", {"N": 2, "delta_start": 0, "delta_stop": 1},
                      id="phase-scan-partial-range"),
+        pytest.param("bethe", {"N": 1, "s": 128}, id="bethe-spin-above-bound"),
+        pytest.param("bethe", {"N": 1, "s": 511.5, "M": 1, "validate": False},
+                     id="bethe-unvalidated-spin-above-bound"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, command, obj):
@@ -316,6 +320,20 @@ def test_bethe_unvalidated_needs_m(tmp_path, capsys):
     assert payload["solutions"][0]["sz"] == 0.0
 
 
+def test_bethe_seed_and_restarts_do_not_change_the_result(tmp_path, capsys):
+    # the roots come from the TQ census of the sector, with no start stream;
+    # seed and restarts are still accepted and echoed
+    texts = set()
+    for seed, restarts in itertools.product((0, 1, 7), (0, 120, 10000)):
+        cfg = write_cfg(tmp_path, {"N": 6, "M": 3, "validate": False, "restarts": restarts})
+        code, out, _ = run(capsys, ["bethe", "--config", cfg, "--seed", str(seed)])
+        payload = json.loads(out)
+        assert code == 0 and (payload["seed"], payload["restarts"]) == (seed, restarts)
+        texts.add("".join(line for line in out.splitlines(keepends=True)
+                          if not line.startswith(('  "seed": ', '  "restarts": '))))
+    assert len(texts) == 1
+
+
 def test_bethe_rejects_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"N": 2, "M": 1})
     code, _, err = run(capsys, ["bethe", "--config", cfg, "--format", "csv"])
@@ -427,10 +445,10 @@ def _reached_validation(N, s, mu, M_range=None, rtol=1e-7):
     raise _Reached
 
 
-def _reached_solver(N, s, mu, M, seed=0, restarts=120):
+def _reached_solver(N, s, mu, M):
     n = round(2 * s + 1)
-    assert 1 <= N and n >= 2 and n**N <= 4096 and 0 <= M <= (n - 1) * N
-    assert cmath.isfinite(mu) and 0 <= restarts <= cli.MAX_RESTARTS
+    assert 1 <= N and 2 <= n <= cli.MAX_SITE_DIM and n**N <= 4096 and 0 <= M <= (n - 1) * N
+    assert cmath.isfinite(mu)
     raise _Reached
 
 
@@ -447,7 +465,7 @@ class _ReachedRng:
 
 
 def _reached_casimir(spin, n, q):
-    assert 2 <= n <= cli.MAX_CASIMIR_DIM and math.isfinite(spin) and cmath.isfinite(q)
+    assert 2 <= n <= cli.MAX_SITE_DIM and math.isfinite(spin) and cmath.isfinite(q)
     raise _Reached
 
 
