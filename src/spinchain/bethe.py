@@ -4,19 +4,18 @@ Roots come from one source, a census of the sector-restricted transfer
 matrix: one candidate per eigenvector of the sector block.  Lambda is read
 off the commuting family on a small circle, Baxter's TQ relation
 Lambda Q(l) = a Q(l - i mu) + d Q(l + i mu) is solved as a linear system
-for Q, and its zeros, polished by Newton (`refine`), are the roots.
-`solve_bae` runs the census on one sector, `validate_against_ed` on every
-sector, matching each solution against ED.  The sector blocks come from
-one batched matrix-free `lax.apply_transfer` on their unit columns
-(`_sector_blocks`).  Every candidate then passes one certifier: pole
-gates, the equations to 1e-10, and the transfer matrix on the Bethe vector
-B...B|0> giving Lambda to 1e-8; the first root set per state is kept.  The
-Bethe vector is built matrix-free, one site at a time
-(`lax.apply_monodromy_block`).  A sector with M > N s is solved as sector
-2 N s - M and flipped (F: m -> -m on every site) onto the all-down vacuum:
-the principal Lax matrix is unchanged by reversing its row and column
-order, so F t F = t, and each flipped vector passes the eigen-gap gate
-again.
+for Q, and its zeros, polished by Newton (`refine`), are the roots.  One
+driver (`_census`) runs the census for `solve_bae` on one sector and for
+`validate_against_ed`, which matches each solution against ED, on every
+sector.  Every candidate passes one certifier: pole gates, the equations
+to 1e-10, and the eigen-gap gate, t on the Bethe vector B...B|0> giving
+Lambda to 1e-8; the first root set per state is kept.  The sector blocks
+and the gate apply t matrix-free, in batches (`lax.apply_transfer`), and
+the Bethe vector is built one site at a time (`lax.apply_monodromy_block`).
+A sector with M > N s is solved as sector 2 N s - M and flipped
+(F: m -> -m on every site) onto the all-down vacuum: the principal Lax
+matrix is unchanged by reversing its row and column order, so F t F = t,
+and each flipped vector passes the eigen-gap gate again.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .lax import apply_monodromy_block, apply_transfer, sz_sector_indices, transfer, uniform_chain
+from .linalg import MAX_DIM
 
 _ACCEPT = 1e-10
 _NEWTON_STEPS = 200
@@ -161,7 +160,7 @@ def _newton(start, N, s, mu):
                 break
             step *= 0.5
         else:
-            return None
+            break  # stalled at the rounding floor, maybe already below _ACCEPT
     return lams if nr < _ACCEPT else None
 
 
@@ -293,20 +292,24 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     return vec if system.vacuum == "up" else vec[::-1]
 
 
-def _eigen_gap(apply_t, vec, value) -> float:
-    # relative defect |t v - Lambda v| / |t v| of a candidate eigenvector;
-    # apply_t maps v to t v
-    tv = apply_t(vec)
-    return float(np.linalg.norm(tv - value * vec) / max(np.linalg.norm(tv), 1e-300))
+def _gaps(chain, pairs) -> np.ndarray:
+    """Relative defects |t v - Lambda v| / |t v| of the (solution, vector)
+    pairs, with t at _GAP_PROBE applied by one batched `lax.apply_transfer`
+    to all the vectors."""
+    if not pairs:
+        return np.empty(0)
+    vecs = np.stack([vec for _, vec in pairs], axis=1)
+    values = np.array([sol.eigenvalue_fn(_GAP_PROBE) for sol, _ in pairs])
+    tv = apply_transfer(chain, _GAP_PROBE, vecs)
+    return np.linalg.norm(tv - values * vecs, axis=0) / np.maximum(np.linalg.norm(tv, axis=0), 1e-300)
 
 
-def _certified(N, s, mu, candidates, chain, apply_t) -> list:
+def _certified(N, s, mu, candidates, chain) -> list:
     """(solution, Bethe vector) pairs, the first per state, of the candidate
     root arrays that pass the one certifier: a valid `BetheSystem`, the pole
-    gates, the equations to _ACCEPT, and the transfer matrix at _GAP_PROBE,
-    applied by apply_t, having the vector as eigenvector with Lambda to _GAP.
-    """
-    kept = []
+    gates, the equations to _ACCEPT and then, for all survivors at once, the
+    eigen-gap gate (`_gaps` below _GAP)."""
+    passed = []
     for lams in candidates:
         try:
             system = BetheSystem(N, s, mu, tuple(lams))
@@ -317,39 +320,48 @@ def _certified(N, s, mu, candidates, chain, apply_t) -> list:
         residual = bae_residual(system)
         if residual >= _ACCEPT:
             continue
-        fn = eigenvalue_fn(system)
         try:
             vec = bethe_vector(system, chain)
         except ValueError:
             continue
-        if _eigen_gap(apply_t, vec, fn(_GAP_PROBE)) >= _GAP:
-            continue
+        e, p = (energy(system), momentum(system)) if abs(system.s - 0.5) < 1e-12 else (None, None)
+        passed.append((BetheSolution(system, residual, eigenvalue_fn(system), e, p), vec))
+    kept = []
+    for (sol, vec), gap in zip(passed, _gaps(chain, passed)):
         # one state, one solution: root sets may differ by runaway or i pi
         # shifted roots and still build the same vector
-        if any(abs(np.vdot(other, vec)) > 1 - _GAP for _, other in kept):
+        if gap >= _GAP or any(abs(np.vdot(other, vec)) > 1 - _GAP for _, other in kept):
             continue
-        e, p = (energy(system), momentum(system)) if abs(system.s - 0.5) < 1e-12 else (None, None)
-        kept.append((BetheSolution(system, residual, fn, e, p), vec))
+        kept.append((sol, vec))
     return kept
 
 
-def _source(M, top) -> int:
-    # sector M > N s = top / 2 is solved as its mirror 2 N s - M
-    return top - M if 2 * M > top else M
+def _census(chain, s, mu, Ms) -> dict:
+    """{M: certified (solution, vector) pairs} for the sectors Ms, with at
+    most one candidate per eigenvector of each source sector's block.
 
-
-def _in_sector(M, source, kept, apply_t) -> list:
-    """Sector M's (solution, vector) pairs from those of its source sector.
-    A mirrored state is flipped onto the all-down vacuum, and the flipped
-    vector must pass the eigen-gap gate again."""
-    if source == M:
-        return kept
-    out = []
-    for sol, vec in kept:
-        flipped = vec[::-1]
-        if _eigen_gap(apply_t, flipped, sol.eigenvalue_fn(_GAP_PROBE)) < _GAP:
-            out.append((replace(sol, system=replace(sol.system, vacuum="down")), flipped))
-    return out
+    A sector M > N s takes the states of its mirror 2 N s - M, reconstructed
+    once, flipped onto the all-down vacuum, and the flipped vectors pass the
+    eigen-gap gate again, in one batch.  Chains above MAX_DIM are refused.
+    """
+    N, n = chain.N, round(2 * s + 1)
+    if n**N > MAX_DIM:
+        raise ValueError(f"Hilbert space (2s+1)^N above {MAX_DIM}")
+    sources = {M: min(M, (n - 1) * N - M) for M in Ms}
+    sectors = {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))}
+    K = 2 * N * n + 8
+    points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
+    found = {M: _certified(N, s, mu, _tq_candidates(values, points, N, s, mu, M), chain)
+             for M, values in _sector_levels(chain, sectors, points).items()}
+    census = {}
+    for M, source in sources.items():
+        if source == M:
+            census[M] = found[M]
+            continue
+        flipped = [(replace(sol, system=replace(sol.system, vacuum="down")), vec[::-1])
+                   for sol, vec in found[source]]
+        census[M] = [pair for pair, gap in zip(flipped, _gaps(chain, flipped)) if gap < _GAP]
+    return census
 
 
 def refine(system: BetheSystem) -> BetheSystem:
@@ -370,24 +382,20 @@ def _report_order(sol: BetheSolution) -> tuple:
 def solve_bae(N, s, mu, M):
     """Certified root sets for the (N, s, mu) chain with M roots.
 
-    The TQ census of `validate_against_ed` limited to sector M, without the
-    ED match: one candidate per eigenvector of the sector block of the
-    transfer matrix, through `tq_roots` and `refine`, each passing the same
-    certifier (`_certified`) and kept once per state.  The sector blocks
-    and the eigen-gap gate apply the transfer matrix matrix-free
-    (`lax.apply_transfer`), so no D x D array is formed.  No random start
-    takes part: the output is fixed by the chain.  As there, a sector with
-    M > N s is solved as sector 2 N s - M and flipped onto the all-down
-    vacuum.  Solutions are sorted by their roots.
+    The TQ census of `validate_against_ed` limited to sector M, through the
+    same driver (`_census`) and without the ED match: one candidate per
+    eigenvector of the sector block of the transfer matrix, through
+    `tq_roots` and `refine`, each passing the same certifier (`_certified`)
+    and kept once per state.  The sector blocks and the eigen-gap gate
+    apply the transfer matrix matrix-free (`lax.apply_transfer`), so no
+    D x D array is formed.  No random start takes part.  As there, a sector
+    with M > N s is solved as sector 2 N s - M and flipped onto the
+    all-down vacuum, and (2s+1)^N above MAX_DIM raises ValueError.
+    Solutions are sorted by their roots.
     """
     mu, s = complex(mu), float(s)
-    n = round(2 * s + 1)
-    chain = uniform_chain("xxz", N, mu, n, "principal")
-    apply_t = partial(apply_transfer, chain, _GAP_PROBE)
-    source = _source(M, (n - 1) * N)
-    found = _reconstruct(N, s, mu, chain, apply_t, {source: sz_sector_indices(N, n, source)})
-    kept = _in_sector(M, source, found[source], apply_t)
-    return sorted((sol for sol, _ in kept), key=_report_order)
+    chain = uniform_chain("xxz", N, mu, round(2 * s + 1), "principal")
+    return sorted((sol for sol, _ in _census(chain, s, mu, [M])[M]), key=_report_order)
 
 
 def tq_roots(values, points, N, s, mu, M) -> np.ndarray | None:
@@ -462,17 +470,6 @@ def _tq_candidates(values, points, N, s, mu, M):
             continue
 
 
-def _reconstruct(N, s, mu, chain, apply_t, sectors):
-    """Certified (solution, vector) pairs per sector, from at most one
-    candidate per eigenvector of the sector block; apply_t is the
-    certifier's transfer matrix at _GAP_PROBE."""
-    K = 2 * N * round(2 * s + 1) + 8
-    points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
-    table = _sector_levels(chain, sectors, points)
-    return {M: _certified(N, s, mu, _tq_candidates(values, points, N, s, mu, M), chain, apply_t)
-            for M, values in table.items()}
-
-
 def solution_record(sol: BetheSolution) -> dict:
     """JSON-ready record of one solution; complex values as [re, im].
 
@@ -507,35 +504,29 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     For each sector the transfer matrix is restricted to Sz = N s - M.
     Every eigenvector of that block yields at most one candidate root set,
     through `tq_roots` and `refine`; a candidate counts when it passes the
-    certifier shared with `solve_bae` (`_certified`) and is kept once per
-    state.  The sector blocks are applied matrix-free, as in `solve_bae`;
-    the certifier's gate and the three ED probes use dense transfer
-    matrices, four in all, as an independent oracle.  Sectors with M > N s
-    are covered from sector 2 N s - M by the spin flip F, since F t F = t:
-    the flipped vector, on the all-down vacuum, must pass the eigen-gap
-    gate again.  A solution is matched
-    when its Lambda agrees with a sector eigenvalue to rtol at the three
-    probes _PROBES, relative to max(|Lambda|, 1e-8 |t(p)|_F) so that a
-    level with Lambda = 0 can match.  Each sector's solutions are sorted
-    by matched level, unmatched last.  Coverage counts sector levels
+    certifier (`_certified`) and is kept once per state, through the census
+    driver shared with `solve_bae` (`_census`), which applies the sector
+    blocks and the eigen-gap gate matrix-free; only the three ED probes use
+    dense transfer matrices, as an independent oracle.  Sectors with
+    M > N s are covered from sector 2 N s - M by the spin flip F, since
+    F t F = t: the flipped vector, on the all-down vacuum, must pass the
+    eigen-gap gate again.  (2s+1)^N above MAX_DIM raises ValueError.  A
+    solution is matched when its Lambda agrees with a sector eigenvalue to
+    rtol at the three probes _PROBES, relative to max(|Lambda|,
+    1e-8 |t(p)|_F) so that a level with Lambda = 0 can match.  Each
+    sector's solutions are sorted by matched level, unmatched last.  Coverage counts sector levels
     matched by at least one solution; it is fixed by the chain alone: no
     random start takes part.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
-    if n**N > 4096:
-        raise ValueError("Hilbert space above the validation bound")
     chain = uniform_chain("xxz", N, mu, n, "principal")
-    fam = transfer(chain)
-    top = round(2 * s) * N
+    top = (n - 1) * N
     if M_range is None:
         M_range = range(top + 1)
-    sectors = {M: sel for M in M_range if (sel := sz_sector_indices(N, n, M)).size}
-
-    apply_t = partial(np.matmul, fam(_GAP_PROBE))
-    sources = {M: _source(M, top) for M in sectors}
-    found = _reconstruct(N, s, mu, chain, apply_t,
-                         {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))})
+    census = _census(chain, s, mu, [M for M in M_range if 0 <= M <= top])
+    sectors = {M: sz_sector_indices(N, n, M) for M in census}
+    fam = transfer(chain)
     evs = {M: [] for M in sectors}
     floors = []  # a level with Lambda = 0 is matched on the scale of t itself
     for p in _PROBES:
@@ -556,7 +547,7 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     for M, sel in sectors.items():
         hit = np.zeros(sel.size, dtype=bool)
         sols = []
-        for sol, _ in _in_sector(M, sources[M], found[sources[M]], apply_t):
+        for sol, _ in census[M]:
             vals = [sol.eigenvalue_fn(complex(p)) for p in _PROBES]
             dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
                      for ev, val, floor in zip(evs[M], vals, floors)]

@@ -20,11 +20,13 @@ import numpy as np
 from . import algebra, bethe, boundary, braid, lax, linalg, rmatrix
 
 SCHEMA = "v1"
-# validated bethe checks its census against four dense transfer matrices and
+# the longest spin-1/2 chain within the Hilbert cap linalg.MAX_DIM
+MAX_N = linalg.MAX_DIM.bit_length() - 1
+# validated bethe checks its census against three dense transfer matrices and
 # dense sector ED: (6, 1) at D = 729 takes 5 s and (10, 1/2) at D = 1024 takes
-# 13 s and 176 MB on a 2-core box; larger chains are refused, since at the
+# 13 s and 163 MB on a 2-core box; larger chains are refused, since at the
 # 4096 cap each dense matrix holds 268 MB and the census of (12, 1/2, M = 6)
-# alone takes 174 s
+# alone takes 170 to 190 s
 VALIDATE_DIM = 1024
 # the site dimension 2s+1 of casimir and bethe: casimir's one-site open
 # transfer at 256 takes 2 s and 172 MB on a 2-core box, at 1024 already 55 s
@@ -472,8 +474,8 @@ def cmd_spectrum(cfg: dict, args) -> int:
     if abs(delta.imag) > 1e-14:
         raise ConfigError("spectrum needs a real delta (a real mu); H is not Hermitian otherwise")
     delta = delta.real
-    if not 1 <= N <= 12:  # 2^N <= 4096
-        raise ConfigError("N must keep the Hilbert dimension within [2, 4096]")
+    if not 1 <= N <= MAX_N:
+        raise ConfigError(f"N must keep the Hilbert dimension within [2, {linalg.MAX_DIM}]")
     if N == 1:
         levels = [{"energy": 0.0, "sz": -0.5}, {"energy": 0.0, "sz": 0.5}]
     else:
@@ -517,13 +519,13 @@ def cmd_bethe(cfg: dict, args) -> int:
     if not 0 < rtol < 1:
         raise ConfigError(f"rtol must lie in (0, 1), not {rtol!r}")
     M = _as_int(cfg["M"], "M") if "M" in cfg else None
-    # N <= 12 first, so that a huge N never becomes a huge n^N
-    if not 1 <= N <= 12 or n**N > 4096:
-        raise ConfigError("N and s must keep the Hilbert dimension (2s+1)^N within 4096")
+    # N <= MAX_N first, so that a huge N never becomes a huge n^N
+    if not 1 <= N <= MAX_N or n**N > linalg.MAX_DIM:
+        raise ConfigError(f"N and s must keep the Hilbert dimension (2s+1)^N within {linalg.MAX_DIM}")
     if validate and n**N > VALIDATE_DIM:
         raise ConfigError(
             f"validated bethe needs (2s+1)^N <= {VALIDATE_DIM} (its dense ED takes minutes "
-            "there already); validate: false allows 4096"
+            f"there already); validate: false allows {linalg.MAX_DIM}"
         )
     if M is not None and not 0 <= M <= (n - 1) * N:
         raise ConfigError(f"M must lie in [0, 2sN] = [0, {(n - 1) * N}]")
@@ -589,8 +591,8 @@ def cmd_phase_scan(cfg: dict, args) -> int:
     boundary_kind = cfg.get("boundary", "periodic")
     if boundary_kind not in ("periodic", "open"):
         raise ConfigError("boundary must be periodic or open")
-    if not 2 <= N <= 12:  # 2^N <= 4096
-        raise ConfigError("N must keep the Hilbert dimension within [4, 4096]")
+    if not 2 <= N <= MAX_N:
+        raise ConfigError(f"N must keep the Hilbert dimension within [4, {linalg.MAX_DIM}]")
     _check_threads(cfg, args)
     grid = _delta_grid(cfg)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
-from .linalg import embed, mat, rel_norm, richardson_derivative
+from .linalg import MAX_DIM, embed, mat, rel_norm, richardson_derivative
 from .rmatrix import braided, r_pm, xxx_family, xxz_family
 
 
@@ -571,8 +571,8 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     be real, since H is Hermitian only then; the open chain's blocks and
     the momentum blocks with k = 0 and k = N/2 are then real.
     """
-    if 2**N > 4096:
-        raise ValueError("Hilbert space dimension above 4096")
+    if 2**N > MAX_DIM:
+        raise ValueError(f"Hilbert space dimension above {MAX_DIM}")
     if abs(complex(delta).imag) > 1e-14:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
     delta = complex(delta).real

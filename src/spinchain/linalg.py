@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# the advertised cap on the Hilbert dimension of every chain
+MAX_DIM = 4096
+
 
 def mat(x) -> np.ndarray:
     """A caller-supplied matrix coerced to a complex ndarray."""

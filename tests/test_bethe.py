@@ -146,6 +146,20 @@ def test_refine_is_idempotent(sols42):
     assert abs(ref.roots[0]) < 1e-10
 
 
+def test_refine_accepts_a_start_stalled_below_the_acceptance_bound():
+    # TQ roots of an (8, 1/2, M = 3) level near a string solve the equations
+    # to the rounding floor, where no line-search step descends any further
+    start = sc.BetheSystem(8, 0.5, MU, (-0.09952007544876873 - 0.15008004151606844j,
+                                        -0.180001521899253 + 3.247402347028583e-15j,
+                                        -0.09952007544877059 + 0.15008004151606608j))
+    assert sc.bae_residual(start) < bethe._ACCEPT
+    ref = sc.refine(start)
+    assert max(abs(np.asarray(ref.roots) - bethe._canonical(start.roots))) < 1e-9
+    # and the level is a certified state of the sector
+    assert any(max(abs(np.asarray(sol.system.roots) - np.asarray(ref.roots))) < 1e-9
+               for sol in sc.solve_bae(8, 0.5, MU, 3))
+
+
 def test_sz_bookkeeping(sols42):
     for sol in sols42:
         assert float(sc.bethe.sz(sol)) == 4 * 0.5 - 2
@@ -356,8 +370,8 @@ def test_solve_bae_memory_stays_far_below_one_dense_block():
 
 
 def test_validation_builds_transfer_matrices_only(monkeypatch):
-    # the certifier's gate and the 3 ED probes; the sector blocks at the TQ
-    # points and the Bethe vectors never build a dense monodromy
+    # the 3 ED probes only; the sector blocks at the TQ points, the
+    # eigen-gap gate and the Bethe vectors never build a dense monodromy
     calls = []
     inside = []
     blocks, vector = lax.monodromy_blocks, bethe.bethe_vector
@@ -378,7 +392,7 @@ def test_validation_builds_transfer_matrices_only(monkeypatch):
     monkeypatch.setattr(bethe, "bethe_vector", flagged_vector)
     report = sc.validate_against_ed(6, 0.5, MU)
     assert report["total_solutions"] > 0
-    assert len(calls) == 1 + 3
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("N, s", [(2, 0.5), (4, 0.5), (5, 0.5), (2, 1.0)])
@@ -402,16 +416,50 @@ def test_solve_bae_mirrors_sectors_beyond_the_equator(N, s):
     assert vacuum.system.roots == () and vacuum.system.vacuum == "down"
 
 
+@pytest.mark.parametrize("N, s", [(6, 0.5), (4, 1.0)])
+def test_batched_gate_matches_the_dense_transfer(monkeypatch, N, s):
+    # every candidate vector of the census, flipped ones included: the gap
+    # of the batched matrix-free gate is |t v - Lambda v| / |t v| with a
+    # dense t, and passes or fails the gate with it
+    calls, gaps = [], bethe._gaps
+
+    def recorded(chain, pairs):
+        out = gaps(chain, pairs)
+        calls.append((pairs, out))
+        return out
+
+    monkeypatch.setattr(bethe, "_gaps", recorded)
+    chain = lax.uniform_chain("xxz", N, MU, round(2 * s + 1), "principal")
+    bethe._census(chain, s, MU, range(round(2 * s) * N + 1))
+    tm = lax.transfer(chain)(bethe._GAP_PROBE)
+    checked = []
+    for pairs, batched in calls:
+        for (sol, vec), gap in zip(pairs, batched):
+            tv = tm @ vec
+            dense = np.linalg.norm(tv - sol.eigenvalue_fn(bethe._GAP_PROBE) * vec) / np.linalg.norm(tv)
+            assert abs(gap - dense) < 1e-12
+            assert (gap < bethe._GAP) == (dense < bethe._GAP)
+            checked.append(sol.system.vacuum)
+    assert checked.count("up") > 0 and checked.count("down") > 0
+
+
+def test_both_entry_points_refuse_chains_above_the_cap():
+    with pytest.raises(ValueError):
+        sc.solve_bae(13, 0.5, MU, 1)
+    with pytest.raises(ValueError):
+        sc.validate_against_ed(13, 0.5, MU, M_range=[1])
+
+
 def test_mirrored_states_pass_the_gate_again(monkeypatch):
     # both entry points re-gate a flipped vector: with the gate failing on
     # the all-down state only, the mirrored M = 2 sector of (2, 1/2) is empty
     assert len(sc.solve_bae(2, 0.5, MU, 2)) == 1
-    gap = bethe._eigen_gap
+    gaps = bethe._gaps
 
-    def fails_on_all_down(apply_t, vec, value):
-        return 1.0 if abs(vec[-1]) > 0.5 else gap(apply_t, vec, value)
+    def fails_on_all_down(chain, pairs):
+        return np.where([abs(vec[-1]) > 0.5 for _, vec in pairs], 1.0, gaps(chain, pairs))
 
-    monkeypatch.setattr(bethe, "_eigen_gap", fails_on_all_down)
+    monkeypatch.setattr(bethe, "_gaps", fails_on_all_down)
     assert sc.solve_bae(2, 0.5, MU, 0) and sc.solve_bae(2, 0.5, MU, 2) == []
     (sector,) = sc.validate_against_ed(2, 0.5, MU, M_range=[2])["sectors"]
     assert sector["solutions"] == [] and sector["levels_matched"] == 0
