@@ -510,9 +510,10 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     dense transfer matrices, as an independent oracle.  Sectors with
     M > N s are covered from sector 2 N s - M by the spin flip F, since
     F t F = t: the flipped vector, on the all-down vacuum, must pass the
-    eigen-gap gate again.  (2s+1)^N above MAX_DIM raises ValueError.  A
-    solution is matched when its Lambda agrees with a sector eigenvalue to
-    rtol at the three probes _PROBES, relative to max(|Lambda|,
+    eigen-gap gate again.  (2s+1)^N above MAX_DIM, or an M_range with no M
+    in [0, 2 N s], raises ValueError.  A solution is matched when its
+    Lambda agrees with a sector eigenvalue to rtol at the three probes
+    _PROBES, relative to max(|Lambda|,
     1e-8 |t(p)|_F) so that a level with Lambda = 0 can match.  Each
     sector's solutions are sorted by matched level, unmatched last.  Coverage counts sector levels
     matched by at least one solution; it is fixed by the chain alone: no
@@ -524,7 +525,10 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     top = (n - 1) * N
     if M_range is None:
         M_range = range(top + 1)
-    census = _census(chain, s, mu, [M for M in M_range if 0 <= M <= top])
+    Ms = [M for M in M_range if 0 <= M <= top]
+    if not Ms:
+        raise ValueError(f"M_range holds no sector M in [0, {top}]")
+    census = _census(chain, s, mu, Ms)
     sectors = {M: sz_sector_indices(N, n, M) for M in census}
     fam = transfer(chain)
     evs = {M: [] for M in sectors}

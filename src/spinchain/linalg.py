@@ -4,13 +4,18 @@ Every operator on a tensor product of local spaces is a plain dense complex
 ndarray; the local dimensions travel with the call that needs them, as in
 embed(op, sites, dims).  At desk scale (total dimension <= 4096) dense
 storage and LAPACK eigen-solves beat any sparse machinery, so that is all
-we use.  Nearest-neighbour Hamiltonians are the exception to embed: the
-lax module writes their bond terms by basis-index arithmetic, into the
-full matrix or straight into one Sz-sector block, so a spectrum at the
-cap never holds a 4096 x 4096 array.
+we use.  embed scatters the operator's entries into a zero D x D matrix
+through an index table cached per placement, so the small products of the
+verify suites pay for one allocation and one index assignment, not for a
+Kronecker product and a transpose.  Nearest-neighbour Hamiltonians are the
+exception to embed: the lax module writes their bond terms by basis-index
+arithmetic, into the full matrix or straight into one Sz-sector block, so a
+spectrum at the cap never holds a 4096 x 4096 array.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,32 +36,49 @@ def kron_all(*ops) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _placement(sites: tuple, dims: tuple) -> np.ndarray:
+    """Read-only (side, D // side) table of chain basis indices for sites.
+
+    Row i is the operator's basis state i (its sites in its own tensor
+    order), column k a basis state of the other sites in chain order, so
+    embed's entry (i, j) of the operator lands at out[t[i, k], t[j, k]] for
+    every k.  Bad placements raise here, and raise again on every call,
+    because lru_cache does not store exceptions.
+    """
+    N = len(dims)
+    if not sites or len(set(sites)) != len(sites) or not all(1 <= s <= N for s in sites):
+        raise ValueError(f"sites {sites} invalid for {N} factors")
+    order = [s - 1 for s in sites] + [s for s in range(N) if s + 1 not in sites]
+    side = int(np.prod([dims[s - 1] for s in sites], dtype=np.int64))
+    table = np.arange(int(np.prod(dims, dtype=np.int64))).reshape(dims)
+    table = table.transpose(order).reshape(side, -1)
+    table.flags.writeable = False
+    return table
+
+
 def embed(a, sites, dims) -> np.ndarray:
     """Place an operator on 1-indexed sites of a product space, identity
     everywhere else.
 
     sites is one site or a tuple of distinct sites in the operator's own
     tensor order, so (N, 1) puts its first factor on the last site.  The
-    operator is padded by one Kronecker product with the identity and its
-    tensor legs are then moved into chain order.
+    operator's entries are scattered into a zero D x D matrix through the
+    placement table of (sites, dims), built once per placement and cached.
+    A call allocates the one complex D x D output plus index temporaries of
+    at most 2 * side * D int64, for side the operator's dimension.
     """
     dims = tuple(int(d) for d in dims)
-    sites = (int(sites),) if np.ndim(sites) == 0 else tuple(int(s) for s in sites)
-    N = len(dims)
-    if not sites or len(set(sites)) != len(sites) or not all(1 <= s <= N for s in sites):
-        raise ValueError(f"sites {sites} invalid for {N} factors")
+    sites = tuple(int(s) for s in sites) if np.iterable(sites) else (int(sites),)
+    table = _placement(sites, dims)
     m = mat(a)
-    side = int(np.prod([dims[s - 1] for s in sites], dtype=np.int64))
+    side = table.shape[0]
     if m.shape != (side, side):
         raise ValueError(f"operator shape {m.shape} != local dimension {side} of sites {sites}")
-    D = int(np.prod(dims, dtype=np.int64))
-    padded = np.kron(m, np.eye(D // side))
-    # legs of padded: the operator's sites, then the other sites in chain order
-    order = sites + tuple(s for s in range(1, N + 1) if s not in sites)
-    legs = [dims[s - 1] for s in order]
-    perm = [order.index(s) for s in range(1, N + 1)]
-    tensor = padded.reshape(legs + legs).transpose(perm + [N + p for p in perm])
-    return tensor.reshape(D, D)
+    D = table.size
+    out = np.zeros((D, D), dtype=complex)
+    out[table[:, None, :], table[None, :, :]] = m[:, :, None]
+    return out
 
 
 def embed_pair(a, site: int, dims) -> np.ndarray:
@@ -76,9 +98,8 @@ def embed_wrap_pair(a, dims) -> np.ndarray:
 def permutation(n: int) -> np.ndarray:
     """Exchange operator on n (x) n: P (a (x) b) = b (x) a; P^2 = I."""
     P = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            P[i * n + j, j * n + i] = 1.0
+    # row i n + j holds its one 1 in column j n + i
+    P[np.arange(n * n), np.arange(n * n).reshape(n, n).T.ravel()] = 1.0
     return P
 
 

@@ -450,6 +450,13 @@ def test_both_entry_points_refuse_chains_above_the_cap():
         sc.validate_against_ed(13, 0.5, MU, M_range=[1])
 
 
+@pytest.mark.parametrize("M_range", [[], [99]], ids=["empty", "past-2Ns"])
+def test_validation_refuses_a_range_without_sectors(M_range):
+    # refused by name before the census, not by numpy's concatenate
+    with pytest.raises(ValueError, match="M_range holds no sector"):
+        sc.validate_against_ed(4, 0.5, MU, M_range=M_range)
+
+
 def test_mirrored_states_pass_the_gate_again(monkeypatch):
     # both entry points re-gate a flipped vector: with the gate failing on
     # the all-down state only, the mirrored M = 2 sector of (2, 1/2) is empty

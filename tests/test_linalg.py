@@ -70,6 +70,10 @@ def _placement_by_permutation(a, sites, dims):
         ((2, 1), (2, 3, 2)),
         ((3, 1, 2), (2, 3, 2)),
         ((2, 4, 1), (3, 2, 2, 3)),
+        # dimension-1 factors, as for a c-number K on aux (x) aux (x) quantum
+        ((1, 2), (2, 2, 1)),
+        ((1, 3), (2, 2, 1)),
+        ((2,), (1, 3, 1)),
     ],
 )
 def test_embed_placements(sites, dims):
@@ -110,12 +114,65 @@ def test_embed_rejects_bad_placement(op, sites):
         sc.embed(op, sites, (2, 2, 2))
 
 
+def test_embed_returns_fresh_arrays_from_the_cached_table():
+    dims = (2, 3, 2)
+    a = np.arange(16.0).reshape(4, 4)
+    first, second = sc.embed(a, (3, 1), dims), sc.embed(a, (3, 1), dims)
+    assert not np.shares_memory(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    first[:] = 7.0
+    assert np.array_equal(sc.embed(a, (3, 1), dims), second)
+    # numpy integer sites and list dims are the same placement as the tuples
+    assert np.array_equal(sc.embed(a, (np.int64(3), np.int64(1)), [2, 3, 2]), second)
+    assert np.array_equal(sc.embed(np.eye(3), np.int64(2), list(dims)),
+                          sc.embed(np.eye(3), (2,), dims))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            sc.embed(np.eye(4), (1, 1), dims)
+        with pytest.raises(ValueError):
+            sc.embed(np.eye(3), (3, 1), dims)
+
+
+def test_embed_forms_no_kronecker_product(monkeypatch):
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(5)
+    spellings = [
+        (sc.embed, (_random_matrix(rng, 3), 2, dims)),
+        (sc.embed, (_random_matrix(rng, 3), (2,), list(dims))),
+        (sc.embed, (_random_matrix(rng, 2), np.int64(3), dims)),
+        (sc.embed, (_random_matrix(rng, 4), (3, 1), dims)),
+        (sc.embed, (_random_matrix(rng, 12), (3, 1, 2), dims)),
+        (sc.linalg.embed_pair, (_random_matrix(rng, 6), 1, dims)),
+        (sc.linalg.embed_wrap_pair, (_random_matrix(rng, 4), dims)),
+    ]
+    expected = [f(*args) for f, args in spellings]
+
+    def no_kron(*args):
+        raise AssertionError("np.kron called inside the placement kernel")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    sc.linalg._placement.cache_clear()  # the tables are built again under the patch
+    for (f, args), want in zip(spellings, expected):
+        assert np.array_equal(f(*args), want)
+
+
 def test_permutation_swaps_factors():
     p = sc.mat(sc.permutation(2))
     a = np.array([[1, 2], [3, 4.0]])
     b = np.array([[0, 1], [5, 7.0]])
     assert np.allclose(p @ np.kron(a, b) @ p, np.kron(b, a))
     assert np.allclose(p @ p, np.eye(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_permutation_matches_the_basis_loop(n):
+    loop = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            loop[i * n + j, j * n + i] = 1.0
+    first, second = sc.permutation(n), sc.permutation(n)
+    assert first.tobytes() == loop.tobytes() and first.dtype == loop.dtype
+    assert not np.shares_memory(first, second)
 
 
 def test_comm_norm_and_rel_norm():
