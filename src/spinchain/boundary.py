@@ -22,7 +22,7 @@ from .lax import (
     monodromy,
     uniform_chain,
 )
-from .linalg import embed, mat, permutation, rel_norm, richardson_derivative
+from .linalg import embed, mat, rel_norm, richardson_derivative
 from .rmatrix import gauge_v
 
 
@@ -128,17 +128,16 @@ def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
     """Reflection-equation defect of K against R at (lam1, lam2).
 
     Checks R12(l1-l2) K1(l1) R21(l1+l2) K2(l2) = K2(l2) R12(l1+l2) K1(l1)
-    R21(l1-l2) with R21 = P R12 P.  K may be a c-number matrix on the
-    auxiliary space or an operator on auxiliary (x) quantum (a dressed K),
-    in which case both auxiliary copies share the quantum space.
+    R21(l1-l2), where R21 = P R12 P is R placed on the sites (2, 1).  K may
+    be a c-number matrix on the auxiliary space or an operator on auxiliary
+    (x) quantum (a dressed K), in which case both auxiliary copies share the
+    quantum space.
     """
     rd = mat(r_family(lam1 - lam2))
     rs = mat(r_family(lam1 + lam2))
     n = int(round(np.sqrt(rd.shape[0])))
     if n * n != rd.shape[0]:
         raise ValueError("R must act on a two-fold tensor square")
-    p = permutation(n)
-    rd21, rs21 = p @ rd @ p, p @ rs @ p
     k1m, k2m = mat(k_family(lam1)), mat(k_family(lam2))
     if k1m.shape[0] % n:
         raise ValueError("K dimension incompatible with R")
@@ -146,7 +145,8 @@ def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
     dims = (n, n, k1m.shape[0] // n)
     k1 = embed(k1m, (1, 3), dims)
     k2 = embed(k2m, (2, 3), dims)
-    rd, rs, rd21, rs21 = (embed(x, (1, 2), dims) for x in (rd, rs, rd21, rs21))
+    rd21, rs21 = embed(rd, (2, 1), dims), embed(rs, (2, 1), dims)
+    rd, rs = embed(rd, (1, 2), dims), embed(rs, (1, 2), dims)
     lhs = rd @ k1 @ rs21 @ k2
     rhs = k2 @ rs @ k1 @ rd21
     return rel_norm(lhs, rhs)

@@ -527,18 +527,23 @@ def _translation_orbits(N: int) -> tuple:
 
 
 def _momentum_blocks(N: int, delta: float):
-    """Yield (m, k, reps, block): xxz_hamiltonian in the Sz = N/2 - m,
-    momentum k sector of the periodic chain.
+    """Yield (m, momenta, reps, block): xxz_hamiltonian in the Sz = N/2 - m,
+    momentum k sector of the periodic chain, for k = momenta[0].
 
     Row and column j stand for |a(k)> = R_a^-1/2 sum_{r < R_a}
     e^{-2 pi i k r / N} T^r |a>, a = reps[j], which has T eigenvalue
     e^{2 pi i k / N} and exists when k R_a = 0 mod N.  A bond term
     amp |t> of H|a> adds amp e^{2 pi i k l / N} sqrt(R_a / R_b) to row b,
-    where t = T^l b.  The block is real for k = 0 and k = N/2.
+    where t = T^l b.  The bond terms are real, so the N - k block is the
+    complex conjugate of the k block, on the same reps, with the same
+    eigenvalues: only k = 0 ... N//2 are built, and momenta is (k, N - k),
+    or (k,) for the real blocks k = 0 and k = N/2.  Every block of a sector
+    comes from the two real products cos @ terms and sin @ terms.
     """
     rep, dist, period = _translation_orbits(N)
     bond = -0.5 * _xxz_bond(delta).real
-    phases = np.exp(2j * np.pi * (np.outer(np.arange(N), np.arange(N)) % N) / N)
+    angles = 2 * np.pi * (np.outer(np.arange(N // 2 + 1), np.arange(N)) % N) / N
+    cos, sin = np.cos(angles), np.sin(angles)
     for m in range(N + 1):
         sector = sz_sector_indices(N, 2, m)
         reps = sector[rep[sector] == sector]
@@ -551,12 +556,16 @@ def _momentum_blocks(N: int, delta: float):
             t = target[hit]
             terms[dist[t], np.searchsorted(reps, rep[t]), cols[hit]] += amp[hit]
         terms *= np.sqrt(R / R[:, None])
-        for k in range(N):
+        re, im = np.tensordot(cos, terms, axes=1), np.tensordot(sin, terms, axes=1)
+        for k in range(N // 2 + 1):
             keep = k * R % N == 0
             if not keep.any():
                 continue
-            block = np.tensordot(phases[k], terms[:, keep][:, :, keep], axes=1)
-            yield m, k, reps[keep], block.real if 2 * k % N == 0 else block
+            sub = np.ix_(keep, keep)
+            if 2 * k % N == 0:
+                yield m, (k,), reps[keep], re[k][sub]
+            else:
+                yield m, (k, N - k), reps[keep], re[k][sub] + 1j * im[k][sub]
 
 
 def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
@@ -566,7 +575,9 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     integer k with translation eigenvalue e^{2 pi i k / N}.  A periodic
     chain is solved one (Sz, k) block at a time in the basis of translation
     orbits (`_momentum_blocks`), so every label is the block the level was
-    solved in; an open chain is solved one Sz block at a time.  Only
+    solved in, with no energy threshold; the k and N - k blocks are complex
+    conjugates, so one eigensolve serves both and their levels are equal
+    bit for bit.  An open chain is solved one Sz block at a time.  Only
     eigenvalues are computed, and no 2^N x 2^N array is formed.  delta must
     be real, since H is Hermitian only then; the open chain's blocks and
     the momentum blocks with k = 0 and k = N/2 are then real.
@@ -577,11 +588,12 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
     delta = complex(delta).real
     if boundary == "periodic":
-        levels = [
-            {"energy": float(e), "sz": N / 2 - m, "momentum": k}
-            for m, k, _, block in _momentum_blocks(N, delta)
-            for e in np.linalg.eigvalsh(block)
-        ]
+        levels = []
+        for m, momenta, _, block in _momentum_blocks(N, delta):
+            energies = np.linalg.eigvalsh(block).tolist()
+            levels += [
+                {"energy": e, "sz": N / 2 - m, "momentum": k} for k in momenta for e in energies
+            ]
     else:
         levels = [
             {"energy": float(e), "sz": N / 2 - m}

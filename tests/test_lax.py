@@ -2,7 +2,7 @@
 
 import cmath
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -439,12 +439,17 @@ def _label_clusters(levels):
     return clusters
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize(
+    "N, boundary",
+    [(8, "periodic"), (8, "open"), (7, "periodic"), (7, "open")],
+    ids=["periodic", "open", "periodic-N7", "open-N7"],
+)
 @pytest.mark.parametrize("delta", [-1.0, -0.45, 0.0, 0.37, 1.0, 2.2])
-def test_spectrum_table_equals_dense_algorithm(delta, boundary):
+def test_spectrum_table_equals_dense_algorithm(delta, N, boundary):
     # other eigensolvers change the last bits, so energies match to 1e-12, and
-    # every cluster of degenerate levels carries the same (sz, momentum) labels
-    got, want = sc.spectrum_table(8, delta, boundary), _dense_spectrum_table(8, delta, boundary)
+    # every cluster of degenerate levels carries the same (sz, momentum) labels;
+    # an odd chain has no k = N/2 block, so all its k > 0 levels come in pairs
+    got, want = sc.spectrum_table(N, delta, boundary), _dense_spectrum_table(N, delta, boundary)
     assert len(got) == len(want)
     assert max(abs(a["energy"] - b["energy"]) for a, b in zip(got, want)) < 1e-12
     assert _label_clusters(got) == _label_clusters(want)
@@ -459,20 +464,37 @@ def test_momentum_blocks_are_eigenvectors(delta):
         for _ in range(N - 1):
             powers.append(shift @ powers[-1])
         seen = 0
-        for m, k, reps, block in lax._momentum_blocks(N, delta):
-            assert np.abs(block - block.conj().T).max() < 1e-14
-            assert np.isrealobj(block) == (2 * k % N == 0)
-            # column j is |a(k)> = sum_r e^{-2 pi i k r / N} T^r |a>, a = reps[j], normalized
-            basis = sum(np.exp(-2j * np.pi * k * r / N) * powers[r][:, reps] for r in range(N))
-            basis /= np.linalg.norm(basis, axis=0)
-            energies, vecs = np.linalg.eigh(block)
-            lifted = basis @ vecs
-            assert np.abs(lifted.conj().T @ lifted - np.eye(reps.size)).max() < 1e-12
-            assert np.abs(h @ lifted - lifted * energies).max() < 1e-12
-            assert np.abs(shift @ lifted - np.exp(2j * np.pi * k / N) * lifted).max() < 1e-12
-            assert np.isin(reps, sc.sz_sector_indices(N, 2, m)).all()
-            seen += reps.size
+        for m, momenta, reps, block in lax._momentum_blocks(N, delta):
+            # the block is the momenta[0] block; its conjugate is the N - k one
+            for k, kblock in zip(momenta, (block, block.conj())):
+                assert np.abs(kblock - kblock.conj().T).max() < 1e-14
+                assert np.isrealobj(kblock) == (2 * k % N == 0)
+                # column j is |a(k)> = sum_r e^{-2 pi i k r / N} T^r |a>, a = reps[j], normalized
+                basis = sum(np.exp(-2j * np.pi * k * r / N) * powers[r][:, reps] for r in range(N))
+                basis /= np.linalg.norm(basis, axis=0)
+                energies, vecs = np.linalg.eigh(kblock)
+                lifted = basis @ vecs
+                assert np.abs(lifted.conj().T @ lifted - np.eye(reps.size)).max() < 1e-12
+                assert np.abs(h @ lifted - lifted * energies).max() < 1e-12
+                assert np.abs(shift @ lifted - np.exp(2j * np.pi * k / N) * lifted).max() < 1e-12
+                assert np.isin(reps, sc.sz_sector_indices(N, 2, m)).all()
+                seen += reps.size
         assert seen == 2**N
+
+
+@pytest.mark.parametrize("N, solves", [(7, 26), (8, 37), (12, 79)])
+def test_spectrum_table_solves_each_momentum_pair_once(N, solves, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    levels = sc.spectrum_table(N, 0.37)
+    assert len(calls) == solves
+    assert len(levels) == 2**N
+    energies = defaultdict(list)
+    for rec in levels:
+        energies[rec["sz"], rec["momentum"]].append(rec["energy"])
+    for (sz, k), values in energies.items():
+        assert sorted(values) == sorted(energies.get((sz, -k % N), []))
 
 
 def test_spectrum_table_never_allocates_the_full_space():
