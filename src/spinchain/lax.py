@@ -464,41 +464,38 @@ def _bond_moves(bond: np.ndarray, N: int, periodic: bool, basis: np.ndarray):
         yield bond[outs, a * n + b], basis + (outs // n - a) * wi + (outs % n - b) * wj
 
 
-def _bond_sum(bond: np.ndarray, N: int, periodic: bool, sector=None) -> np.ndarray:
+def _bond_sum(bond: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     """Sum of a two-site operator over the bonds (i, i+1) of N equal sites,
-    plus the wrap bond (N, 1) when periodic, on the sorted basis indices in
-    sector (all n^N of them when None).
-
-    Each bond term (`_bond_moves`) is added to the row of its target, found
-    by searchsorted; rows outside the sector are dropped, so the block
-    equals the full sum sliced with np.ix_(sector, sector), bit for bit.
+    plus the wrap bond (N, 1) when periodic: each bond term (`_bond_moves`)
+    is added to the row of its target, so the sum equals the identity-padded
+    placement of every bond, bit for bit.
     """
     n = round(bond.shape[0] ** 0.5)
-    basis = np.arange(n**N) if sector is None else np.asarray(sector)
-    L = basis.size
-    total = np.zeros((L, L), dtype=complex)
-    cols = np.broadcast_to(np.arange(L), (n * n, L))
-    for amp, target in _bond_moves(bond, N, periodic, basis):
-        rows = np.minimum(np.searchsorted(basis, target), L - 1)
+    D = n**N
+    total = np.zeros((D, D), dtype=complex)
+    cols = np.broadcast_to(np.arange(D), (n * n, D))
+    for amp, target in _bond_moves(bond, N, periodic, np.arange(D)):
         # within one bond every (row, column) pair occurs once
-        hit = (basis[rows] == target) & (amp != 0)
-        total[rows[hit], cols[hit]] += amp[hit]
+        total[target, cols] += amp
     return total
 
 
-def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic", sector=None) -> np.ndarray:
+def _is_periodic(boundary: str) -> bool:
+    if boundary not in ("periodic", "open"):
+        raise ValueError(f"boundary must be 'periodic' or 'open', not {boundary!r}")
+    return boundary == "periodic"
+
+
+def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> np.ndarray:
     """H = -1/2 sum_i (sx sx + sy sy + delta sz sz) on N spin-1/2 sites.
 
     The periodic sum runs over all N bonds; "open" drops the wrap term and
     doubles the remaining coupling so the N=2 chain matches the periodic one.
-    Given sorted basis indices in sector, only that diagonal block is built.
     """
+    periodic = _is_periodic(boundary)
     if N < 2:
         raise ValueError("need at least two sites")
-    periodic = boundary == "periodic"
-    coupling = -0.5 if periodic else -1.0
-    bond = coupling * _xxz_bond(delta)
-    return _bond_sum(bond, N, periodic, sector)
+    return _bond_sum((-0.5 if periodic else -1.0) * _xxz_bond(delta), N, periodic)
 
 
 def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
@@ -509,98 +506,96 @@ def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
     return np.flatnonzero(np.abs(sz_total - (N * (n - 1) / 2 - m)) < 1e-9)
 
 
-def _translation_orbits(N: int) -> tuple:
-    """Orbits of the one-site shift T on the 2^N basis of N spin-1/2 sites.
-
-    Returns, per basis index x, its representative (the smallest index in
-    its orbit), the distance l with x = T^l rep, and the orbit period R.
+def _symmetry_orbits(N: int, periodic: bool) -> tuple:
+    """Orbits of the symmetry g on the 2^N basis of N spin-1/2 sites: the
+    shift T (order G = N) when periodic, else the reflection i -> N + 1 - i
+    (order G = 2).  Returns G and, per basis index x, its representative
+    (the smallest index in its orbit), the distance l with x = g^l rep, and
+    the orbit period R.
     """
-    targets = _shift_targets((2,) * N)
-    orbit = np.empty((N, targets.size), dtype=np.int64)  # orbit[r, x] = T^r x
+    if periodic:
+        G, targets = N, _shift_targets((2,) * N)
+    else:
+        G, targets = 2, np.arange(2**N).reshape((2,) * N).T.ravel()
+    orbit = np.empty((G, targets.size), dtype=np.int64)  # orbit[r, x] = g^r x
     orbit[0] = np.arange(targets.size)
-    for r in range(1, N):
+    for r in range(1, G):
         orbit[r] = targets[orbit[r - 1]]
     first = orbit.argmin(axis=0)
     back = orbit[1:] == orbit[0]
-    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, N)
-    return orbit.min(axis=0), -first % N, period
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, G)
+    return G, orbit.min(axis=0), -first % G, period
 
 
-def _momentum_blocks(N: int, delta: float):
-    """Yield (m, momenta, reps, block): xxz_hamiltonian in the Sz = N/2 - m,
-    momentum k sector of the periodic chain, for k = momenta[0].
+def _symmetry_blocks(N: int, delta: float, periodic: bool):
+    """Yield (m, momenta, reps, block): xxz_hamiltonian in the Sz = N/2 - m
+    sector where the symmetry g of order G (`_symmetry_orbits`) has
+    eigenvalue e^{2 pi i k / G}, k = momenta[0]: the momentum of the
+    periodic chain, the reflection parity (k = 0 even, 1 odd) of the open one.
 
     Row and column j stand for |a(k)> = R_a^-1/2 sum_{r < R_a}
-    e^{-2 pi i k r / N} T^r |a>, a = reps[j], which has T eigenvalue
-    e^{2 pi i k / N} and exists when k R_a = 0 mod N.  A bond term
-    amp |t> of H|a> adds amp e^{2 pi i k l / N} sqrt(R_a / R_b) to row b,
-    where t = T^l b.  The bond terms are real, so the N - k block is the
-    complex conjugate of the k block, on the same reps, with the same
-    eigenvalues: only k = 0 ... N//2 are built, and momenta is (k, N - k),
-    or (k,) for the real blocks k = 0 and k = N/2.  Every block of a sector
-    comes from the two real products cos @ terms and sin @ terms.
+    e^{-2 pi i k r / G} g^r |a>, a = reps[j], which exists when
+    k R_a = 0 mod G.  A bond term amp |t> of H|a> adds amp e^{2 pi i k l / G}
+    sqrt(R_a / R_b) to row b, where t = g^l b (Sandvik, arXiv:1101.3281,
+    section 4).  The bond terms are real, so the G - k block is the complex
+    conjugate of the k block, on the same reps, with the same eigenvalues:
+    only k = 0 ... G//2 are built, and momenta is (k, G - k), or (k,) for
+    the real blocks k = 0 and k = G/2.  Every block of a sector comes from
+    the two real products cos @ terms and sin @ terms.
     """
-    rep, dist, period = _translation_orbits(N)
-    bond = -0.5 * _xxz_bond(delta).real
-    angles = 2 * np.pi * (np.outer(np.arange(N // 2 + 1), np.arange(N)) % N) / N
+    G, rep, dist, period = _symmetry_orbits(N, periodic)
+    bond = (-0.5 if periodic else -1.0) * _xxz_bond(delta).real
+    angles = 2 * np.pi * (np.outer(np.arange(G // 2 + 1), np.arange(G)) % G) / G
     cos, sin = np.cos(angles), np.sin(angles)
     for m in range(N + 1):
         sector = sz_sector_indices(N, 2, m)
         reps = sector[rep[sector] == sector]
         L, R = reps.size, period[reps]
         cols = np.broadcast_to(np.arange(L), (4, L))
-        terms = np.zeros((N, L, L))  # terms[l]: the bond terms with t = T^l b
-        for amp, target in _bond_moves(bond, N, True, reps):
-            hit = amp != 0  # XXZ keeps Sz, so every target lies in the sector
-            # one bond sends a column to distinct t, and t = T^l b fixes (l, b)
+        terms = np.zeros((G, L, L))  # terms[l]: the bond terms with t = g^l b
+        for amp, target in _bond_moves(bond, N, periodic, reps):
+            hit = amp != 0  # XXZ keeps Sz, and so does g: every target lies in the sector
+            # one bond sends a column to distinct t, and t = g^l b fixes (l, b)
             t = target[hit]
             terms[dist[t], np.searchsorted(reps, rep[t]), cols[hit]] += amp[hit]
         terms *= np.sqrt(R / R[:, None])
         re, im = np.tensordot(cos, terms, axes=1), np.tensordot(sin, terms, axes=1)
-        for k in range(N // 2 + 1):
-            keep = k * R % N == 0
+        for k in range(G // 2 + 1):
+            keep = k * R % G == 0
             if not keep.any():
                 continue
             sub = np.ix_(keep, keep)
-            if 2 * k % N == 0:
+            if 2 * k % G == 0:
                 yield m, (k,), reps[keep], re[k][sub]
             else:
-                yield m, (k, N - k), reps[keep], re[k][sub] + 1j * im[k][sub]
+                yield m, (k, G - k), reps[keep], re[k][sub] + 1j * im[k][sub]
 
 
 def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     """Sorted eigenvalues of xxz_hamiltonian with S^z and momentum labels.
 
     Returns one dict per state: energy, sz, and for periodic chains the
-    integer k with translation eigenvalue e^{2 pi i k / N}.  A periodic
-    chain is solved one (Sz, k) block at a time in the basis of translation
-    orbits (`_momentum_blocks`), so every label is the block the level was
-    solved in, with no energy threshold; the k and N - k blocks are complex
-    conjugates, so one eigensolve serves both and their levels are equal
-    bit for bit.  An open chain is solved one Sz block at a time.  Only
-    eigenvalues are computed, and no 2^N x 2^N array is formed.  delta must
-    be real, since H is Hermitian only then; the open chain's blocks and
-    the momentum blocks with k = 0 and k = N/2 are then real.
+    integer k with translation eigenvalue e^{2 pi i k / N}.  Both chains are
+    solved one `_symmetry_blocks` block at a time, per (Sz, k) on translation
+    orbits or per (Sz, reflection parity) on reflection orbits, so every
+    momentum is the block the level was solved in, with no energy
+    threshold; one eigensolve serves the conjugate k and N - k blocks, whose
+    levels are equal bit for bit.  Only eigenvalues are computed, and no
+    2^N x 2^N array is formed.  delta must be real, since H is Hermitian
+    only then; the open blocks and the k = 0, N/2 blocks are then real.
     """
+    periodic = _is_periodic(boundary)
+    if N < 2:
+        raise ValueError("spectrum needs at least two sites")
     if 2**N > MAX_DIM:
         raise ValueError(f"Hilbert space dimension above {MAX_DIM}")
     if abs(complex(delta).imag) > 1e-14:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
     delta = complex(delta).real
-    if boundary == "periodic":
-        levels = []
-        for m, momenta, _, block in _momentum_blocks(N, delta):
-            energies = np.linalg.eigvalsh(block).tolist()
-            levels += [
-                {"energy": e, "sz": N / 2 - m, "momentum": k} for k in momenta for e in energies
-            ]
-    else:
-        levels = [
-            {"energy": float(e), "sz": N / 2 - m}
-            for m in range(N + 1)
-            for e in np.linalg.eigvalsh(
-                xxz_hamiltonian(N, delta, boundary, sz_sector_indices(N, 2, m)).real
-            )
-        ]
+    levels = []
+    for m, momenta, _, block in _symmetry_blocks(N, delta, periodic):
+        energies = np.linalg.eigvalsh(block).tolist()
+        labels = [{"momentum": k} for k in momenta] if periodic else [{}]
+        levels += [{"energy": e, "sz": N / 2 - m, **label} for label in labels for e in energies]
     levels.sort(key=lambda rec: (rec["energy"], rec["sz"], rec.get("momentum", 0)))
     return levels

@@ -9,8 +9,8 @@ through an index table cached per placement, so the small products of the
 verify suites pay for one allocation and one index assignment, not for a
 Kronecker product and a transpose.  Nearest-neighbour Hamiltonians are the
 exception to embed: the lax module writes their bond terms by basis-index
-arithmetic, into the full matrix or straight into one Sz-sector block, so a
-spectrum at the cap never holds a 4096 x 4096 array.
+arithmetic, into the full matrix or into the symmetry-orbit blocks of one
+Sz sector, so a spectrum at the cap never holds a 4096 x 4096 array.
 """
 
 from __future__ import annotations

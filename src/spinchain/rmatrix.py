@@ -23,9 +23,13 @@ def gauge_v(lam: complex) -> np.ndarray:
     return np.diag([cmath.exp(lam / 2), cmath.exp(-lam / 2)]).astype(complex)
 
 
+_P2 = permutation(2)  # r_xxx's exchange operator, built once
+_P2.flags.writeable = False
+
+
 def r_xxx(lam: complex) -> np.ndarray:
     """Rational R-matrix lambda I + i P on two spin-1/2 spaces."""
-    return lam * np.eye(4) + 1j * permutation(2)
+    return lam * np.eye(4) + 1j * _P2
 
 
 def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> np.ndarray:

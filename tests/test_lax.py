@@ -390,16 +390,6 @@ def test_bond_sum_generic_local_dimension(N, periodic):
     assert _bit_identical(lax._bond_sum(op, N, periodic), _embed_bond_sum(op, N, periodic))
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "open"])
-@pytest.mark.parametrize("delta", [-1.0, 0.37, 1.0, 2.5])
-def test_sector_blocks_equal_dense_slices(delta, boundary):
-    for N in range(2, 11):
-        h = sc.xxz_hamiltonian(N, delta, boundary)
-        for m in range(N + 1):
-            s = sc.sz_sector_indices(N, 2, m)
-            assert _bit_identical(sc.xxz_hamiltonian(N, delta, boundary, s), h[np.ix_(s, s)])
-
-
 def _dense_spectrum_table(N, delta, boundary):
     # the full-matrix algorithm: dense H and shift, sliced per Sz sector
     periodic = boundary == "periodic"
@@ -455,28 +445,47 @@ def test_spectrum_table_equals_dense_algorithm(delta, N, boundary):
     assert _label_clusters(got) == _label_clusters(want)
 
 
-@pytest.mark.parametrize("delta", [-1.0, -0.45, 0.37, 1.0, 2.2])
-def test_momentum_blocks_are_eigenvectors(delta):
+def _reflection_matrix(N):
+    # |a1 ... aN> -> |aN ... a1>, from the reversed binary digits of each index
+    targets = [int(format(x, f"0{N}b")[::-1], 2) for x in range(2**N)]
+    out = np.zeros((2**N, 2**N))
+    out[targets, np.arange(2**N)] = 1.0
+    return out
+
+
+# periodic cases are named by delta alone, so their test ids stay stable
+@pytest.mark.parametrize(
+    "delta, boundary",
+    [
+        pytest.param(delta, boundary, id=f"{delta}" if boundary == "periodic" else f"open-{delta}")
+        for boundary in ("periodic", "open")
+        for delta in (-1.0, -0.45, 0.37, 1.0, 2.2)
+    ],
+)
+def test_momentum_blocks_are_eigenvectors(delta, boundary):
+    periodic = boundary == "periodic"
     for N in range(2, 9):
-        h = sc.xxz_hamiltonian(N, delta)
-        shift = sc.cyclic_shift_matrix((2,) * N)
+        h = sc.xxz_hamiltonian(N, delta, boundary)
+        # the symmetry g: the one-site shift, or the reflection i -> N + 1 - i
+        g = sc.cyclic_shift_matrix((2,) * N) if periodic else _reflection_matrix(N)
+        G = N if periodic else 2
         powers = [np.eye(2**N)]
-        for _ in range(N - 1):
-            powers.append(shift @ powers[-1])
+        for _ in range(G - 1):
+            powers.append(g @ powers[-1])
         seen = 0
-        for m, momenta, reps, block in lax._momentum_blocks(N, delta):
-            # the block is the momenta[0] block; its conjugate is the N - k one
+        for m, momenta, reps, block in lax._symmetry_blocks(N, delta, periodic):
+            # the block is the momenta[0] block; its conjugate is the G - k one
             for k, kblock in zip(momenta, (block, block.conj())):
                 assert np.abs(kblock - kblock.conj().T).max() < 1e-14
-                assert np.isrealobj(kblock) == (2 * k % N == 0)
-                # column j is |a(k)> = sum_r e^{-2 pi i k r / N} T^r |a>, a = reps[j], normalized
-                basis = sum(np.exp(-2j * np.pi * k * r / N) * powers[r][:, reps] for r in range(N))
+                assert np.isrealobj(kblock) == (2 * k % G == 0)
+                # column j is |a(k)> = sum_r e^{-2 pi i k r / G} g^r |a>, a = reps[j], normalized
+                basis = sum(np.exp(-2j * np.pi * k * r / G) * powers[r][:, reps] for r in range(G))
                 basis /= np.linalg.norm(basis, axis=0)
                 energies, vecs = np.linalg.eigh(kblock)
                 lifted = basis @ vecs
                 assert np.abs(lifted.conj().T @ lifted - np.eye(reps.size)).max() < 1e-12
                 assert np.abs(h @ lifted - lifted * energies).max() < 1e-12
-                assert np.abs(shift @ lifted - np.exp(2j * np.pi * k / N) * lifted).max() < 1e-12
+                assert np.abs(g @ lifted - np.exp(2j * np.pi * k / G) * lifted).max() < 1e-12
                 assert np.isin(reps, sc.sz_sector_indices(N, 2, m)).all()
                 seen += reps.size
         assert seen == 2**N
@@ -495,6 +504,26 @@ def test_spectrum_table_solves_each_momentum_pair_once(N, solves, monkeypatch):
         energies[rec["sz"], rec["momentum"]].append(rec["energy"])
     for (sz, k), values in energies.items():
         assert sorted(values) == sorted(energies.get((sz, -k % N), []))
+    # the open chain solves an even and an odd reflection block per Sz sector,
+    # except the two fully polarized ones, whose one state is its own mirror
+    calls.clear()
+    assert len(sc.spectrum_table(N, 0.37, "open")) == 2**N
+    assert len(calls) == {7: 14, 8: 16, 12: 24}[N]
+
+
+@pytest.mark.parametrize("N", [-1, 0, 1])
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_spectrum_table_refuses_fewer_than_two_sites(N, boundary):
+    with pytest.raises(ValueError, match="at least two sites"):
+        sc.spectrum_table(N, 0.5, boundary)
+
+
+@pytest.mark.parametrize("boundary", ["opne", "Periodic", "OPEN", "", None])
+def test_unknown_boundary_is_refused(boundary):
+    with pytest.raises(ValueError, match="boundary"):
+        sc.spectrum_table(4, 0.5, boundary)
+    with pytest.raises(ValueError, match="boundary"):
+        sc.xxz_hamiltonian(3, 0.5, boundary)
 
 
 def test_spectrum_table_never_allocates_the_full_space():
