@@ -23,10 +23,10 @@ SCHEMA = "v1"
 # the longest spin-1/2 chain within the Hilbert cap linalg.MAX_DIM
 MAX_N = linalg.MAX_DIM.bit_length() - 1
 # validated bethe checks its census against three dense transfer matrices and
-# dense sector ED: (6, 1) at D = 729 takes 5 s and (10, 1/2) at D = 1024 takes
-# 13 s and 163 MB on a 2-core box; larger chains are refused, since at the
-# 4096 cap each dense matrix holds 268 MB and the census of (12, 1/2, M = 6)
-# alone takes 170 to 190 s
+# dense sector ED: (6, 1) at D = 729 takes 4 to 4.5 s and (10, 1/2) at
+# D = 1024 takes 10 to 11 s and 162 MB on a 2-core box; larger chains are
+# refused, since at the 4096 cap each dense matrix holds 268 MB and the
+# census of (12, 1/2, M = 6) alone takes 74 s
 VALIDATE_DIM = 1024
 # the site dimension 2s+1 of casimir and bethe: casimir's one-site open
 # transfer at 256 takes 2 s and 172 MB on a 2-core box, at 1024 already 55 s
@@ -490,9 +490,8 @@ def cmd_spectrum(cfg: dict, args) -> int:
         "status": "ok",
     }
     header = ["energy", "sz", "momentum"]
-    body = [
-        [rec["energy"], rec["sz"], rec.get("momentum", "")] for rec in levels
-    ]
+    # a generator: the rows are made only when --format csv writes them
+    body = ([rec["energy"], rec["sz"], rec.get("momentum", "")] for rec in levels)
     _emit(payload, (header, body), args, "json")
     return 0
 

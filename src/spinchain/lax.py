@@ -4,11 +4,13 @@ A Lax operator is a plain function lambda -> complex ndarray on the
 two-dimensional auxiliary space (x) the quantum space; the monodromy is the
 auxiliary-space-ordered product L_N ... L_1 (site 1 rightmost) whose
 auxiliary trace is the transfer matrix, again a function of lambda;
-`apply_monodromy_block` and `apply_transfer` apply them to a vector site
-by site, without forming either.  Everything downstream of the transfer
-matrix (translation operator, local Hamiltonian, Yangian charges) is
-extracted here for periodic chains; open chains live in the boundary
-module.
+`apply_monodromy_block` and `apply_transfer` apply them to a batch of
+columns without forming either, through one kernel (`_apply_monodromy`)
+that takes one site per matrix product, one cache-sized column block at a
+time, both aux inputs of the trace in the same pass.  Everything
+downstream of the transfer matrix (translation operator, local
+Hamiltonian, Yangian charges) is extracted here for periodic chains; open
+chains live in the boundary module.
 """
 
 from __future__ import annotations
@@ -307,35 +309,67 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     return [list(row) for row in T]
 
 
-def _monodromy_column(chain: ChainSpec, laxes: list, b: int, vec) -> np.ndarray:
-    """Rows a = 0, 1 of T[a][b] @ vec, for the site Lax matrices laxes;
-    vec is one (D,) vector or a (D, L) batch of columns.
+# complex entries (4 MiB) of the kernel state of one column block, about the
+# L2 cache of one core; the (D, L) output is the only full-width array
+_BLOCK_ENTRIES = 2**18
 
-    The state |b> (x) vec is held with legs [aux, site 1, ..., site N,
-    batch]; L_k contracts the aux leg and site leg k, site 1 first, so no
-    D x D array is formed and the cost is O(N n^2 D) per column.
+
+def _apply_monodromy(laxes: list, state: np.ndarray) -> None:
+    """Overwrite state, of shape (2, D, B), with T state for T = L_N ... L_1
+    and the site Lax matrices laxes; the legs are aux, quantum space (site 1
+    leading) and column batch.
+
+    Each site step is one (2n x 2n) @ (2n x R B) product, R = D / n, on the
+    aux leg and the leading site leg, written to a spare state; copying it
+    back moves that site behind the others, so after N steps the site order
+    is back where it started.  No D x D array is formed and the cost is
+    O(N n^2 D) per column.
     """
-    batch = np.shape(vec)[1:]
-    state = np.zeros((2,) + chain.local_dims + batch, dtype=complex)
-    state[b] = np.reshape(vec, chain.local_dims + batch)
-    for k, lmat in enumerate(laxes, start=1):
+    _, D, B = state.shape
+    spare = np.empty_like(state)
+    for lmat in laxes:
         n = lmat.shape[0] // 2
-        # legs of L: [aux out, site out, aux in, site in]
-        state = np.tensordot(lmat.reshape(2, n, 2, n), state, axes=([2, 3], [0, k]))
-        state = np.moveaxis(state, 1, k)
-    return state.reshape((2, -1) + batch)
+        np.matmul(lmat, state.reshape(2 * n, -1), out=spare.reshape(2 * n, -1))
+        state.reshape(2, D // n, n, B)[...] = spare.reshape(2, n, D // n, B).transpose(0, 2, 1, 3)
+
+
+def _apply_blocks(chain: ChainSpec, lam: complex, pairs: tuple, vec) -> np.ndarray:
+    """The sum of monodromy_blocks(chain, lam)[a][b] @ vec over the (a, b)
+    pairs, for one (D,) vector or a (D, L) batch of columns.
+
+    Each column block goes through one `_apply_monodromy` pass, one copy per
+    pair on aux input b; the blocks are as wide as keeps that state near
+    _BLOCK_ENTRIES, and each block's state is built only when it is needed.
+    """
+    laxes = site_lax_matrices(chain, lam)
+    rows, inputs = (np.array(side) for side in zip(*pairs))
+    copies = np.arange(len(pairs))
+    cols = np.reshape(vec, (np.shape(vec)[0], -1))
+    D = cols.shape[0]
+    out = np.empty(cols.shape, dtype=complex)
+    width = max(1, _BLOCK_ENTRIES // (2 * D * len(pairs)))
+    for start in range(0, cols.shape[1], width):
+        block = cols[:, start:start + width]
+        w = block.shape[1]
+        state = np.zeros((2, D, len(pairs), w), dtype=complex)
+        state[inputs, :, copies] = block
+        _apply_monodromy(laxes, state.reshape(2, D, -1))
+        out[:, start:start + w] = state[rows, :, copies].sum(axis=0)
+    return out.reshape(np.shape(vec))
 
 
 def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -> np.ndarray:
-    """monodromy_blocks(chain, lam)[a][b] @ vec, matrix-free."""
-    return _monodromy_column(chain, site_lax_matrices(chain, lam), b, vec)[a]
+    """monodromy_blocks(chain, lam)[a][b] @ vec, matrix-free; vec is a (D,)
+    vector or a (D, L) batch of columns."""
+    return _apply_blocks(chain, lam, ((a, b),), vec)
 
 
 def apply_transfer(chain: ChainSpec, lam: complex, vec) -> np.ndarray:
-    """transfer(chain)(lam) @ vec = T[0][0] vec + T[1][1] vec, matrix-free;
-    vec is a (D,) vector or a (D, L) batch of columns."""
-    laxes = site_lax_matrices(chain, lam)
-    return _monodromy_column(chain, laxes, 0, vec)[0] + _monodromy_column(chain, laxes, 1, vec)[1]
+    """transfer(chain)(lam) @ vec = T[0][0] vec + T[1][1] vec, matrix-free,
+    with both aux inputs in one pass; vec is a (D,) vector or a (D, L) batch
+    of columns."""
+    _check_periodic(chain)
+    return _apply_blocks(chain, lam, ((0, 0), (1, 1)), vec)
 
 
 def monodromy(chain: ChainSpec, lam: complex) -> np.ndarray:
@@ -343,10 +377,14 @@ def monodromy(chain: ChainSpec, lam: complex) -> np.ndarray:
     return np.block(monodromy_blocks(chain, lam))
 
 
-def transfer(chain: ChainSpec):
-    """Auxiliary trace of the monodromy; one-parameter commuting family."""
+def _check_periodic(chain: ChainSpec) -> None:
     if chain.boundary != "periodic":
         raise ValueError("open chains are handled by the boundary module")
+
+
+def transfer(chain: ChainSpec):
+    """Auxiliary trace of the monodromy; one-parameter commuting family."""
+    _check_periodic(chain)
 
     def ev(lam: complex) -> np.ndarray:
         blocks = monodromy_blocks(chain, complex(lam))

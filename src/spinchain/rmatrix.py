@@ -11,6 +11,7 @@ generators all go through the same checks.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,13 +24,17 @@ def gauge_v(lam: complex) -> np.ndarray:
     return np.diag([cmath.exp(lam / 2), cmath.exp(-lam / 2)]).astype(complex)
 
 
-_P2 = permutation(2)  # r_xxx's exchange operator, built once
-_P2.flags.writeable = False
+@lru_cache(maxsize=None)
+def _exchange(n: int) -> np.ndarray:
+    # the exchange operator on n (x) n, built once per n and read-only
+    p = permutation(n)
+    p.flags.writeable = False
+    return p
 
 
 def r_xxx(lam: complex) -> np.ndarray:
     """Rational R-matrix lambda I + i P on two spin-1/2 spaces."""
-    return lam * np.eye(4) + 1j * _P2
+    return lam * np.eye(4) + 1j * _exchange(2)
 
 
 def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> np.ndarray:
@@ -90,7 +95,7 @@ def braided(family):
     n = round(probe.shape[0] ** 0.5)
     if n * n != probe.shape[0]:
         raise ValueError("braided form needs equal local dimensions")
-    p = permutation(n)
+    p = _exchange(n)
     return lambda lam: p @ mat(family(lam))
 
 
@@ -129,7 +134,7 @@ def regularity_constant(r_family) -> tuple:
     """Fit R(0) = c P; returns (c, relative residual of the fit)."""
     m = mat(r_family(0.0))
     n = round(m.shape[0] ** 0.5)
-    p = permutation(n)
+    p = _exchange(n)
     c = complex(np.vdot(p, m) / np.vdot(p, p))
     return c, rel_norm(m, c * p)
 
@@ -166,7 +171,7 @@ def intertwiner_residual(r_family, rep, lam: complex) -> float:
     n = rep.gen("Jz").shape[0]
     if m.shape[0] != n * n:
         raise ValueError(f"R acts on {m.shape[0]}, rep pair needs {n * n}")
-    p = permutation(n)
+    p = _exchange(n)
     cop = coproduct_uq(rep, rep)
     worst = 0.0
     for label in ("qJz", "Jp", "Jm"):

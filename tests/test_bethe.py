@@ -318,6 +318,15 @@ def test_validation_independent_of_seed_and_threads(tmp_path, capsys):
         assert report["sectors"] == runs[0]["sectors"]
 
 
+@pytest.mark.parametrize("N, s, floor", [(6, 0.5, 60), (4, 1.0, 77), (5, 1.0, 236)])
+def test_coverage_floors_with_nothing_mismatched(N, s, floor):
+    # the current coverage; levels whose eigen-gap sits within a few times
+    # the gate bound are lost first when the order of operations changes
+    report = sc.validate_against_ed(N, s, MU)
+    assert report["coverage"][0] >= floor
+    assert report["mismatched_solutions"] == 0
+
+
 def test_zero_eigenvalue_levels_match():
     # at q = i the spin-1 vacua have Lambda = 0 at every probe; the match is
     # then judged on the scale of the transfer matrix, not of Lambda

@@ -168,6 +168,79 @@ def test_apply_monodromy_block_matches_dense(chain, lam):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize(
+    "chain",
+    [lax.uniform_chain("xxz", 6, MU, 2), lax.uniform_chain("xxz", 4, MU, 3), _mixed_spin_chain()],
+    ids=["6-half", "4-one", "mixed-half-one-half"],
+)
+def test_kernel_matches_dense_across_column_blocks(chain, monkeypatch):
+    # blocks of 3 columns in apply_transfer and 6 in apply_monodromy_block:
+    # 10 columns span several blocks, the last one ragged
+    D = int(np.prod(chain.local_dims))
+    monkeypatch.setattr(lax, "_BLOCK_ENTRIES", 12 * D)
+    lam = 0.41 - 0.23j
+    rng = np.random.default_rng(D)
+    cols = rng.normal(size=(D, 10)) + 1j * rng.normal(size=(D, 10))
+    blocks = sc.monodromy_blocks(chain, lam)
+    for a in range(2):
+        for b in range(2):
+            want = blocks[a][b] @ cols
+            got = lax.apply_monodromy_block(chain, lam, a, b, cols)
+            assert got.shape == (D, 10)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            vec = lax.apply_monodromy_block(chain, lam, a, b, cols[:, 0])
+            assert vec.shape == (D,)
+            assert np.linalg.norm(vec - want[:, 0]) <= 1e-13 * np.linalg.norm(want[:, 0])
+    want = sc.transfer(chain)(lam) @ cols
+    got = lax.apply_transfer(chain, lam, cols)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    vec = lax.apply_transfer(chain, lam, cols[:, 3])
+    assert vec.shape == (D,)
+    assert np.linalg.norm(vec - want[:, 3]) <= 1e-13 * np.linalg.norm(want[:, 3])
+
+
+def test_apply_transfer_is_one_pass_per_column_block(monkeypatch):
+    # both aux inputs of a block share one kernel call, as one doubled batch
+    calls, kernel = [], lax._apply_monodromy
+
+    def counted(laxes, state):
+        calls.append(state.shape)
+        return kernel(laxes, state)
+
+    monkeypatch.setattr(lax, "_apply_monodromy", counted)
+    chain = lax.uniform_chain("xxz", 10, MU, 2)
+    D = 2**10
+    width = lax._BLOCK_ENTRIES // (4 * D)
+    cols = np.ones((D, 3 * width + 5))
+    lax.apply_transfer(chain, 0.37, cols)
+    assert calls == [(2, D, 2 * width)] * 3 + [(2, D, 10)]
+    calls.clear()
+    lax.apply_monodromy_block(chain, 0.37, 0, 1, cols)
+    assert calls == [(2, D, 2 * width)] + [(2, D, width + 5)]
+
+
+def test_multi_block_apply_transfer_memory_stays_near_its_output():
+    # a kernel holding full-width states, one pass per aux input, peaks at
+    # 8 times the output here (128 MiB); column blocks keep the transient
+    # at two block states
+    chain = lax.uniform_chain("xxz", 10, MU, 2)
+    unit = np.eye(2**10, dtype=complex)
+    tracemalloc.start()
+    try:
+        out = lax.apply_transfer(chain, 0.37, unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 3 * 16 * lax._BLOCK_ENTRIES < 2 * out.nbytes
+
+
+def test_apply_transfer_refuses_an_open_chain():
+    from spinchain import boundary
+
+    with pytest.raises(ValueError, match="open chains are handled by the boundary module"):
+        lax.apply_transfer(boundary.open_chain("xxz", 3, MU), 0.37, np.ones(8))
+
+
 def test_one_lax_evaluation_per_distinct_site_rep(monkeypatch):
     calls = []
     site_lax = lax._site_lax
