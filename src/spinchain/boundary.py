@@ -22,7 +22,7 @@ from .lax import (
     monodromy,
     uniform_chain,
 )
-from .linalg import embed, mat, rel_norm, richardson_derivative
+from .linalg import embed, mat, over_draws, rel_norm, richardson_derivative
 from .rmatrix import gauge_v
 
 
@@ -124,32 +124,35 @@ def crossed_k_plus(k_minus, model: str = "xxz", mu: complex | None = None,
     return ev
 
 
-def re_residual(r_family, k_family, lam1: complex, lam2: complex) -> float:
+def re_residual(r_family, k_family, lam1, lam2):
     """Reflection-equation defect of K against R at (lam1, lam2).
 
     Checks R12(l1-l2) K1(l1) R21(l1+l2) K2(l2) = K2(l2) R12(l1+l2) K1(l1)
     R21(l1-l2), where R21 = P R12 P is R placed on the sites (2, 1).  K may
     be a c-number matrix on the auxiliary space or an operator on auxiliary
     (x) quantum (a dressed K), in which case both auxiliary copies share the
-    quantum space.
+    quantum space.  A float for scalar lambdas, one defect per draw for
+    equal-length sequences.
     """
-    rd = mat(r_family(lam1 - lam2))
-    rs = mat(r_family(lam1 + lam2))
-    n = int(round(np.sqrt(rd.shape[0])))
-    if n * n != rd.shape[0]:
-        raise ValueError("R must act on a two-fold tensor square")
-    k1m, k2m = mat(k_family(lam1)), mat(k_family(lam2))
-    if k1m.shape[0] % n:
-        raise ValueError("K dimension incompatible with R")
-    # aux1 (x) aux2 (x) quantum, with a one-dimensional quantum space for a c-number K
-    dims = (n, n, k1m.shape[0] // n)
-    k1 = embed(k1m, (1, 3), dims)
-    k2 = embed(k2m, (2, 3), dims)
-    rd21, rs21 = embed(rd, (2, 1), dims), embed(rs, (2, 1), dims)
-    rd, rs = embed(rd, (1, 2), dims), embed(rs, (1, 2), dims)
-    lhs = rd @ k1 @ rs21 @ k2
-    rhs = k2 @ rs @ k1 @ rd21
-    return rel_norm(lhs, rhs)
+    def evaluate(l1, l2):
+        return r_family(l1 - l2), r_family(l1 + l2), k_family(l1), k_family(l2)
+
+    def dims(rd, _, k1m, __):
+        n = int(round(np.sqrt(np.shape(rd)[0])))
+        if n * n != np.shape(rd)[0]:
+            raise ValueError("R must act on a two-fold tensor square")
+        if np.shape(k1m)[0] % n:
+            raise ValueError("K dimension incompatible with R")
+        # aux1 (x) aux2 (x) quantum, with a one-dimensional quantum space for a c-number K
+        return (n, n, np.shape(k1m)[0] // n)
+
+    def combine(dims, rd, rs, k1m, k2m):
+        k1, k2 = embed(k1m, (1, 3), dims), embed(k2m, (2, 3), dims)
+        rd21, rs21 = embed(rd, (2, 1), dims), embed(rs, (2, 1), dims)
+        rd, rs = embed(rd, (1, 2), dims), embed(rs, (1, 2), dims)
+        return rel_norm(rd @ k1 @ rs21 @ k2, k2 @ rs @ k1 @ rd21)
+
+    return over_draws(evaluate, dims, combine, lam1, lam2)
 
 
 def dressed_k(lax_family, k_family, lam: complex) -> np.ndarray:

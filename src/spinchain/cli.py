@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -167,11 +168,10 @@ def _perturbed(family, eps: complex):
     return ev
 
 
-def _random_pairs(rng, count: int):
+def _random_pairs(rng, count: int) -> tuple:
+    """count draws (lambda1, lambda2) in a box, as the two lists of lambdas."""
     box = rng.uniform(-1.4, 1.4, size=(count, 4))
-    return [
-        (complex(a, b), complex(c, d)) for a, b, c, d in box
-    ]
+    return [complex(a, b) for a, b, _, _ in box], [complex(c, d) for _, _, c, d in box]
 
 
 def _pairs(cfg: dict) -> int:
@@ -195,13 +195,29 @@ def _check(name: str, residual: float, tolerance: float, **params) -> dict:
 
 # ---------------------------------------------------------------- verify
 
+def _gauge_gaps(mu: complex, eps: complex, lams: list):
+    """rel_norm(R^p(l), V(-l) R^h(l) V(l)) at each l, the gauge map between
+    the two gradations; eps corrupts the conjugate like _perturbed."""
+    def evaluate(lam):
+        return (rmatrix.r_xxz(lam, mu, "principal"), rmatrix.gauge_v(-lam),
+                rmatrix.r_xxz(lam, mu, "homogeneous"), rmatrix.gauge_v(lam))
+
+    def combine(dims, principal, v_minus, homogeneous, v_plus):
+        conj = linalg.embed(v_minus, 1, dims) @ homogeneous @ linalg.embed(v_plus, 1, dims)
+        if eps:
+            conj[:, 0, 1] += eps
+        return linalg.rel_norm(principal, conj)
+
+    return linalg.over_draws(evaluate, lambda *_: (2, 2), combine, lams)
+
+
 def _suite_ybe(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     model = cfg.get("model", "xxz")
     pairs = _pairs(cfg)
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
-    draws = _random_pairs(rng, pairs)
+    lam1, lam2 = _random_pairs(rng, pairs)
     families = [("xxx rational R", rmatrix.xxx_family(), False)]
     if model == "xxz":
         hom = rmatrix.xxz_family(mu, "homogeneous")
@@ -217,30 +233,17 @@ def _suite_ybe(cfg, seed) -> list:
     for name, fam, is_braided in families:
         fam = _perturbed(fam, eps) if eps else fam
         res_fn = rmatrix.braided_ybe_residual if is_braided else rmatrix.ybe_residual
-        worst = max(res_fn(fam, *p) for p in draws)
+        worst = max(res_fn(fam, lam1, lam2))
         checks.append(_check(f"Yang-Baxter: {name}", worst, 1e-11, pairs=pairs))
         if not is_braided:
             _, reg = rmatrix.regularity_constant(fam)
             checks.append(_check(f"regularity R(0) = c P: {name}", reg, 1e-12))
     if model == "xxz":
-        vg = rmatrix.gauge_v
-
-        def gauge_gap(p):
-            lam = p[0]
-            lhs = rmatrix.r_xxz(lam, mu, "principal")
-            conj = linalg.embed(vg(-lam), 1, (2, 2)) @ rmatrix.r_xxz(
-                lam, mu, "homogeneous"
-            ) @ linalg.embed(vg(lam), 1, (2, 2))
-            if eps:
-                conj = np.array(conj, copy=True)
-                conj[0, 1] += eps
-            return linalg.rel_norm(lhs, conj)
-
-        worst = max(map(gauge_gap, draws))
+        worst = max(_gauge_gaps(mu, eps, lam1))
         checks.append(_check("gradation gauge transform", worst, 1e-12, pairs=pairs))
         rep = algebra.uq_sl2_spin_rep(2, cmath.exp(1j * mu))
         fam = _perturbed(hom, eps) if eps else hom
-        worst = max(rmatrix.intertwiner_residual(fam, rep, p[0]) for p in draws)
+        worst = max(rmatrix.intertwiner_residual(fam, rep, lam1))
         checks.append(_check("coproduct intertwiner (homogeneous)", worst, 1e-10))
     return checks
 
@@ -254,7 +257,7 @@ def _suite_re(cfg, seed) -> list:
     pairs = _pairs(cfg)
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
-    draws = _random_pairs(rng, pairs)
+    lam1, lam2 = _random_pairs(rng, pairs)
     cases = [
         ("identity K, xxz homogeneous", rmatrix.xxz_family(mu, "homogeneous"),
          boundary.k_identity()),
@@ -271,23 +274,17 @@ def _suite_re(cfg, seed) -> list:
     checks = []
     for name, rfam, kfam in cases:
         kev = _perturbed(kfam, eps) if eps else kfam
-        worst = max(boundary.re_residual(rfam, kev, *p) for p in draws)
+        worst = max(boundary.re_residual(rfam, kev, lam1, lam2))
         checks.append(_check(f"reflection equation: {name}", worst, 1e-10, pairs=pairs))
     kgz = boundary.k_gz_dvgr(xi, kappa, "homogeneous")
     gap = linalg.rel_norm(kgz(0.0), cmath.sinh(1j * xi) * np.eye(2))
     checks.append(_check("GZ-DVGR K(0) = sinh(i xi) I", gap, 1e-12))
+    few = max(4, pairs // 4)
+    rfam = rmatrix.xxz_family(mu, "homogeneous")
     for n, label in ((2, "spin-1/2"), (3, "spin-1")):
         rep = algebra.uq_sl2_spin_rep(n, cmath.exp(1j * mu))
-        lfam = lax.lax_xxz(rep, "homogeneous")
-        rfam = rmatrix.xxz_family(mu, "homogeneous")
-
-        def dressed_res(p, lfam=lfam, rfam=rfam):
-            def kd(lam):
-                return boundary.dressed_k(lfam, boundary.k_identity(), lam)
-
-            return boundary.re_residual(rfam, kd, p[0], p[1])
-
-        worst = max(map(dressed_res, draws[: max(4, pairs // 4)]))
+        kd = partial(boundary.dressed_k, lax.lax_xxz(rep, "homogeneous"), boundary.k_identity())
+        worst = max(boundary.re_residual(rfam, kd, lam1[:few], lam2[:few]))
         checks.append(_check(f"dressed operatorial RE, {label}", worst, 1e-10))
     return checks
 
@@ -331,7 +328,7 @@ def _suite_frt(cfg, seed) -> list:
     s = _as_complex(cfg.get("s", 0.7), "s")
     eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
     rng = np.random.default_rng(seed)
-    draws = _random_pairs(rng, pairs)
+    lam1, lam2 = _random_pairs(rng, pairs)
     q = cmath.exp(1j * mu)
     cases = [
         ("xxx Lax, spin-1/2", rmatrix.xxx_family(), lax.lax_xxx(algebra.sl2_spin_rep(2))),
@@ -355,11 +352,7 @@ def _suite_frt(cfg, seed) -> list:
     checks = []
     for name, rfam, lx in cases:
         rev = _perturbed(rfam, eps) if eps else rfam
-
-        def rll(pair, rev=rev, lx=lx):
-            return lax.rll_residual(rev, lx, pair[0], pair[1])
-
-        worst = max(map(rll, draws))
+        worst = max(lax.rll_residual(rev, lx, lam1, lam2))
         checks.append(_check(f"RLL relation: {name}", worst, 1e-10, pairs=pairs))
     rep = algebra.uq_sl2_spin_rep(2, q)
     for relname, residual in lax.triangular_residuals(rep).items():

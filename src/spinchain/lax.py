@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
-from .linalg import MAX_DIM, embed, mat, rel_norm, richardson_derivative
+from . import linalg
+from .linalg import MAX_DIM, embed, over_draws, rel_norm, richardson_derivative
 from .rmatrix import braided, r_pm, xxx_family, xxz_family
 
 
@@ -157,21 +158,26 @@ def lax_xxz_pm(rep: AlgebraRep) -> tuple:
     return lp, lm
 
 
-def rll_residual(r_family, lax, lam1: complex, lam2: complex) -> float:
+def rll_residual(r_family, lax, lam1, lam2):
     """Residual of R12(l1-l2) L1(l1) L2(l2) = L2(l2) L1(l1) R12(l1-l2).
 
     lax is any callable lambda -> matrix on aux (x) quantum, with the
     auxiliary dimension sqrt(dim R); the same check therefore serves the
-    monodromy (FRT) relation by passing the monodromy evaluator.
+    monodromy (FRT) relation by passing the monodromy evaluator.  A float
+    for scalar lambdas, one residual per draw for equal-length sequences.
     """
-    r = r_family(lam1 - lam2)
-    na = round(np.shape(r)[0] ** 0.5)
-    l1m, l2m = mat(lax(lam1)), mat(lax(lam2))
-    dims = (na, na, l1m.shape[0] // na)  # aux1 (x) aux2 (x) quantum
-    r12 = embed(r, (1, 2), dims)
-    a = embed(l1m, (1, 3), dims)
-    b = embed(l2m, (2, 3), dims)
-    return rel_norm(r12 @ a @ b, b @ a @ r12)
+    def evaluate(l1, l2):
+        return r_family(l1 - l2), lax(l1), lax(l2)
+
+    def dims(r, l1m, _):
+        na = round(np.shape(r)[0] ** 0.5)
+        return (na, na, np.shape(l1m)[0] // na)  # aux1 (x) aux2 (x) quantum
+
+    def combine(dims, r, l1m, l2m):
+        r12, a, b = embed(r, (1, 2), dims), embed(l1m, (1, 3), dims), embed(l2m, (2, 3), dims)
+        return rel_norm(r12 @ a @ b, b @ a @ r12)
+
+    return over_draws(evaluate, dims, combine, lam1, lam2)
 
 
 def triangular_residuals(rep: AlgebraRep) -> dict:
@@ -198,6 +204,14 @@ def triangular_residuals(rep: AlgebraRep) -> dict:
     }
 
 
+def _aux_blocks(a, b, c, d) -> np.ndarray:
+    # [[a, b], [c, d]] on aux (x) quantum, written into one preallocated matrix
+    n = a.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a, b, c, d
+    return out
+
+
 def _cyclic_generic_blocks(p: int, s: complex, k: int) -> tuple:
     cyc = cyclic_rep(p, k)
     q = complex(cyc.params["q"])
@@ -221,7 +235,7 @@ def lax_generic_xxz(p: int, s: complex, k: int = 1):
 
     def ev(lam: complex) -> np.ndarray:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return np.block([[ep * x - em * xinv, db], [dc, ep * xinv - em * x]])
+        return _aux_blocks(ep * x - em * xinv, db, dc, ep * xinv - em * x)
 
     return ev
 
@@ -241,11 +255,10 @@ def lax_qoscillator(p: int, k: int = 1):
     osc = q_oscillator_rep(p, k)
     v, a, adag = osc.gen("V"), osc.gen("a"), osc.gen("adag")
     vinv = np.diag(1 / np.diag(v))
-    zero = np.zeros_like(v)
 
     def ev(lam: complex) -> np.ndarray:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return np.block([[ep * v - em * vinv, adag], [a, -em * v]])
+        return _aux_blocks(ep * v - em * vinv, adag, a, -em * v)
 
     return ev
 
@@ -262,11 +275,11 @@ def lax_liouville(p: int, alpha: complex, k: int = 1):
     xinv = np.diag(1 / np.diag(x))
     xy = x @ y
     xyinv = np.linalg.inv(xy)
-    h = np.eye(p, dtype=complex) + alpha**2 * q * (x @ x)
+    corner = (np.eye(p, dtype=complex) + alpha**2 * q * (x @ x)) @ xyinv
 
     def ev(lam: complex) -> np.ndarray:
         ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return np.block([[xy, alpha * em * x], [alpha * (ep * x - em * xinv), h @ xyinv]])
+        return _aux_blocks(xy, alpha * em * x, alpha * (ep * x - em * xinv), corner)
 
     return ev
 
@@ -309,11 +322,6 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     return [list(row) for row in T]
 
 
-# complex entries (4 MiB) of the kernel state of one column block, about the
-# L2 cache of one core; the (D, L) output is the only full-width array
-_BLOCK_ENTRIES = 2**18
-
-
 def _apply_monodromy(laxes: list, state: np.ndarray) -> None:
     """Overwrite state, of shape (2, D, B), with T state for T = L_N ... L_1
     and the site Lax matrices laxes; the legs are aux, quantum space (site 1
@@ -339,7 +347,7 @@ def _apply_blocks(chain: ChainSpec, lam: complex, pairs: tuple, vec) -> np.ndarr
 
     Each column block goes through one `_apply_monodromy` pass, one copy per
     pair on aux input b; the blocks are as wide as keeps that state near
-    _BLOCK_ENTRIES, and each block's state is built only when it is needed.
+    linalg.BLOCK_ENTRIES, and each block's state is built only when it is needed.
     """
     laxes = site_lax_matrices(chain, lam)
     rows, inputs = (np.array(side) for side in zip(*pairs))
@@ -347,7 +355,7 @@ def _apply_blocks(chain: ChainSpec, lam: complex, pairs: tuple, vec) -> np.ndarr
     cols = np.reshape(vec, (np.shape(vec)[0], -1))
     D = cols.shape[0]
     out = np.empty(cols.shape, dtype=complex)
-    width = max(1, _BLOCK_ENTRIES // (2 * D * len(pairs)))
+    width = max(1, linalg.BLOCK_ENTRIES // (2 * D * len(pairs)))
     for start in range(0, cols.shape[1], width):
         block = cols[:, start:start + width]
         w = block.shape[1]

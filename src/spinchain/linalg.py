@@ -11,6 +11,13 @@ Kronecker product and a transpose.  Nearest-neighbour Hamiltonians are the
 exception to embed: the lax module writes their bond terms by basis-index
 arithmetic, into the full matrix or into the symmetry-orbit blocks of one
 Sz sector, so a spectrum at the cap never holds a 4096 x 4096 array.
+
+The identity checks of the verify suites run over whole lists of spectral
+draws: `over_draws` evaluates each draw's matrices by the caller's scalar
+code, stacks them into (P, s, s) arrays, and hands the stacks to one
+stacked computation per chunk of draws.  embed places a stack in one call,
+and rel_norm and comm_norm return one distance per slice, each bit-identical
+to the distance of that slice alone.
 """
 
 from __future__ import annotations
@@ -21,6 +28,11 @@ import numpy as np
 
 # the advertised cap on the Hilbert dimension of every chain
 MAX_DIM = 4096
+
+# complex entries (4 MiB) of one working block, about the L2 cache of one
+# core: a column block of the lax monodromy kernel, or the stacks that one
+# chunk of over_draws places
+BLOCK_ENTRIES = 2**18
 
 
 def mat(x) -> np.ndarray:
@@ -65,19 +77,21 @@ def embed(a, sites, dims) -> np.ndarray:
     tensor order, so (N, 1) puts its first factor on the last site.  The
     operator's entries are scattered into a zero D x D matrix through the
     placement table of (sites, dims), built once per placement and cached.
-    A call allocates the one complex D x D output plus index temporaries of
-    at most 2 * side * D int64, for side the operator's dimension.
+    A (P, side, side) stack of operators gives the (P, D, D) stack of their
+    placements, through the same table in one assignment.  A call allocates
+    the complex output plus index temporaries of at most 2 * side * D int64,
+    for side the operator's dimension.
     """
     dims = tuple(int(d) for d in dims)
     sites = tuple(int(s) for s in sites) if np.iterable(sites) else (int(sites),)
     table = _placement(sites, dims)
     m = mat(a)
     side = table.shape[0]
-    if m.shape != (side, side):
-        raise ValueError(f"operator shape {m.shape} != local dimension {side} of sites {sites}")
+    if m.ndim not in (2, 3) or m.shape[-2:] != (side, side):
+        raise ValueError(f"operator shape {m.shape[-2:]} != local dimension {side} of sites {sites}")
     D = table.size
-    out = np.zeros((D, D), dtype=complex)
-    out[table[:, None, :], table[None, :, :]] = m[:, :, None]
+    out = np.zeros(m.shape[:-2] + (D, D), dtype=complex)
+    out[..., table[:, None, :], table[None, :, :]] = m[..., None]
     return out
 
 
@@ -103,20 +117,77 @@ def permutation(n: int) -> np.ndarray:
     return P
 
 
-def comm_norm(a, b) -> float:
-    """Relative Frobenius norm of the commutator [A, B]."""
+def _norms(x: np.ndarray):
+    # Frobenius norm of a matrix, or of each matrix of a (P, m, n) stack by
+    # the same two real dot products np.linalg.norm takes, so each entry is
+    # bit-identical to the norm of its slice (np.linalg.norm(x, axis=(1, 2))
+    # sums in another order and is not)
+    if x.ndim != 3:
+        return np.linalg.norm(x)
+    flat = x.reshape(len(x), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.mT + im @ im.mT)[:, 0, 0])
+
+
+def _max(first, *rest):
+    # builtin max taken elementwise: a later value wins only if it is larger
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _result(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def comm_norm(a, b):
+    """Relative Frobenius norm of the commutator [A, B]; A or B may be a
+    (P, n, n) stack, giving one norm per slice."""
     A, B = mat(a), mat(b)
-    if A.shape != B.shape:
+    if A.shape[-2:] != B.shape[-2:]:
         raise ValueError("commutator needs equal shapes")
-    scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(B))
-    return float(np.linalg.norm(A @ B - B @ A) / scale)
+    scale = _max(1.0, _norms(A) * _norms(B))
+    return _result(_norms(A @ B - B @ A) / scale)
 
 
-def rel_norm(a, b) -> float:
-    """Relative Frobenius distance between two matrices."""
+def rel_norm(a, b):
+    """Relative Frobenius distance between two matrices, or between the
+    matching slices of (P, m, n) stacks, giving one distance per slice."""
     A, B = mat(a), mat(b)
-    scale = max(np.linalg.norm(A), np.linalg.norm(B), 1e-300)
-    return float(np.linalg.norm(A - B) / scale)
+    scale = _max(_norms(A), _norms(B), 1e-300)
+    return _result(_norms(A - B) / scale)
+
+
+def over_draws(evaluate, dims, combine, *lams):
+    """Residuals of one identity at each draw of its spectral parameters.
+
+    lams are one scalar each (a single draw, giving a float) or equal-length
+    1-D sequences (draw i takes entry i of each, giving an ndarray of one
+    residual per draw).  evaluate(*draw) returns the tuple of matrices of one
+    draw, by the caller's scalar code; dims(*matrices) gives, from the first
+    draw, the local dimensions of the product space the matrices are placed
+    on; combine(dims, *stacks) returns the (P,) residuals of P draws from the
+    (P, s, s) stacks of their matrices.  Draws go in chunks of P draws such
+    that eight (P, D, D) stacks, about what combine holds at once between
+    its placements and products, make BLOCK_ENTRIES entries.
+    """
+    if all(np.ndim(lam) == 0 for lam in lams):
+        return float(over_draws(evaluate, dims, combine, *([lam] for lam in lams))[0])
+    if any(np.ndim(lam) != 1 for lam in lams):
+        raise ValueError("spectral parameters must be all scalars or all 1-D sequences")
+    if len({len(lam) for lam in lams}) != 1 or not len(lams[0]):
+        raise ValueError("draws must be non-empty sequences of equal length")
+    draws = list(zip(*lams))
+    pending = [evaluate(*draws[0])]
+    local = dims(*pending[0])
+    D = int(np.prod(local, dtype=np.int64))
+    width = max(1, BLOCK_ENTRIES // (8 * D * D))
+    out = np.empty(len(draws))
+    for start in range(0, len(draws), width):
+        pending += [evaluate(*draw) for draw in draws[start + len(pending):start + width]]
+        out[start:start + len(pending)] = combine(local, *map(np.stack, zip(*pending)))
+        pending = []
+    return out
 
 
 def fit_affine(target, basis) -> tuple[np.ndarray, float]:

@@ -5,7 +5,9 @@ and the trigonometric six-vertex R in its two gradations, related by
 conjugation with V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}).  A family
 is a plain function lambda -> complex ndarray; the residual functions take
 any such callable, so partially applied families and Baxterized braid
-generators all go through the same checks.
+generators all go through the same checks.  Each residual takes scalar
+spectral parameters (one float) or equal-length sequences of them (one
+residual per draw, from one stacked pass through `linalg.over_draws`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import coproduct_uq
 from .braid import BraidFamily
-from .linalg import comm_norm, embed, mat, permutation, rel_norm
+from .linalg import _max, comm_norm, embed, mat, over_draws, permutation, rel_norm
 
 
 def gauge_v(lam: complex) -> np.ndarray:
@@ -99,35 +102,42 @@ def braided(family):
     return lambda lam: p @ mat(family(lam))
 
 
-def _on_three_sites(m, sites) -> np.ndarray:
-    # place a two-site matrix on n (x) n (x) n
-    n = round(np.shape(m)[0] ** 0.5)
-    return embed(m, sites, (n, n, n))
+def _three_sites(r, *_) -> tuple:
+    # n (x) n (x) n, for the first of a draw's two-site matrices on n (x) n
+    n = round(np.shape(r)[0] ** 0.5)
+    return (n, n, n)
 
 
-def ybe_residual(r_family, lam1: complex, lam2: complex) -> float:
+def ybe_residual(r_family, lam1, lam2):
     """Relative residual of the Yang-Baxter equation at (lambda1, lambda2, 0).
 
-    R12(l1-l2) R13(l1) R23(l2) = R23(l2) R13(l1) R12(l1-l2) on n^3.
+    R12(l1-l2) R13(l1) R23(l2) = R23(l2) R13(l1) R12(l1-l2) on n^3; a float
+    for scalar lambdas, one residual per draw for equal-length sequences.
     """
-    r12 = _on_three_sites(r_family(lam1 - lam2), (1, 2))
-    r13 = _on_three_sites(r_family(lam1), (1, 3))
-    r23 = _on_three_sites(r_family(lam2), (2, 3))
-    return rel_norm(r12 @ r13 @ r23, r23 @ r13 @ r12)
+    def evaluate(l1, l2):
+        return r_family(l1 - l2), r_family(l1), r_family(l2)
+
+    def combine(dims, rd, r1, r2):
+        r12, r13, r23 = embed(rd, (1, 2), dims), embed(r1, (1, 3), dims), embed(r2, (2, 3), dims)
+        return rel_norm(r12 @ r13 @ r23, r23 @ r13 @ r12)
+
+    return over_draws(evaluate, _three_sites, combine, lam1, lam2)
 
 
-def braided_ybe_residual(rc_family, lam1: complex, lam2: complex) -> float:
-    """Residual of the braided Yang-Baxter equation.
+def braided_ybe_residual(rc_family, lam1, lam2):
+    """Residual of the braided Yang-Baxter equation, per draw like ybe_residual.
 
     Rc12(l1-l2) Rc23(l1) Rc12(l2) = Rc23(l2) Rc12(l1) Rc23(l1-l2).
     """
-    a12 = _on_three_sites(rc_family(lam1 - lam2), (1, 2))
-    b23 = _on_three_sites(rc_family(lam1), (2, 3))
-    c12 = _on_three_sites(rc_family(lam2), (1, 2))
-    d23 = _on_three_sites(rc_family(lam2), (2, 3))
-    e12 = _on_three_sites(rc_family(lam1), (1, 2))
-    f23 = _on_three_sites(rc_family(lam1 - lam2), (2, 3))
-    return rel_norm(a12 @ b23 @ c12, d23 @ e12 @ f23)
+    def evaluate(l1, l2):
+        return rc_family(l1 - l2), rc_family(l1), rc_family(l2)
+
+    def combine(dims, rd, r1, r2):
+        lhs = embed(rd, (1, 2), dims) @ embed(r1, (2, 3), dims) @ embed(r2, (1, 2), dims)
+        rhs = embed(r2, (2, 3), dims) @ embed(r1, (1, 2), dims) @ embed(rd, (2, 3), dims)
+        return rel_norm(lhs, rhs)
+
+    return over_draws(evaluate, _three_sites, combine, lam1, lam2)
 
 
 def regularity_constant(r_family) -> tuple:
@@ -158,24 +168,31 @@ def baxterize(fam: BraidFamily, i: int, lam: complex) -> np.ndarray:
     return cmath.exp(lam) * g - cmath.exp(-lam) * ginv
 
 
-def intertwiner_residual(r_family, rep, lam: complex) -> float:
+def intertwiner_residual(r_family, rep, lam):
     """Quantum-group intertwining residual of R(lambda) on rep (x) rep.
 
     Checks Delta'(X) R = R Delta(X) with Delta' = P Delta P for
     X in {qJz, Jp, Jm}, plus the equivalent statement that the braided
-    matrix P R commutes with every Delta(X).
+    matrix P R commutes with every Delta(X); a float for a scalar lambda,
+    one residual per draw for a sequence.  The co-product is built once per
+    call.
     """
-    from .algebra import coproduct_uq
-
-    m = mat(r_family(lam))
     n = rep.gen("Jz").shape[0]
-    if m.shape[0] != n * n:
-        raise ValueError(f"R acts on {m.shape[0]}, rep pair needs {n * n}")
     p = _exchange(n)
     cop = coproduct_uq(rep, rep)
-    worst = 0.0
-    for label in ("qJz", "Jp", "Jm"):
-        d = cop.image(label)
-        worst = max(worst, rel_norm((p @ d @ p) @ m, m @ d))
-        worst = max(worst, comm_norm(p @ m, d))
-    return worst
+    images = [cop.image(label) for label in ("qJz", "Jp", "Jm")]
+    swapped = [p @ d @ p for d in images]
+
+    def dims(m):
+        if np.shape(m)[0] != n * n:
+            raise ValueError(f"R acts on {np.shape(m)[0]}, rep pair needs {n * n}")
+        return (n, n)
+
+    def combine(_, m):
+        m = mat(m)
+        worst = 0.0
+        for d, pdp in zip(images, swapped):
+            worst = _max(worst, rel_norm(pdp @ m, m @ d), comm_norm(p @ m, d))
+        return worst
+
+    return over_draws(lambda l: (r_family(l),), dims, combine, lam)

@@ -295,3 +295,40 @@ def test_gauge_paired_boundaries_share_spectra():
     eh = np.sort_complex(np.linalg.eigvals(sc.mat(th(0.37))))
     ep = np.sort_complex(np.linalg.eigvals(sc.mat(tp(0.37))))
     assert np.abs(eh - ep).max() / np.abs(eh).max() > 1e-4
+
+
+def _re_cases() -> dict:
+    fh, fp = sc.xxz_family(MU, "homogeneous"), sc.xxz_family(MU, "principal")
+    cases = {
+        "identity-xxx": (sc.xxx_family(), sc.k_identity()),
+        "gz-dvgr-homogeneous": (fh, sc.k_gz_dvgr(XI, KAPPA, "homogeneous")),
+        "gz-dvgr-principal": (fp, sc.k_gz_dvgr(XI, KAPPA, "principal")),
+        "blob": (fh, sc.k_blob(MU, 0.7, 0.4)),
+    }
+    for n in (2, 3):
+        lx = sc.lax_xxz(sc.uq_sl2_spin_rep(n, Q), "homogeneous")
+        cases[f"dressed-{n}"] = (fh, lambda lam, lx=lx: sc.dressed_k(lx, sc.k_identity(), lam))
+    return cases
+
+
+RE_CASES = _re_cases()
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunks-of-3"])
+@pytest.mark.parametrize("case", sorted(RE_CASES))
+def test_batched_re_residual_equals_its_scalar_calls(case, chunked, monkeypatch):
+    rfam, kfam = RE_CASES[case]
+    lam1, lam2 = zip(*rand_pairs(10, seed=9))
+    if chunked:
+        D = 2 * np.shape(kfam(0.0))[0]
+        monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 8 * D * D * 3)
+    got = sc.re_residual(rfam, kfam, lam1, lam2)
+    assert got.shape == (10,) and got.max() < 1e-10
+    assert np.array_equal(got, [sc.re_residual(rfam, kfam, l1, l2) for l1, l2 in zip(lam1, lam2)])
+
+
+def test_re_residual_keeps_its_shape_checks():
+    with pytest.raises(ValueError, match="two-fold tensor square"):
+        sc.re_residual(lambda lam: np.eye(3), sc.k_identity(), [0.1, 0.2], [0.3, 0.4])
+    with pytest.raises(ValueError, match="K dimension incompatible"):
+        sc.re_residual(sc.xxx_family(), lambda lam: np.eye(3), 0.1, 0.3)

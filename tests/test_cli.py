@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinchain import bethe, cli, lax
+from spinchain import algebra, bethe, boundary, cli, lax, linalg, rmatrix
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -73,6 +73,97 @@ def test_verify_re_and_braid_and_frt_and_symmetry(tmp_path, capsys):
         payload = json.loads(out)
         assert code == 0, f"{suite}: {[c for c in payload['checks'] if not c['pass']]}"
         assert payload["status"] == "ok"
+
+
+# Per-draw references: each draw's identity as one 2-D computation, the way
+# the suites checked it before the residuals took whole draw lists.
+
+def _three_sites(m, sites):
+    n = round(np.shape(m)[0] ** 0.5)
+    return linalg.embed(m, sites, (n, n, n))
+
+
+def _ybe_reference(fam, l1, l2):
+    r12, r13, r23 = _three_sites(fam(l1 - l2), (1, 2)), _three_sites(fam(l1), (1, 3)), \
+        _three_sites(fam(l2), (2, 3))
+    return linalg.rel_norm(r12 @ r13 @ r23, r23 @ r13 @ r12)
+
+
+def _braided_reference(fam, l1, l2):
+    lhs = _three_sites(fam(l1 - l2), (1, 2)) @ _three_sites(fam(l1), (2, 3)) \
+        @ _three_sites(fam(l2), (1, 2))
+    rhs = _three_sites(fam(l2), (2, 3)) @ _three_sites(fam(l1), (1, 2)) \
+        @ _three_sites(fam(l1 - l2), (2, 3))
+    return linalg.rel_norm(lhs, rhs)
+
+
+def _intertwiner_reference(fam, rep, lam):
+    m = linalg.mat(fam(lam))
+    p = linalg.permutation(rep.gen("Jz").shape[0])
+    cop = algebra.coproduct_uq(rep, rep)
+    worst = 0.0
+    for label in ("qJz", "Jp", "Jm"):
+        d = cop.image(label)
+        worst = max(worst, linalg.rel_norm((p @ d @ p) @ m, m @ d))
+        worst = max(worst, linalg.comm_norm(p @ m, d))
+    return worst
+
+
+def _gauge_reference(mu, eps, lam):
+    conj = linalg.embed(rmatrix.gauge_v(-lam), 1, (2, 2)) @ rmatrix.r_xxz(lam, mu, "homogeneous") \
+        @ linalg.embed(rmatrix.gauge_v(lam), 1, (2, 2))
+    if eps:
+        conj[0, 1] += eps
+    return linalg.rel_norm(rmatrix.r_xxz(lam, mu, "principal"), conj)
+
+
+def _rll_reference(rfam, lx, l1, l2):
+    r = rfam(l1 - l2)
+    na = round(np.shape(r)[0] ** 0.5)
+    a, b = linalg.mat(lx(l1)), linalg.mat(lx(l2))
+    dims = (na, na, a.shape[0] // na)
+    r12 = linalg.embed(r, (1, 2), dims)
+    a, b = linalg.embed(a, (1, 3), dims), linalg.embed(b, (2, 3), dims)
+    return linalg.rel_norm(r12 @ a @ b, b @ a @ r12)
+
+
+def _re_reference(rfam, kfam, l1, l2):
+    rd, rs = linalg.mat(rfam(l1 - l2)), linalg.mat(rfam(l1 + l2))
+    k1, k2 = linalg.mat(kfam(l1)), linalg.mat(kfam(l2))
+    n = round(rd.shape[0] ** 0.5)
+    dims = (n, n, k1.shape[0] // n)
+    k1, k2 = linalg.embed(k1, (1, 3), dims), linalg.embed(k2, (2, 3), dims)
+    rd21, rs21 = linalg.embed(rd, (2, 1), dims), linalg.embed(rs, (2, 1), dims)
+    rd, rs = linalg.embed(rd, (1, 2), dims), linalg.embed(rs, (1, 2), dims)
+    return linalg.rel_norm(rd @ k1 @ rs21 @ k2, k2 @ rs @ k1 @ rd21)
+
+
+def _looped(reference, draw_args: int):
+    def residuals(*args):
+        fixed, lams = args[:-draw_args], args[-draw_args:]
+        return np.array([reference(*fixed, *draw) for draw in zip(*lams)])
+
+    return residuals
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("perturb", [0.0, 1e-4])
+@pytest.mark.parametrize("suite", ["ybe", "re", "frt"])
+def test_batched_suites_match_a_per_draw_reference(suite, perturb, seed, monkeypatch):
+    runner = cli._SUITES[suite][0]
+    cfg = {"suite": suite, "mu": 0.3, "perturb": perturb}
+    batched = runner(cfg, seed)
+    for module, name, reference, draw_args in (
+        (rmatrix, "ybe_residual", _ybe_reference, 2),
+        (rmatrix, "braided_ybe_residual", _braided_reference, 2),
+        (rmatrix, "intertwiner_residual", _intertwiner_reference, 1),
+        (cli, "_gauge_gaps", _gauge_reference, 1),
+        (lax, "rll_residual", _rll_reference, 2),
+        (boundary, "re_residual", _re_reference, 2),
+    ):
+        monkeypatch.setattr(module, name, _looped(reference, draw_args))
+    assert runner(cfg, seed) == batched
+    assert any(not c["pass"] for c in batched) == bool(perturb)
 
 
 def test_verify_braid_rejects_perturb(tmp_path, capsys):

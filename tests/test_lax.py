@@ -65,6 +65,66 @@ def test_rll_cyclic_quartet():
         assert sc.rll_residual(fam, lx, 0.37, -0.21 + 0.4j) < 1e-10
 
 
+def _rll_cases() -> dict:
+    p, s, k = 5, 0.7, 1
+    cyclic_r = sc.xxz_family(2 * np.pi * k / p, "principal")
+    cases = {
+        "xxx-half": (sc.xxx_family(), sc.lax_xxx(sc.sl2_spin_rep(2))),
+        "xxx-one": (sc.xxx_family(), sc.lax_xxx(sc.sl2_spin_rep(3))),
+        "generic": (cyclic_r, sc.lax_generic_xxz(p, s, k)),
+        "sine-gordon": (cyclic_r, sc.lax_sine_gordon(p, s, k)),
+        "q-oscillator": (cyclic_r, sc.lax_qoscillator(p, k)),
+        "liouville": (cyclic_r, sc.lax_liouville(p, s, k)),
+    }
+    for grad in ("principal", "homogeneous"):
+        for n in (2, 3):
+            rep = sc.uq_sl2_spin_rep(n, cmath.exp(1j * MU))
+            cases[f"xxz-{n}-{grad}"] = (sc.xxz_family(MU, grad), sc.lax_xxz(rep, grad))
+    return cases
+
+
+RLL_CASES = _rll_cases()
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunks-of-3"])
+@pytest.mark.parametrize("case", sorted(RLL_CASES))
+def test_batched_rll_residual_equals_its_scalar_calls(case, chunked, monkeypatch):
+    fam, lx = RLL_CASES[case]
+    rng = np.random.default_rng(17)
+    box = rng.uniform(-1.4, 1.4, size=(10, 4))
+    lam1 = [complex(a, b) for a, b, _, _ in box]
+    lam2 = [complex(c, d) for _, _, c, d in box]
+    if chunked:
+        D = 2 * np.shape(lx(0.0))[0]
+        monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 8 * D * D * 3)
+    got = sc.rll_residual(fam, lx, lam1, lam2)
+    assert got.shape == (10,) and got.max() < 1e-10
+    assert np.array_equal(got, [sc.rll_residual(fam, lx, l1, l2) for l1, l2 in zip(lam1, lam2)])
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (5, 2), (7, 3)])
+def test_cyclic_lax_evaluators_equal_their_block_form(p, k):
+    # the evaluators write their four blocks into one matrix; np.block of the
+    # same blocks gives the same bits
+    s = alpha = 0.7
+    _, q, x, xinv, db, dc = lax._cyclic_generic_blocks(p, s, k)
+    osc = sc.q_oscillator_rep(p, k)
+    v, a, adag = osc.gen("V"), osc.gen("a"), osc.gen("adag")
+    vinv = np.diag(1 / np.diag(v))
+    xy = x @ sc.cyclic_rep(p, k).gen("Y")
+    h = np.eye(p, dtype=complex) + alpha**2 * q * (x @ x)
+    generic, qosc, liou = (sc.lax_generic_xxz(p, s, k), sc.lax_qoscillator(p, k),
+                           sc.lax_liouville(p, alpha, k))
+    for lam in (0.37, -0.2 + 0.9j, 1.3j):
+        ep, em = cmath.exp(lam), cmath.exp(-lam)
+        assert np.array_equal(generic(lam), np.block([[ep * x - em * xinv, db],
+                                                      [dc, ep * xinv - em * x]]))
+        assert np.array_equal(qosc(lam), np.block([[ep * v - em * vinv, adag], [a, -em * v]]))
+        assert np.array_equal(liou(lam), np.block([[xy, alpha * em * x],
+                                                   [alpha * (ep * x - em * xinv),
+                                                    h @ np.linalg.inv(xy)]]))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_triangular_lax_pair(n):
     rep = sc.uq_sl2_spin_rep(n, cmath.exp(1j * MU))
@@ -177,7 +237,7 @@ def test_kernel_matches_dense_across_column_blocks(chain, monkeypatch):
     # blocks of 3 columns in apply_transfer and 6 in apply_monodromy_block:
     # 10 columns span several blocks, the last one ragged
     D = int(np.prod(chain.local_dims))
-    monkeypatch.setattr(lax, "_BLOCK_ENTRIES", 12 * D)
+    monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 12 * D)
     lam = 0.41 - 0.23j
     rng = np.random.default_rng(D)
     cols = rng.normal(size=(D, 10)) + 1j * rng.normal(size=(D, 10))
@@ -210,7 +270,7 @@ def test_apply_transfer_is_one_pass_per_column_block(monkeypatch):
     monkeypatch.setattr(lax, "_apply_monodromy", counted)
     chain = lax.uniform_chain("xxz", 10, MU, 2)
     D = 2**10
-    width = lax._BLOCK_ENTRIES // (4 * D)
+    width = sc.linalg.BLOCK_ENTRIES // (4 * D)
     cols = np.ones((D, 3 * width + 5))
     lax.apply_transfer(chain, 0.37, cols)
     assert calls == [(2, D, 2 * width)] * 3 + [(2, D, 10)]
@@ -231,7 +291,7 @@ def test_multi_block_apply_transfer_memory_stays_near_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes + 3 * 16 * lax._BLOCK_ENTRIES < 2 * out.nbytes
+    assert peak < out.nbytes + 3 * 16 * sc.linalg.BLOCK_ENTRIES < 2 * out.nbytes
 
 
 def test_apply_transfer_refuses_an_open_chain():

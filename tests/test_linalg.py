@@ -1,5 +1,7 @@
 """Dense-operator plumbing: shapes, embeddings, fits, derivatives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,74 @@ def test_builders_return_complex_ndarray(name):
         assert type(m) is np.ndarray
         assert m.dtype == np.complex128
         assert m.shape == (side, side)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 5)])
+@pytest.mark.parametrize("sites", [(1, 2), (2, 1), (1, 3), (3, 1)])
+def test_embed_of_a_stack_is_the_stack_of_its_embeds(sites, dims):
+    rng = np.random.default_rng(len(sites) + sum(dims))
+    side = int(np.prod([dims[s - 1] for s in sites]))
+    stack = np.stack([_random_matrix(rng, side) for _ in range(4)])
+    got = sc.embed(stack, sites, dims)
+    D = int(np.prod(dims))
+    assert got.shape == (4, D, D)
+    for m, placed in zip(stack, got):
+        assert np.array_equal(placed, sc.embed(m, sites, dims))
+
+
+def test_embed_of_a_stack_refuses_a_wrong_trailing_shape():
+    dims = (2, 2, 5)
+    with pytest.raises(ValueError) as single:
+        sc.embed(np.eye(4), (1, 3), dims)
+    with pytest.raises(ValueError) as stacked:
+        sc.embed(np.stack([np.eye(4)] * 3), (1, 3), dims)
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValueError):
+        sc.embed(np.ones((2, 1, 10, 10)), (1, 3), dims)
+
+
+@pytest.mark.parametrize("side", [2, 4, 9, 20, 64])
+def test_stacked_norms_equal_their_slices_bit_for_bit(side):
+    rng = np.random.default_rng(side)
+    a = np.stack([_random_matrix(rng, side) for _ in range(6)])
+    b = a + 1e-9 * np.stack([_random_matrix(rng, side) for _ in range(6)])
+    rel, comm = sc.rel_norm(a, b), sc.comm_norm(a, b[0])
+    assert rel.shape == comm.shape == (6,)
+    assert np.array_equal(rel, [sc.rel_norm(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(comm, [sc.comm_norm(x, b[0]) for x in a])
+    assert type(sc.rel_norm(a[0], b[0])) is float
+
+
+def test_over_draws_chunks_under_the_entries_budget(monkeypatch):
+    sizes = []
+
+    def combine(dims, stack):
+        sizes.append(len(stack))
+        return stack[:, 0, 0].real
+
+    lams = [float(i) for i in range(10)]
+    evaluate = lambda lam: (lam * np.eye(2),)
+    # dims (2,) place each draw on D = 2: eight stacks of 3 draws fill the budget
+    monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 8 * 4 * 3)
+    got = sc.linalg.over_draws(evaluate, lambda m: (2,), combine, lams)
+    assert sizes == [3, 3, 3, 1]
+    assert np.array_equal(got, lams)
+    assert sc.linalg.over_draws(evaluate, lambda m: (2,), combine, 4.0) == 4.0
+
+
+def test_chunked_residual_memory_stays_near_the_budget():
+    # 4000 draws on n^3 = 8 stack to 4 MiB per placed matrix; chunks of
+    # BLOCK_ENTRIES // (8 * 64) draws keep the transient near the budget
+    rng = np.random.default_rng(3)
+    lam1 = list(rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000))
+    lam2 = list(rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000))
+    fam = sc.xxz_family(0.3)
+    budget = 16 * sc.linalg.BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        got = sc.ybe_residual(fam, lam1, lam2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.max() < 1e-11
+    assert peak < 2 * budget < 4000 * 64 * 16 * 8

@@ -121,3 +121,75 @@ def test_ybe_detects_perturbation():
         return m
 
     assert sc.ybe_residual(bad, 0.6, -0.3) > 1e-5
+
+
+def _draws(count: int, seed: int = 5) -> tuple:
+    pairs = seeded_pairs(count, seed)
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _spin_one_yang(lam):
+    # lambda I + i P on C^3 (x) C^3, the rational R of the spin-1 fundamental
+    return lam * np.eye(9) + 1j * sc.permutation(3)
+
+
+def _perturbed_xxz(lam):
+    m = sc.mat(sc.r_xxz(lam, 0.3, "homogeneous")).copy()
+    m[0, 1] += 1e-4
+    return m
+
+
+YBE_CASES = {
+    "xxx": (sc.ybe_residual, sc.xxx_family()),
+    "xxz-homogeneous": (sc.ybe_residual, sc.xxz_family(0.3, "homogeneous")),
+    "xxz-principal": (sc.ybe_residual, sc.xxz_family(0.3 + 0.1j, "principal")),
+    "xxz-perturbed": (sc.ybe_residual, _perturbed_xxz),
+    "spin-one-yang": (sc.ybe_residual, _spin_one_yang),
+    "braided": (sc.braided_ybe_residual, sc.braided(sc.xxz_family(0.3, "homogeneous"))),
+}
+
+
+@pytest.mark.parametrize("budget_draws", [None, 3])
+@pytest.mark.parametrize("case", sorted(YBE_CASES))
+def test_batched_ybe_residuals_equal_their_scalar_calls(case, budget_draws, monkeypatch):
+    residual, fam = YBE_CASES[case]
+    lam1, lam2 = _draws(10)
+    if budget_draws:
+        # chunks of 3 draws: 3 + 3 + 3 + 1
+        D = round(np.shape(fam(0.0))[0] ** 1.5)
+        monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 8 * D * D * budget_draws)
+    got = residual(fam, lam1, lam2)
+    assert isinstance(got, np.ndarray) and got.shape == (10,)
+    want = [residual(fam, l1, l2) for l1, l2 in zip(lam1, lam2)]
+    assert all(type(w) is float for w in want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, fam", [(2, sc.xxz_family(0.3, "homogeneous")),
+                                    (2, sc.xxz_family(0.3, "principal")),
+                                    (3, _spin_one_yang)], ids=["half-hom", "half-pri", "one"])
+def test_batched_intertwiner_builds_the_coproduct_once(n, fam, monkeypatch):
+    from spinchain import rmatrix
+
+    rep = sc.uq_sl2_spin_rep(n, cmath.exp(0.3j))
+    lams, _ = _draws(7)
+    calls, build = [], rmatrix.coproduct_uq
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(rmatrix, "coproduct_uq", counted)
+    got = sc.intertwiner_residual(fam, rep, lams)
+    assert len(calls) == 1
+    assert np.array_equal(got, [sc.intertwiner_residual(fam, rep, lam) for lam in lams])
+    assert len(calls) == 1 + len(lams)
+
+
+@pytest.mark.parametrize("lam1, lam2", [([0.1, 0.2], [0.3]), ([], []), (0.1, [0.2]),
+                                        ([[0.1, 0.2]], [[0.3, 0.4]])],
+                         ids=["unequal", "empty", "mixed", "two-dimensional"])
+def test_residual_draw_lists_are_checked(lam1, lam2):
+    fam = sc.xxz_family(0.3)
+    with pytest.raises(ValueError):
+        sc.ybe_residual(fam, lam1, lam2)
