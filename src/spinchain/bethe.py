@@ -509,8 +509,9 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     through `tq_roots` and `refine`; a candidate counts when it passes the
     certifier (`_certified`) and is kept once per state, through the census
     driver shared with `solve_bae` (`_census`), which applies the sector
-    blocks and the eigen-gap gate matrix-free; only the three ED probes use
-    dense transfer matrices, as an independent oracle.  Sectors with
+    blocks and the eigen-gap gate matrix-free; the three ED probes are dense
+    transfer matrices from the same Lax kernel, checked against the analytic
+    Lambda.  Sectors with
     M > N s are covered from sector 2 N s - M by the spin flip F, since
     F t F = t: the flipped vector, on the all-down vacuum, must pass the
     eigen-gap gate again.  (2s+1)^N above MAX_DIM, or an M_range with no M

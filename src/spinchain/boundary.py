@@ -2,9 +2,9 @@
 
 c-number K-matrices solving the reflection equation, the crossing
 construction K+ = M K^t(-lambda - i rho), operator dressings, the open
-transfer matrix Tr_0[K+ T K- T^{-1}(-lambda)], open Hamiltonians and the
-quadratic Casimir recovered from transfer asymptotics.  Every K and open
-transfer family is a plain function lambda -> complex ndarray.
+transfer matrix Tr_0[K+ T K- T^{-1}(-lambda)] on the lax module's kernel,
+with no inverse, open Hamiltonians and the quadratic Casimir of the transfer
+asymptotics.  Every K and open transfer family is a function lambda -> ndarray.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import numpy as np
 from .lax import (
     ChainSpec,
     _PAULI,
+    _apply_blocks,
     _bond_sum,
     _xxz_bond,
-    monodromy,
+    site_lax_matrices,
     uniform_chain,
 )
 from .linalg import embed, mat, over_draws, rel_norm, richardson_derivative
@@ -179,21 +180,31 @@ def open_chain(model: str, N: int, mu: complex | None = None, n: int = 2,
 
 
 def open_transfer(chain: ChainSpec):
-    """Double-row transfer matrix Tr_0[K+(l) T(l) K-(l) T^{-1}(-l)]."""
+    """Double-row transfer matrix Tr_0[K+(l) T(l) K-(l) T^{-1}(-l)], with no
+    inverse: L_i(l) V(2l) L_i(-l) = f_i(l) V(2l) (V = `rmatrix.gauge_v` in the
+    homogeneous gradation, else I) gives T^{-1}(-l) = V(-2l) Pi T(l) Pi V(2l)
+    / prod_i f_i(l), Pi the site reversal (Sklyanin, J. Phys. A 21 (1988)
+    2375).  ValueError where prod_i f_i(l) = 0."""
     if not isinstance(chain.boundary, OpenBoundary):
         raise ValueError("chain carries no open boundary data")
     k_minus, k_plus = chain.boundary.k_minus, chain.boundary.k_plus
+    dims = chain.local_dims
+    homogeneous = (chain.model, chain.gradation) == ("xxz", "homogeneous")
 
     def ev(lam: complex) -> np.ndarray:
         lam = complex(lam)
-        t = monodromy(chain, lam)
-        tneg = monodromy(chain, -lam)
-        D = t.shape[0] // 2
-        km = embed(k_minus(lam), 1, (2, D))
-        dressed = t @ km @ np.linalg.inv(tneg)
-        kp = mat(k_plus(lam))
-        blocks = dressed.reshape(2, D, 2, D)
-        return sum(kp[a, b] * blocks[b, :, a, :] for a in range(2) for b in range(2))
+        v = np.diag(gauge_v(2 * lam)) if homogeneous else np.ones(2)
+        laxes = site_lax_matrices(chain, lam)
+        # f_i: entry [0, 0] of L_i(l) V(2l) L_i(-l), over that of V(2l)
+        scale = np.prod([lp[0] * np.repeat(v, len(lp) // 2) @ lm[:, 0] / v[0]
+                         for lp, lm in zip(laxes, site_lax_matrices(chain, -lam))])
+        if scale == 0:
+            raise ValueError(f"open transfer is singular at lambda = {lam}")
+        # Tr_0[T K-(l) V(-2l) Pi T Pi V(2l) K+(l)] / prod f_i: aux factors in each pass's first L
+        mirrored = [laxes[-1] @ np.kron(v[:, None] * mat(k_plus(lam)) / scale, np.eye(dims[-1]))]
+        forward = [laxes[0] @ np.kron(mat(k_minus(lam)) / v, np.eye(dims[0]))]
+        return _apply_blocks(forward + laxes[1:], (0, 1), lambda state: state[0, :, 0] + state[1, :, 1],
+                             None, mirrored + laxes[-2::-1])
 
     return ev
 

@@ -3,11 +3,11 @@
 A Lax operator is a plain function lambda -> complex ndarray on the
 two-dimensional auxiliary space (x) the quantum space; the monodromy is the
 auxiliary-space-ordered product L_N ... L_1 (site 1 rightmost) whose
-auxiliary trace is the transfer matrix, again a function of lambda;
-`apply_monodromy_block` and `apply_transfer` apply them to a batch of
-columns without forming either, through one kernel (`_apply_monodromy`)
-that takes one site per matrix product, one cache-sized column block at a
-time, both aux inputs of the trace in the same pass.  Everything
+auxiliary trace is the transfer matrix, again a function of lambda.  One
+kernel (`_apply_monodromy`), one site per matrix product over cache-sized
+column blocks (`_apply_blocks`), makes every Lax product: T and t applied
+to columns (`apply_monodromy_block`, `apply_transfer`), the dense blocks
+on the unit columns, and the boundary module's open transfer.  Everything
 downstream of the transfer matrix (translation operator, local
 Hamiltonian, Yangian charges) is extracted here for periodic chains; open
 chains live in the boundary module.
@@ -16,7 +16,6 @@ chains live in the boundary module.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,72 +303,66 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
     """Auxiliary 2x2 blocks of T(lambda) = L_N ... L_1, site 1 rightmost.
 
     Block [a][b] is a matrix on the full quantum space; entry labels follow
-    the chain order site1 (x) ... (x) siteN.  The dense oracle of
-    `apply_monodromy_block`, and the builder of `transfer`.
+    the chain order site1 (x) ... (x) siteN: the Lax kernel on the unit
+    columns of both aux inputs, the dense build behind `monodromy` and `transfer`.
     """
-    na = 2
-    T = np.eye(na, dtype=complex).reshape(na, na, 1, 1)  # T[a, b] on the sites so far
-    for lmat in site_lax_matrices(chain, lam):
-        nq = lmat.shape[0] // na
-        lb = lmat.reshape(na, nq, na, nq)
-        d = T.shape[-1]
-        # T'[a, b] = sum_c T[c, b] (x) L[a, c] as a broadcast product with legs
-        # [i, k, j, l]; one block at a time keeps the transient at one block
-        grown = np.zeros((na, na, d, nq, d, nq), dtype=complex)
-        for a, b, c in itertools.product(range(na), repeat=3):
-            grown[a, b] += T[c, b][:, None, :, None] * lb[a, None, :, c, None, :]
-        T = grown.reshape(na, na, d * nq, d * nq)
-    return [list(row) for row in T]
+    T = _apply_blocks(site_lax_matrices(chain, lam), (0, 1), lambda state: state, None)
+    return [[T[a, :, b] for b in range(2)] for a in range(2)]
 
 
-def _apply_monodromy(laxes: list, state: np.ndarray) -> None:
+def _apply_monodromy(laxes: list, state: np.ndarray, reverse: bool = False) -> None:
     """Overwrite state, of shape (2, D, B), with T state for T = L_N ... L_1
     and the site Lax matrices laxes; the legs are aux, quantum space (site 1
-    leading) and column batch.
+    leading) and column batch.  The one place Lax matrices are multiplied.
 
     Each site step is one (2n x 2n) @ (2n x R B) product, R = D / n, on the
     aux leg and the leading site leg, written to a spare state; copying it
     back moves that site behind the others, so after N steps the site order
-    is back where it started.  No D x D array is formed and the cost is
-    O(N n^2 D) per column.
+    is back where it started; reverse moves the last site in front first, so
+    laxes L_N ... L_1 give L_1 ... L_N.  No D x D array is formed and the
+    cost is O(N n^2 D) per column.
     """
     _, D, B = state.shape
     spare = np.empty_like(state)
     for lmat in laxes:
         n = lmat.shape[0] // 2
-        np.matmul(lmat, state.reshape(2 * n, -1), out=spare.reshape(2 * n, -1))
-        state.reshape(2, D // n, n, B)[...] = spare.reshape(2, n, D // n, B).transpose(0, 2, 1, 3)
+        if reverse:
+            spare.reshape(2, n, D // n, B)[...] = state.reshape(2, D // n, n, B).transpose(0, 2, 1, 3)
+            np.matmul(lmat, spare.reshape(2 * n, -1), out=state.reshape(2 * n, -1))
+        else:
+            np.matmul(lmat, state.reshape(2 * n, -1), out=spare.reshape(2 * n, -1))
+            state.reshape(2, D // n, n, B)[...] = spare.reshape(2, n, D // n, B).transpose(0, 2, 1, 3)
 
 
-def _apply_blocks(chain: ChainSpec, lam: complex, pairs: tuple, vec) -> np.ndarray:
-    """The sum of monodromy_blocks(chain, lam)[a][b] @ vec over the (a, b)
-    pairs, for one (D,) vector or a (D, L) batch of columns.
-
-    Each column block goes through one `_apply_monodromy` pass, one copy per
-    pair on aux input b; the blocks are as wide as keeps that state near
-    linalg.BLOCK_ENTRIES, and each block's state is built only when it is needed.
+def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.ndarray:
+    """read(state) of every column block of vec (a (D,) vector, a (D, L)
+    batch, or None for the D unit columns), joined along its last axis.  A
+    block's (2, D, C, w) state holds its columns on aux input inputs[c] of
+    copy c and goes through the reversed pass of mirrored, if any, and the
+    pass of laxes; blocks are as wide as keeps it near linalg.BLOCK_ENTRIES.
     """
-    laxes = site_lax_matrices(chain, lam)
-    rows, inputs = (np.array(side) for side in zip(*pairs))
-    copies = np.arange(len(pairs))
-    cols = np.reshape(vec, (np.shape(vec)[0], -1))
-    D = cols.shape[0]
-    out = np.empty(cols.shape, dtype=complex)
-    width = max(1, linalg.BLOCK_ENTRIES // (2 * D * len(pairs)))
-    for start in range(0, cols.shape[1], width):
-        block = cols[:, start:start + width]
-        w = block.shape[1]
-        state = np.zeros((2, D, len(pairs), w), dtype=complex)
-        state[inputs, :, copies] = block
+    D = int(np.prod([len(lmat) // 2 for lmat in laxes], dtype=np.int64))
+    cols = None if vec is None else np.reshape(vec, (np.shape(vec)[0], -1))
+    L = D if cols is None else cols.shape[1]
+    width = max(1, linalg.BLOCK_ENTRIES // (2 * D * len(inputs)))
+    # the output shape is that of the read of a state with no columns
+    out = np.empty(read(np.zeros((2, D, len(inputs), 0))).shape[:-1] + (L,), dtype=complex)
+    for start in range(0, L, width):
+        w = min(width, L - start)
+        state = np.zeros((2, D, len(inputs), w), dtype=complex)
+        block = np.eye(D, w, -start) if cols is None else cols[:, start:start + w]
+        state[inputs, :, range(len(inputs))] = block
+        if mirrored:
+            _apply_monodromy(mirrored, state.reshape(2, D, -1), reverse=True)
         _apply_monodromy(laxes, state.reshape(2, D, -1))
-        out[:, start:start + w] = state[rows, :, copies].sum(axis=0)
-    return out.reshape(np.shape(vec))
+        out[..., start:start + w] = read(state)
+    return out if cols is None else out.reshape(np.shape(vec))
 
 
 def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -> np.ndarray:
     """monodromy_blocks(chain, lam)[a][b] @ vec, matrix-free; vec is a (D,)
     vector or a (D, L) batch of columns."""
-    return _apply_blocks(chain, lam, ((a, b),), vec)
+    return _apply_blocks(site_lax_matrices(chain, lam), (b,), lambda state: state[a, :, 0], vec)
 
 
 def apply_transfer(chain: ChainSpec, lam: complex, vec) -> np.ndarray:
@@ -377,7 +370,8 @@ def apply_transfer(chain: ChainSpec, lam: complex, vec) -> np.ndarray:
     with both aux inputs in one pass; vec is a (D,) vector or a (D, L) batch
     of columns."""
     _check_periodic(chain)
-    return _apply_blocks(chain, lam, ((0, 0), (1, 1)), vec)
+    return _apply_blocks(site_lax_matrices(chain, lam), (0, 1),
+                         lambda state: state[0, :, 0] + state[1, :, 1], vec)
 
 
 def monodromy(chain: ChainSpec, lam: complex) -> np.ndarray:

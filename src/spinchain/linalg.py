@@ -129,13 +129,6 @@ def _norms(x: np.ndarray):
     return np.sqrt((re @ re.mT + im @ im.mT)[:, 0, 0])
 
 
-def _max(first, *rest):
-    # builtin max taken elementwise: a later value wins only if it is larger
-    for x in rest:
-        first = np.where(x > first, x, first)
-    return first
-
-
 def _result(x):
     return float(x) if np.ndim(x) == 0 else x
 
@@ -146,7 +139,7 @@ def comm_norm(a, b):
     A, B = mat(a), mat(b)
     if A.shape[-2:] != B.shape[-2:]:
         raise ValueError("commutator needs equal shapes")
-    scale = _max(1.0, _norms(A) * _norms(B))
+    scale = np.maximum(1.0, _norms(A) * _norms(B))
     return _result(_norms(A @ B - B @ A) / scale)
 
 
@@ -154,7 +147,7 @@ def rel_norm(a, b):
     """Relative Frobenius distance between two matrices, or between the
     matching slices of (P, m, n) stacks, giving one distance per slice."""
     A, B = mat(a), mat(b)
-    scale = _max(_norms(A), _norms(B), 1e-300)
+    scale = np.maximum(np.maximum(_norms(A), _norms(B)), 1e-300)
     return _result(_norms(A - B) / scale)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import coproduct_uq
 from .braid import BraidFamily
-from .linalg import _max, comm_norm, embed, mat, over_draws, permutation, rel_norm
+from .linalg import comm_norm, embed, mat, over_draws, permutation, rel_norm
 
 
 def gauge_v(lam: complex) -> np.ndarray:
@@ -190,9 +190,8 @@ def intertwiner_residual(r_family, rep, lam):
 
     def combine(_, m):
         m = mat(m)
-        worst = 0.0
-        for d, pdp in zip(images, swapped):
-            worst = _max(worst, rel_norm(pdp @ m, m @ d), comm_norm(p @ m, d))
-        return worst
+        # the largest of the six residuals per draw, NaN if any is NaN
+        return np.max([r for d, pdp in zip(images, swapped)
+                       for r in (rel_norm(pdp @ m, m @ d), comm_norm(p @ m, d))], axis=0)
 
     return over_draws(lambda l: (r_family(l),), dims, combine, lam)

@@ -1,6 +1,8 @@
 """Reflection matrices, open transfer families, boundary symmetry, Casimir."""
 
 import cmath
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +151,114 @@ def test_open_transfer_commutes(N, kname):
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
             assert sc.comm_norm(sc.mat(fam(a)), sc.mat(fam(b))) < 1e-9
+
+
+def _dense_open_transfer(chain):
+    # independent oracle: Tr_0[K+ T(l) K- T^{-1}(-l)] with each monodromy a
+    # product of embed-placed Lax matrices and T(-l) inverted densely
+    dims = (2,) + chain.local_dims
+
+    def monodromy(lam):
+        out = np.eye(int(np.prod(dims)), dtype=complex)
+        for site, rep in enumerate(chain.site_reps, start=2):
+            out = sc.embed(sc.mat(lax._site_lax(chain, rep)(lam)), (1, site), dims) @ out
+        return out
+
+    def ev(lam):
+        D = int(np.prod(dims)) // 2
+        km = sc.embed(chain.boundary.k_minus(lam), 1, (2, D))
+        dressed = (monodromy(lam) @ km @ np.linalg.inv(monodromy(-lam))).reshape(2, D, 2, D)
+        kp = sc.mat(chain.boundary.k_plus(lam))
+        return sum(kp[a, b] * dressed[b, :, a, :] for a in range(2) for b in range(2))
+
+    return ev
+
+
+def _open_chains():
+    gz = {grad: sc.k_gz_dvgr(XI, 0.2, grad) for grad in ("homogeneous", "principal")}
+    half = sc.uq_sl2_spin_rep(2, Q)
+    return {
+        "3-homogeneous-identity": sc.open_chain("xxz", 3, MU, 2, "homogeneous"),
+        "4-gz-homogeneous": sc.open_chain("xxz", 4, MU, 2, "homogeneous", gz["homogeneous"]),
+        "4-gz-principal": sc.open_chain("xxz", 4, MU, 2, "principal", gz["principal"]),
+        "3-spin-one": sc.open_chain("xxz", 3, MU, 3, "principal", gz["principal"]),
+        "3-xxx": sc.open_chain("xxx", 3, None, 2),
+        "5-blob": sc.open_chain("xxz", 5, MU, 2, "homogeneous", sc.k_blob(MU, 0.7, 0.4)),
+        # the reversed kernel pass on unequal site dimensions
+        "3-mixed-spin": lax.ChainSpec(
+            "xxz", 3, (half, sc.uq_sl2_spin_rep(3, Q), half), MU, "homogeneous",
+            sc.open_chain("xxz", 3, MU, 2, "homogeneous", gz["homogeneous"]).boundary,
+        ),
+    }
+
+
+OPEN_CHAINS = _open_chains()
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_CHAINS))
+def test_open_transfer_matches_the_dense_inverse(name):
+    chain = OPEN_CHAINS[name]
+    fam, ref = sc.open_transfer(chain), _dense_open_transfer(chain)
+    for lam in (0.37, -0.22 + 0.1j, 0.0, 1.3):
+        want = ref(lam)
+        assert np.linalg.norm(fam(lam) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "model, n, grad",
+    [("xxx", 2, "principal"), ("xxx", 3, "principal")]
+    + [("xxz", n, grad) for n in (2, 3, 4) for grad in ("principal", "homogeneous")],
+)
+def test_lax_inversion_identity(model, n, grad):
+    # L(l) V(2l) L(-l) = f(l) V(2l), V the gradation gauge, or I in the
+    # principal gradation and for xxx: the identity open_transfer rests on
+    if model == "xxx":
+        lx = sc.lax_xxx(sc.sl2_spin_rep(n))
+    else:
+        lx = sc.lax_xxz(sc.uq_sl2_spin_rep(n, Q), grad, MU)
+    for lam in (0.37, -0.22 + 0.1j, 1.3):
+        v = sc.gauge_v(2 * lam) if grad == "homogeneous" else np.eye(2)
+        vv = np.kron(v, np.eye(n))
+        prod = sc.mat(lx(lam)) @ vv @ sc.mat(lx(-lam))
+        f = prod[0, 0] / vv[0, 0]
+        assert abs(f) > 1e-3
+        assert sc.rel_norm(prod, f * vv) < 1e-14
+
+
+@pytest.mark.parametrize("grad", ["principal", "homogeneous"])
+def test_open_transfer_commutes_next_to_a_pole(grad):
+    # T(-l) is singular at l = i mu; the dense inverse loses all digits at
+    # a distance 1e-6 from it, the product formula none
+    chain = sc.open_chain("xxz", 3, MU, 2, grad, sc.k_gz_dvgr(XI, 0.2, grad))
+    fam = sc.open_transfer(chain)
+    assert sc.comm_norm(fam(1j * MU + 1e-6), fam(0.4)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1j * MU, -1j * MU])
+def test_open_transfer_refuses_its_singular_points(lam):
+    fam = sc.open_transfer(sc.open_chain("xxz", 3, MU, 2, "principal"))
+    with pytest.raises(ValueError, match=re.escape(f"lambda = {complex(lam)}")):
+        fam(lam)
+
+
+def test_open_transfer_inverts_nothing_and_stays_near_its_output(monkeypatch):
+    # no dense inverse and no dense monodromy: at N = 8 the transient is a
+    # few kernel block states beyond the 256 x 256 output
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense inverse or monodromy was formed")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(lax, "monodromy_blocks", refuse)
+    monkeypatch.setattr(lax, "monodromy", refuse)
+    fam = sc.open_transfer(sc.open_chain("xxz", 8, MU, 2, "principal", sc.k_gz_dvgr(XI, KAPPA)))
+    tracemalloc.start()
+    try:
+        out = fam(0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (256, 256)
+    assert peak < out.nbytes + 3 * 16 * sc.linalg.BLOCK_ENTRIES
 
 
 def test_open_transfer_requires_open_boundary():

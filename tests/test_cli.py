@@ -166,6 +166,21 @@ def test_batched_suites_match_a_per_draw_reference(suite, perturb, seed, monkeyp
     assert any(not c["pass"] for c in batched) == bool(perturb)
 
 
+@pytest.mark.parametrize("suite, module, name", [
+    ("ybe", rmatrix, "ybe_residual"),
+    ("re", boundary, "re_residual"),
+    ("frt", lax, "rll_residual"),
+], ids=["ybe", "re", "frt"])
+def test_a_later_nan_residual_fails_its_check(suite, module, name, tmp_path, capsys, monkeypatch):
+    # builtin max([1e-16, nan]) is 1e-16; the suites' worst residual is NaN
+    monkeypatch.setattr(module, name, lambda *args: np.array([1e-16, np.nan]))
+    cfg = write_cfg(tmp_path, {"suite": suite, "mu": 0.3, "pairs": 2})
+    code, out, _ = run(capsys, ["verify", "--config", cfg])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed and all(math.isnan(c["residual"]) for c in failed)
+
+
 def test_verify_braid_rejects_perturb(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"suite": "braid", "perturb": 1e-4})
     code, _, err = run(capsys, ["verify", "--config", cfg])
@@ -385,10 +400,14 @@ def test_bethe_validated_sector(tmp_path, capsys):
     assert all(rec["matched"] is not None for rec in sector["solutions"])
 
 
-def test_bethe_mismatch_is_a_failure(tmp_path, capsys):
-    # negative control: no Lambda agrees with ED to 1e-300, so every
-    # solution is mismatched and the run fails
-    cfg = write_cfg(tmp_path, {"N": 2, "mu": 0.3, "rtol": 1e-300})
+def test_bethe_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
+    # negative control: the ED oracle is off by a relative 1e-6, so no
+    # Lambda agrees with it to rtol 1e-7, every solution is mismatched and
+    # the run fails
+    transfer = bethe.transfer
+    monkeypatch.setattr(bethe, "transfer",
+                        lambda chain: lambda lam: (1 + 1e-6) * transfer(chain)(lam))
+    cfg = write_cfg(tmp_path, {"N": 2, "mu": 0.3, "rtol": 1e-7})
     code, out, _ = run(capsys, ["bethe", "--config", cfg])
     assert code == 1
     payload = json.loads(out)

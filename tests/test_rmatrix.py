@@ -112,6 +112,13 @@ def test_intertwiner_selects_homogeneous_gradation():
         )
 
 
+def test_intertwiner_residual_of_a_nan_r_is_nan():
+    rep = sc.uq_sl2_spin_rep(2, cmath.exp(0.3j))
+    nan_r = lambda lam: np.full((4, 4), np.nan, dtype=complex)
+    assert np.isnan(sc.intertwiner_residual(nan_r, rep, 0.6))
+    assert np.isnan(sc.intertwiner_residual(nan_r, rep, [0.6, -0.2])).all()
+
+
 def test_ybe_detects_perturbation():
     fam = sc.xxz_family(0.3, "homogeneous")
 
