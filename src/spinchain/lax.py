@@ -120,21 +120,20 @@ def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = 
     if gradation not in ("principal", "homogeneous"):
         raise ValueError(f"unknown gradation {gradation!r}")
     jz, jp, jm = rep.gen("Jz"), rep.gen("Jp"), rep.gen("Jm")
-    weights = np.diag(jz)
     c = cmath.sinh(1j * mu)
-    n = weights.size
-    diag = np.arange(n)
+    up, down = c * jm, c * jp
+    n = up.shape[0]
+    # +- i mu Jz along the diagonal of the aux (x) quantum matrix
+    shifts = 1j * mu * np.diag(jz)
+    shifts = np.concatenate([shifts, -shifts])
 
     def ev(lam: complex) -> np.ndarray:
         out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[diag, diag] = np.sinh(lam + 1j * mu / 2 + 1j * mu * weights)
-        out[n + diag, n + diag] = np.sinh(lam + 1j * mu / 2 - 1j * mu * weights)
-        up, down = c * jm, c * jp
+        out.reshape(-1)[:: 2 * n + 1] = np.sinh(lam + 1j * mu / 2 + shifts)
         if gradation == "homogeneous":
-            up = cmath.exp(lam) * up
-            down = cmath.exp(-lam) * down
-        out[:n, n:] = up
-        out[n:, :n] = down
+            out[:n, n:], out[n:, :n] = cmath.exp(lam) * up, cmath.exp(-lam) * down
+        else:
+            out[:n, n:], out[n:, :n] = up, down
         return out
 
     return ev
@@ -345,17 +344,25 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
     cols = None if vec is None else np.reshape(vec, (np.shape(vec)[0], -1))
     L = D if cols is None else cols.shape[1]
     width = max(1, linalg.BLOCK_ENTRIES // (2 * D * len(inputs)))
-    # the output shape is that of the read of a state with no columns
-    out = np.empty(read(np.zeros((2, D, len(inputs), 0))).shape[:-1] + (L,), dtype=complex)
-    for start in range(0, L, width):
-        w = min(width, L - start)
+
+    def apply(start: int, w: int) -> np.ndarray:
         state = np.zeros((2, D, len(inputs), w), dtype=complex)
         block = np.eye(D, w, -start) if cols is None else cols[:, start:start + w]
         state[inputs, :, range(len(inputs))] = block
         if mirrored:
             _apply_monodromy(mirrored, state.reshape(2, D, -1), reverse=True)
         _apply_monodromy(laxes, state.reshape(2, D, -1))
-        out[..., start:start + w] = read(state)
+        return read(state)
+
+    if L <= width:
+        # one block: its read is the output; a copy only where the read is a
+        # view, which would keep the whole state alive
+        out = np.ascontiguousarray(apply(0, L))
+    else:
+        # the output shape is that of the read of a state with no columns
+        out = np.empty(read(np.zeros((2, D, len(inputs), 0))).shape[:-1] + (L,), dtype=complex)
+        for start in range(0, L, width):
+            out[..., start:start + width] = apply(start, min(width, L - start))
     return out if cols is None else out.reshape(np.shape(vec))
 
 
@@ -632,10 +639,18 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     if abs(complex(delta).imag) > 1e-14:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
     delta = complex(delta).real
-    levels = []
+    energy, sz, momentum = [], [], []
     for m, momenta, _, block in _symmetry_blocks(N, delta, periodic):
-        energies = np.linalg.eigvalsh(block).tolist()
-        labels = [{"momentum": k} for k in momenta] if periodic else [{}]
-        levels += [{"energy": e, "sz": N / 2 - m, **label} for label in labels for e in energies]
-    levels.sort(key=lambda rec: (rec["energy"], rec["sz"], rec.get("momentum", 0)))
-    return levels
+        energies = np.linalg.eigvalsh(block)
+        for k in momenta:
+            energy.append(energies)
+            sz.append(np.full(energies.size, N / 2 - m))
+            momentum.append(np.full(energies.size, k))
+    energy, sz, momentum = (np.concatenate(column) for column in (energy, sz, momentum))
+    # stable, so equal (energy, sz, momentum) keep their block order
+    order = np.lexsort((momentum, sz, energy))
+    energy, sz = energy[order].tolist(), sz[order].tolist()
+    if not periodic:
+        return [{"energy": e, "sz": s} for e, s in zip(energy, sz)]
+    return [{"energy": e, "sz": s, "momentum": k}
+            for e, s, k in zip(energy, sz, momentum[order].tolist())]

@@ -494,6 +494,93 @@ def test_spectrum_and_phase_scan_byte_identical_across_threads(tmp_path, capsys,
     assert texts[0] == texts[1] == texts[2]
 
 
+def _pure_python_encoder(*args, **kwargs):
+    raise AssertionError("the pure-Python JSON encoder was entered")
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("spectrum", {"N": 10, "delta": 0.37}),
+    ("bethe", {"N": 4, "s": 0.5, "mu": 0.3}),
+    ("verify", {"suite": "frt", "mu": 0.3, "pairs": 3}),
+], ids=["spectrum", "bethe", "verify"])
+def test_json_output_is_the_indented_stdlib_dump(tmp_path, capsys, monkeypatch, command, obj):
+    # json.dumps(..., indent=2) runs the pure-Python encoder; the CLI never does
+    cfg = write_cfg(tmp_path, obj)
+    path = tmp_path / "out.json"
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _pure_python_encoder)
+    code, out, _ = run(capsys, [command, "--config", cfg])
+    assert cli.main([command, "--config", cfg, "--out", str(path)]) == code == 0
+    monkeypatch.undo()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == out
+
+
+_KEY_TEXT = st.lists(st.sampled_from(["a", "z", "%", "%s", '"', "\x00", "\\", "\n", "é", "€", "𝄞"]),
+                    max_size=4).map("".join)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60),
+    st.floats(), st.sampled_from([0.0, -0.0, NAN, INF, -INF, 10**40]),
+    st.text(max_size=4), _KEY_TEXT,
+)
+
+
+@st.composite
+def _tables(draw, children):
+    # rows of scalars on one key set; some rows lose or gain a key or hold a
+    # nested value, which makes the table ragged
+    keys = draw(st.lists(_KEY_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: _SCALARS for key in keys}), max_size=4))
+    for row in rows:
+        change = draw(st.sampled_from(["keep", "keep", "drop", "add", "nest"]))
+        if change == "drop":
+            row.pop(keys[0])
+        elif change == "add":
+            row[draw(_KEY_TEXT)] = draw(_SCALARS)
+        elif change == "nest":
+            row[keys[-1]] = draw(children)
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEY_TEXT, children, max_size=4),
+        _tables(children),
+    ),
+    max_leaves=30,
+)
+_SPECTRUM_PAYLOAD = {
+    "schema": "v1", "command": "spectrum", "N": 2, "delta": 0.5, "boundary": "periodic",
+    "levels": [
+        {"energy": -1.25, "sz": 0.0, "momentum": 0},
+        {"energy": -0.0, "sz": -1.0, "momentum": 0},
+        {"energy": 0.75, "sz": 0.0, "momentum": 1},
+    ],
+    "status": "ok",
+}
+_VERIFY_PAYLOAD = {
+    "schema": "v1", "command": "verify", "suite": "ybe", "mu": [0.3, 0.0], "seed": 0,
+    "checks": [
+        {"identity": "Yang-Baxter: xxx rational R", "residual": 1.1e-16, "tolerance": 1e-11,
+         "pass": True, "params": {"pairs": 20}},
+        {"identity": "regularity R(0) = c P: 100 %", "residual": NAN, "tolerance": 1e-12,
+         "pass": False},
+    ],
+    "status": "fail",
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(payload=_JSON_VALUES)
+@example(payload=_SPECTRUM_PAYLOAD)
+@example(payload=_VERIFY_PAYLOAD)
+@example(payload={"levels": [{"energy": 1.0, "%s": INF}] * 3, "": {}, "%": [[], {}, ()]})
+def test_dumps_equals_the_indented_stdlib_dump(payload):
+    assert cli._dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"suite": "ybe", "mu": 0.3, "pairs": 4, "seed": 1})
     code, out, _ = run(capsys, ["verify", "--config", cfg, "--seed", "5"])

@@ -102,6 +102,37 @@ def test_batched_rll_residual_equals_its_scalar_calls(case, chunked, monkeypatch
     assert np.array_equal(got, [sc.rll_residual(fam, lx, l1, l2) for l1, l2 in zip(lam1, lam2)])
 
 
+def _entrywise_lax_xxz(rep, gradation, mu):
+    # each diagonal entry and off-diagonal block written by index
+    jz, jp, jm = rep.gen("Jz"), rep.gen("Jp"), rep.gen("Jm")
+    weights, c = np.diag(jz), cmath.sinh(1j * mu)
+    n = weights.size
+    diag = np.arange(n)
+
+    def ev(lam):
+        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        out[diag, diag] = np.sinh(lam + 1j * mu / 2 + 1j * mu * weights)
+        out[n + diag, n + diag] = np.sinh(lam + 1j * mu / 2 - 1j * mu * weights)
+        up, down = c * jm, c * jp
+        if gradation == "homogeneous":
+            up, down = cmath.exp(lam) * up, cmath.exp(-lam) * down
+        out[:n, n:], out[n:, :n] = up, down
+        return out
+
+    return ev
+
+
+@pytest.mark.parametrize("grad", ["principal", "homogeneous"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lax_xxz_equals_its_entrywise_form(n, grad):
+    # the diagonal goes in through one strided view; the bits stay the same
+    for mu in (MU, 0.7 - 0.2j):
+        rep = sc.uq_sl2_spin_rep(n, cmath.exp(1j * mu))
+        got, want = sc.lax_xxz(rep, grad, mu), _entrywise_lax_xxz(rep, grad, mu)
+        for lam in (0.37, -0.2 + 0.9j, 1.3j, np.complex128(0.1 - 0.5j), 0.0):
+            assert got(lam).tobytes() == want(lam).tobytes()
+
+
 @pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (5, 2), (7, 3)])
 def test_cyclic_lax_evaluators_equal_their_block_form(p, k):
     # the evaluators write their four blocks into one matrix; np.block of the
@@ -308,6 +339,21 @@ def test_multi_block_apply_transfer_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 3 * 16 * sc.linalg.BLOCK_ENTRIES < 2 * out.nbytes
+
+
+def test_single_block_monodromy_is_its_own_state():
+    # at D = 256 one column block covers every unit column: the state is the
+    # output, so the kernel holds it and its spare, and no third array
+    blocks_bytes = 4 * 16 * 256**2
+    chain = lax.uniform_chain("xxz", 8, MU, 2)
+    tracemalloc.start()
+    try:
+        blocks = lax.monodromy_blocks(chain, 0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(b.nbytes for row in blocks for b in row) == blocks_bytes
+    assert peak < 2 * blocks_bytes + 2**20
 
 
 def test_apply_transfer_refuses_an_open_chain():
@@ -658,6 +704,26 @@ def test_spectrum_table_solves_each_momentum_pair_once(N, solves, monkeypatch):
     calls.clear()
     assert len(sc.spectrum_table(N, 0.37, "open")) == 2**N
     assert len(calls) == {7: 14, 8: 16, 12: 24}[N]
+
+
+def _sorted_block_levels(N, delta, boundary):
+    # one record per level in block order, then sorted by a Python key
+    periodic = boundary == "periodic"
+    levels = []
+    for m, momenta, _, block in lax._symmetry_blocks(N, delta, periodic):
+        energies = np.linalg.eigvalsh(block).tolist()
+        labels = [{"momentum": k} for k in momenta] if periodic else [{}]
+        levels += [{"energy": e, "sz": N / 2 - m, **label} for label in labels for e in energies]
+    levels.sort(key=lambda rec: (rec["energy"], rec["sz"], rec.get("momentum", 0)))
+    return levels
+
+
+@pytest.mark.parametrize("N, boundary", [(8, "periodic"), (7, "periodic"), (8, "open"), (7, "open")])
+@pytest.mark.parametrize("delta", [0.3, -0.7, 0.0, 0.5, 1.0, -1.0])
+def test_spectrum_table_equals_the_sorted_block_records(delta, N, boundary):
+    # same records, key order, types and bits; ties keep their block order
+    got = sc.spectrum_table(N, delta, boundary)
+    assert repr(got) == repr(_sorted_block_levels(N, delta, boundary))
 
 
 @pytest.mark.parametrize("N", [-1, 0, 1])
