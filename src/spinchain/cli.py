@@ -537,6 +537,9 @@ def cmd_spectrum(cfg: dict, args) -> int:
         raise ConfigError(f"N must keep the Hilbert dimension within [2, {linalg.MAX_DIM}]")
     if N == 1:
         levels = [{"energy": 0.0, "sz": -0.5}, {"energy": 0.0, "sz": 0.5}]
+        if boundary_kind == "periodic":  # the shift of one site is the identity
+            for rec in levels:
+                rec["momentum"] = 0
     else:
         levels = lax.spectrum_table(N, delta, boundary_kind)
     payload = {

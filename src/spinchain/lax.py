@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -553,12 +554,13 @@ def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
     return np.flatnonzero(np.abs(sz_total - (N * (n - 1) / 2 - m)) < 1e-9)
 
 
+@lru_cache(maxsize=None)
 def _symmetry_orbits(N: int, periodic: bool) -> tuple:
     """Orbits of the symmetry g on the 2^N basis of N spin-1/2 sites: the
     shift T (order G = N) when periodic, else the reflection i -> N + 1 - i
     (order G = 2).  Returns G and, per basis index x, its representative
     (the smallest index in its orbit), the distance l with x = g^l rep, and
-    the orbit period R.
+    the orbit period R, as read-only arrays built once per (N, periodic).
     """
     if periodic:
         G, targets = N, _shift_targets((2,) * N)
@@ -571,7 +573,10 @@ def _symmetry_orbits(N: int, periodic: bool) -> tuple:
     first = orbit.argmin(axis=0)
     back = orbit[1:] == orbit[0]
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, G)
-    return G, orbit.min(axis=0), -first % G, period
+    tables = orbit.min(axis=0), -first % G, period
+    for table in tables:
+        table.flags.writeable = False
+    return (G, *tables)
 
 
 def _symmetry_blocks(N: int, delta: float, periodic: bool):
@@ -589,14 +594,21 @@ def _symmetry_blocks(N: int, delta: float, periodic: bool):
     only k = 0 ... G//2 are built, and momenta is (k, G - k), or (k,) for
     the real blocks k = 0 and k = G/2.  Every block of a sector comes from
     the two real products cos @ terms and sin @ terms.
+
+    Only the sectors m = 0 ... N//2 are built.  The spin flip F = prod sx
+    maps sector m onto sector N - m, keeps H and commutes with g, so the
+    N - m blocks are F-images of these, k for k, with the same levels.
     """
     G, rep, dist, period = _symmetry_orbits(N, periodic)
     bond = (-0.5 if periodic else -1.0) * _xxz_bond(delta).real
     angles = 2 * np.pi * (np.outer(np.arange(G // 2 + 1), np.arange(G)) % G) / G
     cos, sin = np.cos(angles), np.sin(angles)
-    for m in range(N + 1):
-        sector = sz_sector_indices(N, 2, m)
-        reps = sector[rep[sector] == sector]
+    every_rep = np.flatnonzero(rep == np.arange(rep.size))
+    downs = np.zeros_like(every_rep)  # popcount: the m of each rep's sector
+    for i in range(N):
+        downs += every_rep >> i & 1
+    for m in range(N // 2 + 1):
+        reps = every_rep[downs == m]
         L, R = reps.size, period[reps]
         cols = np.broadcast_to(np.arange(L), (4, L))
         terms = np.zeros((G, L, L))  # terms[l]: the bond terms with t = g^l b
@@ -626,8 +638,9 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     solved one `_symmetry_blocks` block at a time, per (Sz, k) on translation
     orbits or per (Sz, reflection parity) on reflection orbits, so every
     momentum is the block the level was solved in, with no energy
-    threshold; one eigensolve serves the conjugate k and N - k blocks, whose
-    levels are equal bit for bit.  Only eigenvalues are computed, and no
+    threshold; one eigensolve serves the conjugate k and N - k blocks, and
+    the spin-flipped -Sz block with the same k, whose levels are equal bit
+    for bit (only Sz >= 0 is solved).  Only eigenvalues are computed, and no
     2^N x 2^N array is formed.  delta must be real, since H is Hermitian
     only then; the open blocks and the k = 0, N/2 blocks are then real.
     """
@@ -642,10 +655,13 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     energy, sz, momentum = [], [], []
     for m, momenta, _, block in _symmetry_blocks(N, delta, periodic):
         energies = np.linalg.eigvalsh(block)
-        for k in momenta:
-            energy.append(energies)
-            sz.append(np.full(energies.size, N / 2 - m))
-            momentum.append(np.full(energies.size, k))
+        # the spin flip gives sector N - m the same levels; Sz = 0 is its own mirror
+        labels = (N / 2 - m,) if 2 * m == N else (N / 2 - m, m - N / 2)
+        for label in labels:
+            for k in momenta:
+                energy.append(energies)
+                sz.append(np.full(energies.size, label))
+                momentum.append(np.full(energies.size, k))
     energy, sz, momentum = (np.concatenate(column) for column in (energy, sz, momentum))
     # stable, so equal (energy, sz, momentum) keep their block order
     order = np.lexsort((momentum, sz, energy))

@@ -359,6 +359,24 @@ def test_spectrum_open_and_single_site(tmp_path, capsys):
     assert [rec["energy"] for rec in payload["levels"]] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_single_site_momentum_label(tmp_path, capsys, boundary):
+    # the shift of one site is the identity, so both periodic levels have k = 0;
+    # the open chain has no momentum column
+    cfg = write_cfg(tmp_path, {"N": 1, "boundary": boundary})
+    code, out, _ = run(capsys, ["spectrum", "--config", cfg])
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert [rec["sz"] for rec in levels] == [-0.5, 0.5]
+    if boundary == "periodic":
+        assert [rec["momentum"] for rec in levels] == [0, 0]
+    else:
+        assert all("momentum" not in rec for rec in levels)
+    code, out, _ = run(capsys, ["spectrum", "--config", cfg, "--format", "csv"])
+    momenta = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert momenta == (["0", "0"] if boundary == "periodic" else ["", ""])
+
+
 def test_spectrum_dimension_gate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"N": 13, "delta": 0.5})
     code, _, err = run(capsys, ["spectrum", "--config", cfg])

@@ -1,6 +1,7 @@
 """Lax operators, monodromy/transfer, momentum, charges, display spectra."""
 
 import cmath
+import math
 import tracemalloc
 from collections import Counter, defaultdict
 
@@ -626,8 +627,10 @@ def _label_clusters(levels):
 
 @pytest.mark.parametrize(
     "N, boundary",
-    [(8, "periodic"), (8, "open"), (7, "periodic"), (7, "open")],
-    ids=["periodic", "open", "periodic-N7", "open-N7"],
+    [(8, "periodic"), (8, "open"), (7, "periodic"), (7, "open"),
+     (6, "periodic"), (6, "open"), (10, "periodic"), (10, "open")],
+    ids=["periodic", "open", "periodic-N7", "open-N7",
+         "periodic-N6", "open-N6", "periodic-N10", "open-N10"],
 )
 @pytest.mark.parametrize("delta", [-1.0, -0.45, 0.0, 0.37, 1.0, 2.2])
 def test_spectrum_table_equals_dense_algorithm(delta, N, boundary):
@@ -667,6 +670,8 @@ def test_momentum_blocks_are_eigenvectors(delta, boundary):
         powers = [np.eye(2**N)]
         for _ in range(G - 1):
             powers.append(g @ powers[-1])
+        # the spin flip F: index x -> 2^N - 1 - x
+        flip = np.arange(2**N)[::-1]
         seen = 0
         for m, momenta, reps, block in lax._symmetry_blocks(N, delta, periodic):
             # the block is the momenta[0] block; its conjugate is the G - k one
@@ -682,11 +687,18 @@ def test_momentum_blocks_are_eigenvectors(delta, boundary):
                 assert np.abs(h @ lifted - lifted * energies).max() < 1e-12
                 assert np.abs(g @ lifted - np.exp(2j * np.pi * k / G) * lifted).max() < 1e-12
                 assert np.isin(reps, sc.sz_sector_indices(N, 2, m)).all()
-                seen += reps.size
+                # F carries each level to sector N - m, same energy and momentum
+                mirrored = lifted[flip]
+                outside = np.setdiff1d(np.arange(2**N), sc.sz_sector_indices(N, 2, N - m))
+                assert not mirrored[outside].any()
+                assert np.abs(h @ mirrored - mirrored * energies).max() < 1e-12
+                assert np.abs(g @ mirrored - np.exp(2j * np.pi * k / G) * mirrored).max() < 1e-12
+                # the sector N - m block is not built; F gives it, unless 2m = N
+                seen += reps.size * (1 if 2 * m == N else 2)
         assert seen == 2**N
 
 
-@pytest.mark.parametrize("N, solves", [(7, 26), (8, 37), (12, 79)])
+@pytest.mark.parametrize("N, solves", [(7, 13), (8, 21), (12, 43)])
 def test_spectrum_table_solves_each_momentum_pair_once(N, solves, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -699,11 +711,11 @@ def test_spectrum_table_solves_each_momentum_pair_once(N, solves, monkeypatch):
         energies[rec["sz"], rec["momentum"]].append(rec["energy"])
     for (sz, k), values in energies.items():
         assert sorted(values) == sorted(energies.get((sz, -k % N), []))
-    # the open chain solves an even and an odd reflection block per Sz sector,
-    # except the two fully polarized ones, whose one state is its own mirror
+    # the open chain solves an even and an odd reflection block per Sz >= 0
+    # sector, except the fully polarized one, whose one state is its own mirror
     calls.clear()
     assert len(sc.spectrum_table(N, 0.37, "open")) == 2**N
-    assert len(calls) == {7: 14, 8: 16, 12: 24}[N]
+    assert len(calls) == {7: 7, 8: 9, 12: 13}[N]
 
 
 def _sorted_block_levels(N, delta, boundary):
@@ -713,7 +725,9 @@ def _sorted_block_levels(N, delta, boundary):
     for m, momenta, _, block in lax._symmetry_blocks(N, delta, periodic):
         energies = np.linalg.eigvalsh(block).tolist()
         labels = [{"momentum": k} for k in momenta] if periodic else [{}]
-        levels += [{"energy": e, "sz": N / 2 - m, **label} for label in labels for e in energies]
+        # the spin-flipped sector N - m, unless it is this one
+        for sz in [N / 2 - m] + ([m - N / 2] if 2 * m != N else []):
+            levels += [{"energy": e, "sz": sz, **label} for label in labels for e in energies]
     levels.sort(key=lambda rec: (rec["energy"], rec["sz"], rec.get("momentum", 0)))
     return levels
 
@@ -724,6 +738,63 @@ def test_spectrum_table_equals_the_sorted_block_records(delta, N, boundary):
     # same records, key order, types and bits; ties keep their block order
     got = sc.spectrum_table(N, delta, boundary)
     assert repr(got) == repr(_sorted_block_levels(N, delta, boundary))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_spin_flip_levels_are_bit_identical(boundary):
+    # -Sz and +Sz carry the same energy arrays, momentum by momentum
+    for N in range(2, 13):
+        by_label = defaultdict(list)
+        for rec in sc.spectrum_table(N, 0.37, boundary):
+            by_label[rec["sz"], rec.get("momentum")].append(rec["energy"])
+        assert by_label.keys() == {(-sz, k) for sz, k in by_label}
+        for (sz, k), energies in by_label.items():
+            assert np.array(energies).tobytes() == np.array(by_label[-sz, k]).tobytes()
+        # Sz = 0 is labelled +0.0, never -0.0
+        assert all(math.copysign(1.0, sz) == 1.0 for sz, _ in by_label if sz == 0)
+
+
+@pytest.mark.parametrize("N", [2, 5, 8, 12])
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_one_eigensolve_per_block_and_no_negative_sz_sector(N, boundary, monkeypatch):
+    periodic = boundary == "periodic"
+    blocks = list(lax._symmetry_blocks(N, 0.37, periodic))
+    # the sectors m = 0 ... N//2, Sz = N/2 - m >= 0, and no other
+    assert {m for m, *_ in blocks} == set(range(N // 2 + 1))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    sc.spectrum_table(N, 0.37, boundary)
+    assert calls == [block.shape for *_, block in blocks]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_cached_orbits_build_the_uncached_blocks(boundary):
+    periodic = boundary == "periodic"
+    for N in range(2, 11):
+        lax._symmetry_orbits.cache_clear()
+        cold = list(lax._symmetry_blocks(N, -0.7, periodic))
+        G, *cached = lax._symmetry_orbits(N, periodic)
+        G_fresh, *fresh = lax._symmetry_orbits.__wrapped__(N, periodic)
+        # equal to a fresh build, and read-only, so no caller can corrupt the cache
+        assert G == G_fresh
+        for table, want in zip(cached, fresh):
+            assert _bit_identical(table, want)
+            with pytest.raises(ValueError):
+                table[0] = 1
+        rep = cached[0]
+        warm = list(lax._symmetry_blocks(N, -0.7, periodic))
+        assert len(cold) == len(warm)
+        for (m, momenta, reps, block), (m2, momenta2, reps2, block2) in zip(cold, warm):
+            assert (m, momenta) == (m2, momenta2)
+            assert reps.tolist() == reps2.tolist() and _bit_identical(block, block2)
+        # the popcount sectors pick the reps the per-sector Sz table picks;
+        # each sector's first block is k = 0, which keeps all of its reps
+        firsts = {m: reps for m, momenta, reps, _ in cold if momenta[0] == 0}
+        assert sorted(firsts) == list(range(N // 2 + 1))
+        for m, reps in firsts.items():
+            sector = sc.sz_sector_indices(N, 2, m)
+            assert reps.tolist() == sector[rep[sector] == sector].tolist()
 
 
 @pytest.mark.parametrize("N", [-1, 0, 1])
