@@ -510,7 +510,7 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     certifier (`_certified`) and is kept once per state, through the census
     driver shared with `solve_bae` (`_census`), which applies the sector
     blocks and the eigen-gap gate matrix-free; the three ED probes are dense
-    transfer matrices from the same Lax kernel, checked against the analytic
+    transfer matrices read off the same Lax kernel, checked against the analytic
     Lambda.  Sectors with
     M > N s are covered from sector 2 N s - M by the spin flip F, since
     F t F = t: the flipped vector, on the all-down vacuum, must pass the
@@ -534,6 +534,7 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
         raise ValueError(f"M_range holds no sector M in [0, {top}]")
     census = _census(chain, s, mu, Ms)
     sectors = {M: sz_sector_indices(N, n, M) for M in census}
+    # the ED probes slice a dense t on purpose: the oracle stays independent of `_sector_blocks`
     fam = transfer(chain)
     evs = {M: [] for M in sectors}
     floors = []  # a level with Lambda = 0 is matched on the scale of t itself

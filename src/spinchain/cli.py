@@ -30,10 +30,10 @@ SCHEMA = "v1"
 # the longest spin-1/2 chain within the Hilbert cap linalg.MAX_DIM
 MAX_N = linalg.MAX_DIM.bit_length() - 1
 # validated bethe checks its census against three dense transfer matrices and
-# dense sector ED: (6, 1) at D = 729 takes 4 to 4.5 s and (10, 1/2) at
-# D = 1024 takes 10 to 11 s and 162 MB on a 2-core box; larger chains are
-# refused, since at the 4096 cap each dense matrix holds 268 MB and the
-# census of (12, 1/2, M = 6) alone takes 74 s
+# dense sector ED: (6, 1) at D = 729 takes 3.2 to 3.6 s and 64 MB, (10, 1/2) at
+# D = 1024 9.7 to 10.4 s and 92 MB on a 2-core box; at the 4096 cap a dense t,
+# read off the Lax kernel, costs about its own 268 MB, with no 1 GB monodromy,
+# but larger chains are refused: the census of (12, 1/2, M = 6) alone takes 74 s
 VALIDATE_DIM = 1024
 # the site dimension 2s+1 of casimir and bethe: a casimir spin takes 0.5 s and
 # 66 MB at 256 on a 2-core box, 9 s and 414 MB at 1024; bethe builds a

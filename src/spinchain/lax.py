@@ -7,10 +7,10 @@ auxiliary trace is the transfer matrix, again a function of lambda.  One
 kernel (`_apply_monodromy`), one site per matrix product over cache-sized
 column blocks (`_apply_blocks`), makes every Lax product: T and t applied
 to columns (`apply_monodromy_block`, `apply_transfer`), the dense blocks
-on the unit columns, and the boundary module's open transfer.  Everything
-downstream of the transfer matrix (translation operator, local
-Hamiltonian, Yangian charges) is extracted here for periodic chains; open
-chains live in the boundary module.
+and the dense t on the unit columns, and the boundary module's open
+transfer.  Everything downstream of the transfer matrix (translation
+operator, local Hamiltonian, Yangian charges) is extracted here for
+periodic chains; open chains live in the boundary module.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def monodromy_blocks(chain: ChainSpec, lam: complex) -> list:
 
     Block [a][b] is a matrix on the full quantum space; entry labels follow
     the chain order site1 (x) ... (x) siteN: the Lax kernel on the unit
-    columns of both aux inputs, the dense build behind `monodromy` and `transfer`.
+    columns of both aux inputs, the dense build behind `monodromy`.
     """
     T = _apply_blocks(site_lax_matrices(chain, lam), (0, 1), lambda state: state, None)
     return [[T[a, :, b] for b in range(2)] for a in range(2)]
@@ -375,8 +375,8 @@ def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -
 
 def apply_transfer(chain: ChainSpec, lam: complex, vec) -> np.ndarray:
     """transfer(chain)(lam) @ vec = T[0][0] vec + T[1][1] vec, matrix-free,
-    with both aux inputs in one pass; vec is a (D,) vector or a (D, L) batch
-    of columns."""
+    with both aux inputs in one pass; vec is a (D,) vector, a (D, L) batch
+    of columns, or None for the dense t itself."""
     _check_periodic(chain)
     return _apply_blocks(site_lax_matrices(chain, lam), (0, 1),
                          lambda state: state[0, :, 0] + state[1, :, 1], vec)
@@ -393,14 +393,10 @@ def _check_periodic(chain: ChainSpec) -> None:
 
 
 def transfer(chain: ChainSpec):
-    """Auxiliary trace of the monodromy; one-parameter commuting family."""
+    """Auxiliary trace of the monodromy, a one-parameter commuting family:
+    t(lam) = apply_transfer(chain, lam, None), with no monodromy formed."""
     _check_periodic(chain)
-
-    def ev(lam: complex) -> np.ndarray:
-        blocks = monodromy_blocks(chain, complex(lam))
-        return blocks[0][0] + blocks[1][1]
-
-    return ev
+    return lambda lam: apply_transfer(chain, complex(lam), None)
 
 
 def cyclic_shift_matrix(dims) -> np.ndarray:
@@ -546,12 +542,14 @@ def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> np.nd
     return _bond_sum((-0.5 if periodic else -1.0) * _xxz_bond(delta), N, periodic)
 
 
+@lru_cache(maxsize=None)
 def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
-    """Basis indices of the Sz = N(n-1)/2 - m sector of an n^N chain."""
-    weights = (n - 1) / 2 - np.arange(n)
-    # one open axis per site, broadcast to the (n,) * N table of total Sz
-    sz_total = sum(np.ix_(*[weights] * N)).ravel()
-    return np.flatnonzero(np.abs(sz_total - (N * (n - 1) / 2 - m)) < 1e-9)
+    """Basis indices of the Sz = N(n-1)/2 - m sector of an n^N chain: those
+    whose n-ary digits sum to m, as a read-only array built once per (N, n, m)."""
+    # one open axis per site, broadcast to the (n,) * N table of digit sums
+    sector = np.flatnonzero(sum(np.ix_(*[np.arange(n)] * N)).ravel() == m)
+    sector.flags.writeable = False
+    return sector
 
 
 @lru_cache(maxsize=None)
@@ -603,12 +601,9 @@ def _symmetry_blocks(N: int, delta: float, periodic: bool):
     bond = (-0.5 if periodic else -1.0) * _xxz_bond(delta).real
     angles = 2 * np.pi * (np.outer(np.arange(G // 2 + 1), np.arange(G)) % G) / G
     cos, sin = np.cos(angles), np.sin(angles)
-    every_rep = np.flatnonzero(rep == np.arange(rep.size))
-    downs = np.zeros_like(every_rep)  # popcount: the m of each rep's sector
-    for i in range(N):
-        downs += every_rep >> i & 1
     for m in range(N // 2 + 1):
-        reps = every_rep[downs == m]
+        sector = sz_sector_indices(N, 2, m)
+        reps = sector[rep[sector] == sector]
         L, R = reps.size, period[reps]
         cols = np.broadcast_to(np.arange(L), (4, L))
         terms = np.zeros((G, L, L))  # terms[l]: the bond terms with t = g^l b

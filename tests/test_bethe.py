@@ -358,8 +358,17 @@ def test_bethe_vector_and_solve_bae_form_no_dense_transfer(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a dense monodromy or transfer matrix was built")
 
+    apply = lax.apply_transfer
+
+    def columns_only(chain, lam, vec):
+        # vec None is the dense t on every unit column
+        if vec is None:
+            dense()
+        return apply(chain, lam, vec)
+
     _replace_everywhere(monkeypatch, lax.monodromy_blocks, dense)
     _replace_everywhere(monkeypatch, lax.transfer, dense)
+    _replace_everywhere(monkeypatch, apply, columns_only)
     for M in (2, 3):
         sols = sc.solve_bae(4, 0.5, MU, M)
         assert sols
@@ -379,16 +388,22 @@ def test_solve_bae_memory_stays_far_below_one_dense_block():
 
 
 def test_validation_builds_transfer_matrices_only(monkeypatch):
-    # the 3 ED probes only; the sector blocks at the TQ points, the
-    # eigen-gap gate and the Bethe vectors never build a dense monodromy
+    # the 3 ED probes only, each a dense t read off the Lax kernel (vec
+    # None, also the route of lax.transfer); the sector blocks at the TQ
+    # points, the eigen-gap gate and the Bethe vectors never build a dense
+    # transfer matrix, and nothing builds a dense monodromy
     calls = []
     inside = []
-    blocks, vector = lax.monodromy_blocks, bethe.bethe_vector
+    apply, vector = lax.apply_transfer, bethe.bethe_vector
 
-    def counted_blocks(chain, lam):
-        assert not inside, "bethe_vector built a dense monodromy"
-        calls.append(lam)
-        return blocks(chain, lam)
+    def no_monodromy(*args):
+        raise AssertionError("a dense monodromy was built")
+
+    def counted_apply(chain, lam, vec):
+        if vec is None:
+            assert not inside, "bethe_vector built a dense transfer matrix"
+            calls.append(lam)
+        return apply(chain, lam, vec)
 
     def flagged_vector(*args):
         inside.append(True)
@@ -397,7 +412,8 @@ def test_validation_builds_transfer_matrices_only(monkeypatch):
         finally:
             inside.pop()
 
-    _replace_everywhere(monkeypatch, blocks, counted_blocks)
+    _replace_everywhere(monkeypatch, lax.monodromy_blocks, no_monodromy)
+    _replace_everywhere(monkeypatch, apply, counted_apply)
     monkeypatch.setattr(bethe, "bethe_vector", flagged_vector)
     report = sc.validate_against_ed(6, 0.5, MU)
     assert report["total_solutions"] > 0

@@ -342,6 +342,20 @@ def test_multi_block_apply_transfer_memory_stays_near_its_output():
     assert peak < out.nbytes + 3 * 16 * sc.linalg.BLOCK_ENTRIES < 2 * out.nbytes
 
 
+def test_dense_transfer_memory_stays_near_its_output():
+    # reading the trace off the column blocks holds no (2, D, 2, D)
+    # monodromy, which at N = 10 is 64 MiB on top of the 16 MiB output
+    chain = lax.uniform_chain("xxz", 10, MU)
+    tracemalloc.start()
+    try:
+        out = lax.transfer(chain)(0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2**10, 2**10)
+    assert peak < out.nbytes + 3 * 16 * sc.linalg.BLOCK_ENTRIES
+
+
 def test_single_block_monodromy_is_its_own_state():
     # at D = 256 one column block covers every unit column: the state is the
     # output, so the kernel holds it and its spare, and no third array
@@ -529,13 +543,18 @@ def test_spectrum_table_ferromagnetic_point_multiplet():
     assert all(rec["momentum"] == 0 for rec in ground)
 
 
-@pytest.mark.parametrize("N, n", [(1, 2), (5, 2), (1, 3), (4, 3)])
+@pytest.mark.parametrize("N, n", [(1, 2), (5, 2), (1, 3), (4, 3), (3, 4)])
 def test_sz_sector_indices_match_enumeration(N, n):
     weights = (n - 1) / 2 - np.arange(n)
     totals = [sum(weights[a] for a in state) for state in np.ndindex(*(n,) * N)]
-    for m in range(N * (n - 1) + 1):
+    for m in range(-1, N * (n - 1) + 2):
         want = [i for i, t in enumerate(totals) if t == N * (n - 1) / 2 - m]
-        assert sc.sz_sector_indices(N, n, m).tolist() == want
+        sector = sc.sz_sector_indices(N, n, m)
+        assert sector.tolist() == want
+        # the cached table is read-only, so no caller can corrupt it
+        assert sector is sc.sz_sector_indices(N, n, m)
+        with pytest.raises(ValueError):
+            sector[:1] = 0
 
 
 def test_spectrum_table_dimension_gate():
@@ -788,13 +807,12 @@ def test_cached_orbits_build_the_uncached_blocks(boundary):
         for (m, momenta, reps, block), (m2, momenta2, reps2, block2) in zip(cold, warm):
             assert (m, momenta) == (m2, momenta2)
             assert reps.tolist() == reps2.tolist() and _bit_identical(block, block2)
-        # the popcount sectors pick the reps the per-sector Sz table picks;
-        # each sector's first block is k = 0, which keeps all of its reps
+        # each sector's first block is k = 0, which keeps all of its reps:
+        # the orbit representatives with m down spins (binary digits 1)
         firsts = {m: reps for m, momenta, reps, _ in cold if momenta[0] == 0}
         assert sorted(firsts) == list(range(N // 2 + 1))
         for m, reps in firsts.items():
-            sector = sc.sz_sector_indices(N, 2, m)
-            assert reps.tolist() == sector[rep[sector] == sector].tolist()
+            assert reps.tolist() == [x for x in range(2**N) if rep[x] == x and bin(x).count("1") == m]
 
 
 @pytest.mark.parametrize("N", [-1, 0, 1])
