@@ -7,15 +7,16 @@ Lambda Q(l) = a Q(l - i mu) + d Q(l + i mu) is solved as a linear system
 for Q, and its zeros, polished by Newton (`refine`), are the roots.  One
 driver (`_census`) runs the census for `solve_bae` on one sector and for
 `validate_against_ed`, which matches each solution against ED, on every
-sector.  Every candidate passes one certifier: pole gates, the equations
-to 1e-10, and the eigen-gap gate, t on the Bethe vector B...B|0> giving
-Lambda to 1e-8; the first root set per state is kept.  The sector blocks
-and the gate apply t matrix-free, in batches (`lax.apply_transfer`), and
-the Bethe vector applies one B at a time (`lax.apply_monodromy_block`);
-both go through the one site-by-site kernel of the lax module.  Bethe
-vectors are built one candidate at a time: B...B|0> can cancel about seven
-digits, and at (6, 1) one level passes the 1e-8 gate at 3.7e-9, a margin
-that a build batched over candidates was seen to lose.
+sector.  Every refined system passes one certifier (`_certified`): pole
+gates, the equations to 1e-10, and the eigen-gap gate (`_gaps`), t on the
+Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per state
+is kept.  The sector blocks and the gate apply t matrix-free, in batches
+(`lax.apply_transfer`), and the Bethe vector applies one B at a time
+(`lax.apply_monodromy_block`); both go through the one site-by-site kernel
+of the lax module.  Bethe vectors are built one candidate at a time:
+B...B|0> can cancel about seven digits, and at (6, 1) one level passes the
+1e-8 gate at 3.7e-9, a margin that a build batched over candidates was
+seen to lose.
 A sector with M > N s is solved as sector 2 N s - M and flipped
 (F: m -> -m on every site) onto the all-down vacuum: the principal Lax
 matrix is unchanged by reversing its row and column order, so F t F = t,
@@ -298,27 +299,28 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
 def _gaps(chain, pairs) -> np.ndarray:
     """Relative defects |t v - Lambda v| / |t v| of the (solution, vector)
     pairs, with t at _GAP_PROBE applied by one batched `lax.apply_transfer`
-    to all the vectors."""
+    to all the vectors; Lambda v is subtracted in place once |t v| is known,
+    so the stack and its image are the only (D, pairs) arrays held."""
     if not pairs:
         return np.empty(0)
     vecs = np.stack([vec for _, vec in pairs], axis=1)
     values = np.array([sol.eigenvalue_fn(_GAP_PROBE) for sol, _ in pairs])
     tv = apply_transfer(chain, _GAP_PROBE, vecs)
-    return np.linalg.norm(tv - values * vecs, axis=0) / np.maximum(np.linalg.norm(tv, axis=0), 1e-300)
+    scale = np.maximum(np.linalg.norm(tv, axis=0), 1e-300)
+    # values * vecs, operands in that order: numpy's SIMD complex product is
+    # not symmetric in its last bit
+    tv -= np.multiply(values, vecs, out=vecs)
+    return np.linalg.norm(tv, axis=0) / scale
 
 
-def _certified(N, s, mu, candidates, chain) -> list:
+def _certified(candidates, chain) -> list:
     """(solution, Bethe vector) pairs, the first per state, of the candidate
-    root arrays that pass the one certifier: a valid `BetheSystem`, the pole
+    systems (as `refine` returns them) that pass the one certifier: the pole
     gates, the equations to _ACCEPT and then, for all survivors at once, the
     eigen-gap gate (`_gaps` below _GAP)."""
     passed = []
-    for lams in candidates:
-        try:
-            system = BetheSystem(N, s, mu, tuple(lams))
-        except ValueError:
-            continue
-        if not _passes_pole_gates(np.asarray(system.roots), N, s, mu):
+    for system in candidates:
+        if not _passes_pole_gates(np.asarray(system.roots), system.N, system.s, system.mu):
             continue
         residual = bae_residual(system)
         if residual >= _ACCEPT:
@@ -354,7 +356,7 @@ def _census(chain, s, mu, Ms) -> dict:
     sectors = {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))}
     K = 2 * N * n + 8
     points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
-    found = {M: _certified(N, s, mu, _tq_candidates(values, points, N, s, mu, M), chain)
+    found = {M: _certified(_tq_candidates(values, points, N, s, mu, M), chain)
              for M, values in _sector_levels(chain, sectors, points).items()}
     census = {}
     for M, source in sources.items():
@@ -462,13 +464,13 @@ def _sector_levels(chain, sectors, points):
 
 
 def _tq_candidates(values, points, N, s, mu, M):
-    # one candidate root set per level: its TQ roots, polished by Newton
+    # one candidate per level: the `BetheSystem` that `refine` makes of its TQ roots
     for row in values:
         roots = tq_roots(row, points, N, s, mu, M)
         if roots is None:
             continue
         try:
-            yield refine(BetheSystem(N, s, mu, tuple(roots))).roots
+            yield refine(BetheSystem(N, s, mu, tuple(roots)))
         except ValueError:
             continue
 

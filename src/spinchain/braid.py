@@ -84,16 +84,9 @@ def blob_rep(N: int, q: complex, Q: complex, c: complex) -> BraidFamily:
     q, Q, c = complex(q), complex(Q), complex(c)
     if q == 0 or Q == 0 or c == 0:
         raise ValueError("q, Q, c must all be nonzero")
-    dims = (2,) * N
-    eye = np.eye(2**N)
     e = np.array([[-1 / Q, c], [1 / c, -Q]], dtype=complex)
-    u0 = embed(e, 1, dims)
-    gens = {"U0": u0, "g0": u0 + Q * eye}
-    u = hecke_u_matrix(2, q)
-    for i in range(1, N):
-        ui = embed_pair(u, i, dims)
-        gens[f"U{i}"] = ui
-        gens[f"g{i}"] = ui + q * eye
+    u0 = embed(e, 1, (2,) * N)
+    gens = {"U0": u0, "g0": u0 + Q * np.eye(2**N), **hecke_rep(2, N, q).generators}
     params = {"q": q, "Q": Q, "c": c, "kappa": q / Q + Q / q}
     return BraidFamily(N, 2, "blob", params, gens)
 

@@ -495,3 +495,51 @@ def test_mirrored_states_pass_the_gate_again(monkeypatch):
     assert sc.solve_bae(2, 0.5, MU, 0) and sc.solve_bae(2, 0.5, MU, 2) == []
     (sector,) = sc.validate_against_ed(2, 0.5, MU, M_range=[2])["sectors"]
     assert sector["solutions"] == [] and sector["levels_matched"] == 0
+
+
+def test_certifier_rejects_at_every_gate():
+    # systems built as `refine` would hand them over, each failing one gate:
+    # a site pole at i mu s, a runaway root, a pair pole at a - b = -i mu, the
+    # equations (residual 2.45); only the solved system comes back
+    chain = lax.uniform_chain("xxz", 4, MU, 2, "principal")
+    failing = [sc.BetheSystem(4, 0.5, MU, roots)
+               for roots in [(0.15j,), (60,), (0.1, 0.1 + 0.3j), (0.3,)]]
+    assert [bethe._passes_pole_gates(np.asarray(sys_.roots), 4, 0.5, MU) for sys_ in failing] == [
+        False, False, False, True]
+    assert sc.bae_residual(failing[-1]) > bethe._ACCEPT
+    good = sc.solve_bae(4, 0.5, MU, 1)[0].system
+    kept = bethe._certified(iter(failing + [good]), chain)
+    assert [sol.system for sol, _ in kept] == [good]
+    # on one site B B|up> = 0: the Bethe vector vanishes on the second root
+    with pytest.raises(ValueError, match="vanished"):
+        sc.bethe_vector(sc.BetheSystem(1, 0.5, MU, (0.2, -0.3)))
+
+
+def test_gap_gate_holds_two_stacks():
+    # the gate's working set on 2,000 vectors at N = 8 is the stacked vectors,
+    # their image under t and one temporary of the norm: Lambda v is taken in
+    # place, so the gate's memory stays about three times the stack, and the
+    # gaps are those of the out-of-place formula bit for bit
+    class Stub:
+        def __init__(self, value):
+            self.eigenvalue_fn = lambda lam: value
+
+    chain = lax.uniform_chain("xxz", 8, MU, 2, "principal")
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(2000):
+        vec = rng.normal(size=256) + 1j * rng.normal(size=256)
+        pairs.append((Stub(complex(*rng.normal(size=2))), vec / np.linalg.norm(vec)))
+    vecs = np.stack([vec for _, vec in pairs], axis=1)
+    values = np.array([sol.eigenvalue_fn(bethe._GAP_PROBE) for sol, _ in pairs])
+    tv = lax.apply_transfer(chain, bethe._GAP_PROBE, vecs)
+    reference = np.linalg.norm(tv - values * vecs, axis=0) / np.linalg.norm(tv, axis=0)
+    del vecs, tv
+    tracemalloc.start()
+    try:
+        gaps = bethe._gaps(chain, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(gaps, reference)
+    assert peak < 3.5 * 256 * 2000 * 16, peak / (256 * 2000 * 16)

@@ -1,0 +1,61 @@
+"""Reachable error branches: each invalid input is refused with ValueError
+by its own check, and the CLI names a missing required key."""
+
+import json
+
+import numpy as np
+import pytest
+
+from spinchain import algebra, bethe, boundary, braid, cli, lax, linalg, rmatrix
+
+MU = 0.3
+Q = np.exp(1j * MU)
+SL2 = algebra.sl2_spin_rep(2)
+
+# (case, message fragment, call that must raise)
+REFUSED = [
+    ("generators of different sizes", "differ in dimension",
+     lambda: algebra.AlgebraRep("mixed", {"a": np.eye(2), "b": np.eye(3)}, {})),
+    ("sl2 in dimension 0", "dimension must be", lambda: algebra.sl2_spin_rep(0)),
+    ("Uq(sl2) in dimension 0", "dimension must be", lambda: algebra.uq_sl2_spin_rep(0, Q)),
+    ("co-product of undeformed reps", "q-deformed", lambda: algebra.coproduct_uq(SL2, SL2)),
+    ("zero-fold co-product", "at least one copy", lambda: algebra.ncoproduct(SL2, 0)),
+    ("unknown pseudo-vacuum", "pseudo-vacuum",
+     lambda: bethe.BetheSystem(2, 0.5, MU, (), vacuum="sideways")),
+    ("K+ in an unknown gradation", "unknown gradation",
+     lambda: boundary.crossed_k_plus(boundary.k_identity(), "xxz", MU, "sideways")),
+    ("K+ of an unknown model", "unknown model",
+     lambda: boundary.crossed_k_plus(boundary.k_identity(), "xyz")),
+    ("open Hamiltonian with K- = diag(1, 2)", "singular at the origin",
+     lambda: boundary.open_hamiltonian(
+         boundary.open_chain("xxz", 2, MU, k_minus=lambda lam: np.diag([1.0, 2.0])))),
+    ("Uq-invariant Hamiltonian on one site", "two sites",
+     lambda: boundary.uq_invariant_hamiltonian(1, MU)),
+    ("Hecke rep at q = 0", "q must be nonzero", lambda: braid.hecke_rep(2, 3, 0)),
+    ("blob rep on one site", "two sites", lambda: braid.blob_rep(1, Q, 2.0, 1.0)),
+    ("chain of an unknown model", "unknown model", lambda: lax.ChainSpec("xyz", 1, (SL2,))),
+    ("chain with too few site reps", "one site representation per site",
+     lambda: lax.ChainSpec("xxx", 2, (SL2,))),
+    ("xxz chain without mu", "needs mu", lambda: lax.uniform_chain("xxz", 2)),
+    ("uniform chain of an unknown model", "unknown model", lambda: lax.uniform_chain("xyz", 2)),
+    ("shift on unequal sites", "equal local dimensions", lambda: lax.cyclic_shift_matrix((2, 3))),
+    ("Hamiltonian of a spin-1 chain", "spin-1/2 sites",
+     lambda: lax.hamiltonian_from_transfer(lax.uniform_chain("xxz", 2, MU, 3))),
+    ("commutator of unequal shapes", "equal shapes", lambda: linalg.comm_norm(np.eye(2), np.eye(3))),
+    ("braided 3 x 3 family", "equal local dimensions", lambda: rmatrix.braided(lambda lam: np.eye(3))),
+]
+
+
+@pytest.mark.parametrize("message, build", [case[1:] for case in REFUSED],
+                         ids=[case[0] for case in REFUSED])
+def test_invalid_input_is_refused(message, build):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bethe", "phase-scan"])
+def test_a_config_without_N_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({}))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "missing config keys: N" in capsys.readouterr().err
