@@ -15,8 +15,8 @@ is kept.  The sector blocks and the gate apply t matrix-free, in batches
 (`lax.apply_monodromy_block`); both go through the one site-by-site kernel
 of the lax module.  Bethe vectors are built one candidate at a time:
 B...B|0> can cancel about seven digits, and at (6, 1) one level passes the
-1e-8 gate at 3.7e-9, a margin that a build batched over candidates was
-seen to lose.
+1e-8 gate at 3.7e-9 to 9.7e-9 as the last bits of its roots move, a margin
+that a build batched over candidates was seen to lose.
 A sector with M > N s is solved as sector 2 N s - M and flipped
 (F: m -> -m on every site) onto the all-down vacuum: the principal Lax
 matrix is unchanged by reversing its row and column order, so F t F = t,
@@ -41,8 +41,11 @@ _PROBES = (0.233, -0.377, 0.151 + 0.09j)
 _GAP_PROBE = 0.233
 # generic complex point at which the sector eigenvectors are taken
 _EIG_PROBE = 0.31 + 0.17j
-# circle on which Lambda is sampled for the TQ system
+# circle on which Lambda is sampled for the TQ system, at M + _TQ_MARGIN
+# points for the largest source sector M: margins of 5, 7 and 9 each lost or
+# swapped a (6, 1) level that 2N(2s+1) + 8 points certified, 12 none
 _TQ_CENTER, _TQ_RADIUS = 0.07, 0.45
+_TQ_MARGIN = 12
 
 
 @dataclass(frozen=True)
@@ -345,16 +348,19 @@ def _census(chain, s, mu, Ms) -> dict:
     """{M: certified (solution, vector) pairs} for the sectors Ms, with at
     most one candidate per eigenvector of each source sector's block.
 
-    A sector M > N s takes the states of its mirror 2 N s - M, reconstructed
-    once, flipped onto the all-down vacuum, and the flipped vectors pass the
-    eigen-gap gate again, in one batch.  Chains above MAX_DIM are refused.
+    Lambda is sampled at M_src + _TQ_MARGIN points, M_src the largest source
+    sector, and each sector's levels are fitted in one stacked `tq_roots`
+    call.  A sector M > N s takes the states of its mirror 2 N s - M,
+    reconstructed once, flipped onto the all-down vacuum, and the flipped
+    vectors pass the eigen-gap gate again, in one batch.  Chains above
+    MAX_DIM are refused.
     """
     N, n = chain.N, round(2 * s + 1)
     if n**N > MAX_DIM:
         raise ValueError(f"Hilbert space (2s+1)^N above {MAX_DIM}")
     sources = {M: min(M, (n - 1) * N - M) for M in Ms}
     sectors = {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))}
-    K = 2 * N * n + 8
+    K = max(sectors) + _TQ_MARGIN
     points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
     found = {M: _certified(_tq_candidates(values, points, N, s, mu, M), chain)
              for M, values in _sector_levels(chain, sectors, points).items()}
@@ -403,30 +409,40 @@ def solve_bae(N, s, mu, M):
     return sorted((sol for sol, _ in _census(chain, s, mu, [M])[M]), key=_report_order)
 
 
-def tq_roots(values, points, N, s, mu, M) -> np.ndarray | None:
+def tq_roots(values, points, N, s, mu, M):
     """Roots lambda_j of the Q solving Baxter's TQ relation for given Lambda.
 
-    values holds Lambda at the points.  With v_j = lambda_j - i mu / 2,
+    values holds Lambda at the K points, as a (K,) row or as an (L, K) table
+    of levels fitted in one stacked SVD.  With v_j = lambda_j - i mu / 2,
     Q(l) = prod sinh(l - v_j) = sum_k c_k e^{(2k - M) l} satisfies
     Lambda Q(l) = a(l) Q(l - i mu) + d(l) Q(l + i mu), linear in c; c is
     the SVD null vector of the row-normalized system and the v_j are
-    half the logarithms of the zeros of sum_k c_k x^k.  Returns None when
-    that polynomial has fewer than M finite nonzero zeros.
+    half the logarithms of the zeros of sum_k c_k x^k.  A level gets None
+    when that polynomial has fewer than M finite nonzero zeros; a row
+    returns its roots, a table their list.  Fewer than M + 2 points, or a
+    system that is not finite (mu far off scale), raise ValueError.
     """
     pts = np.asarray(points, dtype=complex)
+    values = np.asarray(values)
+    if pts.size < M + 2:
+        raise ValueError(f"the TQ fit for M = {M} needs at least {M + 2} points, not {pts.size}")
     mu = complex(mu)
-    a = np.sinh(pts + 0.5j * mu + 1j * mu * s) ** N
-    d = np.sinh(pts + 0.5j * mu - 1j * mu * s) ** N
     powers = 2 * np.arange(M + 1) - M
-    system = (np.asarray(values)[:, None] * np.exp(np.outer(pts, powers))
-              - a[:, None] * np.exp(np.outer(pts - 1j * mu, powers))
-              - d[:, None] * np.exp(np.outer(pts + 1j * mu, powers)))
-    system /= np.maximum(np.linalg.norm(system, axis=1, keepdims=True), 1e-300)
-    coeffs = np.linalg.svd(system)[2][-1].conj()
-    zeros = np.roots(coeffs[::-1])
-    if zeros.size != M or (M and np.abs(zeros).min() < 1e-300):
-        return None
-    return 0.5 * np.log(zeros) + 0.5j * mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.sinh(pts + 0.5j * mu + 1j * mu * s) ** N
+        d = np.sinh(pts + 0.5j * mu - 1j * mu * s) ** N
+        system = (values.reshape(-1, pts.size, 1) * np.exp(np.outer(pts, powers))
+                  - a[:, None] * np.exp(np.outer(pts - 1j * mu, powers))
+                  - d[:, None] * np.exp(np.outer(pts + 1j * mu, powers)))
+    if not np.isfinite(system).all():
+        raise ValueError(f"the TQ system at mu = {mu} is not finite")
+    system /= np.maximum(np.linalg.norm(system, axis=2, keepdims=True), 1e-300)
+    found = []
+    for coeffs in np.linalg.svd(system)[2][:, -1].conj():
+        zeros = np.roots(coeffs[::-1])
+        ok = zeros.size == M and not (M and np.abs(zeros).min() < 1e-300)
+        found.append(0.5 * np.log(zeros) + 0.5j * mu if ok else None)
+    return found if values.ndim == 2 else found[0]
 
 
 def _sector_blocks(chain, lam, sectors) -> dict:
@@ -465,8 +481,7 @@ def _sector_levels(chain, sectors, points):
 
 def _tq_candidates(values, points, N, s, mu, M):
     # one candidate per level: the `BetheSystem` that `refine` makes of its TQ roots
-    for row in values:
-        roots = tq_roots(row, points, N, s, mu, M)
+    for roots in tq_roots(values, points, N, s, mu, M):
         if roots is None:
             continue
         try:

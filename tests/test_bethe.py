@@ -272,6 +272,54 @@ def test_tq_roots_invert_the_eigenvalue(sols42):
             want.pop(int(np.argmin(d)))
 
 
+@pytest.mark.parametrize("run, top", [(lambda: sc.validate_against_ed(6, 0.5, MU), 3),
+                                       (lambda: sc.solve_bae(6, 0.5, MU, 5), 1)],
+                         ids=["validated", "M5-from-source-1"])
+def test_tq_fit_samples_as_few_points_as_q_needs(monkeypatch, run, top):
+    # Lambda is sampled at M_src + _TQ_MARGIN points, M_src the largest source
+    # sector, not at a count set by the chain; one sector-block pass per
+    # point plus the eigenvector probe
+    fits, passes = [], []
+    tq, blocks = bethe.tq_roots, bethe._sector_blocks
+
+    def fit(values, points, *args):
+        fits.append(len(points))
+        return tq(values, points, *args)
+
+    def block(chain, lam, sectors):
+        passes.append(lam)
+        return blocks(chain, lam, sectors)
+
+    monkeypatch.setattr(bethe, "tq_roots", fit)
+    monkeypatch.setattr(bethe, "_sector_blocks", block)
+    run()
+    K = top + bethe._TQ_MARGIN
+    assert fits and set(fits) == {K}
+    assert len(passes) == K + 1
+
+
+@pytest.mark.parametrize("N, s", [(6, 0.5), (4, 1.0)])
+def test_stacked_tq_fit_equals_the_row_fit(monkeypatch, N, s):
+    # every sector's (L, K) table, as the census hands it over, fitted in one
+    # stacked call gives bit for bit the roots of L separate row fits
+    calls, tq = [], bethe.tq_roots
+
+    def recorded(values, points, *args):
+        calls.append((values, points, args))
+        return tq(values, points, *args)
+
+    monkeypatch.setattr(bethe, "tq_roots", recorded)
+    sc.validate_against_ed(N, s, MU)
+    assert [args[-1] for _, _, args in calls] == list(range(round(2 * s) * N // 2 + 1))
+    for values, points, args in calls:
+        stacked = tq(values, points, *args)
+        rows = [tq(row, points, *args) for row in values]
+        assert len(stacked) == len(rows) == len(values)
+        for got, want in zip(stacked, rows):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("N, s", [(4, 0.5), (2, 1.0)])
 def test_mirrored_sectors_built_on_all_down_vacuum(N, s):
     ch = lax.uniform_chain("xxz", N, MU, round(2 * s + 1), "principal")
@@ -318,7 +366,8 @@ def test_validation_independent_of_seed_and_threads(tmp_path, capsys):
         assert report["sectors"] == runs[0]["sectors"]
 
 
-@pytest.mark.parametrize("N, s, floor", [(6, 0.5, 60), (4, 1.0, 77), (5, 1.0, 236)])
+@pytest.mark.parametrize("N, s, floor", [(4, 0.5, 15), (6, 0.5, 60), (8, 0.5, 239), (4, 1.0, 77),
+                                         (5, 1.0, 236), (3, 1.5, 64)])
 def test_coverage_floors_with_nothing_mismatched(N, s, floor):
     # the current coverage; levels whose eigen-gap sits within a few times
     # the gate bound are lost first when the order of operations changes

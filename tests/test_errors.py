@@ -1,7 +1,9 @@
 """Reachable error branches: each invalid input is refused with ValueError
-by its own check, and the CLI names a missing required key."""
+by its own check, and the CLI names a missing required key and an
+off-scale bethe chain."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ REFUSED = [
     ("Hamiltonian of a spin-1 chain", "spin-1/2 sites",
      lambda: lax.hamiltonian_from_transfer(lax.uniform_chain("xxz", 2, MU, 3))),
     ("commutator of unequal shapes", "equal shapes", lambda: linalg.comm_norm(np.eye(2), np.eye(3))),
+    ("TQ fit on M + 1 points", "needs at least 4 points",
+     lambda: bethe.tq_roots(np.ones(3), 0.1 * np.arange(3), 4, 0.5, MU, 2)),
     ("braided 3 x 3 family", "equal local dimensions", lambda: rmatrix.braided(lambda lam: np.eye(3))),
 ]
 
@@ -59,3 +63,15 @@ def test_a_config_without_N_exits_2(tmp_path, capsys, command):
     cfg.write_text(json.dumps({}))
     assert cli.main([command, "--config", str(cfg)]) == 2
     assert "missing config keys: N" in capsys.readouterr().err
+
+
+def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
+    # mu = 1e308 overflows the TQ system: named as such, with no numpy warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "mu": 1e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["bethe", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: the TQ system")
+    assert "not finite" in err
