@@ -14,9 +14,9 @@ is kept.  The sector blocks and the gate apply t matrix-free, in batches
 (`lax.apply_transfer`), and the Bethe vector applies one B at a time
 (`lax.apply_monodromy_block`); both go through the one site-by-site kernel
 of the lax module.  Bethe vectors are built one candidate at a time:
-B...B|0> can cancel about seven digits, and at (6, 1) one level passes the
-1e-8 gate at 3.7e-9 to 9.7e-9 as the last bits of its roots move, a margin
-that a build batched over candidates was seen to lose.
+B...B|0> can cancel about seven digits, and at (6, 1) a pair of levels
+sits at 3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their
+roots move, a margin that a build batched over candidates was seen to lose.
 A sector with M > N s is solved as sector 2 N s - M and flipped
 (F: m -> -m on every site) onto the all-down vacuum: the principal Lax
 matrix is unchanged by reversing its row and column order, so F t F = t,
@@ -42,10 +42,11 @@ _GAP_PROBE = 0.233
 # generic complex point at which the sector eigenvectors are taken
 _EIG_PROBE = 0.31 + 0.17j
 # circle on which Lambda is sampled for the TQ system, at M + _TQ_MARGIN
-# points for the largest source sector M: margins of 5, 7 and 9 each lost or
-# swapped a (6, 1) level that 2N(2s+1) + 8 points certified, 12 none
+# points for the largest source sector M: of the margins 3 to 20 tried, only
+# 3 and 12 kept every level that 2N(2s+1) + 8 points certified up to (6, 1),
+# and 12 lost more elsewhere; more points fit no better
 _TQ_CENTER, _TQ_RADIUS = 0.07, 0.45
-_TQ_MARGIN = 12
+_TQ_MARGIN = 3
 
 
 @dataclass(frozen=True)

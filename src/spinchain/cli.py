@@ -30,17 +30,17 @@ SCHEMA = "v1"
 # the longest spin-1/2 chain within the Hilbert cap linalg.MAX_DIM
 MAX_N = linalg.MAX_DIM.bit_length() - 1
 # validated bethe checks its census against three dense transfer matrices and
-# dense sector ED: (6, 1) at D = 729 takes 2.0 to 3.0 s and 64 MB, (10, 1/2) at
-# D = 1024 4.5 to 6.1 s and 92 MB on a 2-core box; at the 4096 cap a dense t,
+# dense sector ED: (6, 1) at D = 729 takes 1.5 to 2.6 s and 64 MB, (10, 1/2) at
+# D = 1024 3.5 to 4.4 s and 92 MB on a 2-core box; at the 4096 cap a dense t,
 # read off the Lax kernel, costs about its own 268 MB, with no 1 GB monodromy,
-# but larger chains are refused: the census of (12, 1/2, M = 6) alone takes 23
-# to 35 s and 235 MB
+# but larger chains are refused: the census of (12, 1/2, M = 6) alone takes 13
+# to 17 s and 235 MB
 VALIDATE_DIM = 1024
 # the site dimension 2s+1 of casimir and bethe: a casimir spin takes 0.5 s and
 # 66 MB at 256 on a 2-core box, 9 s and 414 MB at 1024; bethe builds a
-# 2(2s+1)-square Lax matrix per site in each of its M + 13 sector passes (M
-# the largest source sector, at most N s; see bethe._TQ_MARGIN), and one
-# validated site at 2s+1 = 256 takes 4.5 to 5.4 s
+# 2(2s+1)-square Lax matrix per site in each of its M + 4 sector passes (M the
+# largest source sector, at most N s; see bethe._TQ_MARGIN), and one validated
+# site at 2s+1 = 256 takes 3.2 to 4.3 s
 MAX_SITE_DIM = 256
 MAX_DELTA_STEPS = 10_000
 MAX_PAIRS = 10_000
