@@ -410,7 +410,7 @@ def solve_bae(N, s, mu, M):
     return sorted((sol for sol, _ in _census(chain, s, mu, [M])[M]), key=_report_order)
 
 
-def tq_roots(values, points, N, s, mu, M):
+def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
     """Roots lambda_j of the Q solving Baxter's TQ relation for given Lambda.
 
     values holds Lambda at the K points, as a (K,) row or as an (L, K) table
