@@ -10,7 +10,8 @@ driver (`_census`) runs the census for `solve_bae` on one sector and for
 sector.  Every refined system passes one certifier (`_certified`): pole
 gates, the equations to 1e-10, and the eigen-gap gate (`_gaps`), t on the
 Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per state
-is kept.  The sector blocks and the gate apply t matrix-free, in batches
+is kept.  The sector blocks (`_sector_blocks`, for the census and the ED
+probes alike) and the gate apply t matrix-free, in batches
 (`lax.apply_transfer`), and the Bethe vector applies one B at a time
 (`lax.apply_monodromy_block`); both go through the one site-by-site kernel
 of the lax module.  Bethe vectors are built one candidate at a time:
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lax import apply_monodromy_block, apply_transfer, sz_sector_indices, transfer, uniform_chain
+from .lax import apply_monodromy_block, apply_transfer, sz_sector_indices, uniform_chain
 from .linalg import MAX_DIM
 
 _ACCEPT = 1e-10
@@ -107,8 +108,7 @@ class BetheSolution:
 
 
 def _log_sinh(z):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.log(np.sinh(z))
+    return np.log(np.sinh(z))
 
 
 def _wrap(r):
@@ -117,14 +117,13 @@ def _wrap(r):
 
 
 def _log_residual(lams, N, s, mu):
-    with np.errstate(over="ignore", invalid="ignore"):
-        drive = N * (_log_sinh(lams + 1j * mu * s) - _log_sinh(lams - 1j * mu * s))
-        if lams.size > 1:
-            diff = lams[:, None] - lams[None, :]
-            off = _log_sinh(diff + 1j * mu) - _log_sinh(diff - 1j * mu)
-            np.fill_diagonal(off, 0.0)
-            drive = drive - off.sum(axis=1)
-        return _wrap(drive)
+    drive = N * (_log_sinh(lams + 1j * mu * s) - _log_sinh(lams - 1j * mu * s))
+    if lams.size > 1:
+        diff = lams[:, None] - lams[None, :]
+        off = _log_sinh(diff + 1j * mu) - _log_sinh(diff - 1j * mu)
+        np.fill_diagonal(off, 0.0)
+        drive = drive - off.sum(axis=1)
+    return _wrap(drive)
 
 
 def _coth(z):
@@ -134,42 +133,42 @@ def _coth(z):
 def _jacobian(lams, N, s, mu):
     M = lams.size
     jac = np.zeros((M, M), dtype=complex)
-    with np.errstate(all="ignore"):
-        diag = N * (_coth(lams + 1j * mu * s) - _coth(lams - 1j * mu * s))
-        if M > 1:
-            diff = lams[:, None] - lams[None, :]
-            pair = _coth(diff + 1j * mu) - _coth(diff - 1j * mu)
-            np.fill_diagonal(pair, 0.0)
-            diag = diag - pair.sum(axis=1)
-            jac += pair
+    diag = N * (_coth(lams + 1j * mu * s) - _coth(lams - 1j * mu * s))
+    if M > 1:
+        diff = lams[:, None] - lams[None, :]
+        pair = _coth(diff + 1j * mu) - _coth(diff - 1j * mu)
+        np.fill_diagonal(pair, 0.0)
+        diag = diag - pair.sum(axis=1)
+        jac += pair
     jac[np.diag_indices(M)] = diag
     return jac
 
 
 def _newton(start, N, s, mu):
     lams = np.asarray(start, dtype=complex).copy()
-    r = _log_residual(lams, N, s, mu)
-    nr = float(np.abs(r).max()) if r.size else 0.0
-    for _ in range(_NEWTON_STEPS):
-        if nr < 1e-13:
-            break
-        try:
-            delta = np.linalg.solve(_jacobian(lams, N, s, mu), r)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        step = 1.0
-        for _ in range(40):
-            trial = lams - step * delta
-            rt = _log_residual(trial, N, s, mu)
-            nt = float(np.abs(rt).max())
-            if np.isfinite(nt) and nt <= nr * (1 - 0.25 * step):
-                lams, r, nr = trial, rt, nt
+    with np.errstate(all="ignore"):
+        r = _log_residual(lams, N, s, mu)
+        nr = float(np.abs(r).max()) if r.size else 0.0
+        for _ in range(_NEWTON_STEPS):
+            if nr < 1e-13:
                 break
-            step *= 0.5
-        else:
-            break  # stalled at the rounding floor, maybe already below _ACCEPT
+            try:
+                delta = np.linalg.solve(_jacobian(lams, N, s, mu), r)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(delta)):
+                return None
+            step = 1.0
+            for _ in range(40):
+                trial = lams - step * delta
+                rt = _log_residual(trial, N, s, mu)
+                nt = float(np.abs(rt).max())
+                if np.isfinite(nt) and nt <= nr * (1 - 0.25 * step):
+                    lams, r, nr = trial, rt, nt
+                    break
+                step *= 0.5
+            else:
+                break  # stalled at the rounding floor, maybe already below _ACCEPT
     return lams if nr < _ACCEPT else None
 
 
@@ -212,7 +211,8 @@ def bae_residual(system: BetheSystem) -> float:
         if min(abs(cmath.sinh(a + 1j * system.mu * system.s)),
                abs(cmath.sinh(a - 1j * system.mu * system.s))) < 1e-12:
             raise ValueError("root at a pole of the equations")
-    return float(np.abs(_log_residual(lams, system.N, system.s, system.mu)).max())
+    with np.errstate(all="ignore"):
+        return float(np.abs(_log_residual(lams, system.N, system.s, system.mu)).max())
 
 
 def eigenvalue_fn(system):
@@ -289,13 +289,13 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     D = int(np.prod(chain.local_dims, dtype=np.int64))
     vec = np.zeros(D, dtype=complex)
     vec[0] = 1.0
-    for lam in system.roots:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in system.roots:
             vec = apply_monodromy_block(chain, lam - 0.5j * system.mu, 0, 1, vec)
             norm = float(np.linalg.norm(vec))
-        if not np.isfinite(norm) or norm < 1e-280:
-            raise ValueError("Bethe vector vanished during construction")
-        vec = vec / norm
+            if not np.isfinite(norm) or norm < 1e-280:
+                raise ValueError("Bethe vector vanished during construction")
+            vec = vec / norm
     # F reverses the product basis: every site digit m -> n - 1 - m
     return vec if system.vacuum == "up" else vec[::-1]
 
@@ -448,11 +448,11 @@ def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
 
 def _sector_blocks(chain, lam, sectors) -> dict:
     """{M: t(lam)[sel, sel]} for the index arrays sel = sectors[M], from one
-    batched `apply_transfer` on the unit columns of every sector, so no
-    D x D array is formed."""
+    batched `apply_transfer` on the unit columns of every sector, held as
+    booleans: the kernel casts True to 1 + 0j."""
     cols = np.concatenate(list(sectors.values()))
-    unit = np.zeros((int(np.prod(chain.local_dims)), cols.size), dtype=complex)
-    unit[cols, np.arange(cols.size)] = 1.0
+    unit = np.zeros((int(np.prod(chain.local_dims)), cols.size), dtype=bool)
+    unit[cols, np.arange(cols.size)] = True
     image = apply_transfer(chain, lam, unit)
     blocks, start = {}, 0
     for M, sel in sectors.items():
@@ -527,19 +527,19 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     through `tq_roots` and `refine`; a candidate counts when it passes the
     certifier (`_certified`) and is kept once per state, through the census
     driver shared with `solve_bae` (`_census`), which applies the sector
-    blocks and the eigen-gap gate matrix-free; the three ED probes are dense
-    transfer matrices read off the same Lax kernel, checked against the analytic
-    Lambda.  Sectors with
-    M > N s are covered from sector 2 N s - M by the spin flip F, since
-    F t F = t: the flipped vector, on the all-down vacuum, must pass the
-    eigen-gap gate again.  (2s+1)^N above MAX_DIM, or an M_range with no M
-    in [0, 2 N s], raises ValueError.  A solution is matched when its
-    Lambda agrees with a sector eigenvalue to rtol at the three probes
-    _PROBES, relative to max(|Lambda|,
-    1e-8 |t(p)|_F) so that a level with Lambda = 0 can match.  Each
-    sector's solutions are sorted by matched level, unmatched last.  Coverage counts sector levels
-    matched by at least one solution; it is fixed by the chain alone: no
-    random start takes part.
+    blocks and the eigen-gap gate matrix-free; the three ED probes read every
+    sector block of t the same way (`_sector_blocks`), and their eigenvalues
+    are checked against the analytic Lambda.  Sectors with M > N s are
+    covered from sector 2 N s - M by the spin flip F, since F t F = t: the
+    flipped vector, on the all-down vacuum, must pass the eigen-gap gate
+    again.  (2s+1)^N above MAX_DIM, or an M_range with no M in [0, 2 N s],
+    raises ValueError.  A solution is matched when its Lambda agrees with a
+    sector eigenvalue to rtol at the three probes _PROBES, relative to
+    max(|Lambda|, 1e-8 |t(p)|_F) so that a level with Lambda = 0 can match;
+    t keeps Sz, so |t(p)|_F is the norm of its sector blocks taken together.
+    Each sector's solutions are sorted by matched level, unmatched last.
+    Coverage counts sector levels matched by at least one solution; it is
+    fixed by the chain alone: no random start takes part.
     """
     mu, s = complex(mu), float(s)
     n = round(2 * s + 1)
@@ -551,16 +551,14 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     if not Ms:
         raise ValueError(f"M_range holds no sector M in [0, {top}]")
     census = _census(chain, s, mu, Ms)
-    sectors = {M: sz_sector_indices(N, n, M) for M in census}
-    # the ED probes slice a dense t on purpose: the oracle stays independent of `_sector_blocks`
-    fam = transfer(chain)
-    evs = {M: [] for M in sectors}
+    sectors = {M: sz_sector_indices(N, n, M) for M in range(top + 1)}
+    evs = {M: [] for M in census}
     floors = []  # a level with Lambda = 0 is matched on the scale of t itself
     for p in _PROBES:
-        t = fam(complex(p))
-        floors.append(1e-8 * np.linalg.norm(t))
-        for M, sel in sectors.items():
-            evs[M].append(np.linalg.eigvals(t[np.ix_(sel, sel)]))
+        blocks = _sector_blocks(chain, complex(p), sectors)
+        floors.append(1e-8 * np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks.values())))
+        for M in census:
+            evs[M].append(np.linalg.eigvals(blocks[M]))
 
     report = {
         "N": N,
@@ -571,10 +569,10 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
         "sectors": [],
     }
     covered = mismatched = total_solutions = 0
-    for M, sel in sectors.items():
-        hit = np.zeros(sel.size, dtype=bool)
+    for M, found in census.items():
+        hit = np.zeros(sectors[M].size, dtype=bool)
         sols = []
-        for sol, _ in census[M]:
+        for sol, _ in found:
             vals = [sol.eigenvalue_fn(complex(p)) for p in _PROBES]
             dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
                      for ev, val, floor in zip(evs[M], vals, floors)]
@@ -591,7 +589,7 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
         report["sectors"].append({
             "M": M,
             "sz": float(N * s - M),
-            "dimension": int(sel.size),
+            "dimension": int(sectors[M].size),
             "solutions": entries,
             "levels_matched": int(hit.sum()),
             "unmatched_level_indices": [int(j) for j in np.where(~hit)[0]],

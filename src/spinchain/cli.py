@@ -29,18 +29,18 @@ from . import algebra, bethe, boundary, braid, lax, linalg, rmatrix
 SCHEMA = "v1"
 # the longest spin-1/2 chain within the Hilbert cap linalg.MAX_DIM
 MAX_N = linalg.MAX_DIM.bit_length() - 1
-# validated bethe checks its census against three dense transfer matrices and
-# dense sector ED: (6, 1) at D = 729 takes 1.5 to 2.6 s and 64 MB, (10, 1/2) at
-# D = 1024 3.5 to 4.4 s and 92 MB on a 2-core box; at the 4096 cap a dense t,
-# read off the Lax kernel, costs about its own 268 MB, with no 1 GB monodromy,
-# but larger chains are refused: the census of (12, 1/2, M = 6) alone takes 13
-# to 17 s and 235 MB
+# validated bethe checks its census against dense sector ED at three probes,
+# whose sector blocks of t come off the Lax kernel in one pass over every
+# sector: (6, 1) at D = 729 takes 1.8 to 2.3 s and 59 to 60 MB, (10, 1/2) at
+# D = 1024 3.7 to 4.6 s and 77 MB on a 2-core box, under 1 or 2 BLAS threads;
+# at the 4096 cap that pass's image is D x D, 268 MB, so larger chains are
+# refused: the census of (12, 1/2, M = 6) alone takes 13 to 17 s and 235 MB
 VALIDATE_DIM = 1024
 # the site dimension 2s+1 of casimir and bethe: a casimir spin takes 0.5 s and
 # 66 MB at 256 on a 2-core box, 9 s and 414 MB at 1024; bethe builds a
 # 2(2s+1)-square Lax matrix per site in each of its M + 4 sector passes (M the
-# largest source sector, at most N s; see bethe._TQ_MARGIN), and one validated
-# site at 2s+1 = 256 takes 3.2 to 4.3 s
+# largest source sector, at most N s; see bethe._TQ_MARGIN) and validation's 3
+# probe passes, and one validated site at 2s+1 = 256 takes 3.2 to 5.1 s
 MAX_SITE_DIM = 256
 MAX_DELTA_STEPS = 10_000
 MAX_PAIRS = 10_000
@@ -118,7 +118,8 @@ def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
 
 def _check_threads(cfg: dict, args) -> None:
     """--threads and the threads key are validated and otherwise ignored:
-    the work holds the interpreter lock, so every command runs on one thread."""
+    the BLAS library takes its thread count from the environment
+    (OPENBLAS_NUM_THREADS for OpenBLAS), and no flag or key changes it."""
     _flag_or_key(args.threads, cfg, "threads", 1)
 
 
@@ -543,7 +544,10 @@ def cmd_spectrum(cfg: dict, args) -> int:
             for rec in levels:
                 rec["momentum"] = 0
     else:
-        levels = lax.spectrum_table(N, delta, boundary_kind)
+        try:
+            levels = lax.spectrum_table(N, delta, boundary_kind)
+        except ValueError as exc:  # H not finite, or LinAlgError: no convergence
+            raise ConfigError(str(exc)) from exc
     payload = {
         "schema": SCHEMA,
         "command": "spectrum",
@@ -670,7 +674,10 @@ def cmd_phase_scan(cfg: dict, args) -> int:
             "sz_abs": max(abs(rec["sz"]) for rec in ground),
         }
 
-    table = [scan(delta) for delta in grid]
+    try:
+        table = [scan(delta) for delta in grid]
+    except ValueError as exc:  # H not finite, or LinAlgError: no convergence
+        raise ConfigError(str(exc)) from exc
     payload = {
         "schema": SCHEMA,
         "command": "phase-scan",

@@ -637,7 +637,9 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     the spin-flipped -Sz block with the same k, whose levels are equal bit
     for bit (only Sz >= 0 is solved).  Only eigenvalues are computed, and no
     2^N x 2^N array is formed.  delta must be real, since H is Hermitian
-    only then; the open blocks and the k = 0, N/2 blocks are then real.
+    only then; the open blocks and the k = 0, N/2 blocks are then real.  A
+    block that is not finite (|delta| near the float range) raises
+    ValueError, and so does an eigensolve that does not converge.
     """
     periodic = _is_periodic(boundary)
     if N < 2:
@@ -648,15 +650,18 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
     delta = complex(delta).real
     energy, sz, momentum = [], [], []
-    for m, momenta, _, block in _symmetry_blocks(N, delta, periodic):
-        energies = np.linalg.eigvalsh(block)
-        # the spin flip gives sector N - m the same levels; Sz = 0 is its own mirror
-        labels = (N / 2 - m,) if 2 * m == N else (N / 2 - m, m - N / 2)
-        for label in labels:
-            for k in momenta:
-                energy.append(energies)
-                sz.append(np.full(energies.size, label))
-                momentum.append(np.full(energies.size, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, momenta, _, block in _symmetry_blocks(N, delta, periodic):
+            if not np.isfinite(block).all():
+                raise ValueError(f"the Hamiltonian at delta = {delta} is not finite")
+            energies = np.linalg.eigvalsh(block)
+            # the spin flip gives sector N - m the same levels; Sz = 0 is its own mirror
+            labels = (N / 2 - m,) if 2 * m == N else (N / 2 - m, m - N / 2)
+            for label in labels:
+                for k in momenta:
+                    energy.append(energies)
+                    sz.append(np.full(energies.size, label))
+                    momentum.append(np.full(energies.size, k))
     energy, sz, momentum = (np.concatenate(column) for column in (energy, sz, momentum))
     # stable, so equal (energy, sz, momentum) keep their block order
     order = np.lexsort((momentum, sz, energy))

@@ -272,13 +272,14 @@ def test_tq_roots_invert_the_eigenvalue(sols42):
             want.pop(int(np.argmin(d)))
 
 
-@pytest.mark.parametrize("run, top", [(lambda: sc.validate_against_ed(6, 0.5, MU), 3),
-                                       (lambda: sc.solve_bae(6, 0.5, MU, 5), 1)],
+@pytest.mark.parametrize("run, top, probes",
+                         [(lambda: sc.validate_against_ed(6, 0.5, MU), 3, len(bethe._PROBES)),
+                          (lambda: sc.solve_bae(6, 0.5, MU, 5), 1, 0)],
                          ids=["validated", "M5-from-source-1"])
-def test_tq_fit_samples_as_few_points_as_q_needs(monkeypatch, run, top):
+def test_tq_fit_samples_as_few_points_as_q_needs(monkeypatch, run, top, probes):
     # Lambda is sampled at M_src + _TQ_MARGIN points, M_src the largest source
     # sector, not at a count set by the chain; one sector-block pass per
-    # point plus the eigenvector probe
+    # point plus the eigenvector probe, and validation's one per ED probe
     fits, passes = [], []
     tq, blocks = bethe.tq_roots, bethe._sector_blocks
 
@@ -295,7 +296,20 @@ def test_tq_fit_samples_as_few_points_as_q_needs(monkeypatch, run, top):
     run()
     K = top + bethe._TQ_MARGIN
     assert fits and set(fits) == {K}
-    assert len(passes) == K + 1
+    assert len(passes) == K + 1 + probes
+
+
+@pytest.mark.parametrize("N, s", [(6, 0.5), (4, 1.0), (3, 1.5)])
+def test_sector_blocks_equal_the_dense_transfer_slices(N, s):
+    # the ED probes read t through `_sector_blocks`; every block is the
+    # slice of the dense t bit for bit, so the oracle sees the same matrix
+    n = round(2 * s + 1)
+    ch = lax.uniform_chain("xxz", N, MU, n, "principal")
+    sectors = {M: lax.sz_sector_indices(N, n, M) for M in range((n - 1) * N + 1)}
+    for p in bethe._PROBES:
+        dense = sc.transfer(ch)(p)
+        for M, block in bethe._sector_blocks(ch, complex(p), sectors).items():
+            assert np.array_equal(block, dense[np.ix_(sectors[M], sectors[M])])
 
 
 @pytest.mark.parametrize("N, s", [(6, 0.5), (4, 1.0)])
@@ -437,10 +451,10 @@ def test_solve_bae_memory_stays_far_below_one_dense_block():
 
 
 def test_validation_builds_transfer_matrices_only(monkeypatch):
-    # the 3 ED probes only, each a dense t read off the Lax kernel (vec
-    # None, also the route of lax.transfer); the sector blocks at the TQ
-    # points, the eigen-gap gate and the Bethe vectors never build a dense
-    # transfer matrix, and nothing builds a dense monodromy
+    # no dense t (vec None, the route of lax.transfer) at all: the ED probes
+    # and the TQ points read t's sector blocks off unit columns, the
+    # eigen-gap gate and the Bethe vectors apply t to vectors, and nothing
+    # builds a dense monodromy
     calls = []
     inside = []
     apply, vector = lax.apply_transfer, bethe.bethe_vector
@@ -466,7 +480,7 @@ def test_validation_builds_transfer_matrices_only(monkeypatch):
     monkeypatch.setattr(bethe, "bethe_vector", flagged_vector)
     report = sc.validate_against_ed(6, 0.5, MU)
     assert report["total_solutions"] > 0
-    assert len(calls) == 3
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("N, s", [(2, 0.5), (4, 0.5), (5, 0.5), (2, 1.0)])

@@ -4,8 +4,11 @@ import cmath
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,10 +424,15 @@ def test_bethe_validated_sector(tmp_path, capsys):
 def test_bethe_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
     # negative control: the ED oracle is off by a relative 1e-6, so no
     # Lambda agrees with it to rtol 1e-7, every solution is mismatched and
-    # the run fails
-    transfer = bethe.transfer
-    monkeypatch.setattr(bethe, "transfer",
-                        lambda chain: lambda lam: (1 + 1e-6) * transfer(chain)(lam))
+    # the run fails; only the blocks at the ED probes are scaled, so the
+    # census is untouched
+    blocks, probes = bethe._sector_blocks, {complex(p) for p in bethe._PROBES}
+
+    def skewed(chain, lam, sectors):
+        out = blocks(chain, lam, sectors)
+        return {M: (1 + 1e-6) * b for M, b in out.items()} if lam in probes else out
+
+    monkeypatch.setattr(bethe, "_sector_blocks", skewed)
     cfg = write_cfg(tmp_path, {"N": 2, "mu": 0.3, "rtol": 1e-7})
     code, out, _ = run(capsys, ["bethe", "--config", cfg])
     assert code == 1
@@ -510,6 +518,31 @@ def test_spectrum_and_phase_scan_byte_identical_across_threads(tmp_path, capsys,
         assert code == 0
         texts.append(out)
     assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("command, obj, flags", [
+    ("bethe", {"N": 6, "s": 0.5, "mu": 0.3}, []),
+    ("bethe", {"N": 4, "s": 1.0, "mu": 0.3}, []),
+    ("spectrum", {"N": 12, "delta": 0.37}, []),
+    ("spectrum", {"N": 10, "delta": -0.6, "boundary": "open"}, []),
+    ("verify", {"suite": "re", "mu": 0.3}, ["--seed", "7"]),
+], ids=["bethe-6-half", "bethe-4-one", "spectrum-12", "spectrum-open-10", "verify-re"])
+def test_stdout_byte_identical_across_blas_threads(tmp_path, command, obj, flags):
+    # --threads is ignored; the BLAS thread count is set by the environment.
+    # Validated (8, 1/2) is left out: the last bits of its roots and
+    # residuals differ between one and two OpenBLAS threads (ROADMAP
+    # direction 5), on 805 lines of its report, with the same coverage
+    cfg = write_cfg(tmp_path, obj)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "spinchain.cli", command, "--config", cfg, *flags],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(proc.stdout)
+    assert texts[0] == texts[1]
 
 
 def _pure_python_encoder(*args, **kwargs):

@@ -1,6 +1,6 @@
 """Reachable error branches: each invalid input is refused with ValueError
-by its own check, and the CLI names a missing required key and an
-off-scale bethe chain."""
+by its own check, and the CLI names a missing required key, an off-scale
+bethe chain and an off-scale spectrum or phase-scan delta."""
 
 import json
 import warnings
@@ -75,3 +75,25 @@ def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: the TQ system")
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("spectrum", {"N": 12, "delta": 1e308}),
+    ("spectrum", {"N": 12, "delta": 3e307}),
+    ("spectrum", {"N": 4, "delta": 1e308}),
+    ("spectrum", {"N": 3, "delta": -1e308, "boundary": "open"}),
+    ("phase-scan", {"N": 6, "deltas": [1e308]}),
+    ("phase-scan", {"N": 4, "deltas": [-1e308], "boundary": "open"}),
+], ids=["spectrum-12", "spectrum-12-3e307", "spectrum-4", "spectrum-open-3",
+        "phase-scan-6", "phase-scan-open-4"])
+def test_a_delta_off_scale_exits_2_with_one_line(tmp_path, capsys, command, obj):
+    # the Hamiltonian overflows: refused, with no traceback, no NaN or
+    # Infinity energy on stdout and no numpy warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: ")
