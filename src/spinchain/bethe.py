@@ -11,13 +11,13 @@ sector.  Every refined system passes one certifier (`_certified`): pole
 gates, the equations to 1e-10, and the eigen-gap gate (`_gaps`), t on the
 Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per state
 is kept.  The sector blocks (`_sector_blocks`, for the census and the ED
-probes alike) and the gate apply t matrix-free, in batches
-(`lax.apply_transfer`), and the Bethe vector applies one B at a time
-(`lax.apply_monodromy_block`); both go through the one site-by-site kernel
-of the lax module.  Bethe vectors are built one candidate at a time:
-B...B|0> can cancel about seven digits, and at (6, 1) a pair of levels
-sits at 3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their
-roots move, a margin that a build batched over candidates was seen to lose.
+probes) read their own rows off the Lax kernel, the gate applies t to the
+stacked Bethe vectors (`lax.apply_transfer`), and each Bethe vector applies
+one B at a time (`lax.apply_monodromy_block`), all through the lax module's
+one site-by-site kernel.  Bethe vectors are built one candidate at a time:
+B...B|0> can cancel about seven digits, and at (6, 1) a pair of levels sits
+at 3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their roots
+move, a margin that a build batched over candidates was seen to lose.
 A sector with M > N s is solved as sector 2 N s - M and flipped
 (F: m -> -m on every site) onto the all-down vacuum: the principal Lax
 matrix is unchanged by reversing its row and column order, so F t F = t,
@@ -32,7 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lax import apply_monodromy_block, apply_transfer, sz_sector_indices, uniform_chain
+from .lax import (_apply_blocks, apply_monodromy_block, apply_transfer, site_lax_matrices,
+                  sz_sector_indices, uniform_chain)
 from .linalg import MAX_DIM
 
 _ACCEPT = 1e-10
@@ -300,29 +301,27 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     return vec if system.vacuum == "up" else vec[::-1]
 
 
-def _gaps(chain, pairs) -> np.ndarray:
-    """Relative defects |t v - Lambda v| / |t v| of the (solution, vector)
-    pairs, with t at _GAP_PROBE applied by one batched `lax.apply_transfer`
-    to all the vectors; Lambda v is subtracted in place once |t v| is known,
-    so the stack and its image are the only (D, pairs) arrays held."""
-    if not pairs:
-        return np.empty(0)
-    vecs = np.stack([vec for _, vec in pairs], axis=1)
-    values = np.array([sol.eigenvalue_fn(_GAP_PROBE) for sol, _ in pairs])
+def _gaps(chain, sols, vecs) -> np.ndarray:
+    """Relative defects |t v - Lambda v| / |t v| of the solutions sols and
+    the columns v of their (D, L) stack of Bethe vectors, with t at
+    _GAP_PROBE applied by one batched `lax.apply_transfer` to the whole
+    stack, which is left as it is."""
+    values = np.array([sol.eigenvalue_fn(_GAP_PROBE) for sol in sols])
     tv = apply_transfer(chain, _GAP_PROBE, vecs)
     scale = np.maximum(np.linalg.norm(tv, axis=0), 1e-300)
     # values * vecs, operands in that order: numpy's SIMD complex product is
     # not symmetric in its last bit
-    tv -= np.multiply(values, vecs, out=vecs)
+    tv -= values * vecs
     return np.linalg.norm(tv, axis=0) / scale
 
 
-def _certified(candidates, chain) -> list:
-    """(solution, Bethe vector) pairs, the first per state, of the candidate
-    systems (as `refine` returns them) that pass the one certifier: the pole
-    gates, the equations to _ACCEPT and then, for all survivors at once, the
-    eigen-gap gate (`_gaps` below _GAP)."""
-    passed = []
+def _certified(candidates, chain) -> tuple:
+    """The solutions, the first per state, of the list of candidate systems
+    (as `refine` returns them) that pass the one certifier, and their Bethe
+    vectors, each built straight into one (D, L) stack: the pole gates, the
+    equations to _ACCEPT, then on the stack the eigen-gap gate (below _GAP)."""
+    rows = np.empty((len(candidates), np.prod(chain.local_dims)), dtype=complex)
+    sols = []
     for system in candidates:
         if not _passes_pole_gates(np.asarray(system.roots), system.N, system.s, system.mu):
             continue
@@ -330,23 +329,23 @@ def _certified(candidates, chain) -> list:
         if residual >= _ACCEPT:
             continue
         try:
-            vec = bethe_vector(system, chain)
+            rows[len(sols)] = bethe_vector(system, chain)
         except ValueError:
             continue
         e, p = (energy(system), momentum(system)) if abs(system.s - 0.5) < 1e-12 else (None, None)
-        passed.append((BetheSolution(system, residual, eigenvalue_fn(system), e, p), vec))
+        sols.append(BetheSolution(system, residual, eigenvalue_fn(system), e, p))
+    vecs = rows[:len(sols)].T
+    # one state, one solution: runaway or i pi shifted roots build the same vector
+    same = np.abs(vecs.conj().T @ vecs) > 1 - _GAP
     kept = []
-    for (sol, vec), gap in zip(passed, _gaps(chain, passed)):
-        # one state, one solution: root sets may differ by runaway or i pi
-        # shifted roots and still build the same vector
-        if gap >= _GAP or any(abs(np.vdot(other, vec)) > 1 - _GAP for _, other in kept):
-            continue
-        kept.append((sol, vec))
-    return kept
+    for j, gap in enumerate(_gaps(chain, sols, vecs)):
+        if gap < _GAP and not same[kept, j].any():
+            kept.append(j)
+    return [sols[j] for j in kept], vecs[:, kept]
 
 
 def _census(chain, s, mu, Ms) -> dict:
-    """{M: certified (solution, vector) pairs} for the sectors Ms, with at
+    """{M: certified solutions} for the sectors Ms, with at
     most one candidate per eigenvector of each source sector's block.
 
     Lambda is sampled at M_src + _TQ_MARGIN points, M_src the largest source
@@ -363,16 +362,15 @@ def _census(chain, s, mu, Ms) -> dict:
     sectors = {M: sz_sector_indices(N, n, M) for M in sorted(set(sources.values()))}
     K = max(sectors) + _TQ_MARGIN
     points = _TQ_CENTER + _TQ_RADIUS * np.exp(2j * np.pi * np.arange(K) / K)
-    found = {M: _certified(_tq_candidates(values, points, N, s, mu, M), chain)
+    found = {M: _certified(list(_tq_candidates(values, points, N, s, mu, M)), chain)
              for M, values in _sector_levels(chain, sectors, points).items()}
     census = {}
     for M, source in sources.items():
-        if source == M:
-            census[M] = found[M]
-            continue
-        flipped = [(replace(sol, system=replace(sol.system, vacuum="down")), vec[::-1])
-                   for sol, vec in found[source]]
-        census[M] = [pair for pair, gap in zip(flipped, _gaps(chain, flipped)) if gap < _GAP]
+        sols, vecs = found[source]
+        if source != M:
+            sols = [replace(sol, system=replace(sol.system, vacuum="down")) for sol in sols]
+            sols = [sol for sol, gap in zip(sols, _gaps(chain, sols, vecs[::-1])) if gap < _GAP]
+        census[M] = sols
     return census
 
 
@@ -407,7 +405,7 @@ def solve_bae(N, s, mu, M):
     """
     mu, s = complex(mu), float(s)
     chain = uniform_chain("xxz", N, mu, round(2 * s + 1), "principal")
-    return sorted((sol for sol, _ in _census(chain, s, mu, [M])[M]), key=_report_order)
+    return sorted(_census(chain, s, mu, [M])[M], key=_report_order)
 
 
 def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
@@ -448,15 +446,17 @@ def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
 
 def _sector_blocks(chain, lam, sectors) -> dict:
     """{M: t(lam)[sel, sel]} for the index arrays sel = sectors[M], from one
-    batched `apply_transfer` on the unit columns of every sector, held as
-    booleans: the kernel casts True to 1 + 0j."""
+    Lax-kernel pass on the boolean unit columns of every sector (the kernel
+    casts True to 1 + 0j) that reads the sector rows.  Each block is copied
+    out, since a view would keep the whole image alive."""
     cols = np.concatenate(list(sectors.values()))
     unit = np.zeros((int(np.prod(chain.local_dims)), cols.size), dtype=bool)
     unit[cols, np.arange(cols.size)] = True
-    image = apply_transfer(chain, lam, unit)
+    image = _apply_blocks(site_lax_matrices(chain, lam), (0, 1),
+                          lambda state: state[0, cols, 0] + state[1, cols, 1], unit)
     blocks, start = {}, 0
     for M, sel in sectors.items():
-        blocks[M] = image[sel, start:start + sel.size]
+        blocks[M] = image[start:start + sel.size, start:start + sel.size].copy()
         start += sel.size
     return blocks
 
@@ -572,7 +572,7 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     for M, found in census.items():
         hit = np.zeros(sectors[M].size, dtype=bool)
         sols = []
-        for sol, _ in found:
+        for sol in found:
             vals = [sol.eigenvalue_fn(complex(p)) for p in _PROBES]
             dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
                      for ev, val, floor in zip(evs[M], vals, floors)]

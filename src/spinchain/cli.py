@@ -31,10 +31,10 @@ SCHEMA = "v1"
 MAX_N = linalg.MAX_DIM.bit_length() - 1
 # validated bethe checks its census against dense sector ED at three probes,
 # whose sector blocks of t come off the Lax kernel in one pass over every
-# sector: (6, 1) at D = 729 takes 1.8 to 2.3 s and 59 to 60 MB, (10, 1/2) at
-# D = 1024 3.7 to 4.6 s and 77 MB on a 2-core box, under 1 or 2 BLAS threads;
+# sector: (6, 1) at D = 729 takes 1.7 to 2.3 s and 55 MB, (10, 1/2) at
+# D = 1024 3.3 to 4.0 s and 72 MB on a 2-core box, under 1 or 2 BLAS threads;
 # at the 4096 cap that pass's image is D x D, 268 MB, so larger chains are
-# refused: the census of (12, 1/2, M = 6) alone takes 13 to 17 s and 235 MB
+# refused: the census of (12, 1/2, M = 6) alone takes 12 to 19 s and 193 MB
 VALIDATE_DIM = 1024
 # the site dimension 2s+1 of casimir and bethe: a casimir spin takes 0.5 s and
 # 66 MB at 256 on a 2-core box, 9 s and 414 MB at 1024; bethe builds a

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
 from . import linalg
 from .linalg import MAX_DIM, embed, over_draws, rel_norm, richardson_derivative
-from .rmatrix import braided, r_pm, xxx_family, xxz_family
+from .rmatrix import braided, r_pm, regularity_constant, xxx_family, xxz_family
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
         out = np.empty(read(np.zeros((2, D, len(inputs), 0))).shape[:-1] + (L,), dtype=complex)
         for start in range(0, L, width):
             out[..., start:start + width] = apply(start, min(width, L - start))
-    return out if cols is None else out.reshape(np.shape(vec))
+    return out if cols is None else out.reshape(len(out), *np.shape(vec)[1:])
 
 
 def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -> np.ndarray:
@@ -429,8 +429,6 @@ def momentum_operator(chain: ChainSpec) -> np.ndarray:
     """
     if any(d != 2 for d in chain.local_dims):
         raise ValueError("momentum operator defined for spin-1/2 sites")
-    from .rmatrix import regularity_constant
-
     c, resid = regularity_constant(chain_r_family(chain))
     if resid > 1e-10:
         raise ValueError("R family is not regular at the origin")

@@ -312,6 +312,20 @@ def test_sector_blocks_equal_the_dense_transfer_slices(N, s):
             assert np.array_equal(block, dense[np.ix_(sectors[M], sectors[M])])
 
 
+def test_sector_blocks_hold_no_full_height_image():
+    # one pass on the 924 unit columns of sector M = 6 of (12, 1/2) reads
+    # only the sector rows: no 4096 x 924 complex image (57.8 MiB) is held
+    ch = lax.uniform_chain("xxz", 12, MU, 2, "principal")
+    tracemalloc.start()
+    try:
+        blocks = bethe._sector_blocks(ch, bethe._EIG_PROBE, {6: lax.sz_sector_indices(12, 2, 6)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks[6].shape == (924, 924)
+    assert peak < 4096 * 924 * 16, peak / 2**20
+
+
 @pytest.mark.parametrize("N, s", [(6, 0.5), (4, 1.0)])
 def test_stacked_tq_fit_equals_the_row_fit(monkeypatch, N, s):
     # every sector's (L, K) table, as the census hands it over, fitted in one
@@ -511,9 +525,9 @@ def test_batched_gate_matches_the_dense_transfer(monkeypatch, N, s):
     # dense t, and passes or fails the gate with it
     calls, gaps = [], bethe._gaps
 
-    def recorded(chain, pairs):
-        out = gaps(chain, pairs)
-        calls.append((pairs, out))
+    def recorded(chain, sols, vecs):
+        out = gaps(chain, sols, vecs)
+        calls.append((sols, vecs, out))
         return out
 
     monkeypatch.setattr(bethe, "_gaps", recorded)
@@ -521,8 +535,8 @@ def test_batched_gate_matches_the_dense_transfer(monkeypatch, N, s):
     bethe._census(chain, s, MU, range(round(2 * s) * N + 1))
     tm = lax.transfer(chain)(bethe._GAP_PROBE)
     checked = []
-    for pairs, batched in calls:
-        for (sol, vec), gap in zip(pairs, batched):
+    for sols, vecs, batched in calls:
+        for sol, vec, gap in zip(sols, vecs.T, batched):
             tv = tm @ vec
             dense = np.linalg.norm(tv - sol.eigenvalue_fn(bethe._GAP_PROBE) * vec) / np.linalg.norm(tv)
             assert abs(gap - dense) < 1e-12
@@ -551,8 +565,8 @@ def test_mirrored_states_pass_the_gate_again(monkeypatch):
     assert len(sc.solve_bae(2, 0.5, MU, 2)) == 1
     gaps = bethe._gaps
 
-    def fails_on_all_down(chain, pairs):
-        return np.where([abs(vec[-1]) > 0.5 for _, vec in pairs], 1.0, gaps(chain, pairs))
+    def fails_on_all_down(chain, sols, vecs):
+        return np.where(abs(vecs[-1]) > 0.5, 1.0, gaps(chain, sols, vecs))
 
     monkeypatch.setattr(bethe, "_gaps", fails_on_all_down)
     assert sc.solve_bae(2, 0.5, MU, 0) and sc.solve_bae(2, 0.5, MU, 2) == []
@@ -563,7 +577,7 @@ def test_mirrored_states_pass_the_gate_again(monkeypatch):
 def test_certifier_rejects_at_every_gate():
     # systems built as `refine` would hand them over, each failing one gate:
     # a site pole at i mu s, a runaway root, a pair pole at a - b = -i mu, the
-    # equations (residual 2.45); only the solved system comes back
+    # equations (residual 2.45); the solved system, given twice, comes back once
     chain = lax.uniform_chain("xxz", 4, MU, 2, "principal")
     failing = [sc.BetheSystem(4, 0.5, MU, roots)
                for roots in [(0.15j,), (60,), (0.1, 0.1 + 0.3j), (0.3,)]]
@@ -571,36 +585,37 @@ def test_certifier_rejects_at_every_gate():
         False, False, False, True]
     assert sc.bae_residual(failing[-1]) > bethe._ACCEPT
     good = sc.solve_bae(4, 0.5, MU, 1)[0].system
-    kept = bethe._certified(iter(failing + [good]), chain)
-    assert [sol.system for sol, _ in kept] == [good]
+    sols, vecs = bethe._certified(failing + [good, good], chain)
+    assert [sol.system for sol in sols] == [good] and vecs.shape == (16, 1)
     # on one site B B|up> = 0: the Bethe vector vanishes on the second root
     with pytest.raises(ValueError, match="vanished"):
         sc.bethe_vector(sc.BetheSystem(1, 0.5, MU, (0.2, -0.3)))
 
 
 def test_gap_gate_holds_two_stacks():
-    # the gate's working set on 2,000 vectors at N = 8 is the stacked vectors,
-    # their image under t and one temporary of the norm: Lambda v is taken in
-    # place, so the gate's memory stays about three times the stack, and the
-    # gaps are those of the out-of-place formula bit for bit
+    # the gate takes the stack of 2,000 vectors at N = 8 as it is and adds
+    # two stacks: their image under t and one temporary (Lambda v, then the
+    # norm's), so its memory stays well below the bound, and the gaps are
+    # those of the out-of-place formula bit for bit
     class Stub:
         def __init__(self, value):
             self.eigenvalue_fn = lambda lam: value
 
     chain = lax.uniform_chain("xxz", 8, MU, 2, "principal")
     rng = np.random.default_rng(0)
-    pairs = []
+    sols, cols = [], []
     for _ in range(2000):
         vec = rng.normal(size=256) + 1j * rng.normal(size=256)
-        pairs.append((Stub(complex(*rng.normal(size=2))), vec / np.linalg.norm(vec)))
-    vecs = np.stack([vec for _, vec in pairs], axis=1)
-    values = np.array([sol.eigenvalue_fn(bethe._GAP_PROBE) for sol, _ in pairs])
+        cols.append(vec / np.linalg.norm(vec))
+        sols.append(Stub(complex(*rng.normal(size=2))))
+    vecs = np.stack(cols, axis=1)
+    values = np.array([sol.eigenvalue_fn(bethe._GAP_PROBE) for sol in sols])
     tv = lax.apply_transfer(chain, bethe._GAP_PROBE, vecs)
     reference = np.linalg.norm(tv - values * vecs, axis=0) / np.linalg.norm(tv, axis=0)
-    del vecs, tv
+    del cols, tv
     tracemalloc.start()
     try:
-        gaps = bethe._gaps(chain, pairs)
+        gaps = bethe._gaps(chain, sols, vecs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -490,7 +490,8 @@ def test_output_files_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_verify_byte_identical_across_threads(tmp_path, capsys):
+def test_verify_byte_identical_on_repeat_runs(tmp_path, capsys):
+    # --threads is validated and ignored, so the runs differ only in being repeated
     cfg = write_cfg(tmp_path, {"suite": "ybe", "mu": 0.3, "pairs": 5})
     texts = []
     for threads in ("1", "2"):
@@ -510,7 +511,8 @@ def test_verify_byte_identical_across_threads(tmp_path, capsys):
         ("phase-scan", {"N": 6, "delta_start": -1.5, "delta_stop": 1.5, "delta_steps": 7}),
     ],
 )
-def test_spectrum_and_phase_scan_byte_identical_across_threads(tmp_path, capsys, command, obj):
+def test_spectrum_and_phase_scan_byte_identical_on_repeat_runs(tmp_path, capsys, command, obj):
+    # --threads is validated and ignored, so the runs differ only in being repeated
     cfg = write_cfg(tmp_path, obj)
     texts = []
     for threads in ("1", "2", "1"):
