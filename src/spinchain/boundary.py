@@ -4,7 +4,10 @@ c-number K-matrices solving the reflection equation, the crossing
 construction K+ = M K^t(-lambda - i rho), operator dressings, the open
 transfer matrix Tr_0[K+ T K- T^{-1}(-lambda)] on the lax module's kernel,
 with no inverse, open Hamiltonians and the quadratic Casimir of the transfer
-asymptotics.  Every K and open transfer family is a function lambda -> ndarray.
+asymptotics.  Every K and open transfer family is a function lambda ->
+ndarray; the K families and the dressed K follow the stack convention of
+`linalg` (a scalar lambda gives a matrix, a 1-D array of lambdas the
+(P, s, s) stack), while crossed K+ and the open transfer take scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from .lax import (
     site_lax_matrices,
     uniform_chain,
 )
-from .linalg import embed, mat, over_draws, rel_norm, richardson_derivative
+from .linalg import (
+    at_draws, draw_shape, embed, mat, over_draws, per_draw, rel_norm, richardson_derivative,
+    stacking,
+)
 from .rmatrix import gauge_v
 
 
@@ -37,9 +43,17 @@ class OpenBoundary:
 
 
 def k_identity():
-    """The constant family lambda -> I."""
+    """The constant family lambda -> I: scalar -> matrix, 1-D array -> stack,
+    read-only, since one identity serves every draw of every call."""
     eye = np.eye(2, dtype=complex)
-    return lambda lam: eye
+    eye.flags.writeable = False
+
+    @stacking
+    def ev(lam) -> np.ndarray:
+        shape = draw_shape(lam)
+        return np.broadcast_to(eye, shape + (2, 2)) if shape else eye
+
+    return ev
 
 
 def k_gz_dvgr(xi: complex, kappa: complex, gradation: str = "principal"):
@@ -48,27 +62,21 @@ def k_gz_dvgr(xi: complex, kappa: complex, gradation: str = "principal"):
     Homogeneous form [[sinh(-l + i xi) e^l, kappa sinh 2l],
     [kappa sinh 2l, sinh(l + i xi) e^{-l}]]; the principal form is the
     two-sided gauge V(-l) K^h(l) V(-l).  kappa = 0 is diagonal and
-    K(0) = sinh(i xi) I.
+    K(0) = sinh(i xi) I.  Scalar -> matrix, 1-D array -> stack.
     """
     if gradation not in ("principal", "homogeneous"):
         raise ValueError(f"unknown gradation {gradation!r}")
 
-    def homogeneous(lam: complex) -> np.ndarray:
-        off = kappa * cmath.sinh(2 * lam)
-        return np.array(
-            [
-                [cmath.sinh(-lam + 1j * xi) * cmath.exp(lam), off],
-                [off, cmath.sinh(lam + 1j * xi) * cmath.exp(-lam)],
-            ],
-            dtype=complex,
-        )
-
-    if gradation == "homogeneous":
-        ev = homogeneous
-    else:
-        def ev(lam: complex) -> np.ndarray:
+    @stacking
+    def ev(lam) -> np.ndarray:
+        k = np.empty(draw_shape(lam) + (2, 2), dtype=complex)
+        k[..., 0, 0] = per_draw(lambda l: cmath.sinh(-l + 1j * xi) * cmath.exp(l), lam, 0)
+        k[..., 0, 1] = k[..., 1, 0] = per_draw(lambda l: kappa * cmath.sinh(2 * l), lam, 0)
+        k[..., 1, 1] = per_draw(lambda l: cmath.sinh(l + 1j * xi) * cmath.exp(-l), lam, 0)
+        if gradation == "principal":
             v = gauge_v(-lam)
-            return v @ homogeneous(lam) @ v
+            k = v @ k @ v
+        return k
 
     return ev
 
@@ -79,7 +87,8 @@ def k_blob(mu: complex, m: complex, gamma: complex, c: complex = 1.0):
     e = [[-1/Q, c], [1/c, -Q]] with Q = i e^{i mu m},
     x(l) = (Q + 1/Q) cosh(2l + i mu) - cosh(2 i mu gamma) - kappa cosh 2l,
     y(l) = 2 sinh(i mu) sinh 2l, kappa = q/Q + Q/q, q = e^{i mu}.
-    Pairs with the homogeneous-gradation R family.
+    Pairs with the homogeneous-gradation R family.  Scalar -> matrix, 1-D
+    array -> stack.
     """
     q = cmath.exp(1j * mu)
     Q = 1j * cmath.exp(1j * mu * m)
@@ -87,10 +96,15 @@ def k_blob(mu: complex, m: complex, gamma: complex, c: complex = 1.0):
     e = np.array([[-1 / Q, c], [1 / c, -Q]], dtype=complex)
     eye = np.eye(2, dtype=complex)
 
-    def ev(lam: complex) -> np.ndarray:
-        x = (Q + 1 / Q) * cmath.cosh(2 * lam + 1j * mu) - cmath.cosh(2j * mu * gamma) - kappa * cmath.cosh(2 * lam)
-        y = 2 * cmath.sinh(1j * mu) * cmath.sinh(2 * lam)
-        return x * eye + y * e
+    def x(l):
+        return (Q + 1 / Q) * cmath.cosh(2 * l + 1j * mu) - cmath.cosh(2j * mu * gamma) - kappa * cmath.cosh(2 * l)
+
+    def y(l):
+        return 2 * cmath.sinh(1j * mu) * cmath.sinh(2 * l)
+
+    @stacking
+    def ev(lam) -> np.ndarray:
+        return per_draw(x, lam) * eye + per_draw(y, lam) * e
 
     return ev
 
@@ -136,7 +150,8 @@ def re_residual(r_family, k_family, lam1, lam2):
     equal-length sequences.
     """
     def evaluate(l1, l2):
-        return r_family(l1 - l2), r_family(l1 + l2), k_family(l1), k_family(l2)
+        return (at_draws(r_family, l1 - l2), at_draws(r_family, l1 + l2),
+                at_draws(k_family, l1), at_draws(k_family, l2))
 
     def dims(rd, _, k1m, __):
         n = int(round(np.sqrt(np.shape(rd)[0])))
@@ -156,16 +171,19 @@ def re_residual(r_family, k_family, lam1, lam2):
     return over_draws(evaluate, dims, combine, lam1, lam2)
 
 
-def dressed_k(lax_family, k_family, lam: complex) -> np.ndarray:
+def dressed_k(lax_family, k_family, lam) -> np.ndarray:
     """Dressed reflection matrix L(l) K(l) L^{-1}(-l) on aux (x) quantum.
 
-    The auxiliary dimension is that of the c-number K(l).
+    The auxiliary dimension is that of the c-number K(l).  A scalar lambda
+    gives the matrix, a 1-D array of lambdas the (P, s, s) stack, whatever
+    the two families take; `linalg.stacking` marks a partial application
+    of it as a family that stacks.
     """
-    lm = mat(lax_family(lam))
-    ln = mat(lax_family(-lam))
-    k = k_family(lam)
-    na = np.shape(k)[0]
-    dims = (na, lm.shape[0] // na)
+    lm = at_draws(lax_family, lam)
+    ln = at_draws(lax_family, -lam)
+    k = at_draws(k_family, lam)
+    na = np.shape(k)[-1]
+    dims = (na, lm.shape[-1] // na)
     km = embed(k, 1, dims)
     return lm @ km @ np.linalg.inv(ln)
 

@@ -112,8 +112,10 @@ def _as_spin(value, key: str, max_dim: int) -> tuple:
 
 
 def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
-    """A command-line flag wins over the integer config key of the same name."""
-    return flag if flag is not None else _as_int(cfg.get(key, default), key)
+    """A command-line flag wins over the integer config key of the same name;
+    the key, when present, must be an integer either way."""
+    value = _as_int(cfg.get(key, default), key)
+    return flag if flag is not None else value
 
 
 def _check_threads(cfg: dict, args) -> None:
@@ -227,10 +229,12 @@ def _emit(payload: dict, rows, args, default_format: str) -> None:
 
 
 def _perturbed(family, eps: complex):
-    """Corrupt a matrix family by adding eps to its (0, 1) entry."""
+    """Corrupt a matrix family by adding eps to its (0, 1) entry: scalar ->
+    matrix, 1-D array -> stack, whatever family takes."""
+    @linalg.stacking
     def ev(lam):
-        m = np.array(family(lam), copy=True)
-        m[0, 1] += eps
+        m = np.array(linalg.at_draws(family, lam), copy=True)
+        m[..., 0, 1] += eps
         return m
 
     return ev
@@ -352,7 +356,8 @@ def _suite_re(cfg, seed) -> list:
     rfam = rmatrix.xxz_family(mu, "homogeneous")
     for n, label in ((2, "spin-1/2"), (3, "spin-1")):
         rep = algebra.uq_sl2_spin_rep(n, cmath.exp(1j * mu))
-        kd = partial(boundary.dressed_k, lax.lax_xxz(rep, "homogeneous"), boundary.k_identity())
+        kd = linalg.stacking(partial(boundary.dressed_k, lax.lax_xxz(rep, "homogeneous"),
+                                     boundary.k_identity()))
         worst = np.max(boundary.re_residual(rfam, kd, lam1[:few], lam2[:few]))
         checks.append(_check(f"dressed operatorial RE, {label}", worst, 1e-10))
     return checks
@@ -499,8 +504,10 @@ def cmd_verify(cfg: dict, args) -> int:
     runner, allowed = _SUITES[suite]
     _check_keys(cfg, allowed)
     seed = _flag_or_key(args.seed, cfg, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, not {seed}")
+    # a negative seed key is refused even where --seed overrides it
+    lowest = min(seed, int(cfg.get("seed", 0)))
+    if lowest < 0:
+        raise ConfigError(f"seed must be non-negative, not {lowest}")
     _check_threads(cfg, args)
     try:
         checks = runner(cfg, seed)

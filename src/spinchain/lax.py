@@ -1,7 +1,9 @@
 """Lax operators, monodromy and transfer matrices, momentum and charges.
 
-A Lax operator is a plain function lambda -> complex ndarray on the
-two-dimensional auxiliary space (x) the quantum space; the monodromy is the
+A Lax operator is a function lambda -> complex ndarray on the
+two-dimensional auxiliary space (x) the quantum space; the families built
+here follow the stack convention of `linalg` (a scalar lambda gives a
+matrix, a 1-D array of lambdas the (P, s, s) stack).  The monodromy is the
 auxiliary-space-ordered product L_N ... L_1 (site 1 rightmost) whose
 auxiliary trace is the transfer matrix, again a function of lambda.  One
 kernel (`_apply_monodromy`), one site per matrix product over cache-sized
@@ -23,7 +25,10 @@ import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
 from . import linalg
-from .linalg import MAX_DIM, embed, over_draws, rel_norm, richardson_derivative
+from .linalg import (
+    MAX_DIM, at_draws, draw_shape, embed, over_draws, per_draw, rel_norm, richardson_derivative,
+    stacking,
+)
 from .rmatrix import braided, r_pm, regularity_constant, xxx_family, xxz_family
 
 
@@ -98,10 +103,11 @@ def p_matrix(rep: AlgebraRep) -> np.ndarray:
 
 
 def lax_xxx(rep: AlgebraRep):
-    """Rational Lax operator lambda I + i p over any sl2 representation."""
+    """Rational Lax operator lambda I + i p over any sl2 representation:
+    scalar -> matrix, 1-D array -> stack."""
     pm = p_matrix(rep)
     eye = np.eye(pm.shape[0], dtype=complex)
-    return lambda lam: lam * eye + 1j * pm
+    return stacking(lambda lam: np.multiply.outer(lam, eye) + 1j * pm)
 
 
 def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = None):
@@ -110,7 +116,7 @@ def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = 
     Principal form: [[sinh(l + i mu/2 + i mu Jz), sinh(i mu) Jm],
     [sinh(i mu) Jp, sinh(l + i mu/2 - i mu Jz)]]; the homogeneous form
     dresses the off-diagonal blocks with e^{+-l}.  Spin-1/2 reproduces the
-    six-vertex R-matrix entrywise.
+    six-vertex R-matrix entrywise.  Scalar -> matrix, 1-D array -> stack.
     """
     q = complex(rep.params["q"])
     if mu is None:
@@ -128,13 +134,17 @@ def lax_xxz(rep: AlgebraRep, gradation: str = "principal", mu: complex | None = 
     shifts = 1j * mu * np.diag(jz)
     shifts = np.concatenate([shifts, -shifts])
 
-    def ev(lam: complex) -> np.ndarray:
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out.reshape(-1)[:: 2 * n + 1] = np.sinh(lam + 1j * mu / 2 + shifts)
+    @stacking
+    def ev(lam) -> np.ndarray:
+        lead = draw_shape(lam)
+        out = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
+        diagonal = per_draw(lambda l: l + 1j * mu / 2, lam, 1) + shifts
+        out.reshape(lead + (-1,))[..., :: 2 * n + 1] = np.sinh(diagonal)
         if gradation == "homogeneous":
-            out[:n, n:], out[n:, :n] = cmath.exp(lam) * up, cmath.exp(-lam) * down
+            ep, em = _exp_pair(lam)
+            out[..., :n, n:], out[..., n:, :n] = ep * up, em * down
         else:
-            out[:n, n:], out[n:, :n] = up, down
+            out[..., :n, n:], out[..., n:, :n] = up, down
         return out
 
     return ev
@@ -166,7 +176,7 @@ def rll_residual(r_family, lax, lam1, lam2):
     for scalar lambdas, one residual per draw for equal-length sequences.
     """
     def evaluate(l1, l2):
-        return r_family(l1 - l2), lax(l1), lax(l2)
+        return at_draws(r_family, l1 - l2), at_draws(lax, l1), at_draws(lax, l2)
 
     def dims(r, l1m, _):
         na = round(np.shape(r)[0] ** 0.5)
@@ -204,11 +214,18 @@ def triangular_residuals(rep: AlgebraRep) -> dict:
 
 
 def _aux_blocks(a, b, c, d) -> np.ndarray:
-    # [[a, b], [c, d]] on aux (x) quantum, written into one preallocated matrix
-    n = a.shape[0]
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a, b, c, d
+    # [[a, b], [c, d]] on aux (x) quantum, written into one preallocated
+    # matrix; blocks that are (P, n, n) stacks give the (P, 2n, 2n) stack
+    n = np.shape(a)[-1]
+    lead = np.broadcast_shapes(*(np.shape(m)[:-2] for m in (a, b, c, d)))
+    out = np.empty(lead + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n], out[..., :n, n:], out[..., n:, :n], out[..., n:, n:] = a, b, c, d
     return out
+
+
+def _exp_pair(lam) -> tuple:
+    # e^l and e^-l by cmath, per draw of a 1-D lam
+    return per_draw(cmath.exp, lam), per_draw(lambda l: cmath.exp(-l), lam)
 
 
 def _cyclic_generic_blocks(p: int, s: complex, k: int) -> tuple:
@@ -229,11 +246,13 @@ def lax_generic_xxz(p: int, s: complex, k: int = 1):
     L = [[e^l X - e^{-l} X^-1, (q - 1/q) B], [(q - 1/q) C,
     e^l X^-1 - e^{-l} X]] with B, C built from the Weyl pair; satisfies the
     RLL relation with the principal six-vertex R at mu = 2 pi k / p.
+    Scalar -> matrix, 1-D array -> stack.
     """
     cyc, _, x, xinv, db, dc = _cyclic_generic_blocks(p, s, k)
 
-    def ev(lam: complex) -> np.ndarray:
-        ep, em = cmath.exp(lam), cmath.exp(-lam)
+    @stacking
+    def ev(lam) -> np.ndarray:
+        ep, em = _exp_pair(lam)
         return _aux_blocks(ep * x - em * xinv, db, dc, ep * xinv - em * x)
 
     return ev
@@ -241,22 +260,25 @@ def lax_generic_xxz(p: int, s: complex, k: int = 1):
 
 def lax_sine_gordon(p: int, s: complex, k: int = 1):
     """Lattice sine-Gordon Lax operator: the generic spin-s L twisted by
-    i m sigma^x in the auxiliary space, m = i q^{s - 1/2}, q = e^{2 pi i k/p}."""
+    i m sigma^x in the auxiliary space, m = i q^{s - 1/2}, q = e^{2 pi i k/p}.
+    Scalar -> matrix, 1-D array -> stack."""
     generic = lax_generic_xxz(p, s, k)
     q = cmath.exp(2j * cmath.pi * k / p)
     m = 1j * q ** (s - 0.5)
     twist = 1j * m * embed(_PAULI["x"], 1, (2, p))
-    return lambda lam: twist @ generic(lam)
+    return stacking(lambda lam: twist @ generic(lam))
 
 
 def lax_qoscillator(p: int, k: int = 1):
-    """q-oscillator Lax operator [[e^l V - e^{-l} V^-1, adag], [a, -e^{-l} V]]."""
+    """q-oscillator Lax operator [[e^l V - e^{-l} V^-1, adag], [a, -e^{-l} V]]:
+    scalar -> matrix, 1-D array -> stack."""
     osc = q_oscillator_rep(p, k)
     v, a, adag = osc.gen("V"), osc.gen("a"), osc.gen("adag")
     vinv = np.diag(1 / np.diag(v))
 
-    def ev(lam: complex) -> np.ndarray:
-        ep, em = cmath.exp(lam), cmath.exp(-lam)
+    @stacking
+    def ev(lam) -> np.ndarray:
+        ep, em = _exp_pair(lam)
         return _aux_blocks(ep * v - em * vinv, adag, a, -em * v)
 
     return ev
@@ -266,7 +288,7 @@ def lax_liouville(p: int, alpha: complex, k: int = 1):
     """Lattice Liouville Lax operator over the cyclic representation.
 
     L = [[XY, alpha e^{-l} X], [alpha (e^l X - e^{-l} X^-1),
-    (1 + alpha^2 q X^2) (XY)^-1]].
+    (1 + alpha^2 q X^2) (XY)^-1]].  Scalar -> matrix, 1-D array -> stack.
     """
     cyc = cyclic_rep(p, k)
     q = complex(cyc.params["q"])
@@ -276,9 +298,11 @@ def lax_liouville(p: int, alpha: complex, k: int = 1):
     xyinv = np.linalg.inv(xy)
     corner = (np.eye(p, dtype=complex) + alpha**2 * q * (x @ x)) @ xyinv
 
-    def ev(lam: complex) -> np.ndarray:
-        ep, em = cmath.exp(lam), cmath.exp(-lam)
-        return _aux_blocks(xy, alpha * em * x, alpha * (ep * x - em * xinv), corner)
+    @stacking
+    def ev(lam) -> np.ndarray:
+        ep, em = _exp_pair(lam)
+        alpha_em = per_draw(lambda l: alpha * cmath.exp(-l), lam)
+        return _aux_blocks(xy, alpha_em * x, alpha * (ep * x - em * xinv), corner)
 
     return ev
 

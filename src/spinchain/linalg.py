@@ -13,16 +13,21 @@ arithmetic, into the full matrix or into the symmetry-orbit blocks of one
 Sz sector, so a spectrum at the cap never holds a 4096 x 4096 array.
 
 The identity checks of the verify suites run over whole lists of spectral
-draws: `over_draws` evaluates each draw's matrices by the caller's scalar
-code, stacks them into (P, s, s) arrays, and hands the stacks to one
-stacked computation per chunk of draws.  embed places a stack in one call,
-and rel_norm and comm_norm return one distance per slice, each bit-identical
-to the distance of that slice alone.
+draws, on one convention: a scalar lambda gives a matrix, a 1-D array of
+lambdas the (P, s, s) stack of the P matrices, each slice bit-identical to
+the scalar call.  The library's families follow it and carry the `stacking`
+mark; `at_draws` evaluates any family that way, looping over the draws of a
+scalar-only callable (a user's lambda) and stacking its matrices.
+`over_draws` hands each chunk of draws to the caller's evaluation and the
+stacks it returns to one stacked computation.  embed places a stack in one
+call, and rel_norm and comm_norm return one distance per slice, each
+bit-identical to the distance of that slice alone.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Number
 
 import numpy as np
 
@@ -151,18 +156,56 @@ def rel_norm(a, b):
     return _result(_norms(A - B) / scale)
 
 
+def stacking(family):
+    """Mark family as following the stack convention: a 1-D array of lambdas
+    gives the (P, s, s) stack of its matrices, each slice bit-identical to
+    the scalar call.  at_draws calls a marked family once per stack."""
+    family.stacks_draws = True
+    return family
+
+
+def at_draws(family, lam) -> np.ndarray:
+    """family's matrix at a scalar lam, or the (P, s, s) stack of its
+    matrices at the 1-D array lam: one call for a family marked by
+    `stacking`, one scalar call per draw (each a Python number) otherwise."""
+    if not draw_shape(lam) or getattr(family, "stacks_draws", False):
+        return mat(family(lam))
+    return np.stack([mat(family(draw)) for draw in np.asarray(lam).tolist()])
+
+
+def draw_shape(lam) -> tuple:
+    """() for a scalar lambda, (P,) for a 1-D array of P lambdas: the leading
+    shape of a family's result."""
+    # arrays and numbers skip np.shape, which converts its argument
+    if isinstance(lam, np.ndarray):
+        return lam.shape
+    return () if isinstance(lam, Number) else np.shape(lam)
+
+
+def per_draw(f, lam, axes: int = 2):
+    """f(lam) at a scalar lam; at a 1-D array lam, the array of f at each
+    draw (each a Python number, as a scalar call takes it) with `axes`
+    trailing unit axes, so that it scales matrices into stacks.  f computes
+    the per-draw numbers, cmath's or Python's, that numpy's vector arithmetic
+    may round otherwise."""
+    if not draw_shape(lam):
+        return f(lam)
+    return np.array([f(draw) for draw in np.asarray(lam).tolist()]).reshape((-1,) + (1,) * axes)
+
+
 def over_draws(evaluate, dims, combine, *lams):
     """Residuals of one identity at each draw of its spectral parameters.
 
     lams are one scalar each (a single draw, giving a float) or equal-length
     1-D sequences (draw i takes entry i of each, giving an ndarray of one
-    residual per draw).  evaluate(*draw) returns the tuple of matrices of one
-    draw, by the caller's scalar code; dims(*matrices) gives, from the first
-    draw, the local dimensions of the product space the matrices are placed
-    on; combine(dims, *stacks) returns the (P,) residuals of P draws from the
-    (P, s, s) stacks of their matrices.  Draws go in chunks of P draws such
-    that eight (P, D, D) stacks, about what combine holds at once between
-    its placements and products, make BLOCK_ENTRIES entries.
+    residual per draw).  evaluate(*chunk) takes one 1-D array per parameter,
+    P draws, and returns the tuple of (P, s, s) stacks of their matrices
+    (a family's through `at_draws`); dims(*matrices) gives, from the first
+    draw's matrices, the local dimensions of the product space they are
+    placed on; combine(dims, *stacks) returns the (P,) residuals of the
+    chunk.  Draws go in chunks of P draws such that eight (P, D, D) stacks,
+    about what combine holds at once between its placements and products,
+    make BLOCK_ENTRIES entries.
     """
     if all(np.ndim(lam) == 0 for lam in lams):
         return float(over_draws(evaluate, dims, combine, *([lam] for lam in lams))[0])
@@ -170,16 +213,17 @@ def over_draws(evaluate, dims, combine, *lams):
         raise ValueError("spectral parameters must be all scalars or all 1-D sequences")
     if len({len(lam) for lam in lams}) != 1 or not len(lams[0]):
         raise ValueError("draws must be non-empty sequences of equal length")
-    draws = list(zip(*lams))
-    pending = [evaluate(*draws[0])]
-    local = dims(*pending[0])
+    lams = [np.asarray(lam) for lam in lams]
+    stacks = evaluate(*(lam[:1] for lam in lams))
+    local = dims(*(stack[0] for stack in stacks))
     D = int(np.prod(local, dtype=np.int64))
     width = max(1, BLOCK_ENTRIES // (8 * D * D))
-    out = np.empty(len(draws))
-    for start in range(0, len(draws), width):
-        pending += [evaluate(*draw) for draw in draws[start + len(pending):start + width]]
-        out[start:start + len(pending)] = combine(local, *map(np.stack, zip(*pending)))
-        pending = []
+    out = np.empty(len(lams[0]))
+    for start in range(0, len(out), width):
+        # the first draw's stacks serve as the first chunk when that is all it holds
+        if start or min(width, len(out)) > 1:
+            stacks = evaluate(*(lam[start:start + width] for lam in lams))
+        out[start:start + width] = combine(local, *stacks)
     return out
 
 

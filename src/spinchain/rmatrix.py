@@ -3,11 +3,13 @@
 The two workhorse families are the rational 4x4 R(lambda) = lambda I + i P
 and the trigonometric six-vertex R in its two gradations, related by
 conjugation with V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}).  A family
-is a plain function lambda -> complex ndarray; the residual functions take
-any such callable, so partially applied families and Baxterized braid
-generators all go through the same checks.  Each residual takes scalar
-spectral parameters (one float) or equal-length sequences of them (one
-residual per draw, from one stacked pass through `linalg.over_draws`).
+is a function lambda -> complex ndarray; the residual functions take any
+such callable, so partially applied families and Baxterized braid
+generators all go through the same checks.  The families built here follow
+the stack convention of `linalg`: a scalar lambda gives a matrix, a 1-D
+array of lambdas the (P, s, s) stack.  Each residual takes scalar spectral
+parameters (one float) or equal-length sequences of them (one residual per
+draw, from one stacked pass through `linalg.over_draws`).
 """
 
 from __future__ import annotations
@@ -19,12 +21,19 @@ import numpy as np
 
 from .algebra import coproduct_uq
 from .braid import BraidFamily
-from .linalg import comm_norm, embed, mat, over_draws, permutation, rel_norm
+from .linalg import (
+    at_draws, comm_norm, draw_shape, embed, mat, over_draws, per_draw, permutation, rel_norm,
+    stacking,
+)
 
 
-def gauge_v(lam: complex) -> np.ndarray:
-    """Gauge twist V(lambda) = diag(e^{lambda/2}, e^{-lambda/2})."""
-    return np.diag([cmath.exp(lam / 2), cmath.exp(-lam / 2)]).astype(complex)
+def gauge_v(lam) -> np.ndarray:
+    """Gauge twist V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}); a scalar
+    lambda gives the matrix, a 1-D array of lambdas the (P, 2, 2) stack."""
+    v = np.zeros(draw_shape(lam) + (2, 2), dtype=complex)
+    v[..., 0, 0] = per_draw(lambda l: cmath.exp(l / 2), lam, 0)
+    v[..., 1, 1] = per_draw(lambda l: cmath.exp(-l / 2), lam, 0)
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -35,44 +44,48 @@ def _exchange(n: int) -> np.ndarray:
     return p
 
 
-def r_xxx(lam: complex) -> np.ndarray:
-    """Rational R-matrix lambda I + i P on two spin-1/2 spaces."""
-    return lam * np.eye(4) + 1j * _exchange(2)
+@stacking
+def r_xxx(lam) -> np.ndarray:
+    """Rational R-matrix lambda I + i P on two spin-1/2 spaces; a scalar
+    lambda gives the matrix, a 1-D array of lambdas the (P, 4, 4) stack."""
+    return np.multiply.outer(lam, np.eye(4)) + 1j * _exchange(2)
 
 
-def r_xxz(lam: complex, mu: complex, gradation: str = "principal") -> np.ndarray:
+def r_xxz(lam, mu: complex, gradation: str = "principal") -> np.ndarray:
     """Trigonometric six-vertex R-matrix at anisotropy mu (Delta = cos mu).
 
     Corner entries are sinh(lambda + i mu) and the inner diagonal sinh
     lambda in both gradations; the inner off-diagonal is sinh(i mu) in the
     principal gradation and e^{+-lambda} sinh(i mu) in the homogeneous one.
-    R(0) = sinh(i mu) P either way.
+    R(0) = sinh(i mu) P either way.  A scalar lambda gives the matrix, a 1-D
+    array of lambdas the (P, 4, 4) stack.
     """
-    lam, mu = complex(lam), complex(mu)
-    a = cmath.sinh(lam + 1j * mu)
-    b = cmath.sinh(lam)
-    c = cmath.sinh(1j * mu)
-    r = np.zeros((4, 4), dtype=complex)
-    r[0, 0] = r[3, 3] = a
-    r[1, 1] = r[2, 2] = b
-    if gradation == "principal":
-        r[1, 2] = r[2, 1] = c
-    elif gradation == "homogeneous":
-        r[1, 2] = cmath.exp(lam) * c
-        r[2, 1] = cmath.exp(-lam) * c
-    else:
+    if gradation not in ("principal", "homogeneous"):
         raise ValueError(f"unknown gradation {gradation!r}")
+    mu = complex(mu)
+    lam = np.asarray(lam, dtype=complex) if draw_shape(lam) else complex(lam)
+    c = cmath.sinh(1j * mu)
+    r = np.zeros(draw_shape(lam) + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 3, 3] = per_draw(lambda l: cmath.sinh(l + 1j * mu), lam, 0)
+    r[..., 1, 1] = r[..., 2, 2] = per_draw(cmath.sinh, lam, 0)
+    if gradation == "principal":
+        r[..., 1, 2] = r[..., 2, 1] = c
+    else:
+        r[..., 1, 2] = per_draw(lambda l: cmath.exp(l) * c, lam, 0)
+        r[..., 2, 1] = per_draw(lambda l: cmath.exp(-l) * c, lam, 0)
     return r
 
 
 def xxx_family():
-    """The rational family lambda -> r_xxx(lambda)."""
+    """The rational family lambda -> r_xxx(lambda): scalar -> matrix, 1-D
+    array -> stack."""
     return r_xxx
 
 
 def xxz_family(mu: complex, gradation: str = "principal"):
-    """The six-vertex family lambda -> r_xxz(lambda, mu, gradation)."""
-    return lambda lam: r_xxz(lam, mu, gradation)
+    """The six-vertex family lambda -> r_xxz(lambda, mu, gradation): scalar
+    -> matrix, 1-D array -> stack."""
+    return stacking(lambda lam: r_xxz(lam, mu, gradation))
 
 
 def r_pm(q: complex) -> tuple:
@@ -93,13 +106,14 @@ def r_pm(q: complex) -> tuple:
 
 
 def braided(family):
-    """Braided form Rc(lambda) = P R(lambda) of a square-dimension family."""
+    """Braided form Rc(lambda) = P R(lambda) of a square-dimension family:
+    scalar -> matrix, 1-D array -> stack, whatever family takes."""
     probe = mat(family(0.0))
     n = round(probe.shape[0] ** 0.5)
     if n * n != probe.shape[0]:
         raise ValueError("braided form needs equal local dimensions")
     p = _exchange(n)
-    return lambda lam: p @ mat(family(lam))
+    return stacking(lambda lam: p @ at_draws(family, lam))
 
 
 def _three_sites(r, *_) -> tuple:
@@ -115,7 +129,7 @@ def ybe_residual(r_family, lam1, lam2):
     for scalar lambdas, one residual per draw for equal-length sequences.
     """
     def evaluate(l1, l2):
-        return r_family(l1 - l2), r_family(l1), r_family(l2)
+        return at_draws(r_family, l1 - l2), at_draws(r_family, l1), at_draws(r_family, l2)
 
     def combine(dims, rd, r1, r2):
         r12, r13, r23 = embed(rd, (1, 2), dims), embed(r1, (1, 3), dims), embed(r2, (2, 3), dims)
@@ -130,7 +144,7 @@ def braided_ybe_residual(rc_family, lam1, lam2):
     Rc12(l1-l2) Rc23(l1) Rc12(l2) = Rc23(l2) Rc12(l1) Rc23(l1-l2).
     """
     def evaluate(l1, l2):
-        return rc_family(l1 - l2), rc_family(l1), rc_family(l2)
+        return at_draws(rc_family, l1 - l2), at_draws(rc_family, l1), at_draws(rc_family, l2)
 
     def combine(dims, rd, r1, r2):
         lhs = embed(rd, (1, 2), dims) @ embed(r1, (2, 3), dims) @ embed(r2, (1, 2), dims)
@@ -189,9 +203,8 @@ def intertwiner_residual(r_family, rep, lam):
         return (n, n)
 
     def combine(_, m):
-        m = mat(m)
         # the largest of the six residuals per draw, NaN if any is NaN
         return np.max([r for d, pdp in zip(images, swapped)
                        for r in (rel_norm(pdp @ m, m @ d), comm_norm(p @ m, d))], axis=0)
 
-    return over_draws(lambda l: (r_family(l),), dims, combine, lam)
+    return over_draws(lambda l: (at_draws(r_family, l),), dims, combine, lam)

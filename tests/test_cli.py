@@ -641,6 +641,22 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert json.loads(out)["seed"] == 5
 
 
+@pytest.mark.parametrize("flag", [False, True], ids=["key-alone", "key-and-flag"])
+@pytest.mark.parametrize("command, obj, flags", [
+    ("verify", {"suite": "braid", "seed": "x"}, ["--seed", "1"]),
+    ("verify", {"suite": "braid", "threads": 2.5}, ["--threads", "1"]),
+    ("verify", {"suite": "braid", "seed": -1}, ["--seed", "1"]),
+    ("bethe", {"N": 2, "seed": "x"}, ["--seed", "1"]),
+    ("bethe", {"N": 2, "threads": 2.5}, ["--threads", "1"]),
+], ids=["verify-seed", "verify-threads", "verify-seed-negative", "bethe-seed", "bethe-threads"])
+def test_bad_key_exits_2_even_where_its_flag_overrides_it(tmp_path, capsys, command, obj,
+                                                          flags, flag):
+    cfg = write_cfg(tmp_path, obj)
+    code, out, err = run(capsys, [command, "--config", cfg, *(flags if flag else [])])
+    assert code == 2
+    assert "config error" in err and out == ""
+
+
 def test_phase_scan_csv_default(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"N": 2, "deltas": [0.5, 1.0, 3.0]})
     code, out, _ = run(capsys, ["phase-scan", "--config", cfg])

@@ -350,12 +350,19 @@ def test_over_draws_chunks_under_the_entries_budget(monkeypatch):
         sizes.append(len(stack))
         return stack[:, 0, 0].real
 
+    evaluated = []
+
+    def evaluate(lam):
+        # one call per chunk, on the chunk's array of draws, after one on the
+        # first draw alone that gives dims its matrices
+        evaluated.append(len(lam))
+        return (np.multiply.outer(lam, np.eye(2)),)
+
     lams = [float(i) for i in range(10)]
-    evaluate = lambda lam: (lam * np.eye(2),)
     # dims (2,) place each draw on D = 2: eight stacks of 3 draws fill the budget
     monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 8 * 4 * 3)
     got = sc.linalg.over_draws(evaluate, lambda m: (2,), combine, lams)
-    assert sizes == [3, 3, 3, 1]
+    assert sizes == [3, 3, 3, 1] and evaluated == [1, 3, 3, 3, 1]
     assert np.array_equal(got, lams)
     assert sc.linalg.over_draws(evaluate, lambda m: (2,), combine, 4.0) == 4.0
 
@@ -376,3 +383,75 @@ def test_chunked_residual_memory_stays_near_the_budget():
         tracemalloc.stop()
     assert got.max() < 1e-11
     assert peak < 2 * budget < 4000 * 64 * 16 * 8
+
+
+def _stacking_families() -> dict:
+    # every family on the stack convention, with the cli's perturbed wrapper
+    # and gauge check; the dressed K is marked as the re suite marks it
+    from functools import partial
+
+    from spinchain import cli
+
+    fh, fp = sc.xxz_family(MU, "homogeneous"), sc.xxz_family(MU, "principal")
+    fams = {
+        "r_xxx": sc.r_xxx,
+        "r_xxz-principal": fp,
+        "r_xxz-homogeneous": fh,
+        "gauge_v": sc.gauge_v,
+        "braided": sc.braided(fh),
+        "braided-scalar-only": sc.braided(lambda lam: sc.r_xxz(lam, MU)),
+        "k_identity": sc.k_identity(),
+        "k_gz_dvgr-principal": sc.k_gz_dvgr(0.5, 0.2, "principal"),
+        "k_gz_dvgr-homogeneous": sc.k_gz_dvgr(0.5, 0.2, "homogeneous"),
+        "k_blob": sc.k_blob(MU, 0.7, 0.4),
+        "lax_generic_xxz": sc.lax_generic_xxz(5, 0.7),
+        "lax_sine_gordon": sc.lax_sine_gordon(5, 0.7),
+        "lax_qoscillator": sc.lax_qoscillator(4, 3),
+        "lax_liouville": sc.lax_liouville(5, 0.7),
+        "perturbed-r_xxz": cli._perturbed(fh, 1e-4),
+        "perturbed-k_gz_dvgr": cli._perturbed(sc.k_gz_dvgr(0.5, 0.2, "principal"), 1e-4),
+        "perturbed-scalar-only": cli._perturbed(lambda lam: sc.r_xxz(lam, MU), 1e-4),
+        "gauge_gaps": lambda lam: cli._gauge_gaps(MU, 0.0, lam),
+        "gauge_gaps-perturbed": lambda lam: cli._gauge_gaps(MU, 1e-4, lam),
+    }
+    for n, spin in ((2, "1/2"), (3, "1")):
+        fams[f"lax_xxx-spin-{spin}"] = sc.lax_xxx(sc.sl2_spin_rep(n))
+        for grad in ("principal", "homogeneous"):
+            lx = sc.lax_xxz(sc.uq_sl2_spin_rep(n, Q), grad)
+            fams[f"lax_xxz-spin-{spin}-{grad}"] = lx
+            fams[f"dressed_k-spin-{spin}-{grad}"] = sc.linalg.stacking(
+                partial(sc.dressed_k, lx, sc.k_gz_dvgr(0.5, 0.2, grad)))
+    return fams
+
+
+_STACKING = _stacking_families()
+
+
+@pytest.mark.parametrize("draws", ["complex", "real"])
+@pytest.mark.parametrize("name", sorted(_STACKING))
+def test_family_stack_slices_equal_the_scalar_calls(name, draws):
+    rng = np.random.default_rng(11)
+    if draws == "complex":
+        lams = rng.uniform(-1.4, 1.4, 7) + 1j * rng.uniform(-1.4, 1.4, 7)
+    else:
+        lams = np.array([0.0, 0.37, -0.5, 1.2, -1.3])
+    fam = _STACKING[name]
+    stack = fam(lams)
+    assert len(stack) == len(lams)
+    for got, lam in zip(stack, lams.tolist()):
+        assert np.array_equal(got, fam(lam))
+
+
+def test_at_draws_loops_over_a_scalar_only_callable():
+    calls = []
+
+    def scalar_only(lam):
+        assert type(lam) in (float, complex)  # a Python number, never an array
+        calls.append(lam)
+        return sc.r_xxz(lam, MU)
+
+    lams = np.array([0.1 + 0.2j, -0.3j, 0.5])
+    got = sc.linalg.at_draws(scalar_only, lams)
+    assert calls == lams.tolist() and got.shape == (3, 4, 4)
+    assert np.array_equal(got, sc.linalg.at_draws(sc.xxz_family(MU), lams))
+    assert np.array_equal(sc.linalg.at_draws(scalar_only, 0.5), sc.r_xxz(0.5, MU))
