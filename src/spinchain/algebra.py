@@ -155,41 +155,48 @@ def q_oscillator_rep(p: int, k: int = 1) -> AlgebraRep:
     return AlgebraRep("q_oscillator", gens, {"p": p, "k": k, "q": q})
 
 
+def _coproduct_images(reps: tuple) -> dict:
+    """Generator images on the tensor product of the site representations.
+
+    Without a deformation every generator is summed site by site.  With one,
+    Jz is summed, the group-likes qJz and qJzInv tensor over the sites, and
+    the ladder image at site i is dressed by qJzInv on the sites before it
+    and qJz on those after it, so the images satisfy the same relations as
+    the factors.
+    """
+    dims = tuple(next(iter(rep.generators.values())).shape[0] for rep in reps)
+    zero = np.zeros((int(np.prod(dims, dtype=np.int64)),) * 2, dtype=complex)
+
+    def site_sum(term) -> np.ndarray:
+        # term(i) summed over the sites in order, from a zero D x D
+        return sum((term(i) for i in range(len(reps))), zero)
+
+    if "qJz" not in reps[0].generators:
+        return {label: site_sum(lambda i: embed(reps[i].gen(label), i + 1, dims))
+                for label in reps[0].generators}
+    a, d = [rep.gen("qJz") for rep in reps], [rep.gen("qJzInv") for rep in reps]
+    images = {"Jz": site_sum(lambda i: embed(reps[i].gen("Jz"), i + 1, dims))}
+    for label in ("Jp", "Jm"):
+        images[label] = site_sum(lambda i: kron_all(*d[:i], reps[i].gen(label), *a[i + 1:]))
+    images["qJz"], images["qJzInv"] = kron_all(*a), kron_all(*d)
+    return images
+
+
 def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> Coproduct:
     """Two-site co-product of a q-deformed pair of representations.
 
     The ladder images are Delta(J+-) = qJzInv (x) J+- + J+- (x) qJz and the
     group-like qJz tensors with itself, so the images satisfy the same
-    relations as the factors.  Both factors must share one q.
+    relations as the factors: `ncoproduct` at N = 2 when both sites carry
+    one representation.  Both factors must share one q.
     """
-    ql = rep_left.params.get("q")
-    qr = rep_right.params.get("q")
+    ql, qr = (rep.params.get("q") if "qJz" in rep.generators else None
+              for rep in (rep_left, rep_right))
     if ql is None or qr is None:
         raise ValueError("co-product needs q-deformed representations")
     if abs(complex(ql) - complex(qr)) > 1e-12:
         raise ValueError(f"q mismatch: {ql} vs {qr}")
-    nl = rep_left.gen("Jz").shape[0]
-    nr = rep_right.gen("Jz").shape[0]
-    dims = (nl, nr)
-    images = {
-        "Jz": embed(rep_left.gen("Jz"), 1, dims) + embed(rep_right.gen("Jz"), 2, dims),
-        "qJz": np.kron(rep_left.gen("qJz"), rep_right.gen("qJz")),
-        "qJzInv": np.kron(rep_left.gen("qJzInv"), rep_right.gen("qJzInv")),
-    }
-    for label in ("Jp", "Jm"):
-        images[label] = np.kron(rep_left.gen("qJzInv"), rep_right.gen(label)) + np.kron(
-            rep_left.gen(label), rep_right.gen("qJz")
-        )
-    return Coproduct(rep_left, 2, images)
-
-
-def _site_sum(g, dims) -> np.ndarray:
-    """Sum of the one-site operator g placed on each site in turn."""
-    D = int(np.prod(dims, dtype=np.int64))
-    acc = np.zeros((D, D), dtype=complex)
-    for i in range(1, len(dims) + 1):
-        acc += embed(g, i, dims)
-    return acc
+    return Coproduct(rep_left, 2, _coproduct_images((rep_left, rep_right)))
 
 
 def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
@@ -201,24 +208,7 @@ def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
     """
     if N < 1:
         raise ValueError("need at least one copy")
-    side = next(iter(rep.generators.values())).shape[0]
-    dims = (side,) * N
-    total_dim = side**N
-    images = {}
-    if "qJz" in rep.generators:
-        a, d = rep.gen("qJz"), rep.gen("qJzInv")
-        for label in ("Jp", "Jm"):
-            g = rep.gen(label)
-            acc = np.zeros((total_dim, total_dim), dtype=complex)
-            for i in range(N):
-                acc += kron_all(*([d] * i), g, *([a] * (N - 1 - i)))
-            images[label] = acc
-        images["Jz"] = _site_sum(rep.gen("Jz"), dims)
-        images["qJz"] = kron_all(*([a] * N))
-        images["qJzInv"] = kron_all(*([d] * N))
-    else:
-        images = {label: _site_sum(rep.gen(label), dims) for label in rep.generators}
-    return Coproduct(rep, N, images)
+    return Coproduct(rep, N, _coproduct_images((rep,) * N))
 
 
 def _gens_params(rep) -> tuple:

@@ -466,17 +466,25 @@ def _sector_levels(chain, sectors, points):
 
     The eigenvectors V of each block are those of the transfer matrix at
     the generic probe _EIG_PROBE; Lambda of level j at lambda is
-    (V^-1 t(lambda) V)_jj.
+    (V^-1 t(lambda) V)_jj.  A block that is not finite (mu far off scale)
+    raises ValueError.
     """
-    bases = {}
-    for M, block in _sector_blocks(chain, _EIG_PROBE, sectors).items():
-        vecs = np.linalg.eig(block)[1]
-        bases[M] = (np.linalg.inv(vecs), vecs)
-    table = {M: np.empty((sel.size, len(points)), dtype=complex) for M, sel in sectors.items()}
-    for k, lam in enumerate(points):
-        for M, block in _sector_blocks(chain, lam, sectors).items():
-            inv, vecs = bases[M]
-            table[M][:, k] = np.einsum("ij,ji->i", inv, block @ vecs)
+    def blocks(lam) -> dict:
+        found = _sector_blocks(chain, lam, sectors)
+        if not all(np.isfinite(block).all() for block in found.values()):
+            raise ValueError(f"the transfer matrix at mu = {chain.mu} is not finite")
+        return found
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        bases = {}
+        for M, block in blocks(_EIG_PROBE).items():
+            vecs = np.linalg.eig(block)[1]
+            bases[M] = (np.linalg.inv(vecs), vecs)
+        table = {M: np.empty((sel.size, len(points)), dtype=complex) for M, sel in sectors.items()}
+        for k, lam in enumerate(points):
+            for M, block in blocks(lam).items():
+                inv, vecs = bases[M]
+                table[M][:, k] = np.einsum("ij,ji->i", inv, block @ vecs)
     return table
 
 

@@ -95,6 +95,13 @@ def _zero_residual(x: np.ndarray, scale: float) -> float:
     return float(np.linalg.norm(x) / max(1.0, scale))
 
 
+def _hecke_residual(g: np.ndarray, q: complex) -> float:
+    """Residual of the Hecke condition (g - q)(g + 1/q) = 0, on the scale
+    max(1, |g|)^2."""
+    eye = np.eye(g.shape[0])
+    return _zero_residual((g - q * eye) @ (g + eye / q), max(1.0, float(np.linalg.norm(g))) ** 2)
+
+
 def check_temperley_lieb(fam: BraidFamily) -> dict:
     """Residuals of the Temperley-Lieb relations, keyed by relation.
 
@@ -141,10 +148,7 @@ def check_braid_hecke(fam: BraidFamily) -> dict:
     out = {}
     for i in bulk:
         gi = fam.g(i)
-        scale = max(1.0, float(np.linalg.norm(gi))) ** 2
-        out[f"(g{i} - q)(g{i} + 1/q) = 0"] = _zero_residual(
-            (gi - q * eye) @ (gi + eye / q), scale
-        )
+        out[f"(g{i} - q)(g{i} + 1/q) = 0"] = _hecke_residual(gi, q)
         out[f"g{i} (g{i} - (q - 1/q)) = 1"] = rel_norm(gi @ (gi - (q - 1 / q) * eye), eye)
     for i in bulk[:-1]:
         a, b = fam.g(i), fam.g(i + 1)

@@ -240,17 +240,15 @@ def _perturbed(family, eps: complex):
     return ev
 
 
-def _random_pairs(rng, count: int) -> tuple:
-    """count draws (lambda1, lambda2) in a box, as the two lists of lambdas."""
-    box = rng.uniform(-1.4, 1.4, size=(count, 4))
-    return [complex(a, b) for a, b, _, _ in box], [complex(c, d) for _, _, c, d in box]
-
-
-def _pairs(cfg: dict) -> int:
+def _draws(cfg: dict, seed) -> tuple:
+    """(pairs, perturb, lambda1s, lambda2s): the config's pairs and perturb,
+    and that many draws (lambda1, lambda2) in a box from the seeded generator."""
     pairs = _as_int(cfg.get("pairs", 20), "pairs")
     if not 1 <= pairs <= MAX_PAIRS:
         raise ConfigError(f"pairs must lie in [1, {MAX_PAIRS}]")
-    return pairs
+    eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
+    box = np.random.default_rng(seed).uniform(-1.4, 1.4, size=(pairs, 4))
+    return pairs, eps, [complex(a, b) for a, b, _, _ in box], [complex(c, d) for _, _, c, d in box]
 
 
 def _check(name: str, residual: float, tolerance: float, **params) -> dict:
@@ -287,10 +285,7 @@ def _gauge_gaps(mu: complex, eps: complex, lams: list):
 def _suite_ybe(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
     model = cfg.get("model", "xxz")
-    pairs = _pairs(cfg)
-    eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
-    rng = np.random.default_rng(seed)
-    lam1, lam2 = _random_pairs(rng, pairs)
+    pairs, eps, lam1, lam2 = _draws(cfg, seed)
     families = [("xxx rational R", rmatrix.xxx_family(), False)]
     if model == "xxz":
         hom = rmatrix.xxz_family(mu, "homogeneous")
@@ -327,10 +322,7 @@ def _suite_re(cfg, seed) -> list:
     kappa = _as_complex(cfg.get("kappa", 0.2), "kappa")
     m = _as_complex(cfg.get("m", 0.7), "m")
     gamma = _as_complex(cfg.get("gamma", 0.4), "gamma")
-    pairs = _pairs(cfg)
-    eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
-    rng = np.random.default_rng(seed)
-    lam1, lam2 = _random_pairs(rng, pairs)
+    pairs, eps, lam1, lam2 = _draws(cfg, seed)
     cases = [
         ("identity K, xxz homogeneous", rmatrix.xxz_family(mu, "homogeneous"),
          boundary.k_identity()),
@@ -391,7 +383,6 @@ def _suite_braid(cfg, seed) -> list:
 
 def _suite_frt(cfg, seed) -> list:
     mu = _resolve_mu(cfg)
-    pairs = _pairs(cfg)
     p = _as_int(cfg.get("p", 5), "p")
     if not 2 <= p <= MAX_CYCLIC_ORDER:
         raise ConfigError(f"p must lie in [2, {MAX_CYCLIC_ORDER}]")
@@ -400,9 +391,8 @@ def _suite_frt(cfg, seed) -> list:
         raise ConfigError("k must not be a multiple of p: q = e^{2 pi i k/p} = 1 "
                           "degenerates the cyclic representation")
     s = _as_complex(cfg.get("s", 0.7), "s")
-    eps = _as_complex(cfg.get("perturb", 0.0), "perturb")
-    rng = np.random.default_rng(seed)
-    lam1, lam2 = _random_pairs(rng, pairs)
+    # drawn once p, k and s are valid: the draws are the suite's first work
+    pairs, eps, lam1, lam2 = _draws(cfg, seed)
     q = cmath.exp(1j * mu)
     cases = [
         ("xxx Lax, spin-1/2", rmatrix.xxx_family(), lax.lax_xxx(algebra.sl2_spin_rep(2))),
@@ -440,7 +430,7 @@ def _casimir_entry(spin: float, n: int, q: complex) -> dict:
     multiples of it; with the scalar and the two multiples."""
     rep = algebra.uq_sl2_spin_rep(n, q)
     cas = algebra.casimir_uq(rep)
-    worst = np.max([linalg.comm_norm(cas, rep.gen(g)) for g in ("Jp", "Jm", "qJz")])
+    worst = np.max(linalg.comm_norm(cas, np.stack([rep.gen(g) for g in ("Jp", "Jm", "qJz")])))
     scalar = np.trace(cas) / n
     entry = {"spin": spin, "casimir_scalar": _comp(scalar), "checks": [
         _check("commutes with generators", worst, 1e-10),
@@ -466,9 +456,9 @@ def _suite_symmetry(cfg, seed) -> list:
     chain = boundary.open_chain("xxz", 3, mu, 2, "homogeneous")
     fam = boundary.open_transfer(chain)
     cop = algebra.ncoproduct(algebra.uq_sl2_spin_rep(2, q), 3)
-    tmats = [fam(float(lam)) for lam in rng.uniform(-1.0, 1.0, 5)]
+    tmats = np.stack([fam(float(lam)) for lam in rng.uniform(-1.0, 1.0, 5)])
     for label in ("Jp", "Jm", "qJz"):
-        worst = np.max([linalg.comm_norm(t, cop.image(label)) for t in tmats])
+        worst = np.max(linalg.comm_norm(tmats, cop.image(label)))
         checks.append(_check(f"open transfer commutes with Delta({label})", worst, 1e-10))
     H = boundary.open_hamiltonian(chain)
     model = boundary.uq_invariant_hamiltonian(3, mu)
@@ -650,6 +640,8 @@ def _delta_grid(cfg: dict) -> list:
             raise ConfigError("delta range needs delta_start, delta_stop, delta_steps") from exc
         if not 2 <= steps <= MAX_DELTA_STEPS:
             raise ConfigError(f"delta_steps must lie in [2, {MAX_DELTA_STEPS}]")
+        if not math.isfinite(stop - start):
+            raise ConfigError("delta_stop - delta_start must be finite")
         return [float(d) for d in np.linspace(start, stop, steps)]
     raise ConfigError("phase-scan needs deltas or a delta range")
 
@@ -732,19 +724,21 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="workbench",
+    description="Integrable spin-chain workbench (verification, spectra, "
+                "Bethe roots, phase scans, Casimir asymptotics).",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", default=None, help="output path (default stdout)")
+_PARSER.add_argument("--format", choices=("json", "csv"), default=None)
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--threads", type=int, default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="workbench",
-        description="Integrable spin-chain workbench (verification, spectra, "
-                    "Bethe roots, phase scans, Casimir asymptotics).",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -25,11 +25,8 @@ import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
 from . import linalg
-from .linalg import (
-    MAX_DIM, at_draws, draw_shape, embed, over_draws, per_draw, rel_norm, richardson_derivative,
-    stacking,
-)
-from .rmatrix import braided, r_pm, regularity_constant, xxx_family, xxz_family
+from .linalg import MAX_DIM, draw_shape, embed, per_draw, rel_norm, richardson_derivative, stacking
+from .rmatrix import _rll_residual, braided, r_pm, regularity_constant, xxx_family, xxz_family
 
 
 @dataclass(frozen=True)
@@ -172,21 +169,11 @@ def rll_residual(r_family, lax, lam1, lam2):
 
     lax is any callable lambda -> matrix on aux (x) quantum, with the
     auxiliary dimension sqrt(dim R); the same check therefore serves the
-    monodromy (FRT) relation by passing the monodromy evaluator.  A float
-    for scalar lambdas, one residual per draw for equal-length sequences.
+    monodromy (FRT) relation by passing the monodromy evaluator, and
+    `rmatrix.ybe_residual` is this check with L = R.  A float for scalar
+    lambdas, one residual per draw for equal-length sequences.
     """
-    def evaluate(l1, l2):
-        return at_draws(r_family, l1 - l2), at_draws(lax, l1), at_draws(lax, l2)
-
-    def dims(r, l1m, _):
-        na = round(np.shape(r)[0] ** 0.5)
-        return (na, na, np.shape(l1m)[0] // na)  # aux1 (x) aux2 (x) quantum
-
-    def combine(dims, r, l1m, l2m):
-        r12, a, b = embed(r, (1, 2), dims), embed(l1m, (1, 3), dims), embed(l2m, (2, 3), dims)
-        return rel_norm(r12 @ a @ b, b @ a @ r12)
-
-    return over_draws(evaluate, dims, combine, lam1, lam2)
+    return _rll_residual(r_family, lax, lam1, lam2)
 
 
 def triangular_residuals(rep: AlgebraRep) -> dict:
@@ -660,8 +647,9 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     for bit (only Sz >= 0 is solved).  Only eigenvalues are computed, and no
     2^N x 2^N array is formed.  delta must be real, since H is Hermitian
     only then; the open blocks and the k = 0, N/2 blocks are then real.  A
-    block that is not finite (|delta| near the float range) raises
-    ValueError, and so does an eigensolve that does not converge.
+    delta that is not finite, or a block that is not finite (|delta| near
+    the float range), raises ValueError, and so does an eigensolve that
+    does not converge.
     """
     periodic = _is_periodic(boundary)
     if N < 2:
@@ -671,6 +659,8 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     if abs(complex(delta).imag) > 1e-14:
         raise ValueError("spectrum needs a real delta; a complex one makes H non-Hermitian")
     delta = complex(delta).real
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, not {delta}")
     energy, sz, momentum = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for m, momenta, _, block in _symmetry_blocks(N, delta, periodic):

@@ -5,7 +5,9 @@ and the trigonometric six-vertex R in its two gradations, related by
 conjugation with V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}).  A family
 is a function lambda -> complex ndarray; the residual functions take any
 such callable, so partially applied families and Baxterized braid
-generators all go through the same checks.  The families built here follow
+generators all go through the same checks.  One triple-product check,
+R12 L13 L23 = L23 L13 R12, serves both the Yang-Baxter equation (L = R)
+and the RLL relation of `lax.rll_residual`.  The families built here follow
 the stack convention of `linalg`: a scalar lambda gives a matrix, a 1-D
 array of lambdas the (P, s, s) stack.  Each residual takes scalar spectral
 parameters (one float) or equal-length sequences of them (one residual per
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import coproduct_uq
-from .braid import BraidFamily
+from .braid import BraidFamily, _hecke_residual
 from .linalg import (
     at_draws, comm_norm, draw_shape, embed, mat, over_draws, per_draw, permutation, rel_norm,
     stacking,
@@ -116,26 +118,33 @@ def braided(family):
     return stacking(lambda lam: p @ at_draws(family, lam))
 
 
-def _three_sites(r, *_) -> tuple:
-    # n (x) n (x) n, for the first of a draw's two-site matrices on n (x) n
-    n = round(np.shape(r)[0] ** 0.5)
-    return (n, n, n)
+def _rll_dims(r, l1m, *_) -> tuple:
+    # aux1 (x) aux2 (x) quantum: the auxiliary dimension is sqrt(dim R)
+    na = round(np.shape(r)[0] ** 0.5)
+    return (na, na, np.shape(l1m)[0] // na)
+
+
+def _rll_residual(r_family, lax, lam1, lam2):
+    """Relative residual of R12(l1-l2) L13(l1) L23(l2) = L23(l2) L13(l1) R12(l1-l2)
+    on aux1 (x) aux2 (x) quantum, per draw like over_draws."""
+    def evaluate(l1, l2):
+        return at_draws(r_family, l1 - l2), at_draws(lax, l1), at_draws(lax, l2)
+
+    def combine(dims, r, l1m, l2m):
+        r12, a, b = embed(r, (1, 2), dims), embed(l1m, (1, 3), dims), embed(l2m, (2, 3), dims)
+        return rel_norm(r12 @ a @ b, b @ a @ r12)
+
+    return over_draws(evaluate, _rll_dims, combine, lam1, lam2)
 
 
 def ybe_residual(r_family, lam1, lam2):
     """Relative residual of the Yang-Baxter equation at (lambda1, lambda2, 0).
 
-    R12(l1-l2) R13(l1) R23(l2) = R23(l2) R13(l1) R12(l1-l2) on n^3; a float
-    for scalar lambdas, one residual per draw for equal-length sequences.
+    R12(l1-l2) R13(l1) R23(l2) = R23(l2) R13(l1) R12(l1-l2) on n^3: the RLL
+    relation with L = R.  A float for scalar lambdas, one residual per draw
+    for equal-length sequences.
     """
-    def evaluate(l1, l2):
-        return at_draws(r_family, l1 - l2), at_draws(r_family, l1), at_draws(r_family, l2)
-
-    def combine(dims, rd, r1, r2):
-        r12, r13, r23 = embed(rd, (1, 2), dims), embed(r1, (1, 3), dims), embed(r2, (2, 3), dims)
-        return rel_norm(r12 @ r13 @ r23, r23 @ r13 @ r12)
-
-    return over_draws(evaluate, _three_sites, combine, lam1, lam2)
+    return _rll_residual(r_family, r_family, lam1, lam2)
 
 
 def braided_ybe_residual(rc_family, lam1, lam2):
@@ -151,7 +160,7 @@ def braided_ybe_residual(rc_family, lam1, lam2):
         rhs = embed(r2, (2, 3), dims) @ embed(r1, (1, 2), dims) @ embed(rd, (2, 3), dims)
         return rel_norm(lhs, rhs)
 
-    return over_draws(evaluate, _three_sites, combine, lam1, lam2)
+    return over_draws(evaluate, _rll_dims, combine, lam1, lam2)
 
 
 def regularity_constant(r_family) -> tuple:
@@ -172,13 +181,10 @@ def baxterize(fam: BraidFamily, i: int, lam: complex) -> np.ndarray:
     """
     q = complex(fam.params["q"])
     g = fam.g(i)
-    eye = np.eye(g.shape[0])
-    hecke = np.linalg.norm((g - q * eye) @ (g + eye / q)) / max(
-        1.0, float(np.linalg.norm(g)) ** 2
-    )
+    hecke = _hecke_residual(g, q)
     if hecke > 1e-8:
         raise ValueError(f"generator g{i} fails the Hecke condition: residual {hecke:.2e}")
-    ginv = g - (q - 1 / q) * eye
+    ginv = g - (q - 1 / q) * np.eye(g.shape[0])
     return cmath.exp(lam) * g - cmath.exp(-lam) * ginv
 
 

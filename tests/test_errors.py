@@ -47,6 +47,7 @@ REFUSED = [
     ("TQ fit on M + 1 points", "needs at least 4 points",
      lambda: bethe.tq_roots(np.ones(3), 0.1 * np.arange(3), 4, 0.5, MU, 2)),
     ("braided 3 x 3 family", "equal local dimensions", lambda: rmatrix.braided(lambda lam: np.eye(3))),
+    ("spectrum at delta = nan", "delta must be finite", lambda: lax.spectrum_table(4, float("nan"))),
 ]
 
 
@@ -66,15 +67,17 @@ def test_a_config_without_N_exits_2(tmp_path, capsys, command):
 
 
 def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
-    # mu = 1e308 overflows the TQ system: named as such, with no numpy warning
+    # mu = 1e308 overflows the TQ system, mu = 400i the transfer matrix:
+    # each named as such, with no numpy warning
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 4, "mu": 1e308}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["bethe", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error: the TQ system")
-    assert "not finite" in err
+    for mu, message in ((1e308, "the TQ system"), ([0, 400], "the transfer matrix at mu = 400j")):
+        cfg.write_text(json.dumps({"N": 4, "mu": mu}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bethe", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {message}")
+        assert "not finite" in err
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -84,8 +87,9 @@ def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
     ("spectrum", {"N": 3, "delta": -1e308, "boundary": "open"}),
     ("phase-scan", {"N": 6, "deltas": [1e308]}),
     ("phase-scan", {"N": 4, "deltas": [-1e308], "boundary": "open"}),
+    ("phase-scan", {"N": 4, "delta_start": -1e308, "delta_stop": 1e308, "delta_steps": 3}),
 ], ids=["spectrum-12", "spectrum-12-3e307", "spectrum-4", "spectrum-open-3",
-        "phase-scan-6", "phase-scan-open-4"])
+        "phase-scan-6", "phase-scan-open-4", "phase-scan-range-overflows"])
 def test_a_delta_off_scale_exits_2_with_one_line(tmp_path, capsys, command, obj):
     # the Hamiltonian overflows: refused, with no traceback, no NaN or
     # Infinity energy on stdout and no numpy warning
