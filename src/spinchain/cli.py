@@ -500,7 +500,10 @@ def cmd_verify(cfg: dict, args) -> int:
         raise ConfigError(f"seed must be non-negative, not {lowest}")
     _check_threads(cfg, args)
     try:
-        checks = runner(cfg, seed)
+        # a mu far off scale (say [0, 400]) overflows the matrix products: numpy
+        # raises FloatingPointError, an ArithmeticError, instead of warning
+        with np.errstate(over="raise", invalid="raise"):
+            checks = runner(cfg, seed)
     except (ValueError, ArithmeticError) as exc:  # e.g. q = e^{i mu} = 1, or out of range
         raise ConfigError(f"{suite} suite: {exc}") from exc
     ok = all(c["pass"] for c in checks)
@@ -700,7 +703,8 @@ def cmd_casimir(cfg: dict, args) -> int:
     reps = [_as_spin(spin, "spins", MAX_SITE_DIM) for spin in spins]
     try:
         q = cmath.exp(1j * mu)
-        results = [_casimir_entry(spin, n, q) for spin, n in reps]
+        with np.errstate(over="raise", invalid="raise"):  # as in cmd_verify
+            results = [_casimir_entry(spin, n, q) for spin, n in reps]
     except (ValueError, ArithmeticError) as exc:  # e.g. q = e^{i mu} = 1, or out of range
         raise ConfigError(f"casimir: {exc}") from exc
     ok = all(c["pass"] for entry in results for c in entry["checks"])

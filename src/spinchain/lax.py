@@ -502,19 +502,19 @@ def _xxz_bond(delta: complex) -> np.ndarray:
 
 
 def _bond_moves(bond: np.ndarray, N: int, periodic: bool, basis: np.ndarray):
-    """Yield (amp, target) for each bond (i, i+1) of N equal sites, and the
-    wrap bond (N, 1) when periodic, acting on the basis indices in basis.
+    """Return (amp, target), both of shape (bonds, n*n, basis.size), for the
+    bonds (i, i+1) of N equal sites, then the wrap bond (N, 1) when periodic,
+    acting on the basis indices in basis.
 
-    Row `out` of both arrays holds, per basis index, bond[out, in] for its
-    two local digits `in` and the index whose digits are replaced by out.
+    Row `out` of a bond holds, per basis index, bond[out, in] for its two
+    local digits `in` and the index whose digits are replaced by out.
     """
     n = round(bond.shape[0] ** 0.5)
     outs = np.arange(n * n)[:, None]
-    bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
-    for i, j in bonds:
-        wi, wj = n ** (N - i), n ** (N - j)
-        a, b = basis // wi % n, basis // wj % n
-        yield bond[outs, a * n + b], basis + (outs // n - a) * wi + (outs % n - b) * wj
+    i = np.arange(1, N + 1 if periodic else N)[:, None, None]
+    wi, wj = n ** (N - i), n ** (N - i % N - 1)
+    a, b = basis // wi % n, basis // wj % n
+    return bond[outs, a * n + b], basis + (outs // n - a) * wi + (outs % n - b) * wj
 
 
 def _bond_sum(bond: np.ndarray, N: int, periodic: bool) -> np.ndarray:
@@ -527,10 +527,15 @@ def _bond_sum(bond: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     D = n**N
     total = np.zeros((D, D), dtype=complex)
     cols = np.broadcast_to(np.arange(D), (n * n, D))
-    for amp, target in _bond_moves(bond, N, periodic, np.arange(D)):
+    for amp, target in zip(*_bond_moves(bond, N, periodic, np.arange(D))):
         # within one bond every (row, column) pair occurs once
         total[target, cols] += amp
     return total
+
+
+def _coupling(periodic: bool) -> float:
+    """The bond coupling of xxz_hamiltonian: -1/2, or -1 on the open chain."""
+    return -0.5 if periodic else -1.0
 
 
 def _is_periodic(boundary: str) -> bool:
@@ -548,7 +553,14 @@ def xxz_hamiltonian(N: int, delta: complex, boundary: str = "periodic") -> np.nd
     periodic = _is_periodic(boundary)
     if N < 2:
         raise ValueError("need at least two sites")
-    return _bond_sum((-0.5 if periodic else -1.0) * _xxz_bond(delta), N, periodic)
+    return _bond_sum(_coupling(periodic) * _xxz_bond(delta), N, periodic)
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only, so that no caller can corrupt a cache."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -556,9 +568,7 @@ def sz_sector_indices(N: int, n: int, m: int) -> np.ndarray:
     """Basis indices of the Sz = N(n-1)/2 - m sector of an n^N chain: those
     whose n-ary digits sum to m, as a read-only array built once per (N, n, m)."""
     # one open axis per site, broadcast to the (n,) * N table of digit sums
-    sector = np.flatnonzero(sum(np.ix_(*[np.arange(n)] * N)).ravel() == m)
-    sector.flags.writeable = False
-    return sector
+    return _frozen(np.flatnonzero(sum(np.ix_(*[np.arange(n)] * N)).ravel() == m))[0]
 
 
 @lru_cache(maxsize=None)
@@ -580,10 +590,53 @@ def _symmetry_orbits(N: int, periodic: bool) -> tuple:
     first = orbit.argmin(axis=0)
     back = orbit[1:] == orbit[0]
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, G)
-    tables = orbit.min(axis=0), -first % G, period
-    for table in tables:
-        table.flags.writeable = False
-    return (G, *tables)
+    return (G, *_frozen(orbit.min(axis=0), -first % G, period))
+
+
+@lru_cache(maxsize=None)
+def _symmetry_skeleton(N: int, periodic: bool) -> tuple:
+    """The part of every `_symmetry_blocks` block that delta does not
+    change, as read-only arrays built once per (N, periodic): G, the cos and
+    sin tables of the phases 2 pi k l / G, k = 0 ... G//2, and per sector
+    m = 0 ... N//2 the tuple (L, cells, flips, bins, scale, zz, blocks):
+
+    - L, the number of orbit representatives;
+    - flips, the nonzero terms of the delta-free bond sx sx + sy sy, in
+      bond order, and bins, the index in cells of each one's flat
+      (l, row, col) position in the (G, L, L) terms;
+    - scale, sqrt(R_a / R_b) at each cell;
+    - zz, the sign of sz sz per bond (row) and representative (column),
+      as int8;
+    - blocks, the (momenta, reps, keep) of each block with a state: the
+      block keeps the rows and columns keep of the sector's L.
+    """
+    G, rep, dist, period = _symmetry_orbits(N, periodic)
+    angles = 2 * np.pi * (np.outer(np.arange(G // 2 + 1), np.arange(G)) % G) / G
+    hop = _coupling(periodic) * _xxz_bond(0.0).real
+    sz_sz = np.kron(_PAULI["z"], _PAULI["z"]).real
+    sectors = []
+    for m in range(N // 2 + 1):
+        sector = sz_sector_indices(N, 2, m)
+        reps = sector[rep[sector] == sector]
+        L, R = reps.size, period[reps]
+        amp, target = _bond_moves(hop, N, periodic, reps)
+        hit = amp != 0  # XXZ keeps Sz, and so does g: every target lies in the sector
+        # one bond sends a column to distinct t, and t = g^l b fixes (l, b)
+        t, col = target[hit], np.nonzero(hit)[2]
+        cells, bins = np.unique((dist[t] * L + np.searchsorted(reps, rep[t])) * L + col,
+                                return_inverse=True)
+        row, col = cells // L % L, cells % L
+        # sz sz is diagonal: one nonzero out of the n*n per bond and column
+        zz = _bond_moves(sz_sz, N, periodic, reps)[0].sum(axis=1).astype(np.int8)
+        blocks = []
+        for k in range(G // 2 + 1):
+            keep = np.flatnonzero(k * R % G == 0)
+            if keep.size:
+                momenta = (k,) if 2 * k % G == 0 else (k, G - k)
+                blocks.append((momenta, *_frozen(reps[keep], keep)))
+        tables = _frozen(cells, amp[hit], bins, np.sqrt(R[col] / R[row]), zz)
+        sectors.append((L, *tables, tuple(blocks)))
+    return (G, *_frozen(np.cos(angles), np.sin(angles)), tuple(sectors))
 
 
 def _symmetry_blocks(N: int, delta: float, periodic: bool):
@@ -600,38 +653,38 @@ def _symmetry_blocks(N: int, delta: float, periodic: bool):
     conjugate of the k block, on the same reps, with the same eigenvalues:
     only k = 0 ... G//2 are built, and momenta is (k, G - k), or (k,) for
     the real blocks k = 0 and k = G/2.  Every block of a sector comes from
-    the two real products cos @ terms and sin @ terms.
+    the two real products cos @ terms and sin @ terms (only the first when
+    G = 2, where every block is real), where terms[l] holds the bond terms
+    with t = g^l b.
+
+    Only the diagonal of terms[0] depends on delta: the flip terms, their
+    cells and scales, and the blocks' reps come from `_symmetry_skeleton`,
+    built once per (N, periodic).  One bincount sums each cell's flips in
+    bond order, and the diagonal is the bond-order sum of the sz sz terms
+    (none at delta = 0, as zero terms were never added), so every block is
+    bit-identical to adding the nonzero bond terms one bond at a time.  A
+    block is cut from row k of the products after the elementwise complex
+    sum; a block that keeps every representative is that row.
 
     Only the sectors m = 0 ... N//2 are built.  The spin flip F = prod sx
     maps sector m onto sector N - m, keeps H and commutes with g, so the
     N - m blocks are F-images of these, k for k, with the same levels.
     """
-    G, rep, dist, period = _symmetry_orbits(N, periodic)
-    bond = (-0.5 if periodic else -1.0) * _xxz_bond(delta).real
-    angles = 2 * np.pi * (np.outer(np.arange(G // 2 + 1), np.arange(G)) % G) / G
-    cos, sin = np.cos(angles), np.sin(angles)
-    for m in range(N // 2 + 1):
-        sector = sz_sector_indices(N, 2, m)
-        reps = sector[rep[sector] == sector]
-        L, R = reps.size, period[reps]
-        cols = np.broadcast_to(np.arange(L), (4, L))
-        terms = np.zeros((G, L, L))  # terms[l]: the bond terms with t = g^l b
-        for amp, target in _bond_moves(bond, N, periodic, reps):
-            hit = amp != 0  # XXZ keeps Sz, and so does g: every target lies in the sector
-            # one bond sends a column to distinct t, and t = g^l b fixes (l, b)
-            t = target[hit]
-            terms[dist[t], np.searchsorted(reps, rep[t]), cols[hit]] += amp[hit]
-        terms *= np.sqrt(R / R[:, None])
-        re, im = np.tensordot(cos, terms, axes=1), np.tensordot(sin, terms, axes=1)
-        for k in range(G // 2 + 1):
-            keep = k * R % G == 0
-            if not keep.any():
-                continue
-            sub = np.ix_(keep, keep)
-            if 2 * k % G == 0:
-                yield m, (k,), reps[keep], re[k][sub]
-            else:
-                yield m, (k, G - k), reps[keep], re[k][sub] + 1j * im[k][sub]
+    G, cos, sin, sectors = _symmetry_skeleton(N, periodic)
+    z = _coupling(periodic) * delta  # each bond's sz sz term, times its sign
+    for m, (L, cells, flips, bins, scale, zz, blocks) in enumerate(sectors):
+        terms = np.zeros(G * L * L)
+        terms[cells] = np.bincount(bins, flips, minlength=cells.size) * scale
+        if z != 0:
+            # a running sum, one bond at a time; R_a / R_a = 1 on the diagonal
+            terms[: L * L : L + 1] = np.cumsum(zz * z, axis=0)[-1]
+        terms = terms.reshape(G, L, L)
+        re = np.tensordot(cos, terms, axes=1)
+        im = np.tensordot(sin, terms, axes=1) if G > 2 else None
+        for momenta, reps, keep in blocks:
+            k = momenta[0]
+            block = re[k] if len(momenta) == 1 else re[k] + 1j * im[k]
+            yield m, momenta, reps, block if keep.size == L else block.take(keep, 0).take(keep, 1)
 
 
 def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
@@ -645,11 +698,14 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     threshold; one eigensolve serves the conjugate k and N - k blocks, and
     the spin-flipped -Sz block with the same k, whose levels are equal bit
     for bit (only Sz >= 0 is solved).  Only eigenvalues are computed, and no
-    2^N x 2^N array is formed.  delta must be real, since H is Hermitian
-    only then; the open blocks and the k = 0, N/2 blocks are then real.  A
-    delta that is not finite, or a block that is not finite (|delta| near
-    the float range), raises ValueError, and so does an eigensolve that
-    does not converge.
+    2^N x 2^N array is formed.  The delta-free part of the blocks is built
+    on the first call at a given (N, boundary) and kept for the process
+    (`_symmetry_skeleton`), so a scan over delta at one N pays for it
+    once; later calls only sum the sz sz diagonal and form the blocks.
+    delta must be real, since H is Hermitian only then; the open blocks and
+    the k = 0, N/2 blocks are then real.  A delta that is not finite, or a
+    block that is not finite (|delta| near the float range), raises
+    ValueError, and so does an eigensolve that does not converge.
     """
     periodic = _is_periodic(boundary)
     if N < 2:
@@ -672,9 +728,10 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
             for label in labels:
                 for k in momenta:
                     energy.append(energies)
-                    sz.append(np.full(energies.size, label))
-                    momentum.append(np.full(energies.size, k))
-    energy, sz, momentum = (np.concatenate(column) for column in (energy, sz, momentum))
+                    sz.append(label)
+                    momentum.append(k)
+    sizes = [energies.size for energies in energy]
+    energy, sz, momentum = np.concatenate(energy), np.repeat(sz, sizes), np.repeat(momentum, sizes)
     # stable, so equal (energy, sz, momentum) keep their block order
     order = np.lexsort((momentum, sz, energy))
     energy, sz = energy[order].tolist(), sz[order].tolist()

@@ -10,7 +10,10 @@ verify suites pay for one allocation and one index assignment, not for a
 Kronecker product and a transpose.  Nearest-neighbour Hamiltonians are the
 exception to embed: the lax module writes their bond terms by basis-index
 arithmetic, into the full matrix or into the symmetry-orbit blocks of one
-Sz sector, so a spectrum at the cap never holds a 4096 x 4096 array.
+Sz sector, so a spectrum at the cap never holds a 4096 x 4096 array.  The
+orbit blocks' flip terms, their places and the orbit scales do not depend
+on the anisotropy delta and are indexed once per chain length and
+boundary; each delta only sums the diagonal sz sz terms.
 
 The identity checks of the verify suites run over whole lists of spectral
 draws, on one convention: a scalar lambda gives a matrix, a 1-D array of

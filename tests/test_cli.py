@@ -528,7 +528,8 @@ def test_spectrum_and_phase_scan_byte_identical_on_repeat_runs(tmp_path, capsys,
     ("spectrum", {"N": 12, "delta": 0.37}, []),
     ("spectrum", {"N": 10, "delta": -0.6, "boundary": "open"}, []),
     ("verify", {"suite": "re", "mu": 0.3}, ["--seed", "7"]),
-], ids=["bethe-6-half", "bethe-4-one", "spectrum-12", "spectrum-open-10", "verify-re"])
+    ("phase-scan", {"N": 12, "delta_start": -2.0, "delta_stop": 2.0, "delta_steps": 41}, []),
+], ids=["bethe-6-half", "bethe-4-one", "spectrum-12", "spectrum-open-10", "verify-re", "phase-scan-12"])
 def test_stdout_byte_identical_across_blas_threads(tmp_path, command, obj, flags):
     # --threads is ignored; the BLAS thread count is set by the environment.
     # Validated (8, 1/2) is left out: the last bits of its roots and

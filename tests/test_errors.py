@@ -1,6 +1,7 @@
 """Reachable error branches: each invalid input is refused with ValueError
 by its own check, and the CLI names a missing required key, an off-scale
-bethe chain and an off-scale spectrum or phase-scan delta."""
+bethe chain, an off-scale verify or casimir mu and an off-scale spectrum or
+phase-scan delta."""
 
 import json
 import warnings
@@ -78,6 +79,23 @@ def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"config error: {message}")
         assert "not finite" in err
+
+
+@pytest.mark.parametrize("command, obj", [
+    *[("verify", {"suite": suite, "mu": [0, 400]}) for suite in ("ybe", "re", "braid", "frt", "symmetry")],
+    ("casimir", {"mu": [0, 400]}),
+], ids=["ybe", "re", "braid", "frt", "symmetry", "casimir"])
+def test_a_complex_mu_off_scale_exits_2_with_one_line(tmp_path, capsys, command, obj):
+    # q = e^{i mu} = e^-400 overflows the matrix products: a config error,
+    # with no RuntimeWarning and no NaN residual on stdout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("command, obj", [

@@ -787,21 +787,31 @@ def test_one_eigensolve_per_block_and_no_negative_sz_sector(N, boundary, monkeyp
     assert calls == [block.shape for *_, block in blocks]
 
 
+def _same_cache(cached, fresh):
+    # equal to a fresh build, arrays bit for bit and read-only, so no caller
+    # can corrupt the cache
+    if isinstance(cached, np.ndarray):
+        assert cached.dtype == fresh.dtype and cached.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            cached[(0,) * cached.ndim] = 1
+    elif isinstance(cached, tuple):
+        assert len(cached) == len(fresh)
+        for a, b in zip(cached, fresh):
+            _same_cache(a, b)
+    else:
+        assert cached == fresh
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_cached_orbits_build_the_uncached_blocks(boundary):
     periodic = boundary == "periodic"
     for N in range(2, 11):
         lax._symmetry_orbits.cache_clear()
+        lax._symmetry_skeleton.cache_clear()
         cold = list(lax._symmetry_blocks(N, -0.7, periodic))
-        G, *cached = lax._symmetry_orbits(N, periodic)
-        G_fresh, *fresh = lax._symmetry_orbits.__wrapped__(N, periodic)
-        # equal to a fresh build, and read-only, so no caller can corrupt the cache
-        assert G == G_fresh
-        for table, want in zip(cached, fresh):
-            assert _bit_identical(table, want)
-            with pytest.raises(ValueError):
-                table[0] = 1
-        rep = cached[0]
+        _same_cache(lax._symmetry_orbits(N, periodic), lax._symmetry_orbits.__wrapped__(N, periodic))
+        _same_cache(lax._symmetry_skeleton(N, periodic), lax._symmetry_skeleton.__wrapped__(N, periodic))
+        rep = lax._symmetry_orbits(N, periodic)[1]
         warm = list(lax._symmetry_blocks(N, -0.7, periodic))
         assert len(cold) == len(warm)
         for (m, momenta, reps, block), (m2, momenta2, reps2, block2) in zip(cold, warm):
@@ -813,6 +823,80 @@ def test_cached_orbits_build_the_uncached_blocks(boundary):
         assert sorted(firsts) == list(range(N // 2 + 1))
         for m, reps in firsts.items():
             assert reps.tolist() == [x for x in range(2**N) if rep[x] == x and bin(x).count("1") == m]
+
+
+def _per_bond_blocks(N, delta, periodic):
+    # the blocks built one bond at a time: each bond's terms of H|a>,
+    # delta's included, scattered into terms[l, row b, column a], t = g^l b
+    G, rep, dist, period = lax._symmetry_orbits(N, periodic)
+    bond = (-0.5 if periodic else -1.0) * lax._xxz_bond(delta).real
+    angles = 2 * np.pi * (np.outer(np.arange(G // 2 + 1), np.arange(G)) % G) / G
+    cos, sin = np.cos(angles), np.sin(angles)
+    bonds = [(i, i + 1) for i in range(1, N)] + ([(N, 1)] if periodic else [])
+    outs = np.arange(4)[:, None]
+    for m in range(N // 2 + 1):
+        sector = sc.sz_sector_indices(N, 2, m)
+        reps = sector[rep[sector] == sector]
+        L, R = reps.size, period[reps]
+        cols = np.broadcast_to(np.arange(L), (4, L))
+        terms = np.zeros((G, L, L))
+        for i, j in bonds:
+            wi, wj = 2 ** (N - i), 2 ** (N - j)
+            a, b = reps // wi % 2, reps // wj % 2
+            amp, target = bond[outs, 2 * a + b], reps + (outs // 2 - a) * wi + (outs % 2 - b) * wj
+            hit = amp != 0
+            t = target[hit]
+            terms[dist[t], np.searchsorted(reps, rep[t]), cols[hit]] += amp[hit]
+        terms *= np.sqrt(R / R[:, None])
+        re, im = np.tensordot(cos, terms, axes=1), np.tensordot(sin, terms, axes=1)
+        for k in range(G // 2 + 1):
+            keep = k * R % G == 0
+            if keep.any():
+                sub = np.ix_(keep, keep)
+                if 2 * k % G == 0:
+                    yield m, (k,), reps[keep], re[k][sub]
+                else:
+                    yield m, (k, G - k), reps[keep], re[k][sub] + 1j * im[k][sub]
+
+
+def _same_blocks(got, want):
+    assert len(got) == len(want)
+    for (m, momenta, reps, block), (m2, momenta2, reps2, block2) in zip(got, want):
+        assert (m, momenta, reps.tolist()) == (m2, momenta2, reps2.tolist())
+        assert block.dtype == block2.dtype and block.shape == block2.shape
+        assert block.tobytes() == block2.tobytes()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("delta", [0.0, -0.0, 0.37, -0.7, 1.0, -1.0, 2.5])
+def test_skeleton_blocks_equal_the_per_bond_scatter(delta, boundary):
+    # bit for bit, signs of zeros included: cold, with the skeleton built by
+    # this call, and warm, after a call at another delta
+    periodic = boundary == "periodic"
+    for N in range(2, 13):
+        want = list(_per_bond_blocks(N, delta, periodic))
+        lax._symmetry_skeleton.cache_clear()
+        _same_blocks(list(lax._symmetry_blocks(N, delta, periodic)), want)
+        list(lax._symmetry_blocks(N, 0.9, periodic))
+        _same_blocks(list(lax._symmetry_blocks(N, delta, periodic)), want)
+
+
+def test_skeleton_cache_stays_small():
+    # indices and amplitudes only, about 0.4 MB at N = 12 over both
+    # boundaries; the dense (G, L, L) terms of each sector would take MBs
+    for periodic in (True, False):
+        lax._symmetry_orbits(12, periodic)
+    for m in range(7):
+        sc.sz_sector_indices(12, 2, m)
+    lax._symmetry_skeleton.cache_clear()
+    tracemalloc.start()
+    try:
+        for periodic in (True, False):
+            lax._symmetry_skeleton(12, periodic)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**19
 
 
 @pytest.mark.parametrize("N", [-1, 0, 1])
