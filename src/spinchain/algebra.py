@@ -99,6 +99,9 @@ def uq_sl2_spin_rep(n: int, q: complex) -> AlgebraRep:
     q = complex(q)
     if q == 0:
         raise ValueError("q must be nonzero")
+    # the q-numbers need q^{+-(n-1)}, finite and nonzero while (n-1) |log|q|| < log(max float)
+    if not cmath.isfinite(q) or (n - 1) * abs(cmath.log(q).real) >= math.log(np.finfo(float).max):
+        raise ValueError(f"q = {q} is off scale for dimension {n}: q^+-{n - 1} is zero or not finite")
     for order in range(1, n):
         # a root of unity of order < n kills a ladder entry
         if abs(q**order - 1) < 1e-12:

@@ -3,8 +3,10 @@ Bethe roots, anisotropy phase scans and Casimir asymptotics.
 
 Every command reads one JSON object from --config, writes JSON (or CSV where
 a fixed table is defined) and exits 0 on success, 1 when a verification
-check fails, 2 on usage or config errors.  No numerical logic lives here;
-identical config and seed produce byte-identical JSON.
+check fails, 2 on usage or config errors.  Every error that the library
+raises on a config's values (a ValueError or an ArithmeticError) exits 2
+with one `config error:` line, mapped in one place, `main`.  No numerical
+logic lives here; identical config and seed produce byte-identical JSON.
 
 The JSON is json.dumps(payload, sort_keys=True, indent=2), byte for byte,
 but written by `_dumps` in one pass of the C encoder, which json.dumps
@@ -139,9 +141,7 @@ def _resolve_mu(cfg: dict, default: complex = 0.3) -> complex:
     if "delta" in cfg and "mu" in cfg:
         raise ConfigError("supply either delta or mu, not both")
     if "delta" in cfg:
-        delta = _as_complex(cfg["delta"], "delta")
-        mu = cmath.acos(delta)
-        return mu
+        return cmath.acos(_as_complex(cfg["delta"], "delta"))
     if "mu" in cfg:
         return _as_complex(cfg["mu"], "mu")
     return complex(default)
@@ -499,13 +499,10 @@ def cmd_verify(cfg: dict, args) -> int:
     if lowest < 0:
         raise ConfigError(f"seed must be non-negative, not {lowest}")
     _check_threads(cfg, args)
-    try:
-        # a mu far off scale (say [0, 400]) overflows the matrix products: numpy
-        # raises FloatingPointError, an ArithmeticError, instead of warning
-        with np.errstate(over="raise", invalid="raise"):
-            checks = runner(cfg, seed)
-    except (ValueError, ArithmeticError) as exc:  # e.g. q = e^{i mu} = 1, or out of range
-        raise ConfigError(f"{suite} suite: {exc}") from exc
+    # a mu far off scale (say [0, 400]) overflows the matrix products: numpy
+    # raises FloatingPointError, an ArithmeticError, instead of warning
+    with np.errstate(over="raise", invalid="raise"):
+        checks = runner(cfg, seed)
     ok = all(c["pass"] for c in checks)
     payload = {
         "schema": SCHEMA,
@@ -529,10 +526,7 @@ def cmd_spectrum(cfg: dict, args) -> int:
     if "delta" in cfg and "mu" not in cfg:
         delta = _as_complex(cfg["delta"], "delta")
     else:  # _resolve_mu refuses delta and mu together
-        try:
-            delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
-        except OverflowError as exc:
-            raise ConfigError(f"cos(mu) is out of range: {exc}") from exc
+        delta = cmath.cos(_resolve_mu(cfg, default=cmath.acos(0.5)))
     if abs(delta.imag) > 1e-14:
         raise ConfigError("spectrum needs a real delta (a real mu); H is not Hermitian otherwise")
     delta = delta.real
@@ -544,10 +538,7 @@ def cmd_spectrum(cfg: dict, args) -> int:
             for rec in levels:
                 rec["momentum"] = 0
     else:
-        try:
-            levels = lax.spectrum_table(N, delta, boundary_kind)
-        except ValueError as exc:  # H not finite, or LinAlgError: no convergence
-            raise ConfigError(str(exc)) from exc
+        levels = lax.spectrum_table(N, delta, boundary_kind)
     payload = {
         "schema": SCHEMA,
         "command": "spectrum",
@@ -591,8 +582,8 @@ def cmd_bethe(cfg: dict, args) -> int:
         raise ConfigError(f"N and s must keep the Hilbert dimension (2s+1)^N within {linalg.MAX_DIM}")
     if validate and n**N > VALIDATE_DIM:
         raise ConfigError(
-            f"validated bethe needs (2s+1)^N <= {VALIDATE_DIM} (its dense ED takes minutes "
-            f"there already); validate: false allows {linalg.MAX_DIM}"
+            f"validated bethe needs (2s+1)^N <= {VALIDATE_DIM} (one probe pass's image is "
+            f"D x D); validate: false allows {linalg.MAX_DIM}"
         )
     if M is not None and not 0 <= M <= (n - 1) * N:
         raise ConfigError(f"M must lie in [0, 2sN] = [0, {(n - 1) * N}]")
@@ -607,19 +598,14 @@ def cmd_bethe(cfg: dict, args) -> int:
     }
     if not validate and M is None:
         raise ConfigError("bethe without validation needs M")
-    try:
-        if validate:
-            report = bethe.validate_against_ed(
-                N, s, mu, M_range=None if M is None else [M], rtol=rtol
-            )
-            payload["report"] = report
-            ok = report["mismatched_solutions"] == 0
-        else:
-            sols = bethe.solve_bae(N, s, mu, M)
-            payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
-            ok = True
-    except (ValueError, OverflowError) as exc:  # OverflowError: q = e^{i mu} out of range
-        raise ConfigError(str(exc)) from exc
+    if validate:
+        report = bethe.validate_against_ed(N, s, mu, M_range=None if M is None else [M], rtol=rtol)
+        payload["report"] = report
+        ok = report["mismatched_solutions"] == 0
+    else:
+        sols = bethe.solve_bae(N, s, mu, M)
+        payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
+        ok = True
     payload["status"] = "ok" if ok else "fail"
     _emit(payload, None, args, "json")
     return 0 if ok else 1
@@ -676,10 +662,7 @@ def cmd_phase_scan(cfg: dict, args) -> int:
             "sz_abs": max(abs(rec["sz"]) for rec in ground),
         }
 
-    try:
-        table = [scan(delta) for delta in grid]
-    except ValueError as exc:  # H not finite, or LinAlgError: no convergence
-        raise ConfigError(str(exc)) from exc
+    table = [scan(delta) for delta in grid]
     payload = {
         "schema": SCHEMA,
         "command": "phase-scan",
@@ -701,12 +684,9 @@ def cmd_casimir(cfg: dict, args) -> int:
     if not isinstance(spins, list) or not spins:
         raise ConfigError("spins must be a non-empty list")
     reps = [_as_spin(spin, "spins", MAX_SITE_DIM) for spin in spins]
-    try:
-        q = cmath.exp(1j * mu)
-        with np.errstate(over="raise", invalid="raise"):  # as in cmd_verify
-            results = [_casimir_entry(spin, n, q) for spin, n in reps]
-    except (ValueError, ArithmeticError) as exc:  # e.g. q = e^{i mu} = 1, or out of range
-        raise ConfigError(f"casimir: {exc}") from exc
+    q = cmath.exp(1j * mu)
+    with np.errstate(over="raise", invalid="raise"):  # as in cmd_verify
+        results = [_casimir_entry(spin, n, q) for spin, n in reps]
     ok = all(c["pass"] for entry in results for c in entry["checks"])
     payload = {
         "schema": SCHEMA,
@@ -743,10 +723,11 @@ _PARSER.add_argument("--threads", type=int, default=None)
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # the one mapping of library errors to exit 2 (LinAlgError is a ValueError)
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraRep, cyclic_rep, q_oscillator_rep, sl2_spin_rep, uq_sl2_spin_rep
-from . import linalg
+from . import linalg, rmatrix
 from .linalg import MAX_DIM, draw_shape, embed, per_draw, rel_norm, richardson_derivative, stacking
 from .rmatrix import _rll_residual, braided, r_pm, regularity_constant, xxx_family, xxz_family
 
@@ -177,25 +177,20 @@ def rll_residual(r_family, lax, lam1, lam2):
 
 
 def triangular_residuals(rep: AlgebraRep) -> dict:
-    """Exchange relations of the triangular Lax pair with (R+, R-).
-
-    Also checks the spectral rebuild e^l L+ - e^{-l} L- = 2 L^h(l) at
-    l = 0.37.
-    """
+    """Exchange relations of the triangular Lax pair with (R+, R-): the RLL
+    defect `rmatrix._rll_gap` of (R+; L+, L+), (R-; L-, L-) and (R+; L+, L-),
+    and the spectral rebuild e^l L+ - e^{-l} L- = 2 L^h(l) at l = 0.37."""
     probe = 0.37
     q = complex(rep.params["q"])
     rp, rm = r_pm(q)
     lp, lm = lax_xxz_pm(rep)
-    dims = (2, 2, lp.shape[0] // 2)
-    rp12, rm12 = embed(rp, (1, 2), dims), embed(rm, (1, 2), dims)
-    lp1, lp2 = embed(lp, (1, 3), dims), embed(lp, (2, 3), dims)
-    lm1, lm2 = embed(lm, (1, 3), dims), embed(lm, (2, 3), dims)
+    dims = rmatrix._rll_dims(rp, lp)
     lh = lax_xxz(rep, "homogeneous")(probe)
     rebuild = cmath.exp(probe) * lp - cmath.exp(-probe) * lm
     return {
-        "R+ L+1 L+2 = L+2 L+1 R+": rel_norm(rp12 @ lp1 @ lp2, lp2 @ lp1 @ rp12),
-        "R- L-1 L-2 = L-2 L-1 R-": rel_norm(rm12 @ lm1 @ lm2, lm2 @ lm1 @ rm12),
-        "R+ L+1 L-2 = L-2 L+1 R+": rel_norm(rp12 @ lp1 @ lm2, lm2 @ lp1 @ rp12),
+        "R+ L+1 L+2 = L+2 L+1 R+": rmatrix._rll_gap(dims, rp, lp, lp),
+        "R- L-1 L-2 = L-2 L-1 R-": rmatrix._rll_gap(dims, rm, lm, lm),
+        "R+ L+1 L-2 = L-2 L+1 R+": rmatrix._rll_gap(dims, rp, lp, lm),
         "e^l L+ - e^-l L- = 2 L^h(l)": rel_norm(rebuild, 2 * lh),
     }
 
@@ -347,7 +342,8 @@ def _apply_monodromy(laxes: list, state: np.ndarray, reverse: bool = False) -> N
 
 def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.ndarray:
     """read(state) of every column block of vec (a (D,) vector, a (D, L)
-    batch, or None for the D unit columns), joined along its last axis.  A
+    batch, or None for the D unit columns), joined along its last axis; the
+    first block's read fixes the shape, and L = 0 runs one empty block.  A
     block's (2, D, C, w) state holds its columns on aux input inputs[c] of
     copy c and goes through the reversed pass of mirrored, if any, and the
     pass of laxes; blocks are as wide as keeps it near linalg.BLOCK_ENTRIES.
@@ -366,15 +362,11 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
         _apply_monodromy(laxes, state.reshape(2, D, -1))
         return read(state)
 
-    if L <= width:
-        # one block: its read is the output; a copy only where the read is a
-        # view, which would keep the whole state alive
-        out = np.ascontiguousarray(apply(0, L))
-    else:
-        # the output shape is that of the read of a state with no columns
-        out = np.empty(read(np.zeros((2, D, len(inputs), 0))).shape[:-1] + (L,), dtype=complex)
-        for start in range(0, L, width):
-            out[..., start:start + width] = apply(start, min(width, L - start))
+    for start in range(0, max(L, 1), width):
+        part = apply(start, min(width, L - start))
+        if start == 0:
+            out = np.empty(part.shape[:-1] + (L,), dtype=complex)
+        out[..., start:start + width] = part
     return out if cols is None else out.reshape(len(out), *np.shape(vec)[1:])
 
 

@@ -5,9 +5,10 @@ and the trigonometric six-vertex R in its two gradations, related by
 conjugation with V(lambda) = diag(e^{lambda/2}, e^{-lambda/2}).  A family
 is a function lambda -> complex ndarray; the residual functions take any
 such callable, so partially applied families and Baxterized braid
-generators all go through the same checks.  One triple-product check,
-R12 L13 L23 = L23 L13 R12, serves both the Yang-Baxter equation (L = R)
-and the RLL relation of `lax.rll_residual`.  The families built here follow
+generators all go through the same checks.  One triple-product defect,
+`_rll_gap` of R12 L13 L23 = L23 L13 R12, serves the Yang-Baxter equation
+(L = R), the RLL relation of `lax.rll_residual` and the triangular FRT
+relations of `lax.triangular_residuals`.  The families built here follow
 the stack convention of `linalg`: a scalar lambda gives a matrix, a 1-D
 array of lambdas the (P, s, s) stack.  Each residual takes scalar spectral
 parameters (one float) or equal-length sequences of them (one residual per
@@ -124,17 +125,19 @@ def _rll_dims(r, l1m, *_) -> tuple:
     return (na, na, np.shape(l1m)[0] // na)
 
 
+def _rll_gap(dims, r, l13, l23):
+    """rel_norm(R12 L13 L23, L23 L13 R12) of matrices or (P, s, s) stacks on dims."""
+    r12, a, b = embed(r, (1, 2), dims), embed(l13, (1, 3), dims), embed(l23, (2, 3), dims)
+    return rel_norm(r12 @ a @ b, b @ a @ r12)
+
+
 def _rll_residual(r_family, lax, lam1, lam2):
-    """Relative residual of R12(l1-l2) L13(l1) L23(l2) = L23(l2) L13(l1) R12(l1-l2)
-    on aux1 (x) aux2 (x) quantum, per draw like over_draws."""
+    """_rll_gap of R12(l1-l2) L13(l1) L23(l2) = L23(l2) L13(l1) R12(l1-l2) on
+    aux1 (x) aux2 (x) quantum, per draw like over_draws."""
     def evaluate(l1, l2):
         return at_draws(r_family, l1 - l2), at_draws(lax, l1), at_draws(lax, l2)
 
-    def combine(dims, r, l1m, l2m):
-        r12, a, b = embed(r, (1, 2), dims), embed(l1m, (1, 3), dims), embed(l2m, (2, 3), dims)
-        return rel_norm(r12 @ a @ b, b @ a @ r12)
-
-    return over_draws(evaluate, _rll_dims, combine, lam1, lam2)
+    return over_draws(evaluate, _rll_dims, _rll_gap, lam1, lam2)
 
 
 def ybe_residual(r_family, lam1, lam2):

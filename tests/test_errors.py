@@ -1,7 +1,7 @@
 """Reachable error branches: each invalid input is refused with ValueError
 by its own check, and the CLI names a missing required key, an off-scale
-bethe chain, an off-scale verify or casimir mu and an off-scale spectrum or
-phase-scan delta."""
+bethe chain, an off-scale mu of every command that takes one and an
+off-scale spectrum or phase-scan delta."""
 
 import json
 import warnings
@@ -21,6 +21,8 @@ REFUSED = [
      lambda: algebra.AlgebraRep("mixed", {"a": np.eye(2), "b": np.eye(3)}, {})),
     ("sl2 in dimension 0", "dimension must be", lambda: algebra.sl2_spin_rep(0)),
     ("Uq(sl2) in dimension 0", "dimension must be", lambda: algebra.uq_sl2_spin_rep(0, Q)),
+    ("Uq(sl2) spin 1 at q = e^-400", r"q = .* is off scale for dimension 3",
+     lambda: algebra.uq_sl2_spin_rep(3, np.exp(-400))),
     ("co-product of undeformed reps", "q-deformed", lambda: algebra.coproduct_uq(SL2, SL2)),
     ("zero-fold co-product", "at least one copy", lambda: algebra.ncoproduct(SL2, 0)),
     ("unknown pseudo-vacuum", "pseudo-vacuum",
@@ -84,10 +86,13 @@ def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("command, obj", [
     *[("verify", {"suite": suite, "mu": [0, 400]}) for suite in ("ybe", "re", "braid", "frt", "symmetry")],
     ("casimir", {"mu": [0, 400]}),
-], ids=["ybe", "re", "braid", "frt", "symmetry", "casimir"])
+    ("bethe", {"N": 3, "s": 1, "mu": [0, 400]}),
+    ("spectrum", {"N": 4, "mu": [0, 800]}),
+], ids=["ybe", "re", "braid", "frt", "symmetry", "casimir", "bethe-spin-1", "spectrum"])
 def test_a_complex_mu_off_scale_exits_2_with_one_line(tmp_path, capsys, command, obj):
-    # q = e^{i mu} = e^-400 overflows the matrix products: a config error,
-    # with no RuntimeWarning and no NaN residual on stdout
+    # q = e^{i mu} = e^-400 overflows the matrix products, or q^-2 the spin-1
+    # ladder, and cos(mu) overflows at mu = 800i: a config error, with no
+    # RuntimeWarning and no NaN residual on stdout
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
     with warnings.catch_warnings():
@@ -96,6 +101,8 @@ def test_a_complex_mu_off_scale_exits_2_with_one_line(tmp_path, capsys, command,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("config error: ")
+    if obj.get("suite") == "frt" or obj.get("s") == 1:
+        assert err.startswith("config error: q = ")
 
 
 @pytest.mark.parametrize("command, obj", [

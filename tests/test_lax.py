@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinchain as sc
-from spinchain import lax
+from spinchain import bethe, boundary, lax
 
 MU = 0.3
 
@@ -170,6 +170,27 @@ def test_triangular_lax_pair(n):
     assert max(res.values()) < 1e-10
 
 
+def _hand_triangular_products(rep):
+    # the triple products of the triangular FRT relations, written out
+    rp, rm = sc.r_pm(complex(rep.params["q"]))
+    lp, lm = sc.lax_xxz_pm(rep)
+    dims = (2, 2, lp.shape[0] // 2)
+    rp12, rm12 = sc.embed(rp, (1, 2), dims), sc.embed(rm, (1, 2), dims)
+    lp1, lp2 = sc.embed(lp, (1, 3), dims), sc.embed(lp, (2, 3), dims)
+    lm1, lm2 = sc.embed(lm, (1, 3), dims), sc.embed(lm, (2, 3), dims)
+    return [sc.rel_norm(rp12 @ lp1 @ lp2, lp2 @ lp1 @ rp12),
+            sc.rel_norm(rm12 @ lm1 @ lm2, lm2 @ lm1 @ rm12),
+            sc.rel_norm(rp12 @ lp1 @ lm2, lm2 @ lp1 @ rp12)]
+
+
+@pytest.mark.parametrize("mu", [MU, 1.1, 0.3 + 0.2j, -0.7 - 0.45j])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_triangular_residuals_are_the_hand_triple_products(n, mu):
+    rep = sc.uq_sl2_spin_rep(n, cmath.exp(1j * mu))
+    got = list(sc.triangular_residuals(rep).values())[:3]
+    assert [float(r).hex() for r in got] == [float(r).hex() for r in _hand_triangular_products(rep)]
+
+
 def test_monodromy_single_site_is_lax():
     ch = lax.uniform_chain("xxz", 1, MU, 3, "principal")
     lam = 0.6 - 0.1j
@@ -325,6 +346,50 @@ def test_apply_transfer_is_one_pass_per_column_block(monkeypatch):
     calls.clear()
     lax.apply_monodromy_block(chain, 0.37, 0, 1, cols)
     assert calls == [(2, D, 2 * width)] + [(2, D, width + 5)]
+
+
+@pytest.mark.parametrize(
+    "chain", [lax.uniform_chain("xxz", 5, MU, 2), lax.uniform_chain("xxx", 4)], ids=["xxz-5", "xxx-4"],
+)
+def test_narrow_blocks_give_the_one_block_bytes(chain, monkeypatch):
+    # the block loop with a few columns per block against the same call in
+    # one block, bit for bit, from no columns to several ragged blocks; on
+    # spin-1/2 sites only, since OpenBLAS rounds a spin-1 site's 6 x 6
+    # product differently with the parity of the column count
+    D, w, lam = int(np.prod(chain.local_dims)), 3, 0.41 - 0.23j
+    rng = np.random.default_rng(D)
+    cols = rng.normal(size=(D, 3 * w + 2)) + 1j * rng.normal(size=(D, 3 * w + 2))
+    calls = [(1, lambda v: lax.apply_monodromy_block(chain, lam, 1, 0, v)),
+             (2, lambda v: lax.apply_transfer(chain, lam, v))]
+    inputs = [cols[:, 0]] + [cols[:, :L] for L in (0, 1, w - 1, w, w + 1, 3 * w + 2)]
+    wide = [[call(v) for v in inputs] for _, call in calls]
+    assert wide[0][1].shape == wide[1][1].shape == (D, 0)
+    for (copies, call), want in zip(calls, wide):
+        # w columns per block for this call's number of aux inputs
+        monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 2 * D * copies * w)
+        for v, ref in zip(inputs, want):
+            got = call(v)
+            assert got.shape == ref.shape == np.shape(v)
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_narrow_blocks_give_the_dense_one_block_bytes(monkeypatch):
+    # the dense t, the sector blocks of t and the open transfer (through the
+    # mirrored pass) over blocks of 3 columns, against one block
+    chain = lax.uniform_chain("xxz", 6, MU, 2)
+    sectors = {M: lax.sz_sector_indices(6, 2, M) for M in range(4)}
+    open_chain = sc.open_chain("xxz", 6, MU, 2, "homogeneous", sc.k_gz_dvgr(0.5, 0.27))
+
+    def images():
+        blocks = bethe._sector_blocks(chain, 0.37, sectors)
+        return [lax.transfer(chain)(0.37), boundary.open_transfer(open_chain)(0.37),
+                *(blocks[M] for M in sectors)]
+
+    wide = images()
+    monkeypatch.setattr(sc.linalg, "BLOCK_ENTRIES", 4 * 2**6 * 3)
+    narrow = images()
+    assert [m.shape for m in narrow] == [m.shape for m in wide]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(narrow, wide))
 
 
 def test_multi_block_apply_transfer_memory_stays_near_its_output():
