@@ -24,7 +24,6 @@ from .linalg import (
 )
 from .algebra import (
     AlgebraRep,
-    Coproduct,
     casimir_uq,
     check_relations,
     coproduct_uq,
@@ -36,7 +35,6 @@ from .algebra import (
     uq_sl2_spin_rep,
 )
 from .braid import (
-    BraidFamily,
     blob_rep,
     check_braid_hecke,
     check_btype_quotients,

@@ -4,7 +4,10 @@ Everything here is a small dense matrix construction: spin representations
 in dimension n = 2s+1, their q-deformed ladder operators, co-products
 iterated over a chain, and the quantum Casimir.  A relation checker reports
 relative residuals of the defining relations so callers can assert algebra
-membership numerically instead of trusting the constructors.
+membership numerically instead of trusting the constructors.  Every
+generator set, a representation or a co-product here and a Hecke,
+Temperley-Lieb or blob family in `braid`, is an AlgebraRep, read with
+`gen(label)` and `params`.
 """
 
 from __future__ import annotations
@@ -42,20 +45,6 @@ class AlgebraRep:
         if label not in self.generators:
             raise KeyError(f"{self.name} has no generator {label!r}")
         return self.generators[label]
-
-
-@dataclass(frozen=True)
-class Coproduct:
-    """Generator images on an N-fold tensor product of a base representation."""
-
-    base: AlgebraRep
-    copies: int
-    images: dict
-
-    def image(self, label: str) -> np.ndarray:
-        if label not in self.images:
-            raise KeyError(f"no co-product image for {label!r}")
-        return self.images[label]
 
 
 def q_integer(k: int, q: complex) -> complex:
@@ -185,13 +174,15 @@ def _coproduct_images(reps: tuple) -> dict:
     return images
 
 
-def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> Coproduct:
+def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> AlgebraRep:
     """Two-site co-product of a q-deformed pair of representations.
 
     The ladder images are Delta(J+-) = qJzInv (x) J+- + J+- (x) qJz and the
     group-like qJz tensors with itself, so the images satisfy the same
     relations as the factors: `ncoproduct` at N = 2 when both sites carry
-    one representation.  Both factors must share one q.
+    one representation.  Both factors must share one q.  The result is an
+    AlgebraRep with the left factor's name and params, whose generators are
+    the images under the factors' labels.
     """
     ql, qr = (rep.params.get("q") if "qJz" in rep.generators else None
               for rep in (rep_left, rep_right))
@@ -199,53 +190,41 @@ def coproduct_uq(rep_left: AlgebraRep, rep_right: AlgebraRep) -> Coproduct:
         raise ValueError("co-product needs q-deformed representations")
     if abs(complex(ql) - complex(qr)) > 1e-12:
         raise ValueError(f"q mismatch: {ql} vs {qr}")
-    return Coproduct(rep_left, 2, _coproduct_images((rep_left, rep_right)))
+    return AlgebraRep(rep_left.name, _coproduct_images((rep_left, rep_right)), rep_left.params)
 
 
-def ncoproduct(rep: AlgebraRep, N: int) -> Coproduct:
+def ncoproduct(rep: AlgebraRep, N: int) -> AlgebraRep:
     """N-fold iterated co-product of a representation.
 
     For a q-deformed rep the ladder image at site i is dressed by qJzInv on
     the left and qJz on the right; without a deformation every generator is
-    summed site by site.
+    summed site by site.  The result is an AlgebraRep with rep's name and
+    params, whose generators are the images under rep's labels.
     """
     if N < 1:
         raise ValueError("need at least one copy")
-    return Coproduct(rep, N, _coproduct_images((rep,) * N))
+    return AlgebraRep(rep.name, _coproduct_images((rep,) * N), rep.params)
 
 
-def _gens_params(rep) -> tuple:
-    if isinstance(rep, Coproduct):
-        gens = {k: mat(v) for k, v in rep.images.items()}
-        src = rep.base
-    else:
-        gens = rep.generators
-        src = rep
-    return gens, src.params, src.name
-
-
-def casimir_uq(rep) -> np.ndarray:
+def casimir_uq(rep: AlgebraRep) -> np.ndarray:
     """Quantum Casimir q qJz^2 + q^-1 qJzInv^2 + (q - q^-1)^2 Jm Jp.
 
-    Accepts a representation or a co-product.  Commutes with every
-    generator image and acts as a scalar on each irreducible block.
+    rep is a q-deformed representation or a co-product of one.  Commutes
+    with every generator image and acts as a scalar on each irreducible
+    block.
     """
-    gens, params, name = _gens_params(rep)
-    for need in ("qJz", "qJzInv", "Jp", "Jm"):
-        if need not in gens:
-            raise KeyError(f"casimir needs generator {need!r} (missing from {name})")
-    q = complex(params["q"])
-    a, d, jp, jm = gens["qJz"], gens["qJzInv"], gens["Jp"], gens["Jm"]
+    a, d, jp, jm = (rep.gen(label) for label in ("qJz", "qJzInv", "Jp", "Jm"))
+    q = complex(rep.params["q"])
     return q * (a @ a) + (1 / q) * (d @ d) + (q - 1 / q) ** 2 * (jm @ jp)
 
 
-def check_relations(rep) -> dict:
+def check_relations(rep: AlgebraRep) -> dict:
     """Relative residuals of the defining relations, keyed by relation.
 
     Dispatches on the generator labels present, so it works uniformly on
-    bare representations and on co-product images.
+    representations and on co-products.
     """
-    gens, params, _ = _gens_params(rep)
+    gens, params = rep.generators, rep.params
     out = {}
     if "V" in gens:
         q = complex(params["q"])

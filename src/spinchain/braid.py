@@ -1,40 +1,19 @@
 """Matrix representations of Hecke, Temperley-Lieb, and blob algebras.
 
 The A-type generators act on pairs of neighbouring sites of an n^N chain;
-the boundary (blob) generator acts on the first site only.  Checker
-functions report relative residuals per relation rather than raising, so a
-representation can be probed for which quotient it actually lands in.
+the boundary (blob) generator acts on the first site only.  A family is an
+`algebra.AlgebraRep` whose generators are labelled U{i} and g{i} and whose
+params carry N.  Checker functions report relative residuals per relation
+rather than raising, so a representation can be probed for which quotient
+it actually lands in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .algebra import AlgebraRep
 from .linalg import comm_norm, embed, embed_pair, rel_norm
-
-
-@dataclass(frozen=True)
-class BraidFamily:
-    """Braid-group generators realised on an N-site chain.
-
-    generators maps labels U1..U{N-1} and g1..g{N-1} (plus U0/g0 for the
-    blob kind) to complex matrices on the full chain; params carries q
-    and, for blob, Q, c, kappa.
-    """
-
-    N: int
-    local_dim: int
-    kind: str
-    params: dict
-    generators: dict
-
-    def u(self, i: int) -> np.ndarray:
-        return self.generators[f"U{i}"]
-
-    def g(self, i: int) -> np.ndarray:
-        return self.generators[f"g{i}"]
 
 
 def hecke_u_matrix(n: int, q: complex) -> np.ndarray:
@@ -55,8 +34,12 @@ def hecke_u_matrix(n: int, q: complex) -> np.ndarray:
     return u
 
 
-def hecke_rep(n: int, N: int, q: complex) -> BraidFamily:
-    """Hecke algebra generators U_i and g_i = U_i + q on an N-site chain."""
+def hecke_rep(n: int, N: int, q: complex) -> AlgebraRep:
+    """Hecke algebra generators U_i and g_i = U_i + q on an N-site chain.
+
+    An AlgebraRep named "hecke" with generators U1..U{N-1} and g1..g{N-1},
+    complex matrices on the full n^N chain, and params q and N.
+    """
     if n < 2 or N < 2:
         raise ValueError("need local dimension >= 2 and at least two sites")
     q = complex(q)
@@ -70,14 +53,16 @@ def hecke_rep(n: int, N: int, q: complex) -> BraidFamily:
         ui = embed_pair(u, i, dims)
         gens[f"U{i}"] = ui
         gens[f"g{i}"] = ui + q * eye
-    return BraidFamily(N, n, "hecke", {"q": q}, gens)
+    return AlgebraRep("hecke", gens, {"q": q, "N": N})
 
 
-def blob_rep(N: int, q: complex, Q: complex, c: complex) -> BraidFamily:
+def blob_rep(N: int, q: complex, Q: complex, c: complex) -> AlgebraRep:
     """Blob algebra generators: bulk U_i for n=2 plus boundary U0 on site 1.
 
     U0 embeds e = [[-1/Q, c], [1/c, -Q]]; the braid lifts are g0 = U0 + Q
-    and g_i = U_i + q.  The boundary weight is kappa = q/Q + Q/q.
+    and g_i = U_i + q.  The boundary weight is kappa = q/Q + Q/q.  An
+    AlgebraRep named "blob" with the Hecke generators of `hecke_rep(2, N, q)`
+    plus U0 and g0, and params q, N, Q, c and kappa.
     """
     if N < 2:
         raise ValueError("need at least two sites")
@@ -87,8 +72,7 @@ def blob_rep(N: int, q: complex, Q: complex, c: complex) -> BraidFamily:
     e = np.array([[-1 / Q, c], [1 / c, -Q]], dtype=complex)
     u0 = embed(e, 1, (2,) * N)
     gens = {"U0": u0, "g0": u0 + Q * np.eye(2**N), **hecke_rep(2, N, q).generators}
-    params = {"q": q, "Q": Q, "c": c, "kappa": q / Q + Q / q}
-    return BraidFamily(N, 2, "blob", params, gens)
+    return AlgebraRep("blob", gens, {"q": q, "N": N, "Q": Q, "c": c, "kappa": q / Q + Q / q})
 
 
 def _zero_residual(x: np.ndarray, scale: float) -> float:
@@ -102,7 +86,7 @@ def _hecke_residual(g: np.ndarray, q: complex) -> float:
     return _zero_residual((g - q * eye) @ (g + eye / q), max(1.0, float(np.linalg.norm(g))) ** 2)
 
 
-def check_temperley_lieb(fam: BraidFamily) -> dict:
+def check_temperley_lieb(fam: AlgebraRep) -> dict:
     """Residuals of the Temperley-Lieb relations, keyed by relation.
 
     Covers U_i^2 = -(q+1/q) U_i, both sandwich relations on adjacent pairs,
@@ -110,32 +94,32 @@ def check_temperley_lieb(fam: BraidFamily) -> dict:
     U0^2 = -(Q+1/Q) U0 and U1 U0 U1 = kappa U1 are included.
     """
     q = complex(fam.params["q"])
-    bulk = list(range(1, fam.N))
+    bulk = list(range(1, fam.params["N"]))
     out = {}
     for i in bulk:
-        ui = fam.u(i)
+        ui = fam.gen(f"U{i}")
         out[f"U{i}^2 = -(q+1/q) U{i}"] = rel_norm(ui @ ui, -(q + 1 / q) * ui)
     for i in bulk[:-1]:
-        a, b = fam.u(i), fam.u(i + 1)
+        a, b = fam.gen(f"U{i}"), fam.gen(f"U{i + 1}")
         out[f"U{i} U{i+1} U{i} = U{i}"] = rel_norm(a @ b @ a, a)
         out[f"U{i+1} U{i} U{i+1} = U{i+1}"] = rel_norm(b @ a @ b, b)
     for i in bulk:
         for j in bulk:
             if j > i + 1:
-                out[f"[U{i}, U{j}] = 0"] = comm_norm(fam.u(i), fam.u(j))
+                out[f"[U{i}, U{j}] = 0"] = comm_norm(fam.gen(f"U{i}"), fam.gen(f"U{j}"))
     if "U0" in fam.generators:
         Q = complex(fam.params["Q"])
         kappa = complex(fam.params["kappa"])
-        u0, u1 = fam.u(0), fam.u(1)
+        u0, u1 = fam.gen("U0"), fam.gen("U1")
         out["U0^2 = -(Q+1/Q) U0"] = rel_norm(u0 @ u0, -(Q + 1 / Q) * u0)
         out["U1 U0 U1 = kappa U1"] = rel_norm(u1 @ u0 @ u1, kappa * u1)
         for j in bulk:
             if j >= 2:
-                out[f"[U0, U{j}] = 0"] = comm_norm(u0, fam.u(j))
+                out[f"[U0, U{j}] = 0"] = comm_norm(u0, fam.gen(f"U{j}"))
     return out
 
 
-def check_braid_hecke(fam: BraidFamily) -> dict:
+def check_braid_hecke(fam: AlgebraRep) -> dict:
     """Residuals of the braid and Hecke-condition relations.
 
     Includes the quadratic condition, the explicit inverse
@@ -143,17 +127,17 @@ def check_braid_hecke(fam: BraidFamily) -> dict:
     commutation, and for blob families the four-fold boundary braid.
     """
     q = complex(fam.params["q"])
-    eye = np.eye(fam.local_dim**fam.N)
-    bulk = list(range(1, fam.N))
+    eye = np.eye(fam.gen("g1").shape[0])
+    bulk = list(range(1, fam.params["N"]))
     out = {}
     for i in bulk:
-        gi = fam.g(i)
+        gi = fam.gen(f"g{i}")
         out[f"(g{i} - q)(g{i} + 1/q) = 0"] = _hecke_residual(gi, q)
         out[f"g{i} (g{i} - (q - 1/q)) = 1"] = rel_norm(gi @ (gi - (q - 1 / q) * eye), eye)
     for i in bulk[:-1]:
-        a, b = fam.g(i), fam.g(i + 1)
+        a, b = fam.gen(f"g{i}"), fam.gen(f"g{i + 1}")
         out[f"g{i} g{i+1} g{i} = g{i+1} g{i} g{i+1}"] = rel_norm(a @ b @ a, b @ a @ b)
-        ua, ub = fam.u(i), fam.u(i + 1)
+        ua, ub = fam.gen(f"U{i}"), fam.gen(f"U{i + 1}")
         # both sides vanish when the rep is Temperley-Lieb, so scale by the
         # generator norms instead of the (possibly zero) sides
         nu = max(float(np.linalg.norm(ua)), float(np.linalg.norm(ub)))
@@ -163,15 +147,15 @@ def check_braid_hecke(fam: BraidFamily) -> dict:
     for i in bulk:
         for j in bulk:
             if j > i + 1:
-                out[f"[g{i}, g{j}] = 0"] = comm_norm(fam.g(i), fam.g(j))
+                out[f"[g{i}, g{j}] = 0"] = comm_norm(fam.gen(f"g{i}"), fam.gen(f"g{j}"))
     if "g0" in fam.generators:
         Q = complex(fam.params["Q"])
-        g0, g1 = fam.g(0), fam.g(1)
+        g0, g1 = fam.gen("g0"), fam.gen("g1")
         out["g0 g1 g0 g1 = g1 g0 g1 g0"] = rel_norm(g0 @ g1 @ g0 @ g1, g1 @ g0 @ g1 @ g0)
         out["g0 (g0 - (Q - 1/Q)) = 1"] = rel_norm(g0 @ (g0 - (Q - 1 / Q) * eye), eye)
         for j in bulk:
             if j >= 2:
-                out[f"[g0, g{j}] = 0"] = comm_norm(g0, fam.g(j))
+                out[f"[g0, g{j}] = 0"] = comm_norm(g0, fam.gen(f"g{j}"))
     return out
 
 
@@ -185,7 +169,7 @@ def _distinct_eigenvalues(m: np.ndarray) -> list:
     return distinct
 
 
-def check_btype_quotients(fam: BraidFamily) -> dict:
+def check_btype_quotients(fam: AlgebraRep) -> dict:
     """Residuals of polynomial conditions on the boundary braid generator.
 
     The factors are the numerically distinct eigenvalues of g0 (to 1e-8),
@@ -194,9 +178,7 @@ def check_btype_quotients(fam: BraidFamily) -> dict:
     entry records how far the two roots are from gamma1 gamma2 = -1, the
     customary normalization.
     """
-    if "g0" not in fam.generators:
-        raise KeyError("family has no boundary generator g0")
-    g0 = fam.g(0)
+    g0 = fam.gen("g0")
     eye = np.eye(g0.shape[0])
     gammas = _distinct_eigenvalues(g0)
     prod = eye.copy()

@@ -458,7 +458,7 @@ def _suite_symmetry(cfg, seed) -> list:
     cop = algebra.ncoproduct(algebra.uq_sl2_spin_rep(2, q), 3)
     tmats = np.stack([fam(float(lam)) for lam in rng.uniform(-1.0, 1.0, 5)])
     for label in ("Jp", "Jm", "qJz"):
-        worst = np.max(linalg.comm_norm(tmats, cop.image(label)))
+        worst = np.max(linalg.comm_norm(tmats, cop.gen(label)))
         checks.append(_check(f"open transfer commutes with Delta({label})", worst, 1e-10))
     H = boundary.open_hamiltonian(chain)
     model = boundary.uq_invariant_hamiltonian(3, mu)
@@ -617,8 +617,8 @@ def _delta_grid(cfg: dict) -> list:
     if listed and ranged:
         raise ConfigError("supply either deltas or a delta range, not both")
     if listed:
-        if not isinstance(cfg["deltas"], list) or not cfg["deltas"]:
-            raise ConfigError("deltas must be a non-empty list")
+        if not isinstance(cfg["deltas"], list) or not 1 <= len(cfg["deltas"]) <= MAX_DELTA_STEPS:
+            raise ConfigError(f"deltas must be a list of 1 to {MAX_DELTA_STEPS} values")
         return [_as_float(d, "deltas") for d in cfg["deltas"]]
     if ranged:
         try:

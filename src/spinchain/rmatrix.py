@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import coproduct_uq
-from .braid import BraidFamily, _hecke_residual
+from .algebra import AlgebraRep, coproduct_uq
+from .braid import _hecke_residual
 from .linalg import (
     at_draws, comm_norm, draw_shape, embed, mat, over_draws, per_draw, permutation, rel_norm,
     stacking,
@@ -175,15 +175,16 @@ def regularity_constant(r_family) -> tuple:
     return c, rel_norm(m, c * p)
 
 
-def baxterize(fam: BraidFamily, i: int, lam: complex) -> np.ndarray:
+def baxterize(fam: AlgebraRep, i: int, lam: complex) -> np.ndarray:
     """Spectral braid matrix e^lambda g_i - e^{-lambda} g_i^{-1}.
 
-    The inverse comes from the Hecke condition, g^{-1} = g - (q - 1/q),
-    which is first verified to 1e-8; equals 2 sinh(lambda + i mu) I +
-    2 sinh(lambda) U_i when q = e^{i mu}.
+    fam is a family of `braid.hecke_rep` or `braid.blob_rep`; g_i is its
+    generator g{i} and q its params["q"].  The inverse comes from the Hecke
+    condition, g^{-1} = g - (q - 1/q), which is first verified to 1e-8;
+    equals 2 sinh(lambda + i mu) I + 2 sinh(lambda) U_i when q = e^{i mu}.
     """
     q = complex(fam.params["q"])
-    g = fam.g(i)
+    g = fam.gen(f"g{i}")
     hecke = _hecke_residual(g, q)
     if hecke > 1e-8:
         raise ValueError(f"generator g{i} fails the Hecke condition: residual {hecke:.2e}")
@@ -203,7 +204,7 @@ def intertwiner_residual(r_family, rep, lam):
     n = rep.gen("Jz").shape[0]
     p = _exchange(n)
     cop = coproduct_uq(rep, rep)
-    images = [cop.image(label) for label in ("qJz", "Jp", "Jm")]
+    images = [cop.gen(label) for label in ("qJz", "Jp", "Jm")]
     swapped = [p @ d @ p for d in images]
 
     def dims(m):

@@ -213,7 +213,7 @@ def test_criterion_09_open_symmetry(capsys):
     for lam in rng.uniform(-1.0, 1.0, 5):
         tm = sc.mat(fam(float(lam)))
         for label in ("Jp", "Jm", "qJz"):
-            worst = max(worst, sc.comm_norm(tm, cop.image(label)))
+            worst = max(worst, sc.comm_norm(tm, cop.gen(label)))
     h = sc.mat(sc.open_hamiltonian(ch))
     model = sc.mat(sc.uq_invariant_hamiltonian(3, MU))
     coef, resid = sc.fit_affine(h, [model, np.eye(8)])

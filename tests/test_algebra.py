@@ -99,7 +99,7 @@ def test_ncoproduct_matches_pairwise_coproduct():
     two = sc.ncoproduct(rep, 2)
     pair = sc.coproduct_uq(rep, rep)
     for label in ("Jz", "Jp", "Jm", "qJz", "qJzInv"):
-        assert sc.rel_norm(two.image(label), pair.image(label)) < 1e-14
+        assert sc.rel_norm(two.gen(label), pair.gen(label)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -115,7 +115,7 @@ def test_casimir_commutes_with_coproduct_images():
     cop = sc.ncoproduct(rep, 3)
     c = sc.mat(sc.casimir_uq(cop))
     for label in ("Jz", "Jp", "Jm", "qJz"):
-        assert sc.comm_norm(c, cop.image(label)) < 1e-12
+        assert sc.comm_norm(c, cop.gen(label)) < 1e-12
 
 
 def test_casimir_needs_deformed_generators():
@@ -128,4 +128,23 @@ def test_rep_accessors_raise_on_unknowns():
     with pytest.raises(KeyError):
         rep.gen("nope")
     with pytest.raises(KeyError):
-        sc.ncoproduct(rep, 2).image("nope")
+        sc.ncoproduct(rep, 2).gen("nope")
+
+
+def test_every_generator_set_is_an_algebra_rep():
+    # co-products and braid families are representations: one type, read with
+    # gen(label) and params
+    uq = sc.uq_sl2_spin_rep(2, Q)
+    sets = {
+        "coproduct_uq": sc.coproduct_uq(uq, uq),
+        "ncoproduct deformed": sc.ncoproduct(uq, 3),
+        "ncoproduct undeformed": sc.ncoproduct(sc.sl2_spin_rep(2), 3),
+        "hecke_rep": sc.hecke_rep(2, 3, Q),
+        "blob_rep": sc.blob_rep(3, Q, 1j * Q, 1.0),
+    }
+    for name, rep in sets.items():
+        assert type(rep) is sc.AlgebraRep, name
+        with pytest.raises(KeyError):
+            rep.gen("nope")
+    assert sets["hecke_rep"].params["N"] == sets["blob_rep"].params["N"] == 3
+    assert "Coproduct" not in sc.__all__ and "BraidFamily" not in sc.__all__

@@ -283,7 +283,7 @@ def test_open_transfer_quantum_group_symmetry():
     for lam in (0.3, -0.7, 0.45, 0.11 + 0.2j, -0.23):
         tm = sc.mat(fam(lam))
         for label in ("Jp", "Jm", "qJz"):
-            assert sc.comm_norm(tm, cop.image(label)) < 1e-10
+            assert sc.comm_norm(tm, cop.gen(label)) < 1e-10
 
 
 def test_open_hamiltonian_fits_invariant_model():
@@ -296,8 +296,8 @@ def test_open_hamiltonian_fits_invariant_model():
     assert abs(coef[1] - (-17.93901852j)) < 1e-6
     cop = sc.ncoproduct(sc.uq_sl2_spin_rep(2, Q), 3)
     for label in ("Jp", "Jm", "qJz"):
-        assert sc.comm_norm(h, cop.image(label)) < 1e-10
-        assert sc.comm_norm(model, cop.image(label)) < 1e-12
+        assert sc.comm_norm(h, cop.gen(label)) < 1e-10
+        assert sc.comm_norm(model, cop.gen(label)) < 1e-12
 
 
 def test_invariant_hamiltonian_two_site_multiplets():
@@ -307,7 +307,7 @@ def test_invariant_hamiltonian_two_site_multiplets():
     cop = sc.ncoproduct(sc.uq_sl2_spin_rep(2, Q), 2)
     w, v = np.linalg.eig(h)
     assert np.abs(w.imag).max() < 1e-12
-    jz = cop.image("Jz")
+    jz = cop.gen("Jz")
     triplet = np.flatnonzero(np.abs(w - np.cos(MU) / 2) < 1e-10)
     singlet = np.flatnonzero(np.abs(w + 3 * np.cos(MU) / 2) < 1e-10)
     assert len(triplet) == 3 and len(singlet) == 1
@@ -324,7 +324,7 @@ def test_invariant_hamiltonian_three_site_multiplets():
     h = sc.mat(sc.uq_invariant_hamiltonian(3, MU))
     cop = sc.ncoproduct(sc.uq_sl2_spin_rep(2, Q), 3)
     w, v = np.linalg.eig(h)
-    jz = cop.image("Jz")
+    jz = cop.gen("Jz")
     clusters = {}
     for i, z in enumerate(w):
         for key in clusters:
@@ -365,8 +365,8 @@ def test_blob_open_hamiltonian_two_routes():
     ch = sc.open_chain("xxz", 3, MU, 2, "homogeneous", kb, kp)
     h = sc.mat(sc.open_hamiltonian(ch))
     blob = sc.blob_rep(3, Q, 1j * cmath.exp(1j * MU * 0.7), 1.0)
-    u_sum = sum(blob.u(i) for i in range(1, 3))
-    u0 = blob.u(0)
+    u_sum = sum(blob.gen(f"U{i}") for i in range(1, 3))
+    u0 = blob.gen("U0")
     coef, resid = sc.fit_affine(h, [u_sum, u0, np.eye(8)])
     assert resid < 1e-9
     c1 = coef[1] / coef[0]

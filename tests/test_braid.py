@@ -66,7 +66,7 @@ def test_blob_quotient_is_one_sided():
     fam = sc.blob_rep(2, Q_HECKE, Q_BLOB, C_BLOB)
     kappa = complex(fam.params["kappa"])
     assert abs(kappa - (Q_HECKE / Q_BLOB + Q_BLOB / Q_HECKE)) < 1e-14
-    u0, u1 = fam.u(0), fam.u(1)
+    u0, u1 = fam.gen("U0"), fam.gen("U1")
     assert sc.rel_norm(u1 @ u0 @ u1, kappa * u1) < 1e-12
     assert sc.rel_norm(u0 @ u1 @ u0, kappa * u0) > 0.1
 
@@ -85,7 +85,7 @@ def test_baxterize_sinh_decomposition():
     fam = sc.hecke_rep(2, 2, cmath.exp(1j * mu))
     lam = 0.47 - 0.12j
     bx = sc.mat(sc.baxterize(fam, 1, lam))
-    model = 2 * cmath.sinh(lam + 1j * mu) * np.eye(4) + 2 * cmath.sinh(lam) * fam.u(1)
+    model = 2 * cmath.sinh(lam + 1j * mu) * np.eye(4) + 2 * cmath.sinh(lam) * fam.gen("U1")
     assert sc.rel_norm(bx, model) < 1e-12
     # and it reproduces the braided six-vertex matrix
     braided = sc.mat(sc.permutation(2)) @ sc.mat(sc.r_xxz(lam, mu, "homogeneous"))

@@ -106,7 +106,7 @@ def _intertwiner_reference(fam, rep, lam):
     cop = algebra.coproduct_uq(rep, rep)
     worst = 0.0
     for label in ("qJz", "Jp", "Jm"):
-        d = cop.image(label)
+        d = cop.gen(label)
         worst = max(worst, linalg.rel_norm((p @ d @ p) @ m, m @ d))
         worst = max(worst, linalg.comm_norm(p @ m, d))
     return worst
@@ -744,6 +744,18 @@ def test_delta_steps_bound_before_allocation(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, {"N": 2, "delta_start": 0, "delta_stop": 1, "delta_steps": 10000})
     with pytest.raises(_Reached):
         cli.main(["phase-scan", "--config", cfg])
+
+
+def test_delta_list_bound(tmp_path, capsys, monkeypatch):
+    # the list form takes at most MAX_DELTA_STEPS deltas, like the range form
+    monkeypatch.setattr(cli, "MAX_DELTA_STEPS", 4)
+    cfg = write_cfg(tmp_path, {"N": 2, "deltas": [0.5] * 4})
+    code, out, _ = run(capsys, ["phase-scan", "--config", cfg])
+    assert code == 0 and len(out.strip().split("\n")) == 5
+    cfg = write_cfg(tmp_path, {"N": 2, "deltas": [0.5] * 5})
+    code, out, err = run(capsys, ["phase-scan", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "4" in err
 
 
 _FLOATS = st.floats(-3, 3)

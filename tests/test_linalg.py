@@ -258,11 +258,11 @@ def _builders():
         "uq_sl2_spin_rep": (lambda: gens(uq1), 3),
         "cyclic_rep": (lambda: gens(sc.cyclic_rep(3)), 3),
         "q_oscillator_rep": (lambda: gens(sc.q_oscillator_rep(3)), 3),
-        "coproduct_uq": (lambda: list(sc.coproduct_uq(uq_half, uq_half).images.values()), 4),
-        "ncoproduct": (lambda: list(sc.ncoproduct(sc.sl2_spin_rep(2), 3).images.values())
-                       + list(sc.ncoproduct(uq_half, 3).images.values()), 8),
+        "coproduct_uq": (lambda: list(sc.coproduct_uq(uq_half, uq_half).generators.values()), 4),
+        "ncoproduct": (lambda: list(sc.ncoproduct(sc.sl2_spin_rep(2), 3).generators.values())
+                       + list(sc.ncoproduct(uq_half, 3).generators.values()), 8),
         "caller_rep": (lambda: gens(real_rep), 2),
-        "caller_rep_coproduct": (lambda: list(sc.coproduct_uq(real_rep, real_rep).images.values()), 4),
+        "caller_rep_coproduct": (lambda: list(sc.coproduct_uq(real_rep, real_rep).generators.values()), 4),
         "casimir_uq": (lambda: [sc.casimir_uq(uq1)], 3),
         "casimir_uq_coproduct": (lambda: [sc.casimir_uq(sc.coproduct_uq(uq_half, uq_half))], 4),
         "hecke_rep": (lambda: gens(hecke), 8),
