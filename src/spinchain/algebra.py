@@ -222,7 +222,8 @@ def check_relations(rep: AlgebraRep) -> dict:
     """Relative residuals of the defining relations, keyed by relation.
 
     Dispatches on the generator labels present, so it works uniformly on
-    representations and on co-products.
+    representations and on co-products.  A Hecke, Temperley-Lieb or blob
+    family raises ValueError: the `braid` checkers take those.
     """
     gens, params = rep.generators, rep.params
     out = {}
@@ -243,6 +244,8 @@ def check_relations(rep: AlgebraRep) -> dict:
             out["X^p = 1"] = rel_norm(np.linalg.matrix_power(x, int(p)), eye)
             out["Y^p = 1"] = rel_norm(np.linalg.matrix_power(y, int(p)), eye)
         return out
+    if "Jz" not in gens:
+        raise ValueError(f"check_relations has no {rep.name} relations; see the braid checkers")
     jz, jp, jm = gens["Jz"], gens["Jp"], gens["Jm"]
     out["[Jz, Jp] = +Jp"] = rel_norm(jz @ jp - jp @ jz, jp)
     out["[Jz, Jm] = -Jm"] = rel_norm(jz @ jm - jm @ jz, -jm)

@@ -108,41 +108,32 @@ class BetheSolution:
     matched_ed_index: int | None = None
 
 
-def _log_sinh(z):
-    return np.log(np.sinh(z))
-
-
 def _wrap(r):
     # reduce mod 2 pi i: the equations say exp(r) = 1
     return r - 2j * np.pi * np.round(r.imag / (2 * np.pi))
 
 
+def _equations(f, lams, N, s, mu):
+    """(N (f(l + i mu s) - f(l - i mu s)) - row sums of the pair table, the table
+    f(l_j - l_k + i mu) - f(l_j - l_k - i mu) with a zero diagonal, or None below
+    two roots): f = log sinh gives the equations, f = coth their derivative."""
+    drive = N * (f(lams + 1j * mu * s) - f(lams - 1j * mu * s))
+    if lams.size < 2:
+        return drive, None
+    diff = lams[:, None] - lams[None, :]
+    pair = f(diff + 1j * mu) - f(diff - 1j * mu)
+    np.fill_diagonal(pair, 0.0)
+    return drive - pair.sum(axis=1), pair
+
+
 def _log_residual(lams, N, s, mu):
-    drive = N * (_log_sinh(lams + 1j * mu * s) - _log_sinh(lams - 1j * mu * s))
-    if lams.size > 1:
-        diff = lams[:, None] - lams[None, :]
-        off = _log_sinh(diff + 1j * mu) - _log_sinh(diff - 1j * mu)
-        np.fill_diagonal(off, 0.0)
-        drive = drive - off.sum(axis=1)
-    return _wrap(drive)
-
-
-def _coth(z):
-    return np.cosh(z) / np.sinh(z)
+    return _wrap(_equations(lambda z: np.log(np.sinh(z)), lams, N, s, mu)[0])
 
 
 def _jacobian(lams, N, s, mu):
-    M = lams.size
-    jac = np.zeros((M, M), dtype=complex)
-    diag = N * (_coth(lams + 1j * mu * s) - _coth(lams - 1j * mu * s))
-    if M > 1:
-        diff = lams[:, None] - lams[None, :]
-        pair = _coth(diff + 1j * mu) - _coth(diff - 1j * mu)
-        np.fill_diagonal(pair, 0.0)
-        diag = diag - pair.sum(axis=1)
-        jac += pair
-    jac[np.diag_indices(M)] = diag
-    return jac
+    diag, pair = _equations(lambda z: np.cosh(z) / np.sinh(z), lams, N, s, mu)
+    # the table's diagonal is 0.0, and 0.0 + x == x
+    return np.diag(diag) if pair is None else pair + np.diag(diag)
 
 
 def _newton(start, N, s, mu):
@@ -188,32 +179,34 @@ def _canonical(lams):
     return out[np.lexsort((np.round(out.imag, 9), np.round(out.real, 9)))]
 
 
+def _at_pole(lams, s, mu, tol, pairs):
+    """Whether a root sits within tol of a site pole, sinh(l +- i mu s) = 0,
+    or, with pairs, two roots within tol of a pair pole, sinh(l_j - l_k +- i mu) = 0."""
+    for i, a in enumerate(lams):
+        if min(abs(cmath.sinh(a + 1j * mu * s)), abs(cmath.sinh(a - 1j * mu * s))) < tol:
+            return True
+        for b in lams[:i] if pairs else ():
+            d = a - b
+            if min(abs(cmath.sinh(d + 1j * mu)), abs(cmath.sinh(d - 1j * mu))) < tol:
+                return True
+    return False
+
+
 def _passes_pole_gates(lams, N, s, mu):
     # runaway points of continuous beyond-the-equator families are cut off:
     # past this the equations only hold asymptotically
     if lams.size and np.abs(lams.real).max() > 50.0:
         return False
-    for i, a in enumerate(lams):
-        if min(abs(cmath.sinh(a + 1j * mu * s)), abs(cmath.sinh(a - 1j * mu * s))) < 1e-10:
-            return False
-        for b in lams[:i]:
-            d = a - b
-            if min(abs(cmath.sinh(d + 1j * mu)), abs(cmath.sinh(d - 1j * mu))) < 1e-10:
-                return False
-    return True
+    return not _at_pole(lams, s, mu, 1e-10, True)
 
 
 def bae_residual(system: BetheSystem) -> float:
     """Max over i of the log-form equation defect, reduced mod 2 pi i."""
     lams = np.asarray(system.roots, dtype=complex)
-    if lams.size == 0:
-        return 0.0
-    for a in lams:
-        if min(abs(cmath.sinh(a + 1j * system.mu * system.s)),
-               abs(cmath.sinh(a - 1j * system.mu * system.s))) < 1e-12:
-            raise ValueError("root at a pole of the equations")
+    if _at_pole(lams, system.s, system.mu, 1e-12, False):
+        raise ValueError("root at a pole of the equations")
     with np.errstate(all="ignore"):
-        return float(np.abs(_log_residual(lams, system.N, system.s, system.mu)).max())
+        return float(np.abs(_log_residual(lams, system.N, system.s, system.mu)).max(initial=0.0))
 
 
 def eigenvalue_fn(system):
@@ -247,28 +240,28 @@ def eigenvalue_fn(system):
     return value
 
 
-def energy(sol) -> complex:
-    """Closed-form energy of a spin-1/2 root set."""
+def _closed_forms(sol) -> tuple:
+    """(energy, momentum) of a spin-1/2 root set, from one pass over its roots."""
     system = getattr(sol, "system", sol)
     if abs(system.s - 0.5) > 1e-12:
-        raise ValueError("closed-form energy is restricted to spin 1/2")
+        raise ValueError("closed-form energy and momentum are restricted to spin 1/2")
     mu = system.mu
-    total = 0.0 + 0.0j
+    e = p = 0.0 + 0.0j
     for lam in system.roots:
-        total += cmath.sinh(1j * mu) / (cmath.sinh(lam + 0.5j * mu) * cmath.sinh(lam - 0.5j * mu))
-    return -mu * total / (2 * np.pi)
+        plus, minus = cmath.sinh(lam + 0.5j * mu), cmath.sinh(lam - 0.5j * mu)
+        e += cmath.sinh(1j * mu) / (plus * minus)
+        p += cmath.log(plus / minus)
+    return -mu * e / (2 * np.pi), -p
+
+
+def energy(sol) -> complex:
+    """Closed-form energy of a spin-1/2 root set."""
+    return _closed_forms(sol)[0]
 
 
 def momentum(sol) -> complex:
     """Closed-form momentum of a spin-1/2 root set, defined mod 2 pi."""
-    system = getattr(sol, "system", sol)
-    if abs(system.s - 0.5) > 1e-12:
-        raise ValueError("closed-form momentum is restricted to spin 1/2")
-    mu = system.mu
-    total = 0.0 + 0.0j
-    for lam in system.roots:
-        total += cmath.log(cmath.sinh(lam + 0.5j * mu) / cmath.sinh(lam - 0.5j * mu))
-    return -total
+    return _closed_forms(sol)[1]
 
 
 def sz(sol) -> Fraction:
@@ -332,7 +325,7 @@ def _certified(candidates, chain) -> tuple:
             rows[len(sols)] = bethe_vector(system, chain)
         except ValueError:
             continue
-        e, p = (energy(system), momentum(system)) if abs(system.s - 0.5) < 1e-12 else (None, None)
+        e, p = _closed_forms(system) if abs(system.s - 0.5) < 1e-12 else (None, None)
         sols.append(BetheSolution(system, residual, eigenvalue_fn(system), e, p))
     vecs = rows[:len(sols)].T
     # one state, one solution: runaway or i pi shifted roots build the same vector
@@ -400,10 +393,12 @@ def solve_bae(N, s, mu, M):
     apply the transfer matrix matrix-free (`lax.apply_transfer`), so no
     D x D array is formed.  No random start takes part.  As there, a sector
     with M > N s is solved as sector 2 N s - M and flipped onto the
-    all-down vacuum, and (2s+1)^N above MAX_DIM raises ValueError.
-    Solutions are sorted by their roots.
+    all-down vacuum, and (2s+1)^N above MAX_DIM, or M outside [0, 2 N s],
+    raises ValueError.  Solutions are sorted by their roots.
     """
     mu, s = complex(mu), float(s)
+    if not 0 <= M <= round(2 * s) * N:
+        raise ValueError(f"M must lie in [0, 2sN] = [0, {round(2 * s) * N}]")
     chain = uniform_chain("xxz", N, mu, round(2 * s + 1), "principal")
     return sorted(_census(chain, s, mu, [M])[M], key=_report_order)
 

@@ -1,0 +1,93 @@
+"""Interleaved A/B timing of two trees' workbench, in one process.
+
+    OPENBLAS_NUM_THREADS=1 python tests/ab_time.py A_SRC B_SRC [--pairs N]
+
+copies the `spinchain` package of each tree (A_SRC and B_SRC are checkouts'
+`src`) under its own name into a temporary directory, imports both, and
+times the benchmark's invocations (`bench/workloads.py`, seed 0, first
+round) through each side's `cli.main` with `time.process_time`:
+
+  bethe-census  the four validated chains of acceptance criterion 6
+  spectrum-cap  the periodic spectrum at N = 12
+  verify-sweep  the five clean verify suites and the three negative controls
+
+Each pair runs a workload's invocations once on each side, A first in
+even pairs and B first in odd ones, after one untimed round per side.  It
+prints per workload and side the median and the quartiles of the pairs in
+ms and the number of pairs that side won.  Both sides must give every
+invocation the same exit code.  Separate benchmark processes drift apart
+by tens of percent on a busy machine; alternating in one process cancels
+most of that drift.  Not a test module: pytest collects only `test_*.py`.
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's invocations)
+
+
+def load_cli(src: str, name: str, tmp: Path):
+    """The `cli` module of SRC/spinchain, imported as package `name`."""
+    shutil.copytree(Path(src) / "spinchain", tmp / name)
+    return importlib.import_module(f"{name}.cli")
+
+
+def run(main, argvs: list) -> tuple:
+    """(process seconds, exit codes) of main over the argument lists."""
+    codes = []
+    start = time.process_time()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            codes.append(main(argv))
+    return time.process_time() - start, codes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a_src")
+    parser.add_argument("b_src")
+    parser.add_argument("--pairs", type=int, default=30)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        sys.path.insert(0, str(tmp))
+        sides = {"A": load_cli(args.a_src, "spinchain_a", tmp).main,
+                 "B": load_cli(args.b_src, "spinchain_b", tmp).main}
+        print(f"{'workload':<14}{'side':<6}{'median_ms':>10}{'q1_ms':>10}{'q3_ms':>10}{'won':>6}")
+        for wl_name, cls in workloads.WORKLOADS.items():
+            argvs = []
+            for k, op in enumerate(cls(0).round(0)):
+                path = tmp / f"{wl_name}-{k}.json"
+                path.write_text(json.dumps(op.config), encoding="utf-8")
+                argvs.append(op.argv(str(path)))
+            codes = {side: run(cli_main, argvs)[1] for side, cli_main in sides.items()}
+            if codes["A"] != codes["B"]:
+                print(f"{wl_name}: exit codes differ, A {codes['A']}, B {codes['B']}", file=sys.stderr)
+                return 1
+            times = {"A": [], "B": []}
+            for pair in range(args.pairs):
+                for side in ("AB" if pair % 2 == 0 else "BA"):
+                    times[side].append(run(sides[side], argvs)[0])
+            for side, other in (("A", "B"), ("B", "A")):
+                ms = [1e3 * t for t in times[side]]
+                q1, med, q3 = statistics.quantiles(ms, n=4)
+                won = sum(t < u for t, u in zip(times[side], times[other]))
+                print(f"{wl_name if side == 'A' else '':<14}{side:<6}{med:>10.2f}{q1:>10.2f}{q3:>10.2f}"
+                      f"{won:>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

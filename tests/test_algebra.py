@@ -148,3 +148,14 @@ def test_every_generator_set_is_an_algebra_rep():
             rep.gen("nope")
     assert sets["hecke_rep"].params["N"] == sets["blob_rep"].params["N"] == 3
     assert "Coproduct" not in sc.__all__ and "BraidFamily" not in sc.__all__
+
+
+@pytest.mark.parametrize("name, rep", [
+    ("hecke", sc.hecke_rep(2, 3, 0.5)),
+    ("blob", sc.blob_rep(3, Q, 1j * Q, 1.0)),
+], ids=["hecke", "blob"])
+def test_check_relations_refuses_braid_families(name, rep):
+    # a Hecke, Temperley-Lieb or blob family has its own checkers in braid:
+    # one ValueError that names the family and points there
+    with pytest.raises(ValueError, match=f"has no {name} relations; see the braid checkers"):
+        sc.check_relations(rep)

@@ -43,6 +43,21 @@ def test_bae_residual_discriminates():
         sc.bae_residual(sc.BetheSystem(2, 0.5, MU, (0.5j * MU,)))  # root at a pole
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_jacobian_is_the_derivative_of_the_equations(M, s):
+    # the Newton Jacobian (f = coth) against a central difference of the
+    # unwrapped log-form residual (f = log sinh), column by column
+    lams = np.array([0.21 + 0.05j, -0.34 + 0.11j, 0.57 - 0.08j][:M])
+    jac = bethe._jacobian(lams, 4, s, MU)
+    h = 1e-6
+    for k in range(M):
+        step = h * np.eye(M)[k]
+        up, down = (bethe._equations(lambda z: np.log(np.sinh(z)), lams + sign * step, 4, s, MU)[0]
+                    for sign in (1, -1))
+        assert np.abs((up - down) / (2 * h) - jac[:, k]).max() < 1e-7 * np.abs(jac).max()
+
+
 def test_pseudo_vacuum_eigenvalue():
     sol0 = sc.solve_bae(2, 0.5, MU, 0)
     assert len(sol0) == 1

@@ -51,6 +51,10 @@ REFUSED = [
      lambda: bethe.tq_roots(np.ones(3), 0.1 * np.arange(3), 4, 0.5, MU, 2)),
     ("braided 3 x 3 family", "equal local dimensions", lambda: rmatrix.braided(lambda lam: np.eye(3))),
     ("spectrum at delta = nan", "delta must be finite", lambda: lax.spectrum_table(4, float("nan"))),
+    ("Bethe roots with M = -1", r"M must lie in \[0, 2sN\] = \[0, 4\]",
+     lambda: bethe.solve_bae(4, 0.5, MU, -1)),
+    ("Bethe roots with M = 7", r"M must lie in \[0, 2sN\] = \[0, 4\]",
+     lambda: bethe.solve_bae(4, 0.5, MU, 7)),
 ]
 
 
@@ -87,11 +91,14 @@ def test_a_bethe_chain_off_scale_exits_2_with_one_line(tmp_path, capsys):
     *[("verify", {"suite": suite, "mu": [0, 400]}) for suite in ("ybe", "re", "braid", "frt", "symmetry")],
     ("casimir", {"mu": [0, 400]}),
     ("bethe", {"N": 3, "s": 1, "mu": [0, 400]}),
+    ("bethe", {"N": 4, "mu": [0.3, 60]}),
     ("spectrum", {"N": 4, "mu": [0, 800]}),
-], ids=["ybe", "re", "braid", "frt", "symmetry", "casimir", "bethe-spin-1", "spectrum"])
+], ids=["ybe", "re", "braid", "frt", "symmetry", "casimir", "bethe-spin-1", "bethe-mu-60i",
+        "spectrum"])
 def test_a_complex_mu_off_scale_exits_2_with_one_line(tmp_path, capsys, command, obj):
     # q = e^{i mu} = e^-400 overflows the matrix products, or q^-2 the spin-1
-    # ladder, and cos(mu) overflows at mu = 800i: a config error, with no
+    # ladder, the row norm of bethe's TQ system overflows at mu = 0.3 + 60i,
+    # and cos(mu) overflows at mu = 800i: a config error, with no
     # RuntimeWarning and no NaN residual on stdout
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
