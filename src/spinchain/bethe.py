@@ -12,12 +12,16 @@ gates, the equations to 1e-10, and the eigen-gap gate (`_gaps`), t on the
 Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per state
 is kept.  The sector blocks (`_sector_blocks`, for the census and the ED
 probes) read their own rows off the Lax kernel, the gate applies t to the
-stacked Bethe vectors (`lax.apply_transfer`), and each Bethe vector applies
-one B at a time (`lax.apply_monodromy_block`), all through the lax module's
-one site-by-site kernel.  Bethe vectors are built one candidate at a time:
-B...B|0> can cancel about seven digits, and at (6, 1) a pair of levels sits
-at 3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their roots
-move, a margin that a build batched over candidates was seen to lose.
+stacked Bethe vectors (`lax.apply_transfer`), and the Bethe vectors of a
+sector's candidates are built together (`_bethe_rows`), one stacked kernel
+pass per root position over chunks of about linalg.BLOCK_ENTRIES state
+entries, all through the lax module's one site-by-site kernel.  B...B|0>
+can cancel about seven digits, and at (6, 1) a pair of levels sits at
+3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their roots
+move, so the stacked build keeps every product and norm of the
+one-at-a-time build: each slice of the stack is multiplied and normalized
+by the same BLAS and numpy calls as one vector alone, and every vector is
+the same bytes in any chunk.
 A sector with M > N s is solved as sector 2 N s - M and flipped
 (F: m -> -m on every site) onto the all-down vacuum: the principal Lax
 matrix is unchanged by reversing its row and column order, so F t F = t,
@@ -32,9 +36,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lax import (_apply_blocks, apply_monodromy_block, apply_transfer, site_lax_matrices,
+from . import linalg
+from .lax import (_apply_blocks, _apply_monodromy, apply_transfer, site_lax_matrices,
                   sz_sector_indices, uniform_chain)
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, _norms
 
 _ACCEPT = 1e-10
 _NEWTON_STEPS = 200
@@ -116,14 +121,21 @@ def _wrap(r):
 def _equations(f, lams, N, s, mu):
     """(N (f(l + i mu s) - f(l - i mu s)) - row sums of the pair table, the table
     f(l_j - l_k + i mu) - f(l_j - l_k - i mu) with a zero diagonal, or None below
-    two roots): f = log sinh gives the equations, f = coth their derivative."""
-    drive = N * (f(lams + 1j * mu * s) - f(lams - 1j * mu * s))
-    if lams.size < 2:
-        return drive, None
-    diff = lams[:, None] - lams[None, :]
-    pair = f(diff + 1j * mu) - f(diff - 1j * mu)
-    np.fill_diagonal(pair, 0.0)
-    return drive - pair.sum(axis=1), pair
+    two roots): f = log sinh gives the equations, f = coth their derivative.
+    f is called once, on its four arguments (the two site ones below two
+    roots) joined end to end; numpy's complex log, sinh, cosh and division
+    act entry by entry, so each value is the one a separate call gives."""
+    M = lams.size
+    if M < 2:
+        vals = f(np.concatenate((lams + 1j * mu * s, lams - 1j * mu * s)))
+        return N * (vals[:M] - vals[M:]), None
+    diff = np.subtract.outer(lams, lams)
+    vals = f(np.concatenate((lams + 1j * mu * s, lams - 1j * mu * s,
+                             (diff + 1j * mu).ravel(), (diff - 1j * mu).ravel())))
+    pair = vals[2 * M:2 * M + M * M] - vals[2 * M + M * M:]
+    pair[::M + 1] = 0.0
+    pair = pair.reshape(M, M)
+    return N * (vals[:M] - vals[M:2 * M]) - pair.sum(axis=1), pair
 
 
 def _log_residual(lams, N, s, mu):
@@ -192,7 +204,7 @@ def _at_pole(lams, s, mu, tol, pairs):
     return False
 
 
-def _passes_pole_gates(lams, N, s, mu):
+def _passes_pole_gates(lams, s, mu):
     # runaway points of continuous beyond-the-equator families are cut off:
     # past this the equations only hold asymptotically
     if lams.size and np.abs(lams.real).max() > 50.0:
@@ -276,22 +288,57 @@ def bethe_vector(system: BetheSystem, chain=None) -> np.ndarray:
     or its spin flip F B...B|up...up> = C...C|down...down> on the all-down
     vacuum, an eigenvector too since F t F = t.
 
-    Matrix-free: each B is one single-column `lax.apply_monodromy_block`,
-    in O(N n^2 D) per root, and no D x D array is formed."""
+    The one-candidate case of the stacked build (`_bethe_rows`), so the
+    vector is bit for bit the one the census builds in any chunk of its
+    sector: each slice of a stacked kernel pass is the product of one
+    vector alone.  Matrix-free, in O(N n^2 D) per root, and no D x D array
+    is formed.  ValueError when the vector vanishes on the way."""
     if chain is None:
         chain = uniform_chain("xxz", system.N, system.mu, system.n, "principal")
-    D = int(np.prod(chain.local_dims, dtype=np.int64))
-    vec = np.zeros(D, dtype=complex)
-    vec[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lam in system.roots:
-            vec = apply_monodromy_block(chain, lam - 0.5j * system.mu, 0, 1, vec)
-            norm = float(np.linalg.norm(vec))
-            if not np.isfinite(norm) or norm < 1e-280:
-                raise ValueError("Bethe vector vanished during construction")
-            vec = vec / norm
+    rows, built = _bethe_rows(chain, [system])
+    if not built[0]:
+        raise ValueError("Bethe vector vanished during construction")
     # F reverses the product basis: every site digit m -> n - 1 - m
-    return vec if system.vacuum == "up" else vec[::-1]
+    return rows[0] if system.vacuum == "up" else rows[0, ::-1]
+
+
+def _bethe_rows(chain, systems) -> tuple:
+    """(rows, built): the normalized B...B|up...up> of the systems, which
+    share the chain and M, as the rows of one (len(systems), D) array, and
+    whether each stayed finite and above 1e-280 in norm after every root.
+
+    Root position j of every system goes through one `lax._apply_monodromy`
+    pass on the (C, 2, D, 1) state of a chunk of C systems, with the
+    (C, 2n, 2n) Lax stacks of their j-th roots, then each row is divided by
+    its norm (`linalg._norms`).  The Lax stacks, the slices of the stacked
+    product and the stacked norms are each bit for bit what one system
+    alone gives, so a vector does not depend on the chunk it is built in,
+    and the (6, 1) levels within a factor of a few of the 1e-8 eigen-gap
+    gate keep their gaps.  A chunk's state holds about linalg.BLOCK_ENTRIES
+    entries, and the kernel one spare state, so the build needs about
+    2 BLOCK_ENTRIES entries beside the rows.
+    """
+    D = int(np.prod(chain.local_dims, dtype=np.int64))
+    rows = np.zeros((len(systems), D), dtype=complex)
+    rows[:, 0] = 1.0
+    built = np.ones(len(systems), dtype=bool)
+    lams = np.array([[z - 0.5j * system.mu for z in system.roots] for system in systems],
+                    dtype=complex)
+    width = max(1, linalg.BLOCK_ENTRIES // (2 * D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(systems), width):
+            chunk = rows[start:start + width]
+            state = np.empty((len(chunk), 2, D, 1), dtype=complex)
+            for lam in lams[start:start + width].T:
+                state[:, 0] = 0.0
+                state[:, 1, :, 0] = chunk
+                _apply_monodromy(site_lax_matrices(chain, lam), state)
+                chunk[...] = state[:, 0, :, 0]
+                norms = _norms(chunk[:, None])
+                ok = np.isfinite(norms) & (norms >= 1e-280)
+                built[start:start + width] &= ok
+                chunk /= np.where(ok, norms, 1.0)[:, None]
+    return rows, built
 
 
 def _gaps(chain, sols, vecs) -> np.ndarray:
@@ -310,24 +357,31 @@ def _gaps(chain, sols, vecs) -> np.ndarray:
 
 def _certified(candidates, chain) -> tuple:
     """The solutions, the first per state, of the list of candidate systems
-    (as `refine` returns them) that pass the one certifier, and their Bethe
-    vectors, each built straight into one (D, L) stack: the pole gates, the
-    equations to _ACCEPT, then on the stack the eigen-gap gate (below _GAP)."""
-    rows = np.empty((len(candidates), np.prod(chain.local_dims)), dtype=complex)
-    sols = []
+    (as `refine` returns them, all of one sector) that pass the one
+    certifier, and their Bethe vectors as one (D, L) stack: the pole gates
+    and the equations to _ACCEPT per candidate, then the Bethe vectors of
+    all that pass, built together in chunks of about linalg.BLOCK_ENTRIES
+    state entries (`_bethe_rows`, each vector bit for bit the one
+    `bethe_vector` builds alone), and on their stack the eigen-gap gate
+    (below _GAP)."""
+    gated = []
     for system in candidates:
-        if not _passes_pole_gates(np.asarray(system.roots), system.N, system.s, system.mu):
+        if not _passes_pole_gates(np.asarray(system.roots), system.s, system.mu):
             continue
         residual = bae_residual(system)
-        if residual >= _ACCEPT:
+        if residual < _ACCEPT:
+            gated.append((system, residual))
+    rows, built = _bethe_rows(chain, [system for system, _ in gated])
+    sols = []
+    for (system, residual), ok in zip(gated, built):
+        if not ok:
             continue
         try:
-            rows[len(sols)] = bethe_vector(system, chain)
-        except ValueError:
-            continue
-        e, p = _closed_forms(system) if abs(system.s - 0.5) < 1e-12 else (None, None)
+            e, p = _closed_forms(system)
+        except ValueError:  # above spin 1/2
+            e = p = None
         sols.append(BetheSolution(system, residual, eigenvalue_fn(system), e, p))
-    vecs = rows[:len(sols)].T
+    vecs = (rows if built.all() else rows[built]).T
     # one state, one solution: runaway or i pi shifted roots build the same vector
     same = np.abs(vecs.conj().T @ vecs) > 1 - _GAP
     kept = []
@@ -415,6 +469,9 @@ def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
     when that polynomial has fewer than M finite nonzero zeros; a row
     returns its roots, a table their list.  Fewer than M + 2 points, or a
     system that is not finite (mu far off scale), raise ValueError.
+
+    The zeros of all levels come from one stacked eigenvalue call
+    (`_poly_zeros`), bit for bit np.roots of each level.
     """
     pts = np.asarray(points, dtype=complex)
     values = np.asarray(values)
@@ -432,11 +489,27 @@ def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
         raise ValueError(f"the TQ system at mu = {mu} is not finite")
     system /= np.maximum(np.linalg.norm(system, axis=2, keepdims=True), 1e-300)
     found = []
-    for coeffs in np.linalg.svd(system)[2][:, -1].conj():
-        zeros = np.roots(coeffs[::-1])
+    # highest power first, as np.roots takes them
+    for zeros in _poly_zeros(np.linalg.svd(system)[2][:, -1].conj()[:, ::-1]):
         ok = zeros.size == M and not (M and np.abs(zeros).min() < 1e-300)
         found.append(0.5 * np.log(zeros) + 0.5j * mu if ok else None)
     return found if values.ndim == 2 else found[0]
+
+
+def _poly_zeros(polys) -> list:
+    """np.roots of every row of the complex (L, M + 1) table polys, highest
+    power first, from one stacked np.linalg.eigvals of the companion
+    matrices that np.roots builds.  LAPACK solves a stack slice by slice as
+    np.roots solves each matrix alone, so each row's zeros are np.roots'
+    bit for bit.  A row whose first or last coefficient is exactly 0, which
+    np.roots trims, and M = 0 take np.roots itself."""
+    M = polys.shape[1] - 1
+    plain = (polys[:, 0] != 0) & (polys[:, -1] != 0) & (M > 0)
+    companion = np.zeros((plain.sum(), M, M), dtype=complex)
+    companion[:, np.arange(1, M), np.arange(M - 1)] = 1.0
+    companion[:, :1] = (-polys[plain, 1:] / polys[plain, :1])[:, None]
+    stacked = iter(np.linalg.eigvals(companion))
+    return [next(stacked) if alone else np.roots(coeffs) for coeffs, alone in zip(polys, plain)]
 
 
 def _sector_blocks(chain, lam, sectors) -> dict:

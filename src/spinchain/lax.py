@@ -9,10 +9,11 @@ auxiliary trace is the transfer matrix, again a function of lambda.  One
 kernel (`_apply_monodromy`), one site per matrix product over cache-sized
 column blocks (`_apply_blocks`), makes every Lax product: T and t applied
 to columns (`apply_monodromy_block`, `apply_transfer`), the dense blocks
-and the dense t on the unit columns, and the boundary module's open
-transfer.  Everything downstream of the transfer matrix (translation
-operator, local Hamiltonian, Yangian charges) is extracted here for
-periodic chains; open chains live in the boundary module.
+and the dense t on the unit columns, the boundary module's open transfer,
+and, on a stack of chains with one spectral parameter each, the bethe
+module's Bethe vectors.  Everything downstream of the transfer matrix
+(translation operator, local Hamiltonian, Yangian charges) is extracted
+here for periodic chains; open chains live in the boundary module.
 """
 
 from __future__ import annotations
@@ -327,17 +328,26 @@ def _apply_monodromy(laxes: list, state: np.ndarray, reverse: bool = False) -> N
     is back where it started; reverse moves the last site in front first, so
     laxes L_N ... L_1 give L_1 ... L_N.  No D x D array is formed and the
     cost is O(N n^2 D) per column.
+
+    A (C, 2, D, B) state with (C, 2n, 2n) stacks of Lax matrices runs C
+    independent chains of products, one per leading index: numpy's matmul
+    multiplies a stack slice by slice with the BLAS call of the 2-D product
+    of the same shape, so each slice is bit for bit the (2, D, B) state
+    multiplied alone.  The Bethe-vector build of the bethe module stacks
+    its candidates this way, C of them per chunk with C 2 D near
+    linalg.BLOCK_ENTRIES.
     """
-    _, D, B = state.shape
+    lead, (_, D, B) = state.shape[:-3], state.shape[-3:]
     spare = np.empty_like(state)
     for lmat in laxes:
-        n = lmat.shape[0] // 2
+        n = lmat.shape[-1] // 2
+        flat, split, grouped = lead + (2 * n, -1), lead + (2, D // n, n, B), lead + (2, n, D // n, B)
         if reverse:
-            spare.reshape(2, n, D // n, B)[...] = state.reshape(2, D // n, n, B).transpose(0, 2, 1, 3)
-            np.matmul(lmat, spare.reshape(2 * n, -1), out=state.reshape(2 * n, -1))
+            spare.reshape(grouped)[...] = state.reshape(split).swapaxes(-3, -2)
+            np.matmul(lmat, spare.reshape(flat), out=state.reshape(flat))
         else:
-            np.matmul(lmat, state.reshape(2 * n, -1), out=spare.reshape(2 * n, -1))
-            state.reshape(2, D // n, n, B)[...] = spare.reshape(2, n, D // n, B).transpose(0, 2, 1, 3)
+            np.matmul(lmat, state.reshape(flat), out=spare.reshape(flat))
+            state.reshape(split)[...] = spare.reshape(grouped).swapaxes(-3, -2)
 
 
 def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.ndarray:
@@ -347,6 +357,8 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
     block's (2, D, C, w) state holds its columns on aux input inputs[c] of
     copy c and goes through the reversed pass of mirrored, if any, and the
     pass of laxes; blocks are as wide as keeps it near linalg.BLOCK_ENTRIES.
+    A single block's read is returned as it is, which may be a view of the
+    state.
     """
     D = int(np.prod([len(lmat) // 2 for lmat in laxes], dtype=np.int64))
     cols = None if vec is None else np.reshape(vec, (np.shape(vec)[0], -1))
@@ -356,17 +368,21 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
     def apply(start: int, w: int) -> np.ndarray:
         state = np.zeros((2, D, len(inputs), w), dtype=complex)
         block = np.eye(D, w, -start) if cols is None else cols[:, start:start + w]
-        state[inputs, :, range(len(inputs))] = block
+        for copy, aux in enumerate(inputs):
+            state[aux, :, copy] = block
         if mirrored:
             _apply_monodromy(mirrored, state.reshape(2, D, -1), reverse=True)
         _apply_monodromy(laxes, state.reshape(2, D, -1))
         return read(state)
 
-    for start in range(0, max(L, 1), width):
-        part = apply(start, min(width, L - start))
-        if start == 0:
-            out = np.empty(part.shape[:-1] + (L,), dtype=complex)
-        out[..., start:start + width] = part
+    if L <= width:
+        out = apply(0, L)
+    else:
+        for start in range(0, L, width):
+            part = apply(start, min(width, L - start))
+            if start == 0:
+                out = np.empty(part.shape[:-1] + (L,), dtype=complex)
+            out[..., start:start + width] = part
     return out if cols is None else out.reshape(len(out), *np.shape(vec)[1:])
 
 

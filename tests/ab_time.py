@@ -1,6 +1,6 @@
 """Interleaved A/B timing of two trees' workbench, in one process.
 
-    OPENBLAS_NUM_THREADS=1 python tests/ab_time.py A_SRC B_SRC [--pairs N]
+    OPENBLAS_NUM_THREADS=1 python tests/ab_time.py A_SRC B_SRC [--pairs N] [--workload NAME ...]
 
 copies the `spinchain` package of each tree (A_SRC and B_SRC are checkouts'
 `src`) under its own name into a temporary directory, imports both, and
@@ -11,13 +11,16 @@ round) through each side's `cli.main` with `time.process_time`:
   spectrum-cap  the periodic spectrum at N = 12
   verify-sweep  the five clean verify suites and the three negative controls
 
-Each pair runs a workload's invocations once on each side, A first in
-even pairs and B first in odd ones, after one untimed round per side.  It
-prints per workload and side the median and the quartiles of the pairs in
-ms and the number of pairs that side won.  Both sides must give every
-invocation the same exit code.  Separate benchmark processes drift apart
-by tens of percent on a busy machine; alternating in one process cancels
-most of that drift.  Not a test module: pytest collects only `test_*.py`.
+--workload NAME, repeatable, times only the named workloads (all three
+by default).  Each pair runs a workload's invocations once on each side, A
+first in even pairs and B first in odd ones, after one untimed round per
+side.  It prints per workload and side the median and the quartiles of the
+pairs in ms, the median per invocation (the pair median over the number of
+invocations in the round) and the number of pairs that side won.  Both
+sides must give every invocation the same exit code.  Separate benchmark
+processes drift apart by tens of percent on a busy machine; alternating in
+one process cancels most of that drift.  Not a test module: pytest
+collects only `test_*.py`.
 """
 
 import argparse
@@ -57,6 +60,8 @@ def main(argv=None) -> int:
     parser.add_argument("a_src")
     parser.add_argument("b_src")
     parser.add_argument("--pairs", type=int, default=30)
+    parser.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS),
+                        help="time only this workload; repeatable (default: all)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -65,8 +70,10 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(tmp))
         sides = {"A": load_cli(args.a_src, "spinchain_a", tmp).main,
                  "B": load_cli(args.b_src, "spinchain_b", tmp).main}
-        print(f"{'workload':<14}{'side':<6}{'median_ms':>10}{'q1_ms':>10}{'q3_ms':>10}{'won':>6}")
-        for wl_name, cls in workloads.WORKLOADS.items():
+        print(f"{'workload':<14}{'side':<6}{'median_ms':>10}{'q1_ms':>10}{'q3_ms':>10}"
+              f"{'per_op_ms':>10}{'won':>6}")
+        for wl_name in args.workload or workloads.WORKLOADS:
+            cls = workloads.WORKLOADS[wl_name]
             argvs = []
             for k, op in enumerate(cls(0).round(0)):
                 path = tmp / f"{wl_name}-{k}.json"
@@ -85,7 +92,7 @@ def main(argv=None) -> int:
                 q1, med, q3 = statistics.quantiles(ms, n=4)
                 won = sum(t < u for t, u in zip(times[side], times[other]))
                 print(f"{wl_name if side == 'A' else '':<14}{side:<6}{med:>10.2f}{q1:>10.2f}{q3:>10.2f}"
-                      f"{won:>6}")
+                      f"{med / len(argvs):>10.2f}{won:>6}")
     return 0
 
 

@@ -596,7 +596,7 @@ def test_certifier_rejects_at_every_gate():
     chain = lax.uniform_chain("xxz", 4, MU, 2, "principal")
     failing = [sc.BetheSystem(4, 0.5, MU, roots)
                for roots in [(0.15j,), (60,), (0.1, 0.1 + 0.3j), (0.3,)]]
-    assert [bethe._passes_pole_gates(np.asarray(sys_.roots), 4, 0.5, MU) for sys_ in failing] == [
+    assert [bethe._passes_pole_gates(np.asarray(sys_.roots), 0.5, MU) for sys_ in failing] == [
         False, False, False, True]
     assert sc.bae_residual(failing[-1]) > bethe._ACCEPT
     good = sc.solve_bae(4, 0.5, MU, 1)[0].system
@@ -636,3 +636,144 @@ def test_gap_gate_holds_two_stacks():
         tracemalloc.stop()
     assert np.array_equal(gaps, reference)
     assert peak < 3.5 * 256 * 2000 * 16, peak / (256 * 2000 * 16)
+
+
+# the (6, 1) level at the eigen-gap gate: its gap sits between 3.5e-9 and
+# 2.1e-8 against the 1e-8 bound as the last bits of its roots move
+KNIFE_EDGE = (-0.2265, 0.0438, 0.0438 - 0.3j, 0.0438 + 0.3j, 0.0475 - 0.6246j, 0.0475 + 0.6246j)
+
+
+def _census_calls(N, s):
+    """The chain and the candidate lists that one census of (N, s) hands
+    to `_certified`, one per source sector."""
+    calls, certified = [], bethe._certified
+
+    def recording(candidates, chain):
+        calls.append(candidates)
+        return certified(candidates, chain)
+
+    n = round(2 * s + 1)
+    chain = lax.uniform_chain("xxz", N, MU, n, "principal")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bethe, "_certified", recording)
+        bethe._census(chain, s, MU, range((n - 1) * N // 2 + 1))
+    return chain, calls
+
+
+def _certify_in(chain, calls, chunk):
+    """(rows, roots, gaps) of `_certified` on each candidate list, with the
+    Bethe vectors built one system per call (chunk None) or in chunks of
+    chunk systems (0: all in one): every candidate's vector, the certified
+    root sets, and the eigen-gap of every built solution by its roots."""
+    build, gaps = bethe._bethe_rows, bethe._gaps
+    D = int(np.prod(chain.local_dims))
+    rows, by_roots = [], {}
+
+    def chunked(chain, systems):
+        if chunk is None:
+            parts = [build(chain, [system]) for system in systems] or [build(chain, [])]
+            out = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        else:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sc.linalg, "BLOCK_ENTRIES", 2 * D * (chunk or max(1, len(systems))))
+                out = build(chain, systems)
+        rows.append(out[0])
+        return out
+
+    def recorded(chain, sols, vecs):
+        out = gaps(chain, sols, vecs)
+        by_roots.update((sol.system.roots, gap) for sol, gap in zip(sols, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bethe, "_bethe_rows", chunked)
+        mp.setattr(bethe, "_gaps", recorded)
+        roots = [[sol.system.roots for sol in bethe._certified(candidates, chain)[0]]
+                 for candidates in calls]
+    return rows, roots, by_roots
+
+
+@pytest.mark.parametrize("N, s", [(4, 0.5), (6, 0.5), (4, 1.0), (3, 1.5), (6, 1.0)])
+def test_stacked_build_is_the_one_at_a_time_build_bit_for_bit(N, s):
+    # every candidate's Bethe vector and every certified root set are the
+    # same bytes built one system at a time, all at once, or in chunks of 1
+    # to 3 systems; a chunk's stacked kernel pass multiplies slice by slice
+    chain, calls = _census_calls(N, s)
+    rows, roots, gaps = _certify_in(chain, calls, 0)
+    assert sum(map(len, roots)) > 0
+    knife = [key for key in gaps if len(key) == 6 and np.allclose(key, KNIFE_EDGE, atol=1e-4)]
+    assert len(knife) == (1 if (N, s) == (6, 1.0) else 0)
+    for chunk in (None, 1, 2, 3):
+        got_rows, got_roots, got_gaps = _certify_in(chain, calls, chunk)
+        assert got_roots == roots
+        assert all(np.array_equal(a.view(float), b.view(float)) for a, b in zip(got_rows, rows))
+        assert list(got_gaps.items()) == list(gaps.items())
+        # the knife-edge level's gap, which decides whether it is certified
+        assert [got_gaps[key] for key in knife] == [gaps[key] for key in knife]
+    # bethe_vector is the one-system build
+    for candidates, built in zip(calls, rows):
+        systems = [system for system in candidates
+                   if bethe._passes_pole_gates(np.asarray(system.roots), s, MU)
+                   and sc.bae_residual(system) < bethe._ACCEPT]
+        assert len(systems) == len(built)
+        for system, row in zip(systems, built):
+            assert np.array_equal(sc.bethe_vector(system, chain).view(float), row.view(float))
+    assert all(1e-9 < gaps[key] < 1e-7 for key in knife)
+
+
+@pytest.mark.parametrize("N, s", [(6, 0.5), (4, 1.0)])
+def test_stacked_tq_zeros_are_np_roots_on_the_census_tables(N, s, monkeypatch):
+    # the census's own Q polynomials, every level through the stacked
+    # eigenvalue call, against np.roots level by level
+    seen, zeros = [], bethe._poly_zeros
+
+    def recorded(polys):
+        seen.append(polys.copy())
+        return zeros(polys)
+
+    monkeypatch.setattr(bethe, "_poly_zeros", recorded)
+    sc.validate_against_ed(N, s, MU)
+    assert sum(len(polys) for polys in seen) > 10
+    for polys in seen:
+        assert polys[:, [0, -1]].all()
+        for got, coeffs in zip(zeros(polys), polys):
+            assert np.array_equal(got.view(float), np.roots(coeffs).view(float))
+
+
+def test_stacked_zeros_are_np_roots_and_trimmed_rows_fall_back(monkeypatch):
+    rng = np.random.default_rng(3)
+    polys = rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
+    polys[5, 0] = 0.0  # a zero leading coefficient: np.roots drops it
+    polys[9, -1] = 0.0  # a zero trailing one: np.roots adds a zero root
+    want = [np.roots(coeffs) for coeffs in polys]
+    fallback, roots = [], np.roots
+
+    def counted(p):
+        fallback.append(p)
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", counted)
+    got = bethe._poly_zeros(polys)
+    assert len(fallback) == 2
+    assert np.array_equal(fallback[0], polys[5]) and np.array_equal(fallback[1], polys[9])
+    assert got[5].size == 5 and got[9].size == 6 and got[9][-1] == 0
+    assert all(np.array_equal(a.view(float), b.view(float)) for a, b in zip(got, want))
+
+
+def test_stacked_build_memory_stays_at_two_blocks():
+    # 64 candidates at N = 12 (D = 4096) in chunks: beside the rows, one
+    # chunk's state and the kernel's spare state, each BLOCK_ENTRIES entries
+    chain = lax.uniform_chain("xxz", 12, MU, 2, "principal")
+    rng = np.random.default_rng(12)
+    systems = [sc.BetheSystem(12, 0.5, MU, tuple(rng.normal(size=2) + 0.2j * rng.normal(size=2)))
+               for _ in range(64)]
+    rows_bytes = 64 * 4096 * 16
+    bethe._bethe_rows(chain, systems[:1])  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        rows, built = bethe._bethe_rows(chain, systems)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.all() and rows.shape == (64, 4096)
+    assert peak < rows_bytes + 2 * sc.linalg.BLOCK_ENTRIES * 16 + 2**16, peak - rows_bytes
