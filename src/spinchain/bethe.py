@@ -121,21 +121,14 @@ def _wrap(r):
 def _equations(f, lams, N, s, mu):
     """(N (f(l + i mu s) - f(l - i mu s)) - row sums of the pair table, the table
     f(l_j - l_k + i mu) - f(l_j - l_k - i mu) with a zero diagonal, or None below
-    two roots): f = log sinh gives the equations, f = coth their derivative.
-    f is called once, on its four arguments (the two site ones below two
-    roots) joined end to end; numpy's complex log, sinh, cosh and division
-    act entry by entry, so each value is the one a separate call gives."""
-    M = lams.size
-    if M < 2:
-        vals = f(np.concatenate((lams + 1j * mu * s, lams - 1j * mu * s)))
-        return N * (vals[:M] - vals[M:]), None
-    diff = np.subtract.outer(lams, lams)
-    vals = f(np.concatenate((lams + 1j * mu * s, lams - 1j * mu * s,
-                             (diff + 1j * mu).ravel(), (diff - 1j * mu).ravel())))
-    pair = vals[2 * M:2 * M + M * M] - vals[2 * M + M * M:]
-    pair[::M + 1] = 0.0
-    pair = pair.reshape(M, M)
-    return N * (vals[:M] - vals[M:2 * M]) - pair.sum(axis=1), pair
+    two roots): f = log sinh gives the equations, f = coth their derivative."""
+    drive = N * (f(lams + 1j * mu * s) - f(lams - 1j * mu * s))
+    if lams.size < 2:
+        return drive, None
+    diff = lams[:, None] - lams[None, :]
+    pair = f(diff + 1j * mu) - f(diff - 1j * mu)
+    np.fill_diagonal(pair, 0.0)
+    return drive - pair.sum(axis=1), pair
 
 
 def _log_residual(lams, N, s, mu):
@@ -471,7 +464,9 @@ def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
     system that is not finite (mu far off scale), raise ValueError.
 
     The zeros of all levels come from one stacked eigenvalue call
-    (`_poly_zeros`), bit for bit np.roots of each level.
+    (`_poly_zeros`), bit for bit np.roots of each level.  A level whose
+    first or last coefficient is exactly 0, which np.roots would trim to
+    fewer than M zeros or to a zero one, gets None without it.
     """
     pts = np.asarray(points, dtype=complex)
     values = np.asarray(values)
@@ -488,28 +483,30 @@ def tq_roots(values, points, N, s, mu, M) -> list | np.ndarray | None:
     if not np.isfinite(system).all():
         raise ValueError(f"the TQ system at mu = {mu} is not finite")
     system /= np.maximum(np.linalg.norm(system, axis=2, keepdims=True), 1e-300)
-    found = []
-    # highest power first, as np.roots takes them
-    for zeros in _poly_zeros(np.linalg.svd(system)[2][:, -1].conj()[:, ::-1]):
-        ok = zeros.size == M and not (M and np.abs(zeros).min() < 1e-300)
-        found.append(0.5 * np.log(zeros) + 0.5j * mu if ok else None)
+    if M == 0:  # Q = 1
+        found = [np.zeros(0, dtype=complex) for _ in system]
+    else:
+        # highest power first, as np.roots takes them
+        polys = np.linalg.svd(system)[2][:, -1].conj()[:, ::-1]
+        whole = (polys[:, 0] != 0) & (polys[:, -1] != 0)
+        zeros = np.ones((len(polys), M), dtype=complex)
+        zeros[whole] = _poly_zeros(polys[whole])
+        ok = whole & ~(np.abs(zeros).min(axis=1) < 1e-300)
+        found = [0.5 * np.log(z) + 0.5j * mu if good else None for z, good in zip(zeros, ok)]
     return found if values.ndim == 2 else found[0]
 
 
-def _poly_zeros(polys) -> list:
-    """np.roots of every row of the complex (L, M + 1) table polys, highest
-    power first, from one stacked np.linalg.eigvals of the companion
-    matrices that np.roots builds.  LAPACK solves a stack slice by slice as
-    np.roots solves each matrix alone, so each row's zeros are np.roots'
-    bit for bit.  A row whose first or last coefficient is exactly 0, which
-    np.roots trims, and M = 0 take np.roots itself."""
+def _poly_zeros(polys) -> np.ndarray:
+    """The (L, M) zeros of the rows of the complex (L, M + 1) table polys,
+    highest power first and with no 0 first or last coefficient, from one
+    stacked np.linalg.eigvals of the companion matrices that np.roots
+    builds.  LAPACK solves a stack slice by slice as np.roots solves each
+    matrix alone, so each row's zeros are np.roots' bit for bit."""
     M = polys.shape[1] - 1
-    plain = (polys[:, 0] != 0) & (polys[:, -1] != 0) & (M > 0)
-    companion = np.zeros((plain.sum(), M, M), dtype=complex)
+    companion = np.zeros((len(polys), M, M), dtype=complex)
     companion[:, np.arange(1, M), np.arange(M - 1)] = 1.0
-    companion[:, :1] = (-polys[plain, 1:] / polys[plain, :1])[:, None]
-    stacked = iter(np.linalg.eigvals(companion))
-    return [next(stacked) if alone else np.roots(coeffs) for coeffs, alone in zip(polys, plain)]
+    companion[:, 0] = -polys[:, 1:] / polys[:, :1]
+    return np.linalg.eigvals(companion)
 
 
 def _sector_blocks(chain, lam, sectors) -> dict:

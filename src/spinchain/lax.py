@@ -7,13 +7,15 @@ matrix, a 1-D array of lambdas the (P, s, s) stack).  The monodromy is the
 auxiliary-space-ordered product L_N ... L_1 (site 1 rightmost) whose
 auxiliary trace is the transfer matrix, again a function of lambda.  One
 kernel (`_apply_monodromy`), one site per matrix product over cache-sized
-column blocks (`_apply_blocks`), makes every Lax product: T and t applied
-to columns (`apply_monodromy_block`, `apply_transfer`), the dense blocks
-and the dense t on the unit columns, the boundary module's open transfer,
-and, on a stack of chains with one spectral parameter each, the bethe
-module's Bethe vectors.  Everything downstream of the transfer matrix
-(translation operator, local Hamiltonian, Yangian charges) is extracted
-here for periodic chains; open chains live in the boundary module.
+column blocks (`_apply_blocks`), makes every Lax product: t applied to
+columns (`apply_transfer`), the dense blocks and the dense t on the unit
+columns, the boundary module's open transfer, and, on a stack of chains
+with one spectral parameter each, the bethe module's Bethe vectors; one T
+block applied to columns (`apply_monodromy_block`) is the tests' reference
+for the kernel and for the Bethe vectors.  Everything downstream of the
+transfer matrix (translation operator, local Hamiltonian, Yangian
+charges) is extracted here for periodic chains; open chains live in the
+boundary module.
 """
 
 from __future__ import annotations
@@ -357,8 +359,6 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
     block's (2, D, C, w) state holds its columns on aux input inputs[c] of
     copy c and goes through the reversed pass of mirrored, if any, and the
     pass of laxes; blocks are as wide as keeps it near linalg.BLOCK_ENTRIES.
-    A single block's read is returned as it is, which may be a view of the
-    state.
     """
     D = int(np.prod([len(lmat) // 2 for lmat in laxes], dtype=np.int64))
     cols = None if vec is None else np.reshape(vec, (np.shape(vec)[0], -1))
@@ -368,27 +368,26 @@ def _apply_blocks(laxes: list, inputs, read, vec, mirrored: list = ()) -> np.nda
     def apply(start: int, w: int) -> np.ndarray:
         state = np.zeros((2, D, len(inputs), w), dtype=complex)
         block = np.eye(D, w, -start) if cols is None else cols[:, start:start + w]
-        for copy, aux in enumerate(inputs):
-            state[aux, :, copy] = block
+        state[inputs, :, range(len(inputs))] = block
         if mirrored:
             _apply_monodromy(mirrored, state.reshape(2, D, -1), reverse=True)
         _apply_monodromy(laxes, state.reshape(2, D, -1))
         return read(state)
 
-    if L <= width:
-        out = apply(0, L)
-    else:
-        for start in range(0, L, width):
-            part = apply(start, min(width, L - start))
-            if start == 0:
-                out = np.empty(part.shape[:-1] + (L,), dtype=complex)
-            out[..., start:start + width] = part
+    for start in range(0, max(L, 1), width):
+        part = apply(start, min(width, L - start))
+        if start == 0:
+            out = np.empty(part.shape[:-1] + (L,), dtype=complex)
+        out[..., start:start + width] = part
     return out if cols is None else out.reshape(len(out), *np.shape(vec)[1:])
 
 
 def apply_monodromy_block(chain: ChainSpec, lam: complex, a: int, b: int, vec) -> np.ndarray:
     """monodromy_blocks(chain, lam)[a][b] @ vec, matrix-free; vec is a (D,)
-    vector or a (D, L) batch of columns."""
+    vector or a (D, L) batch of columns.  Nothing in the package calls it:
+    it is the one-block reader that the kernel is checked with against the
+    Kronecker-grown blocks, and its single-column T[0][1] product per root
+    is the one-at-a-time Bethe vector the stacked build is pinned to."""
     return _apply_blocks(site_lax_matrices(chain, lam), (b,), lambda state: state[a, :, 0], vec)
 
 

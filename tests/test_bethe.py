@@ -643,6 +643,18 @@ def test_gap_gate_holds_two_stacks():
 KNIFE_EDGE = (-0.2265, 0.0438, 0.0438 - 0.3j, 0.0438 + 0.3j, 0.0475 - 0.6246j, 0.0475 + 0.6246j)
 
 
+def _one_at_a_time(chain, system):
+    """B...B|0> as built before the stacked build: one single-column T[0][1]
+    product per root, each followed by division by np.linalg.norm."""
+    vec = np.zeros(np.prod(chain.local_dims), dtype=complex)
+    vec[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in system.roots:
+            vec = lax.apply_monodromy_block(chain, lam - 0.5j * system.mu, 0, 1, vec)
+            vec = vec / float(np.linalg.norm(vec))
+    return vec if system.vacuum == "up" else vec[::-1]
+
+
 def _census_calls(N, s):
     """The chain and the candidate lists that one census of (N, s) hands
     to `_certified`, one per source sector."""
@@ -717,7 +729,9 @@ def test_stacked_build_is_the_one_at_a_time_build_bit_for_bit(N, s):
                    and sc.bae_residual(system) < bethe._ACCEPT]
         assert len(systems) == len(built)
         for system, row in zip(systems, built):
-            assert np.array_equal(sc.bethe_vector(system, chain).view(float), row.view(float))
+            vec = sc.bethe_vector(system, chain)
+            assert np.array_equal(vec.view(float), row.view(float))
+            assert np.array_equal(vec.view(float), _one_at_a_time(chain, system).view(float))
     assert all(1e-9 < gaps[key] < 1e-7 for key in knife)
 
 
@@ -740,24 +754,33 @@ def test_stacked_tq_zeros_are_np_roots_on_the_census_tables(N, s, monkeypatch):
             assert np.array_equal(got.view(float), np.roots(coeffs).view(float))
 
 
-def test_stacked_zeros_are_np_roots_and_trimmed_rows_fall_back(monkeypatch):
+def test_tq_roots_zeros_are_np_roots_and_trimmed_levels_get_none(monkeypatch):
+    # a random table of Q polynomials through the stacked eigenvalue call,
+    # then through tq_roots as its SVD null vectors, against the per-level
+    # np.roots formula bit for bit; an exact 0 leading coefficient (np.roots
+    # drops it, leaving M - 1 zeros) or trailing one (np.roots adds a 0
+    # zero) gives None
+    L, M = 40, 6
     rng = np.random.default_rng(3)
-    polys = rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
-    polys[5, 0] = 0.0  # a zero leading coefficient: np.roots drops it
-    polys[9, -1] = 0.0  # a zero trailing one: np.roots adds a zero root
-    want = [np.roots(coeffs) for coeffs in polys]
-    fallback, roots = [], np.roots
-
-    def counted(p):
-        fallback.append(p)
-        return roots(p)
-
-    monkeypatch.setattr(np, "roots", counted)
-    got = bethe._poly_zeros(polys)
-    assert len(fallback) == 2
-    assert np.array_equal(fallback[0], polys[5]) and np.array_equal(fallback[1], polys[9])
-    assert got[5].size == 5 and got[9].size == 6 and got[9][-1] == 0
-    assert all(np.array_equal(a.view(float), b.view(float)) for a, b in zip(got, want))
+    polys = rng.normal(size=(L, M + 1)) + 1j * rng.normal(size=(L, M + 1))
+    for got, coeffs in zip(bethe._poly_zeros(polys), polys):
+        assert np.array_equal(got.view(float), np.roots(coeffs).view(float))
+    polys[5, 0] = 0.0
+    polys[9, -1] = 0.0
+    assert np.roots(polys[5]).size == M - 1 and np.roots(polys[9])[-1] == 0
+    want = []
+    for coeffs in polys:
+        zeros = np.roots(coeffs)
+        ok = zeros.size == M and not np.abs(zeros).min() < 1e-300
+        want.append(0.5 * np.log(zeros) + 0.5j * MU if ok else None)
+    # the SVD's last right singular vectors hold the coefficients, lowest
+    # power first and conjugated
+    null = np.zeros((L, M + 1, M + 1), dtype=complex)
+    null[:, -1] = polys[:, ::-1].conj()
+    monkeypatch.setattr(np.linalg, "svd", lambda system: (None, None, null))
+    got = sc.tq_roots(np.ones((L, M + 2)), 0.1 * np.arange(M + 2), 4, 0.5, MU, M)
+    assert [g is None for g in got] == [i in (5, 9) for i in range(L)]
+    assert all(g is None or np.array_equal(g.view(float), w.view(float)) for g, w in zip(got, want))
 
 
 def test_stacked_build_memory_stays_at_two_blocks():
