@@ -73,6 +73,7 @@ from .lax import (
     monodromy_blocks,
     p_matrix,
     rll_residual,
+    spectrum_levels,
     spectrum_table,
     sz_sector_indices,
     transfer,

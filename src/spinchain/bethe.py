@@ -14,8 +14,8 @@ is kept.  The sector blocks (`_sector_blocks`, for the census and the ED
 probes) read their own rows off the Lax kernel, the gate applies t to the
 stacked Bethe vectors (`lax.apply_transfer`), and the Bethe vectors of a
 sector's candidates are built together (`_bethe_rows`), one stacked kernel
-pass per root position over chunks of about linalg.BLOCK_ENTRIES state
-entries, all through the lax module's one site-by-site kernel.  B...B|0>
+pass per root position over chunks whose state and kernel spare hold
+about linalg.BLOCK_ENTRIES entries, all through the lax module's one site-by-site kernel.  B...B|0>
 can cancel about seven digits, and at (6, 1) a pair of levels sits at
 3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their roots
 move, so the stacked build keeps every product and norm of the
@@ -307,9 +307,10 @@ def _bethe_rows(chain, systems) -> tuple:
     product and the stacked norms are each bit for bit what one system
     alone gives, so a vector does not depend on the chunk it is built in,
     and the (6, 1) levels within a factor of a few of the 1e-8 eigen-gap
-    gate keep their gaps.  A chunk's state holds about linalg.BLOCK_ENTRIES
-    entries, and the kernel one spare state, so the build needs about
-    2 BLOCK_ENTRIES entries beside the rows.
+    gate keep their gaps.  A chunk's state and the kernel's spare state
+    together hold about linalg.BLOCK_ENTRIES entries, so the build needs
+    about that much beside the rows; at N = 12 (D = 4096), 8, 16 and 32
+    candidates per chunk build 64 M = 6 vectors in the same time.
     """
     D = int(np.prod(chain.local_dims, dtype=np.int64))
     rows = np.zeros((len(systems), D), dtype=complex)
@@ -317,7 +318,7 @@ def _bethe_rows(chain, systems) -> tuple:
     built = np.ones(len(systems), dtype=bool)
     lams = np.array([[z - 0.5j * system.mu for z in system.roots] for system in systems],
                     dtype=complex)
-    width = max(1, linalg.BLOCK_ENTRIES // (2 * D))
+    width = max(1, linalg.BLOCK_ENTRIES // (4 * D))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(systems), width):
             chunk = rows[start:start + width]
@@ -354,7 +355,7 @@ def _certified(candidates, chain) -> tuple:
     certifier, and their Bethe vectors as one (D, L) stack: the pole gates
     and the equations to _ACCEPT per candidate, then the Bethe vectors of
     all that pass, built together in chunks of about linalg.BLOCK_ENTRIES
-    state entries (`_bethe_rows`, each vector bit for bit the one
+    / 2 state entries (`_bethe_rows`, each vector bit for bit the one
     `bethe_vector` builds alone), and on their stack the eigen-gap gate
     (below _GAP)."""
     gated = []

@@ -336,8 +336,8 @@ def _apply_monodromy(laxes: list, state: np.ndarray, reverse: bool = False) -> N
     multiplies a stack slice by slice with the BLAS call of the 2-D product
     of the same shape, so each slice is bit for bit the (2, D, B) state
     multiplied alone.  The Bethe-vector build of the bethe module stacks
-    its candidates this way, C of them per chunk with C 2 D near
-    linalg.BLOCK_ENTRIES.
+    its candidates this way, C of them per chunk with C 4 D, the state and
+    the spare, near linalg.BLOCK_ENTRIES.
     """
     lead, (_, D, B) = state.shape[:-3], state.shape[-3:]
     spare = np.empty_like(state)
@@ -694,25 +694,27 @@ def _symmetry_blocks(N: int, delta: float, periodic: bool):
             yield m, momenta, reps, block if keep.size == L else block.take(keep, 0).take(keep, 1)
 
 
-def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
-    """Sorted eigenvalues of xxz_hamiltonian with S^z and momentum labels.
+def spectrum_levels(N: int, delta: complex, boundary: str = "periodic") -> dict:
+    """Sorted eigenvalues of xxz_hamiltonian with S^z and momentum labels,
+    as columns: {"energy": float64, "sz": float64} numpy arrays of the 2^N
+    levels in ascending energy, and for periodic chains "momentum", the
+    int64 k with translation eigenvalue e^{2 pi i k / N}.  Equal energies
+    keep (sz, momentum) order.
 
-    Returns one dict per state: energy, sz, and for periodic chains the
-    integer k with translation eigenvalue e^{2 pi i k / N}.  Both chains are
-    solved one `_symmetry_blocks` block at a time, per (Sz, k) on translation
-    orbits or per (Sz, reflection parity) on reflection orbits, so every
-    momentum is the block the level was solved in, with no energy
-    threshold; one eigensolve serves the conjugate k and N - k blocks, and
-    the spin-flipped -Sz block with the same k, whose levels are equal bit
-    for bit (only Sz >= 0 is solved).  Only eigenvalues are computed, and no
-    2^N x 2^N array is formed.  The delta-free part of the blocks is built
-    on the first call at a given (N, boundary) and kept for the process
-    (`_symmetry_skeleton`), so a scan over delta at one N pays for it
-    once; later calls only sum the sz sz diagonal and form the blocks.
-    delta must be real, since H is Hermitian only then; the open blocks and
-    the k = 0, N/2 blocks are then real.  A delta that is not finite, or a
-    block that is not finite (|delta| near the float range), raises
-    ValueError, and so does an eigensolve that does not converge.
+    Both chains are solved one `_symmetry_blocks` block at a time, per
+    (Sz, k) on translation orbits or per (Sz, reflection parity) on
+    reflection orbits, so every momentum is the block the level was solved
+    in, with no energy threshold; one eigensolve serves the conjugate k and
+    N - k blocks, and the spin-flipped -Sz block with the same k, whose
+    levels are equal bit for bit (only Sz >= 0 is solved).  Only eigenvalues
+    are computed, and no 2^N x 2^N array is formed.  The delta-free part of
+    the blocks is built on the first call at a given (N, boundary) and kept
+    for the process (`_symmetry_skeleton`), so a scan over delta at one N
+    pays for it once; later calls only sum the sz sz diagonal and form the
+    blocks.  delta must be real, since H is Hermitian only then; the open
+    blocks and the k = 0, N/2 blocks are then real.  A delta that is not
+    finite, or a block that is not finite (|delta| near the float range),
+    raises ValueError, and so does an eigensolve that does not converge.
     """
     periodic = _is_periodic(boundary)
     if N < 2:
@@ -741,8 +743,15 @@ def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
     energy, sz, momentum = np.concatenate(energy), np.repeat(sz, sizes), np.repeat(momentum, sizes)
     # stable, so equal (energy, sz, momentum) keep their block order
     order = np.lexsort((momentum, sz, energy))
-    energy, sz = energy[order].tolist(), sz[order].tolist()
-    if not periodic:
-        return [{"energy": e, "sz": s} for e, s in zip(energy, sz)]
-    return [{"energy": e, "sz": s, "momentum": k}
-            for e, s, k in zip(energy, sz, momentum[order].tolist())]
+    columns = {"energy": energy[order], "sz": sz[order]}
+    if periodic:
+        columns["momentum"] = momentum[order]
+    return columns
+
+
+def spectrum_table(N: int, delta: complex, boundary: str = "periodic") -> list:
+    """The levels of `spectrum_levels` as records: one dict per state, in
+    the same order, with its energy, sz and, for periodic chains, momentum
+    as Python floats and int; the same errors."""
+    columns = spectrum_levels(N, delta, boundary)
+    return [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]

@@ -785,7 +785,7 @@ def test_tq_roots_zeros_are_np_roots_and_trimmed_levels_get_none(monkeypatch):
 
 def test_stacked_build_memory_stays_at_two_blocks():
     # 64 candidates at N = 12 (D = 4096) in chunks: beside the rows, one
-    # chunk's state and the kernel's spare state, each BLOCK_ENTRIES entries
+    # chunk's state and the kernel's spare state, together BLOCK_ENTRIES entries
     chain = lax.uniform_chain("xxz", 12, MU, 2, "principal")
     rng = np.random.default_rng(12)
     systems = [sc.BetheSystem(12, 0.5, MU, tuple(rng.normal(size=2) + 0.2j * rng.normal(size=2)))
@@ -799,4 +799,4 @@ def test_stacked_build_memory_stays_at_two_blocks():
     finally:
         tracemalloc.stop()
     assert built.all() and rows.shape == (64, 4096)
-    assert peak < rows_bytes + 2 * sc.linalg.BLOCK_ENTRIES * 16 + 2**16, peak - rows_bytes
+    assert peak < rows_bytes + sc.linalg.BLOCK_ENTRIES * 16 + 2**16, peak - rows_bytes

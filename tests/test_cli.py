@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +636,141 @@ def test_dumps_equals_the_indented_stdlib_dump(payload):
     assert cli._dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _column_table(columns: dict) -> np.ndarray:
+    """The structured array of the columns, {name: values}, in that order."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    table = np.empty(len(arrays[0]), dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
+    for name, values in zip(columns, arrays):
+        table[name] = values
+    return table
+
+
+def _as_records(obj):
+    """obj with every column table replaced by the list of its rows' records."""
+    if isinstance(obj, np.ndarray):
+        return [dict(zip(obj.dtype.names, row)) for row in obj.tolist()]
+    if isinstance(obj, dict):
+        return {key: _as_records(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_records(item) for item in obj]
+    return obj
+
+
+_COLUMN_CASES = {
+    "signed-zeros": {"e": [0.0, -0.0, 0.0, -0.0, 1.5], "k": [0, 3, 3, -2, 0]},
+    "repeats": {"energy": [-1.25, -1.25, 0.75, -1.25, 0.1 + 0.2], "%s": [1, 2, 1, 2, 1],
+                "a%": [True, False, True, True, False]},
+    "one-row": {"z": [-0.0], "a": [7]},
+    "empty": {"x": np.zeros(0)},
+    "non-finite": {"f": [NAN, INF, -INF, NAN, 1e300], "g": [-0.0] * 5},
+}
+
+
+@pytest.mark.parametrize("columns", _COLUMN_CASES.values(), ids=_COLUMN_CASES)
+def test_dumps_writes_a_column_table_as_the_dump_of_its_records(columns):
+    table = _column_table(columns)
+    payload = {"levels": table, "%": -0.0, "nested": [table, {"t": table}]}
+    want = json.dumps(_as_records(payload), sort_keys=True, indent=2)
+    assert cli._dumps(payload) == want
+    assert cli._dumps(table) == json.dumps(_as_records(table), sort_keys=True, indent=2)
+
+
+@st.composite
+def _column_tables(draw):
+    keys = draw(st.lists(st.lists(st.sampled_from(["a", "z", "%", "%s", '"', "\\", "é", "𝄞"]),
+                                  min_size=1, max_size=3).map("".join),
+                         min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 6))
+    cells = {
+        float: st.one_of(st.floats(), st.sampled_from([0.0, -0.0, NAN, INF, 0.1])),
+        int: st.integers(-(2**63), 2**63 - 1),
+        bool: st.booleans(),
+    }
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from([float, int, bool]))
+        columns[key] = np.array(draw(st.lists(cells[kind], min_size=rows, max_size=rows)),
+                                dtype=kind)
+    return _column_table(columns)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=_column_tables(), scalar=_SCALARS)
+def test_dumps_column_tables_equal_the_dump_of_their_records(table, scalar):
+    payload = {"t": table, "%s": scalar, "x": [table]}
+    assert cli._dumps(payload) == json.dumps(_as_records(payload), sort_keys=True, indent=2)
+
+
+def _spectrum_records(N, delta, boundary_kind):
+    """The levels as `spectrum` wrote them from records: spectrum_table's,
+    and at N = 1 the two zero-energy states."""
+    if N > 1:
+        return lax.spectrum_table(N, delta, boundary_kind)
+    levels = [{"energy": 0.0, "sz": -0.5}, {"energy": 0.0, "sz": 0.5}]
+    if boundary_kind == "periodic":
+        for rec in levels:
+            rec["momentum"] = 0
+    return levels
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("delta", [0.0, -0.0, 0.37, -1.0], ids=["0", "-0", "0.37", "-1"])
+@pytest.mark.parametrize("boundary_kind", ["periodic", "open"])
+@pytest.mark.parametrize("N", [1, 2, 5, 12])
+def test_spectrum_stdout_is_the_dump_of_spectrum_table_records(tmp_path, capsys, N,
+                                                               boundary_kind, delta, fmt):
+    cfg = write_cfg(tmp_path, {"N": N, "delta": delta, "boundary": boundary_kind})
+    code, out, _ = run(capsys, ["spectrum", "--config", cfg, "--format", fmt])
+    assert code == 0
+    levels = _spectrum_records(N, delta, boundary_kind)
+    if fmt == "json":
+        payload = {"schema": "v1", "command": "spectrum", "N": N, "delta": delta,
+                   "boundary": boundary_kind, "levels": levels, "status": "ok"}
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        rows = ([rec["energy"], rec["sz"], rec.get("momentum", "")] for rec in levels)
+        lines = ["energy,sz,momentum"] + [",".join(str(v) for v in row) for row in rows]
+        assert out == "\n".join(lines) + "\n"
+
+
+def _scan_over_records(N, delta, boundary_kind):
+    """A phase-scan row as it was read off spectrum_table's records."""
+    levels = lax.spectrum_table(N, delta, boundary_kind)
+    e0 = levels[0]["energy"]
+    ground = [rec for rec in levels if rec["energy"] - e0 < 1e-8]
+    return {"delta": delta, "e0": e0, "degeneracy": len(ground),
+            "sz_abs": max(abs(rec["sz"]) for rec in ground)}
+
+
+@pytest.mark.parametrize("boundary_kind", ["periodic", "open"])
+@pytest.mark.parametrize("N", [2, 5, 8])
+def test_phase_scan_rows_are_the_scan_over_spectrum_table_records(tmp_path, capsys, N,
+                                                                 boundary_kind):
+    deltas = [-2.0, -1.0, -0.0, 0.0, 0.37, 1.0, 2.5]
+    cfg = write_cfg(tmp_path, {"N": N, "deltas": deltas, "boundary": boundary_kind})
+    code, out, _ = run(capsys, ["phase-scan", "--config", cfg, "--format", "json"])
+    assert code == 0
+    want = [_scan_over_records(N, delta, boundary_kind) for delta in deltas]
+    # the text tells -0.0 from 0.0 and an int from a float
+    assert json.dumps(json.loads(out)["rows"]) == json.dumps(want, sort_keys=True)
+
+
+def test_spectrum_at_the_cap_peaks_below_the_record_writer(tmp_path):
+    # one periodic N = 12 call, its block index already built, peaked at
+    # 2.62 MiB of traced allocations while its 4,096 levels went through
+    # records; as a column table it needs less
+    cfg = write_cfg(tmp_path, {"N": 12, "delta": 0.37})
+    argv = ["spectrum", "--config", cfg, "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * 2**20, peak
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"suite": "ybe", "mu": 0.3, "pairs": 4, "seed": 1})
     code, out, _ = run(capsys, ["verify", "--config", cfg, "--seed", "5"])
@@ -908,7 +1044,7 @@ def _well_typed(command, obj):
 @example(case=("verify", {"suite": "braid", "mu": 1.0, "perturb": False}))
 def test_config_fuzz_exits_2_or_reaches_bounded_work(tmp_path, capsys, monkeypatch, case):
     # the work itself is replaced, so an oversized value is never allocated
-    monkeypatch.setattr(lax, "spectrum_table", _reached_spectrum)
+    monkeypatch.setattr(lax, "spectrum_levels", _reached_spectrum)
     monkeypatch.setattr(cli.np, "linspace", _reached_linspace)
     monkeypatch.setattr(bethe, "validate_against_ed", _reached_validation)
     monkeypatch.setattr(bethe, "solve_bae", _reached_solver)

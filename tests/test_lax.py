@@ -825,6 +825,24 @@ def test_spectrum_table_equals_the_sorted_block_records(delta, N, boundary):
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("N", range(2, 9))
+def test_spectrum_table_is_the_record_view_of_the_level_columns(N, boundary):
+    # row i of the columns is record i: same keys in the same order, and
+    # the same Python values, types and bits
+    columns = sc.spectrum_levels(N, 0.37, boundary)
+    keys = ["energy", "sz", "momentum"] if boundary == "periodic" else ["energy", "sz"]
+    assert list(columns) == keys
+    assert [columns[key].dtype for key in keys] == [np.float64, np.float64, np.int64][:len(keys)]
+    assert all(columns[key].shape == (2**N,) for key in keys)
+    assert (np.diff(columns["energy"]) >= 0).all()
+    table = sc.spectrum_table(N, 0.37, boundary)
+    assert len(table) == 2**N
+    for i, rec in enumerate(table):
+        assert list(rec) == keys
+        assert [repr(rec[key]) for key in keys] == [repr(columns[key][i].item()) for key in keys]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_spin_flip_levels_are_bit_identical(boundary):
     # -Sz and +Sz carry the same energy arrays, momentum by momentum
     for N in range(2, 13):
