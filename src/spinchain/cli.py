@@ -9,6 +9,9 @@ with one `config error:` line, mapped in one place, `main`, which also sets
 the one floating-point policy: an overflow or invalid operation raises
 FloatingPointError (an ArithmeticError) instead of warning.  No numerical
 logic lives here; identical config and seed produce byte-identical JSON.
+No command takes a threads key: --threads is accepted, on every command,
+and ignored, since the BLAS library takes its thread count from the
+environment (OPENBLAS_NUM_THREADS for OpenBLAS).
 
 The JSON is json.dumps(payload, sort_keys=True, indent=2), byte for byte,
 but written by `_dumps` in one pass of the C encoder, which json.dumps
@@ -49,9 +52,9 @@ VALIDATE_DIM = 1024
 MAX_SITE_DIM = 256
 MAX_DELTA_STEPS = 10_000
 MAX_PAIRS = 10_000
-# bethe's seed and restarts no longer change the result (its roots come from
-# the TQ census of the sector); both stay accepted, bounded and echoed, so
-# that existing configs keep working
+# bethe's restarts changes no result (its roots come from the TQ census of
+# the sector); it stays accepted, bounded and echoed only because the
+# benchmark (bench/workloads.py) reads it back from the output
 MAX_RESTARTS = 10_000
 # the frt suite embeds the cyclic Lax operators in (4p) x (4p) matrices
 MAX_CYCLIC_ORDER = 64
@@ -114,20 +117,6 @@ def _as_spin(value, key: str, max_dim: int) -> tuple:
         raise ConfigError(f"{key}: spin {value!r} is not a positive half-integer "
                           f"with 2s+1 <= {max_dim}")
     return s, int(2 * s) + 1
-
-
-def _flag_or_key(flag, cfg: dict, key: str, default: int) -> int:
-    """A command-line flag wins over the integer config key of the same name;
-    the key, when present, must be an integer either way."""
-    value = _as_int(cfg.get(key, default), key)
-    return flag if flag is not None else value
-
-
-def _check_threads(cfg: dict, args) -> None:
-    """--threads and the threads key are validated and otherwise ignored:
-    the BLAS library takes its thread count from the environment
-    (OPENBLAS_NUM_THREADS for OpenBLAS), and no flag or key changes it."""
-    _flag_or_key(args.threads, cfg, "threads", 1)
 
 
 def _as_complex(value, key: str) -> complex:
@@ -509,14 +498,12 @@ def _suite_symmetry(cfg, seed) -> list:
 
 
 _SUITES = {
-    "ybe": (_suite_ybe, {"suite", "model", "mu", "delta", "pairs", "seed",
-                         "perturb", "threads"}),
+    "ybe": (_suite_ybe, {"suite", "model", "mu", "delta", "pairs", "seed", "perturb"}),
     "re": (_suite_re, {"suite", "mu", "delta", "pairs", "seed", "xi", "kappa",
-                       "m", "gamma", "perturb", "threads"}),
-    "braid": (_suite_braid, {"suite", "mu", "delta", "m", "seed", "threads"}),
-    "frt": (_suite_frt, {"suite", "mu", "delta", "pairs", "seed", "p", "k", "s",
-                         "perturb", "threads"}),
-    "symmetry": (_suite_symmetry, {"suite", "mu", "delta", "seed", "threads"}),
+                       "m", "gamma", "perturb"}),
+    "braid": (_suite_braid, {"suite", "mu", "delta", "m", "seed"}),
+    "frt": (_suite_frt, {"suite", "mu", "delta", "pairs", "seed", "p", "k", "s", "perturb"}),
+    "symmetry": (_suite_symmetry, {"suite", "mu", "delta", "seed"}),
 }
 
 
@@ -528,12 +515,13 @@ def cmd_verify(cfg: dict, args) -> int:
         raise ConfigError(f"unknown suite: {suite!r}; pick one of {sorted(_SUITES)}")
     runner, allowed = _SUITES[suite]
     _check_keys(cfg, allowed)
-    seed = _flag_or_key(args.seed, cfg, "seed", 0)
-    # a negative seed key is refused even where --seed overrides it
-    lowest = min(seed, int(cfg.get("seed", 0)))
+    # the --seed flag wins over the seed key, which is still checked: a key
+    # that is no integer, or is negative, is refused even where the flag is given
+    key = _as_int(cfg.get("seed", 0), "seed")
+    seed = key if args.seed is None else args.seed
+    lowest = min(seed, key)
     if lowest < 0:
         raise ConfigError(f"seed must be non-negative, not {lowest}")
-    _check_threads(cfg, args)
     checks = runner(cfg, seed)
     ok = all(c["pass"] for c in checks)
     payload = {
@@ -592,15 +580,12 @@ def cmd_spectrum(cfg: dict, args) -> int:
 def cmd_bethe(cfg: dict, args) -> int:
     _check_keys(
         cfg,
-        {"N", "s", "mu", "delta", "M", "seed", "restarts", "threads",
-         "validate", "rtol"},
+        {"N", "s", "mu", "delta", "M", "restarts", "validate", "rtol"},
         {"N"},
     )
     N = _as_int(cfg["N"], "N")
     s, n = _as_spin(cfg.get("s", 0.5), "s", MAX_SITE_DIM)
     mu = _resolve_mu(cfg)
-    seed = _flag_or_key(args.seed, cfg, "seed", 0)
-    _check_threads(cfg, args)
     restarts = _as_int(cfg.get("restarts", 120), "restarts")
     if not 0 <= restarts <= MAX_RESTARTS:
         raise ConfigError(f"restarts must lie in [0, {MAX_RESTARTS}]")
@@ -627,7 +612,6 @@ def cmd_bethe(cfg: dict, args) -> int:
         "N": N,
         "s": s,
         "mu": _comp(mu),
-        "seed": seed,
         "restarts": restarts,
     }
     if not validate and M is None:
@@ -675,8 +659,7 @@ def cmd_phase_scan(cfg: dict, args) -> int:
     largest |Sz| among them."""
     _check_keys(
         cfg,
-        {"N", "deltas", "delta_start", "delta_stop", "delta_steps", "boundary",
-         "threads"},
+        {"N", "deltas", "delta_start", "delta_stop", "delta_steps", "boundary"},
         {"N"},
     )
     N = _as_int(cfg["N"], "N")
@@ -685,7 +668,6 @@ def cmd_phase_scan(cfg: dict, args) -> int:
         raise ConfigError("boundary must be periodic or open")
     if not 2 <= N <= MAX_N:
         raise ConfigError(f"N must keep the Hilbert dimension within [4, {linalg.MAX_DIM}]")
-    _check_threads(cfg, args)
     grid = _delta_grid(cfg)
 
     def scan(delta: float) -> dict:
@@ -756,7 +738,9 @@ _PARSER.add_argument("--config", required=True, help="path to a JSON config")
 _PARSER.add_argument("--out", default=None, help="output path (default stdout)")
 _PARSER.add_argument("--format", choices=("json", "csv"), default=None)
 _PARSER.add_argument("--seed", type=int, default=None)
-_PARSER.add_argument("--threads", type=int, default=None)
+_PARSER.add_argument("--threads", type=int, default=None,
+                     help="accepted and ignored: BLAS takes its thread count from the "
+                          "environment (OPENBLAS_NUM_THREADS)")
 
 
 def main(argv=None) -> int:

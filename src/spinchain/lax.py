@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class ChainSpec:
     @property
     def local_dims(self) -> tuple:
         return tuple(next(iter(r.generators.values())).shape[0] for r in self.site_reps)
+
+    @cached_property
+    def _lax_families(self) -> dict:
+        """{id(rep): Lax family} of each distinct site representation, in
+        order of first appearance; built on first use and kept with the chain."""
+        distinct = {id(rep): rep for rep in self.site_reps}
+        return {key: _site_lax(self, rep) for key, rep in distinct.items()}
 
 
 def uniform_chain(
@@ -301,10 +308,7 @@ def _site_lax(chain: ChainSpec, rep: AlgebraRep):
 def site_lax_matrices(chain: ChainSpec, lam: complex) -> list:
     """The Lax matrix of every site at lam, in chain order; each distinct
     site representation is evaluated once and its matrix shared."""
-    evaluated = {}
-    for rep in chain.site_reps:
-        if id(rep) not in evaluated:
-            evaluated[id(rep)] = _site_lax(chain, rep)(lam)
+    evaluated = {key: family(lam) for key, family in chain._lax_families.items()}
     return [evaluated[id(rep)] for rep in chain.site_reps]
 
 

@@ -1,14 +1,17 @@
 """Digests of the workbench's stdout over a fixed list of configs.
 
-    python tests/stdout_digest.py SRC
+    python tests/stdout_digest.py SRC [--each]
 
 imports `spinchain` from the directory SRC (a checkout's `src`), runs
 `cli.main` in-process on every config below and prints one sha256 per
 command, over each config's exit code and stdout, and a total over all of
-them.  Two trees print the same lines when their stdout agrees byte for
-byte on the whole list; compare them under one BLAS thread count, since the
-last bits of validated Bethe reports move with it (set OPENBLAS_NUM_THREADS
-to the same value for both runs).  Not a test module: pytest collects only
+them.  With --each it first prints one sha256 per config, over the same
+exit code and stdout, after the config's command, index in the list and
+JSON, so that a diff of two trees' lines names the configs that moved.
+Two trees print the same lines when their stdout agrees byte for byte on
+the whole list; compare them under one BLAS thread count, since the last
+bits of validated Bethe reports move with it (set OPENBLAS_NUM_THREADS to
+the same value for both runs).  Not a test module: pytest collects only
 `test_*.py`.
 """
 
@@ -47,9 +50,10 @@ def configs() -> list:
     return runs
 
 
-def digests(main) -> dict:
-    """{command: sha256 hex} of main's exit codes and stdout over configs()."""
-    hashes = {}
+def digests(main) -> tuple:
+    """({command: sha256 hex} of main's exit codes and stdout over configs(),
+    [sha256 hex of each config's exit code and stdout] in configs() order)."""
+    hashes, each = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         for command, cfg in configs():
@@ -58,19 +62,22 @@ def digests(main) -> dict:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main([command, "--config", path])
-            digest = hashes.setdefault(command, hashlib.sha256())
-            digest.update(f"{json.dumps(cfg, sort_keys=True)}\n{code}\n".encode())
-            digest.update(out.getvalue().encode())
-    return {command: digest.hexdigest() for command, digest in hashes.items()}
+            text = f"{json.dumps(cfg, sort_keys=True)}\n{code}\n".encode() + out.getvalue().encode()
+            hashes.setdefault(command, hashlib.sha256()).update(text)
+            each.append(hashlib.sha256(text).hexdigest())
+    return {command: digest.hexdigest() for command, digest in hashes.items()}, each
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/stdout_digest.py SRC")
+    if len(sys.argv) < 2 or sys.argv[2:] not in ([], ["--each"]):
+        sys.exit("usage: python tests/stdout_digest.py SRC [--each]")
     sys.path.insert(0, os.path.abspath(sys.argv[1]))
     from spinchain import cli
 
-    per_command = digests(cli.main)
+    per_command, per_config = digests(cli.main)
+    if sys.argv[2:]:
+        for index, ((command, cfg), digest) in enumerate(zip(configs(), per_config)):
+            print(f"{command:<10} {index:>3} {digest} {json.dumps(cfg, sort_keys=True)}")
     total = hashlib.sha256("".join(per_command.values()).encode()).hexdigest()
     for command, digest in per_command.items():
         print(f"{command:<10} {digest}")

@@ -457,18 +457,53 @@ def test_bethe_unvalidated_needs_m(tmp_path, capsys):
     assert payload["solutions"][0]["sz"] == 0.0
 
 
-def test_bethe_seed_and_restarts_do_not_change_the_result(tmp_path, capsys):
+def test_bethe_restarts_does_not_change_the_result(tmp_path, capsys):
     # the roots come from the TQ census of the sector, with no start stream;
-    # seed and restarts are still accepted and echoed
+    # restarts is still accepted and echoed, since the benchmark reads it
     texts = set()
-    for seed, restarts in itertools.product((0, 1, 7), (0, 120, 10000)):
+    for restarts in (0, 120, 10000):
         cfg = write_cfg(tmp_path, {"N": 6, "M": 3, "validate": False, "restarts": restarts})
-        code, out, _ = run(capsys, ["bethe", "--config", cfg, "--seed", str(seed)])
+        code, out, _ = run(capsys, ["bethe", "--config", cfg])
         payload = json.loads(out)
-        assert code == 0 and (payload["seed"], payload["restarts"]) == (seed, restarts)
+        assert code == 0 and payload["restarts"] == restarts and "seed" not in payload
         texts.add("".join(line for line in out.splitlines(keepends=True)
-                          if not line.startswith(('  "seed": ', '  "restarts": '))))
+                          if not line.startswith('  "restarts": ')))
     assert len(texts) == 1
+
+
+@pytest.mark.parametrize("command, obj", [
+    *(("verify", {"suite": suite, "threads": 1}) for suite in sorted(cli._SUITES)),
+    ("bethe", {"N": 2, "threads": 1}),
+    ("phase-scan", {"N": 2, "deltas": [0.5], "threads": 1}),
+    ("bethe", {"N": 2, "seed": 0}),
+], ids=[*(f"verify-{suite}-threads" for suite in sorted(cli._SUITES)), "bethe-threads",
+        "phase-scan-threads", "bethe-seed"])
+def test_no_command_takes_a_threads_key_nor_bethe_a_seed_key(tmp_path, capsys, command, obj):
+    cfg = write_cfg(tmp_path, obj)
+    code, out, err = run(capsys, [command, "--config", cfg])
+    key = "threads" if "threads" in obj else "seed"
+    assert (code, out, err) == (2, "", f"config error: unknown config keys: {key}\n")
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("verify", {"suite": "braid", "mu": 0.3}),
+    ("bethe", {"N": 4, "s": 0.5, "mu": 0.3}),
+    ("spectrum", {"N": 6, "delta": 0.37}),
+    ("phase-scan", {"N": 4, "deltas": [-0.5, 1.0]}),
+    ("casimir", {"mu": 0.3}),
+])
+def test_every_command_takes_the_threads_and_seed_flags(tmp_path, capsys, command, obj):
+    # the benchmark passes --threads 1 and --seed on every command; --threads
+    # changes nothing, and --seed changes only verify's draws
+    cfg = write_cfg(tmp_path, obj)
+    texts = {}
+    for threads, seed in itertools.product(("-9", "0", "1", "3"), repeat=2):
+        if command == "verify" and seed == "-9":
+            continue  # verify refuses a negative seed
+        code, out, _ = run(capsys, [command, "--config", cfg, "--threads", threads, "--seed", seed])
+        assert code == 0
+        texts.setdefault(seed if command == "verify" else None, set()).add(out)
+    assert all(len(outs) == 1 for outs in texts.values())
 
 
 def test_bethe_rejects_csv(tmp_path, capsys):
@@ -492,7 +527,7 @@ def test_output_files_byte_identical(tmp_path, capsys):
 
 
 def test_verify_byte_identical_on_repeat_runs(tmp_path, capsys):
-    # --threads is validated and ignored, so the runs differ only in being repeated
+    # --threads is accepted and ignored, so the runs differ only in being repeated
     cfg = write_cfg(tmp_path, {"suite": "ybe", "mu": 0.3, "pairs": 5})
     texts = []
     for threads in ("1", "2"):
@@ -513,7 +548,7 @@ def test_verify_byte_identical_on_repeat_runs(tmp_path, capsys):
     ],
 )
 def test_spectrum_and_phase_scan_byte_identical_on_repeat_runs(tmp_path, capsys, command, obj):
-    # --threads is validated and ignored, so the runs differ only in being repeated
+    # --threads is accepted and ignored, so the runs differ only in being repeated
     cfg = write_cfg(tmp_path, obj)
     texts = []
     for threads in ("1", "2", "1"):
@@ -942,9 +977,8 @@ _VALID = {
 }
 _KEYS = {
     "spectrum": ["N", "delta", "mu", "boundary"],
-    "phase-scan": ["N", "deltas", "delta_start", "delta_stop", "delta_steps", "boundary",
-                   "threads"],
-    "bethe": ["N", "s", "mu", "delta", "M", "seed", "restarts", "validate", "rtol", "threads"],
+    "phase-scan": ["N", "deltas", "delta_start", "delta_stop", "delta_steps", "boundary"],
+    "bethe": ["N", "s", "mu", "delta", "M", "restarts", "validate", "rtol"],
     "casimir": ["spins", "mu", "delta"],
 }
 # non-numeric values, NaN, huge values, [re, im] pairs of the wrong length or range
@@ -959,7 +993,7 @@ _BAD = st.one_of(
 )
 
 
-_INT_KEYS = {"N", "M", "seed", "restarts", "threads", "pairs", "p", "k", "delta_steps"}
+_INT_KEYS = {"N", "M", "seed", "restarts", "pairs", "p", "k", "delta_steps"}
 # keys holding a number, a list of numbers, or a [re, im] pair
 _FLOAT_KEYS = {"s", "spins", "mu", "delta", "deltas", "delta_start", "delta_stop", "rtol",
                "perturb", "xi", "kappa", "m", "gamma"}

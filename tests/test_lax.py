@@ -459,6 +459,33 @@ def test_one_lax_evaluation_per_distinct_site_rep(monkeypatch):
     assert len(calls) == 2
 
 
+def test_lax_families_built_once_per_chain(monkeypatch):
+    # a chain keeps the family of each distinct site representation: further
+    # kernel passes evaluate the kept families and build none
+    calls = []
+    site_lax = lax._site_lax
+
+    def counted(chain, rep):
+        calls.append(rep)
+        return site_lax(chain, rep)
+
+    monkeypatch.setattr(lax, "_site_lax", counted)
+    chain = _mixed_spin_chain()
+    for lam in (0.37, -0.21 + 0.4j):
+        lax.apply_transfer(chain, lam, np.ones(12))
+    assert list(map(id, calls)) == list(map(id, chain.site_reps[:2]))
+    calls.clear()
+    ev = boundary.open_transfer(boundary.open_chain("xxz", 3, MU, 2, "homogeneous"))
+    for lam in (0.37, -0.21):
+        ev(lam)
+    assert len(calls) == 1
+    # each matrix is the one a freshly built family gives, bit for bit
+    for lam in (0.37, -0.21 + 0.4j):
+        kept = lax.site_lax_matrices(chain, lam)
+        fresh = [site_lax(chain, rep)(lam) for rep in chain.site_reps]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, fresh, strict=True))
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2,) * 4, (3, 3, 3)])
 def test_cyclic_shift_matches_basis_rotation(dims):
     D = int(np.prod(dims))
