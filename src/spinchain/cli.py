@@ -14,11 +14,9 @@ and ignored, since the BLAS library takes its thread count from the
 environment (OPENBLAS_NUM_THREADS for OpenBLAS).
 
 The JSON is json.dumps(payload, sort_keys=True, indent=2), byte for byte,
-but written by `_dumps` in one pass of the C encoder, which json.dumps
-leaves for its pure-Python encoder whenever it indents.  `spectrum` hands
-it its levels as a column table, so the 355 KB document at N = 12 takes
-2.0 ms to write, where its 4,096 records took 6 to 9 ms and json.dumps
-19 to 39 ms (medians of 30 calls, on a shared 2-core box).
+written by `_dumps` one top-level value at a time; `spectrum` hands it its
+levels as a column table, whose rows are filled from the distinct values of
+each column rather than encoded record by record.
 """
 
 from __future__ import annotations
@@ -144,95 +142,40 @@ def _comp(z) -> list:
     return [z.real, z.imag]
 
 
-# encodes a list of scalars; ensure_ascii output holds no raw control
-# character, so "\x00" separates the scalars' texts
-_encode_scalars = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.c_encode_basestring_ascii,
-    None, ": ", "\x00", False, False, True)
-_CONTAINERS = (dict, list, tuple)
+def _dumps(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2), byte for byte, for a
+    dict with string keys.  Each value is json.dumps(value, sort_keys=True,
+    indent=2) re-indented by two spaces: json.dumps escapes every newline
+    inside a string, so each raw newline is indentation.
 
-
-def _layout(obj, pad: str, parts: list, scalars: list, tables: dict) -> None:
-    """Append to parts the indented skeleton of obj, a "%s" per scalar (a
-    "%" of a key doubled), and append its scalars to scalars in that order;
-    a column table takes one "%s" and a None scalar, and its text goes to
-    tables under that scalar's index."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        sep = "{" + inner
-        for key in sorted(obj):
-            parts.append(sep + json.encoder.c_encode_basestring_ascii(key).replace("%", "%%") + ": ")
-            _layout(obj[key], inner, parts, scalars, tables)
-            sep = "," + inner
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    A value that is a numpy structured array of numeric columns, at this
+    first level only, is a column table, written as json.dumps writes the
+    list of its rows' records (`tolist`): each column's distinct values, by
+    bit pattern so that -0.0 and 0.0 stay apart, are encoded once by
+    json.dumps of their list (no indent, so the C encoder runs, and a
+    number's text holds no ", "), and one % fills a row template.  At N = 12
+    the 4,096 levels of `spectrum` hold 1,459 distinct energies."""
+    parts = []
+    for key in sorted(payload):
+        value = payload[key]
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
+        if not isinstance(value, np.ndarray):
+            parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        elif not len(value):
             parts.append("[]")
-            return
-        first = obj[0]
-        keys = sorted(first) if isinstance(first, dict) else None
-        # a table: non-empty dicts of scalars, all with the same keys; its
-        # rows share one layout
-        if keys and all(isinstance(rec, dict) and rec.keys() == first.keys() for rec in obj):
-            values = [rec[key] for rec in obj for key in keys]
-            if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
-                row = []
-                _layout(dict.fromkeys(keys, None), inner, row, [], {})
-                parts.append("[" + inner + ("," + inner).join(["".join(row)] * len(obj)) + pad + "]")
-                scalars += values
-                return
-        sep = "[" + inner
-        for item in obj:
-            parts.append(sep)
-            _layout(item, inner, parts, scalars, tables)
-            sep = "," + inner
-        parts.append(pad + "]")
-    elif isinstance(obj, np.ndarray):
-        # a column table: the distinct values of each column, by bit pattern
-        # so that -0.0 and 0.0 stay apart, are encoded once, and fill a
-        # table of one row template
-        keys = sorted(obj.dtype.names)
-        if not len(obj):
-            parts.append("[]")
-            return
-        cells = np.empty((len(obj), len(keys)), dtype=object)
-        for j, key in enumerate(keys):
-            col = obj[key]
-            bits, where = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-            texts = "".join(_encode_scalars(bits.view(col.dtype).tolist(), 0))[1:-1].split("\x00")
-            cells[:, j] = np.array(texts, dtype=object)[where]
-        row = []
-        _layout(dict.fromkeys(keys, None), inner, row, [], {})
-        rows = ("," + inner).join(["".join(row)] * len(obj)) % tuple(cells.ravel().tolist())
-        parts.append("[" + inner + "%s" + pad + "]")
-        tables[len(scalars)] = rows
-        scalars.append(None)
-    else:
-        parts.append("%s")
-        scalars.append(obj)
-
-
-def _dumps(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2), byte for byte, for
-    payloads whose keys are strings: one pass lays out the skeleton, one C
-    encoder call encodes every scalar, and one % fills them in.
-
-    A numpy structured array is a column table, written as json.dumps
-    writes the list of its rows' records, each a dict of the fields' Python
-    values (`tolist`): every column's distinct values are encoded once, by
-    the same C encoder, and one % fills its row template.  The filled rows
-    enter the outer fill as one argument, so they are neither escaped nor
-    scanned again.  At N = 12 the 4,096 levels of `spectrum` hold 1,459
-    distinct energies."""
-    parts, scalars, tables = [], [], {}
-    _layout(payload, "\n", parts, scalars, tables)
-    texts = "".join(_encode_scalars(scalars, 0))[1:-1].split("\x00") if scalars else []
-    for index, text in tables.items():
-        texts[index] = text
-    return "".join(parts) % tuple(texts)
+        else:
+            names = sorted(value.dtype.names)
+            cells = np.empty((len(value), len(names)), dtype=object)
+            for j, name in enumerate(names):
+                col = value[name]
+                bits, where = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+                texts = json.dumps(bits.view(col.dtype).tolist())[1:-1].split(", ")
+                cells[:, j] = np.array(texts, dtype=object)[where]
+            fields = ",".join(f"\n      {json.dumps(name).replace('%', '%%')}: %s"
+                              for name in names)
+            rows = ",\n    ".join(["{" + fields + "\n    }"] * len(value))
+            parts += ["[\n    ", rows % tuple(cells.ravel().tolist()), "\n  ]"]
+    return "".join(parts + ["\n}"]) if parts else "{}"
 
 
 def _emit(payload: dict, rows, args, default_format: str) -> None:
@@ -246,8 +189,11 @@ def _emit(payload: dict, rows, args, default_format: str) -> None:
         lines.extend(",".join(str(v) for v in row) for row in body)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -702,8 +648,9 @@ def cmd_casimir(cfg: dict, args) -> int:
     _check_keys(cfg, {"spins", "mu", "delta"})
     mu = _resolve_mu(cfg)
     spins = cfg.get("spins", [0.5, 1.0])
-    if not isinstance(spins, list) or not spins:
-        raise ConfigError("spins must be a non-empty list")
+    # phase-scan's bound on its deltas list: every spin builds its own representation
+    if not isinstance(spins, list) or not 1 <= len(spins) <= MAX_DELTA_STEPS:
+        raise ConfigError(f"spins must be a list of 1 to {MAX_DELTA_STEPS} values")
     reps = [_as_spin(spin, "spins", MAX_SITE_DIM) for spin in spins]
     q = cmath.exp(1j * mu)
     results = [_casimir_entry(spin, n, q) for spin, n in reps]

@@ -5,7 +5,8 @@
 imports `spinchain` from the directory SRC (a checkout's `src`), runs
 `cli.main` in-process on every config below and prints one sha256 per
 command, over each config's exit code and stdout, and a total over all of
-them.  With --each it first prints one sha256 per config, over the same
+them.  A command named with a `-csv` suffix, such as `spectrum-csv`, is
+that command run with --format csv, and gets its own line.  With --each it first prints one sha256 per config, over the same
 exit code and stdout, after the config's command, index in the list and
 JSON, so that a diff of two trees' lines names the configs that moved.
 Two trees print the same lines when their stdout agrees byte for byte on
@@ -47,6 +48,9 @@ def configs() -> list:
             if suite in ("ybe", "re", "frt"):  # the suites that take a perturbation
                 runs.append(("verify", {"suite": suite, "mu": MU, "seed": seed, "perturb": PERTURB}))
     runs.append(("casimir", {"mu": MU, "spins": [0.5, 1.0, 1.5]}))
+    runs += [("spectrum-csv", {"N": N, "delta": 0.37, "boundary": boundary})
+             for boundary in ("periodic", "open") for N in (1, 4)]
+    runs.append(("phase-scan-csv", {"N": 6, "deltas": [-1.5, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0]}))
     return runs
 
 
@@ -59,9 +63,10 @@ def digests(main) -> tuple:
         for command, cfg in configs():
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
+            flags = ["--format", "csv"] if command.endswith("-csv") else []
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = main([command, "--config", path])
+                code = main([command.removesuffix("-csv"), "--config", path, *flags])
             text = f"{json.dumps(cfg, sort_keys=True)}\n{code}\n".encode() + out.getvalue().encode()
             hashes.setdefault(command, hashlib.sha256()).update(text)
             each.append(hashlib.sha256(text).hexdigest())

@@ -584,8 +584,18 @@ def test_stdout_byte_identical_across_blas_threads(tmp_path, command, obj, flags
     assert texts[0] == texts[1]
 
 
-def _pure_python_encoder(*args, **kwargs):
-    raise AssertionError("the pure-Python JSON encoder was entered")
+def _scalars_only(make_iterencode):
+    """json.encoder._make_iterencode, whose encoders refuse a list or a dict."""
+    def make(*args, **kwargs):
+        encode = make_iterencode(*args, **kwargs)
+
+        def scalar(obj, level):
+            assert not isinstance(obj, (list, tuple, dict)), "a container reached the encoder"
+            return encode(obj, level)
+
+        return scalar
+
+    return make
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -594,10 +604,13 @@ def _pure_python_encoder(*args, **kwargs):
     ("verify", {"suite": "frt", "mu": 0.3, "pairs": 3}),
 ], ids=["spectrum", "bethe", "verify"])
 def test_json_output_is_the_indented_stdlib_dump(tmp_path, capsys, monkeypatch, command, obj):
-    # json.dumps(..., indent=2) runs the pure-Python encoder; the CLI never does
     cfg = write_cfg(tmp_path, obj)
     path = tmp_path / "out.json"
-    monkeypatch.setattr(json.encoder, "_make_iterencode", _pure_python_encoder)
+    if command == "spectrum":
+        # the 2^N levels never reach json.dumps(..., indent=2)'s pure-Python
+        # encoder, which only the payload's scalars enter
+        monkeypatch.setattr(json.encoder, "_make_iterencode",
+                            _scalars_only(json.encoder._make_iterencode))
     code, out, _ = run(capsys, [command, "--config", cfg])
     assert cli.main([command, "--config", cfg, "--out", str(path)]) == code == 0
     monkeypatch.undo()
@@ -663,7 +676,7 @@ _VERIFY_PAYLOAD = {
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(payload=_JSON_VALUES)
+@given(payload=st.dictionaries(_KEY_TEXT, _JSON_VALUES))
 @example(payload=_SPECTRUM_PAYLOAD)
 @example(payload=_VERIFY_PAYLOAD)
 @example(payload={"levels": [{"energy": 1.0, "%s": INF}] * 3, "": {}, "%": [[], {}, ()]})
@@ -680,15 +693,10 @@ def _column_table(columns: dict) -> np.ndarray:
     return table
 
 
-def _as_records(obj):
-    """obj with every column table replaced by the list of its rows' records."""
-    if isinstance(obj, np.ndarray):
-        return [dict(zip(obj.dtype.names, row)) for row in obj.tolist()]
-    if isinstance(obj, dict):
-        return {key: _as_records(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_records(item) for item in obj]
-    return obj
+def _as_records(payload: dict) -> dict:
+    """payload with every column table replaced by the list of its rows' records."""
+    return {key: [dict(zip(value.dtype.names, row)) for row in value.tolist()]
+            if isinstance(value, np.ndarray) else value for key, value in payload.items()}
 
 
 _COLUMN_CASES = {
@@ -704,10 +712,8 @@ _COLUMN_CASES = {
 @pytest.mark.parametrize("columns", _COLUMN_CASES.values(), ids=_COLUMN_CASES)
 def test_dumps_writes_a_column_table_as_the_dump_of_its_records(columns):
     table = _column_table(columns)
-    payload = {"levels": table, "%": -0.0, "nested": [table, {"t": table}]}
-    want = json.dumps(_as_records(payload), sort_keys=True, indent=2)
-    assert cli._dumps(payload) == want
-    assert cli._dumps(table) == json.dumps(_as_records(table), sort_keys=True, indent=2)
+    payload = {"levels": table, "%": -0.0, "copy": table, "nested": [{"t": [1.5, -0.0]}]}
+    assert cli._dumps(payload) == json.dumps(_as_records(payload), sort_keys=True, indent=2)
 
 
 @st.composite
@@ -732,7 +738,7 @@ def _column_tables(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(table=_column_tables(), scalar=_SCALARS)
 def test_dumps_column_tables_equal_the_dump_of_their_records(table, scalar):
-    payload = {"t": table, "%s": scalar, "x": [table]}
+    payload = {"t": table, "%s": scalar}
     assert cli._dumps(payload) == json.dumps(_as_records(payload), sort_keys=True, indent=2)
 
 
@@ -927,6 +933,27 @@ def test_delta_list_bound(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["phase-scan", "--config", cfg])
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1 and "4" in err
+
+
+def test_casimir_spins_bound(tmp_path, capsys, monkeypatch):
+    # the list is refused before any representation is built
+    monkeypatch.setattr(cli, "_casimir_entry", _reached_casimir)
+    cfg = write_cfg(tmp_path, {"spins": [0.5] * 10001})
+    code, out, err = run(capsys, ["casimir", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err == "config error: spins must be a list of 1 to 10000 values\n"
+    cfg = write_cfg(tmp_path, {"spins": [0.5] * 10000})
+    with pytest.raises(_Reached):
+        cli.main(["casimir", "--config", cfg])
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    out_path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    cfg = write_cfg(tmp_path, {"suite": "braid", "mu": 0.3})
+    code, out, err = run(capsys, ["verify", "--config", cfg, "--out", str(out_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
 
 
 _FLOATS = st.floats(-3, 3)
