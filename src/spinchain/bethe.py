@@ -10,18 +10,33 @@ driver (`_census`) runs the census for `solve_bae` on one sector and for
 sector.  Every refined system passes one certifier (`_certified`): pole
 gates, the equations to 1e-10, and the eigen-gap gate (`_gaps`), t on the
 Bethe vector B...B|0> giving Lambda to 1e-8; the first root set per state
-is kept.  The sector blocks (`_sector_blocks`, for the census and the ED
-probes) read their own rows off the Lax kernel, the gate applies t to the
-stacked Bethe vectors (`lax.apply_transfer`), and the Bethe vectors of a
-sector's candidates are built together (`_bethe_rows`), one stacked kernel
-pass per root position over chunks whose state and kernel spare hold
-about linalg.BLOCK_ENTRIES entries, all through the lax module's one site-by-site kernel.  B...B|0>
-can cancel about seven digits, and at (6, 1) a pair of levels sits at
-3.5e-9 to 2.1e-8 against the 1e-8 gate as the last bits of their roots
-move, so the stacked build keeps every product and norm of the
-one-at-a-time build: each slice of the stack is multiplied and normalized
-by the same BLAS and numpy calls as one vector alone, and every vector is
-the same bytes in any chunk.
+is kept.
+The equations are written once (`_equations`), on an (..., M) stack of
+root sets.  One stacked pass takes the residuals of a sector's TQ root
+sets, and only those at or above Newton's 1e-13 stop enter `_newton`
+(14 of the 42 of (6, 1/2)); the rest become what `refine` returns without
+a step.  `_newton` walks its starts together, each with the damped steps
+it takes alone, evaluating all pending points per round in one pass whose
+one sinh table gives the residual (log) and the Jacobian (cosh / sinh).
+The certifier takes the residuals of all pole-gated candidates in one
+pass too; each solution's Lambda at the census's fixed points (_PROBES,
+_GAP_PROBE among them) is taken once and serves the gate, the mirrored
+sector's gate and the ED match, whose distances come from one broadcast
+per sector.  Each stacked row is bit for bit the root set alone: the same
+elementwise operations on the same operands, each pair-table row summed
+along its own axis.
+The sector blocks (`_sector_blocks`, for the census and the ED probes)
+read their own rows off the Lax kernel, the gate applies t to the stacked
+Bethe vectors (`lax.apply_transfer`), and the Bethe vectors of a sector's
+candidates are built together (`_bethe_rows`), one stacked kernel pass per
+root position over chunks whose state and kernel spare hold about
+linalg.BLOCK_ENTRIES entries, all through the lax module's one
+site-by-site kernel.  B...B|0> can cancel about seven digits, and at
+(6, 1) a pair of levels sits at 3.5e-9 to 2.1e-8 against the 1e-8 gate as
+the last bits of their roots move, so the stacked build keeps every
+product and norm of the one-at-a-time build: each slice of the stack is
+multiplied and normalized by the same BLAS and numpy calls as one vector
+alone, and every vector is the same bytes in any chunk.
 A sector with M > N s is solved as sector 2 N s - M and flipped
 (F: m -> -m on every site) onto the all-down vacuum: the principal Lax
 matrix is unchanged by reversing its row and column order, so F t F = t,
@@ -31,7 +46,8 @@ and each flipped vector passes the eigen-gap gate again.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -113,60 +129,103 @@ class BetheSolution:
     matched_ed_index: int | None = None
 
 
+def _copy(obj, **changes):
+    # dataclasses.replace without __init__: the fields kept are already checked
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **changes)
+    return new
+
+
 def _wrap(r):
     # reduce mod 2 pi i: the equations say exp(r) = 1
-    return r - 2j * np.pi * np.round(r.imag / (2 * np.pi))
+    return r - 2j * np.pi * (r.imag / (2 * np.pi)).round()
 
 
 def _equations(f, lams, N, s, mu):
     """(N (f(l + i mu s) - f(l - i mu s)) - row sums of the pair table, the table
-    f(l_j - l_k + i mu) - f(l_j - l_k - i mu) with a zero diagonal, or None below
-    two roots): f = log sinh gives the equations, f = coth their derivative."""
-    drive = N * (f(lams + 1j * mu * s) - f(lams - 1j * mu * s))
-    if lams.size < 2:
-        return drive, None
-    diff = lams[:, None] - lams[None, :]
-    pair = f(diff + 1j * mu) - f(diff - 1j * mu)
-    np.fill_diagonal(pair, 0.0)
-    return drive - pair.sum(axis=1), pair
+    f(l_j - l_k + i mu) - f(l_j - l_k - i mu) with a zero diagonal) on the last
+    axis of a (..., M) stack of root sets.  f maps the (..., M, M + 1, 2) table
+    of every argument at once (row j: l_j - l_k then l_j, plus then minus the
+    shift; x + (-y) is x - y bit for bit), and may stack several functions on
+    leading axes: f = log sinh gives the equations, f = coth their derivative."""
+    M = lams.shape[-1]
+    shifts = np.array([[1j * mu, -(1j * mu)]] * M + [[1j * mu * s, -(1j * mu * s)]])
+    args = np.concatenate((lams[..., :, None] - lams[..., None, :], lams[..., None]), axis=-1)
+    v = f(args[..., None] + shifts)
+    d = v[..., 0] - v[..., 1]
+    d.reshape(*d.shape[:-2], M * (M + 1))[..., ::M + 2] = 0.0  # the pair table's diagonal
+    return N * d[..., M] - d[..., :M].sum(axis=-1), d[..., :M]
 
 
-def _log_residual(lams, N, s, mu):
-    return _wrap(_equations(lambda z: np.log(np.sinh(z)), lams, N, s, mu)[0])
+def _log_and_coth(z):
+    # one sinh table gives the equations (log) and their derivative (cosh / sinh)
+    return np.array((np.log(sh := np.sinh(z)), np.cosh(z) / sh))
 
 
-def _jacobian(lams, N, s, mu):
-    diag, pair = _equations(lambda z: np.cosh(z) / np.sinh(z), lams, N, s, mu)
-    # the table's diagonal is 0.0, and 0.0 + x == x
-    return np.diag(diag) if pair is None else pair + np.diag(diag)
-
-
-def _newton(start, N, s, mu):
-    lams = np.asarray(start, dtype=complex).copy()
+def _residuals(systems) -> list:
+    """bae_residual of each system, all of one chain and M, from one stacked
+    pass (no pole check)."""
+    if not systems:
+        return []
+    first = systems[0]
+    lams = np.array([system.roots for system in systems], dtype=complex)
     with np.errstate(all="ignore"):
-        r = _log_residual(lams, N, s, mu)
-        nr = float(np.abs(r).max()) if r.size else 0.0
-        for _ in range(_NEWTON_STEPS):
-            if nr < 1e-13:
-                break
-            try:
-                delta = np.linalg.solve(_jacobian(lams, N, s, mu), r)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(delta)):
-                return None
-            step = 1.0
-            for _ in range(40):
-                trial = lams - step * delta
-                rt = _log_residual(trial, N, s, mu)
-                nt = float(np.abs(rt).max())
-                if np.isfinite(nt) and nt <= nr * (1 - 0.25 * step):
-                    lams, r, nr = trial, rt, nt
-                    break
-                step *= 0.5
-            else:
-                break  # stalled at the rounding floor, maybe already below _ACCEPT
-    return lams if nr < _ACCEPT else None
+        eq = _equations(lambda z: np.log(np.sinh(z)), lams, first.N, first.s, first.mu)[0]
+    return np.abs(_wrap(eq)).max(axis=-1, initial=0.0).tolist()
+
+
+def _residual_and_jacobian(lams, N, s, mu):
+    """The wrapped equations of a (..., M) stack of root sets and their
+    (..., M, M) Jacobians, from one sinh table."""
+    M = lams.shape[-1]
+    eq, pair = _equations(_log_and_coth, lams, N, s, mu)
+    # as pair + np.diag(eq) of one root set, whose pair diagonal is 0.0 (and
+    # 0.0 + x is x but for x = -0.0), or np.diag(eq) alone below two roots
+    jac = pair[1] + 0.0
+    jac.reshape(*jac.shape[:-2], -1)[..., ::M + 1] = eq[1] + 0.0 if M > 1 else eq[1]
+    return _wrap(eq[0]), jac
+
+
+def _newton(starts, N, s, mu) -> list:
+    """The roots Newton reaches below _ACCEPT from each row of the (L, M)
+    stack starts, or None.  Each walk takes the damped steps it takes alone:
+    the first of the steps 0.5**k delta, k = 0 to 39, under which the norm
+    descends.  The pending trial points of all walks, three values of k
+    each, are evaluated in one stacked pass: a walk from a singular pair
+    halves its first steps twice."""
+    found, walks = [None] * len(starts), {}
+
+    def tries(i, point, delta, k):
+        return {(i, q): point - 0.5**q * delta for q in range(k, min(k + 3, 40))}
+
+    # walk i -> (point, its norm, delta, steps taken); a start (k = -1) is taken as it is
+    trials = {(i, -1): row for i, row in enumerate(np.array(starts, dtype=complex))}
+    with np.errstate(all="ignore"):
+        while trials:
+            r, jac = _residual_and_jacobian(np.array(list(trials.values())), N, s, mu)
+            norms, moved, batch, trials = np.abs(r).max(-1, initial=0.0).tolist(), set(), trials, {}
+            for ((i, k), lams), nr, r_k, jac_k in zip(batch.items(), norms, r, jac):
+                if i in moved:  # a longer step of this walk was taken
+                    continue
+                old, old_nr, delta, steps = walks.get(i, (lams, nr, None, 0))
+                if steps and not (math.isfinite(nr) and nr <= old_nr * (1 - 0.25 * 0.5**k)):
+                    if k == 39:  # stalled at the rounding floor, maybe already below _ACCEPT
+                        found[i] = old if old_nr < _ACCEPT else None
+                    elif (i, k + 1) not in batch:  # the next pass tries the next three
+                        trials.update(tries(i, old, delta, k + 1))
+                    continue
+                moved.add(i)
+                if nr < 1e-13 or steps == _NEWTON_STEPS:
+                    found[i] = lams if nr < _ACCEPT else None
+                    continue
+                try:
+                    delta = np.linalg.solve(jac_k, r_k)
+                except np.linalg.LinAlgError:
+                    continue
+                if np.isfinite(delta).all():
+                    walks[i] = (lams, nr, delta, steps + 1)
+                    trials.update(tries(i, lams, delta, 0))
+    return found
 
 
 def _normalize_mod_ipi(lams):
@@ -178,10 +237,10 @@ def _normalize_mod_ipi(lams):
 
 
 def _canonical(lams):
-    # sorted on rounded parts, so that a conjugate pair, whose real parts
-    # differ in the last bits only, keeps one order
+    # each root set of a (..., M) stack sorted on rounded parts, so that a
+    # conjugate pair, whose real parts differ in the last bits only, keeps one order
     out = _normalize_mod_ipi(np.asarray(lams, dtype=complex))
-    return out[np.lexsort((np.round(out.imag, 9), np.round(out.real, 9)))]
+    return np.take_along_axis(out, np.lexsort((np.round(out.imag, 9), np.round(out.real, 9))), -1)
 
 
 def _at_pole(lams, s, mu, tol, pairs):
@@ -199,19 +258,18 @@ def _at_pole(lams, s, mu, tol, pairs):
 
 def _passes_pole_gates(lams, s, mu):
     # runaway points of continuous beyond-the-equator families are cut off:
-    # past this the equations only hold asymptotically
-    if lams.size and np.abs(lams.real).max() > 50.0:
+    # past this the equations only hold asymptotically; lams is any sequence,
+    # and a tuple of Python complex makes the pole loop cheapest
+    if any(abs(z.real) > 50.0 for z in lams):
         return False
     return not _at_pole(lams, s, mu, 1e-10, True)
 
 
 def bae_residual(system: BetheSystem) -> float:
     """Max over i of the log-form equation defect, reduced mod 2 pi i."""
-    lams = np.asarray(system.roots, dtype=complex)
-    if _at_pole(lams, system.s, system.mu, 1e-12, False):
+    if _at_pole(system.roots, system.s, system.mu, 1e-12, False):
         raise ValueError("root at a pole of the equations")
-    with np.errstate(all="ignore"):
-        return float(np.abs(_log_residual(lams, system.N, system.s, system.mu)).max(initial=0.0))
+    return _residuals([system])[0]
 
 
 def eigenvalue_fn(system):
@@ -349,22 +407,27 @@ def _gaps(chain, sols, vecs) -> np.ndarray:
     return np.linalg.norm(tv, axis=0) / scale
 
 
+def _at_probes(fn):
+    # fn, with its values at the census's fixed points _PROBES (_GAP_PROBE
+    # among them) taken once, for the gates and the ED match
+    known = {complex(p): fn(p) for p in _PROBES}
+    return lambda lam: known[complex(lam)] if complex(lam) in known else fn(lam)
+
+
 def _certified(candidates, chain) -> tuple:
     """The solutions, the first per state, of the list of candidate systems
     (as `refine` returns them, all of one sector) that pass the one
     certifier, and their Bethe vectors as one (D, L) stack: the pole gates
-    and the equations to _ACCEPT per candidate, then the Bethe vectors of
-    all that pass, built together in chunks of about linalg.BLOCK_ENTRIES
-    / 2 state entries (`_bethe_rows`, each vector bit for bit the one
+    per candidate, then the equations to _ACCEPT, the residuals of all that
+    pass the gates taken in one stacked pass (`_residuals`, each the
+    bae_residual of its system bit for bit), then the Bethe vectors of all
+    that pass, built together in chunks of about linalg.BLOCK_ENTRIES / 2
+    state entries (`_bethe_rows`, each vector bit for bit the one
     `bethe_vector` builds alone), and on their stack the eigen-gap gate
-    (below _GAP)."""
-    gated = []
-    for system in candidates:
-        if not _passes_pole_gates(np.asarray(system.roots), system.s, system.mu):
-            continue
-        residual = bae_residual(system)
-        if residual < _ACCEPT:
-            gated.append((system, residual))
+    (below _GAP).  Each solution's eigenvalue_fn holds its values at
+    _PROBES, taken once for the gates and the ED match (`_at_probes`)."""
+    gated = [c for c in candidates if _passes_pole_gates(c.roots, c.s, c.mu)]
+    gated = [(c, residual) for c, residual in zip(gated, _residuals(gated)) if residual < _ACCEPT]
     rows, built = _bethe_rows(chain, [system for system, _ in gated])
     sols = []
     for (system, residual), ok in zip(gated, built):
@@ -374,7 +437,7 @@ def _certified(candidates, chain) -> tuple:
             e, p = _closed_forms(system)
         except ValueError:  # above spin 1/2
             e = p = None
-        sols.append(BetheSolution(system, residual, eigenvalue_fn(system), e, p))
+        sols.append(BetheSolution(system, residual, _at_probes(eigenvalue_fn(system)), e, p))
     vecs = (rows if built.all() else rows[built]).T
     # one state, one solution: runaway or i pi shifted roots build the same vector
     same = np.abs(vecs.conj().T @ vecs) > 1 - _GAP
@@ -409,7 +472,7 @@ def _census(chain, s, mu, Ms) -> dict:
     for M, source in sources.items():
         sols, vecs = found[source]
         if source != M:
-            sols = [replace(sol, system=replace(sol.system, vacuum="down")) for sol in sols]
+            sols = [_copy(sol, system=_copy(sol.system, vacuum="down")) for sol in sols]
             sols = [sol for sol, gap in zip(sols, _gaps(chain, sols, vecs[::-1])) if gap < _GAP]
         census[M] = sols
     return census
@@ -417,10 +480,10 @@ def _census(chain, s, mu, Ms) -> dict:
 
 def refine(system: BetheSystem) -> BetheSystem:
     """Re-run Newton from the system's own roots (fixed point for solutions)."""
-    lams = _newton(np.asarray(system.roots), system.N, system.s, system.mu)
+    lams = _newton([system.roots], system.N, system.s, system.mu)[0]
     if lams is None:
         raise ValueError("Newton did not converge from the supplied roots")
-    return replace(system, roots=tuple(_canonical(lams)))
+    return BetheSystem(system.N, system.s, system.mu, _canonical(lams).tolist(), system.vacuum)
 
 
 def _report_order(sol: BetheSolution) -> tuple:
@@ -555,12 +618,25 @@ def _sector_levels(chain, sectors, points):
 
 
 def _tq_candidates(values, points, N, s, mu, M):
-    # one candidate per level: the `BetheSystem` that `refine` makes of its TQ roots
+    # one candidate per level: the `BetheSystem` that `refine` makes of its TQ
+    # roots, which enter Newton only when one stacked pass finds them above its stop
+    systems = []
     for roots in tq_roots(values, points, N, s, mu, M):
         if roots is None:
             continue
         try:
-            yield refine(BetheSystem(N, s, mu, tuple(roots)))
+            systems.append(BetheSystem(N, s, mu, tuple(roots)))
+        except ValueError:
+            continue
+    # root sets at or above Newton's stop, or with a NaN residual, walk; the
+    # roots of all that converge are put in canonical order in one pass
+    walk = [i for i, residual in enumerate(_residuals(systems)) if not residual < 1e-13]
+    found = dict(zip(walk, _newton([systems[i].roots for i in walk], N, s, mu)))
+    lams = [found.get(i, system.roots) for i, system in enumerate(systems)]
+    lams = np.array([roots for roots in lams if roots is not None], dtype=complex)
+    for roots in _canonical(lams.reshape(len(lams), M)).tolist():
+        try:
+            yield BetheSystem(N, s, mu, roots)
         except ValueError:
             continue
 
@@ -645,19 +721,18 @@ def validate_against_ed(N, s, mu, M_range=None, rtol=1e-7):
     covered = mismatched = total_solutions = 0
     for M, found in census.items():
         hit = np.zeros(sectors[M].size, dtype=bool)
-        sols = []
-        for sol in found:
-            vals = [sol.eigenvalue_fn(complex(p)) for p in _PROBES]
-            dists = [np.abs(ev - val) / max(abs(val), floor, 1e-300)
-                     for ev, val, floor in zip(evs[M], vals, floors)]
-            # matched to the nearest level at the first probe when every
-            # probe has a level within rtol
-            matched = None if any(d.min() >= rtol for d in dists) else int(np.argmin(dists[0]))
-            if matched is None:
-                mismatched += 1
-            else:
-                hit[matched] = True
-            sols.append(replace(sol, matched_ed_index=matched))
+        vals = [[sol.eigenvalue_fn(complex(p)) for p in _PROBES] for sol in found]
+        scale = [[max(abs(val), floor, 1e-300) for val, floor in zip(row, floors)] for row in vals]
+        # the (solution, probe, level) distances in one broadcast
+        dists = (np.abs(np.array(evs[M]) - np.reshape(vals, (-1, len(_PROBES), 1)))
+                 / np.reshape(scale, (-1, len(_PROBES), 1)))
+        # matched to the nearest level at the first probe when every probe
+        # has a level within rtol (a NaN distance is not >= rtol)
+        missed, nearest = (dists.min(axis=2) >= rtol).any(axis=1), dists[:, 0].argmin(axis=1)
+        hit[nearest[~missed]] = True
+        mismatched += int(missed.sum())
+        sols = [_copy(sol, matched_ed_index=None if miss else int(k))
+                for sol, miss, k in zip(found, missed, nearest)]
         entries = [solution_record(sol) for sol in sorted(sols, key=_report_order)]
         total_solutions += len(entries)
         report["sectors"].append({

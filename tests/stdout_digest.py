@@ -51,6 +51,10 @@ def configs() -> list:
     runs += [("spectrum-csv", {"N": N, "delta": 0.37, "boundary": boundary})
              for boundary in ("periodic", "open") for N in (1, 4)]
     runs.append(("phase-scan-csv", {"N": 6, "deltas": [-1.5, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0]}))
+    # root sets of M >= 8, whose pair tables numpy sums pairwise; last, so
+    # that the configs before them keep their indices
+    runs.append(("bethe", {"N": 2, "s": 7.5, "mu": MU}))
+    runs.append(("bethe", {"N": 2, "s": 15.5, "mu": MU, "M": 20, "validate": False}))
     return runs
 
 

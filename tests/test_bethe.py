@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinchain as sc
 from spinchain import bethe, cli, lax
@@ -49,13 +51,107 @@ def test_jacobian_is_the_derivative_of_the_equations(M, s):
     # the Newton Jacobian (f = coth) against a central difference of the
     # unwrapped log-form residual (f = log sinh), column by column
     lams = np.array([0.21 + 0.05j, -0.34 + 0.11j, 0.57 - 0.08j][:M])
-    jac = bethe._jacobian(lams, 4, s, MU)
+    jac = bethe._residual_and_jacobian(lams, 4, s, MU)[1]
     h = 1e-6
     for k in range(M):
         step = h * np.eye(M)[k]
         up, down = (bethe._equations(lambda z: np.log(np.sinh(z)), lams + sign * step, 4, s, MU)[0]
                     for sign in (1, -1))
         assert np.abs((up - down) / (2 * h) - jac[:, k]).max() < 1e-7 * np.abs(jac).max()
+
+
+def _one_root_set(f, lams, N, s, mu):
+    """The equations of one root set and, with f = coth, their Jacobian, as
+    written before the stacked table: f on each argument array alone and
+    np.fill_diagonal on the (M, M) pair table, which is None below two roots."""
+    drive = N * (f(lams + 1j * mu * s) - f(lams - 1j * mu * s))
+    if lams.size < 2:
+        return drive, np.diag(drive)
+    diff = lams[:, None] - lams[None, :]
+    pair = f(diff + 1j * mu) - f(diff - 1j * mu)
+    np.fill_diagonal(pair, 0.0)
+    eq = drive - pair.sum(axis=1)
+    return eq, pair + np.diag(eq)
+
+
+def _roots(M):
+    part = st.floats(-1.2, 1.2, allow_nan=False)
+    return st.lists(st.builds(complex, part, part), min_size=M, max_size=M)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 8), s=st.sampled_from([0.5, 1.0, 1.5]), mu=st.sampled_from([MU, 0.3j]),
+       data=st.data())
+def test_stacked_gate_is_each_candidate_alone_bit_for_bit(N, s, mu, data):
+    # a stack of 1 to 6 root sets at real or imaginary mu, some polished onto
+    # solutions by refine so that they skip Newton: each row's stacked residual is bae_residual of
+    # its system, its stacked residual and Jacobian are those of the root
+    # set alone, and each candidate the census makes of the rows is refine
+    # of the row's system (M >= 8 sums the pair table pairwise)
+    M = data.draw(st.integers(1, min(10, round(2 * s + 1) * N)), label="M")
+    rows = data.draw(st.lists(_roots(M), min_size=1, max_size=6), label="rows")
+    polish = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)), label="polish")
+    systems = []
+    for roots, solved in zip(rows, polish):
+        try:
+            system = sc.BetheSystem(N, s, mu, roots)
+            systems.append(sc.refine(system) if solved else system)
+        except ValueError:  # coincident roots, or Newton fails
+            continue
+    if not systems:
+        return
+    lams = np.array([system.roots for system in systems])
+    residuals = bethe._residuals(systems)
+    r, jac = bethe._residual_and_jacobian(lams, N, s, mu)
+    with np.errstate(all="ignore"):
+        for system, row, got, got_r, got_jac in zip(systems, lams, residuals, r, jac):
+            eq = bethe._wrap(_one_root_set(lambda z: np.log(np.sinh(z)), row, N, s, mu)[0])
+            want_jac = _one_root_set(lambda z: np.cosh(z) / np.sinh(z), row, N, s, mu)[1]
+            assert got_r.tobytes() == eq.tobytes()
+            assert got_jac.tobytes() == want_jac.tobytes()
+            assert np.float64(got).tobytes() == np.abs(eq).max().tobytes()
+            if not bethe._at_pole(system.roots, s, mu, 1e-12, False):
+                assert np.float64(got).tobytes() == np.float64(sc.bae_residual(system)).tobytes()
+    want = []
+    for system in systems:
+        try:
+            want.append(sc.refine(system))
+        except ValueError:
+            continue
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bethe, "tq_roots", lambda *args: [np.array(system.roots) for system in systems])
+        got = list(bethe._tq_candidates(None, None, N, s, mu, M))
+    assert [system.roots for system in got] == [system.roots for system in want]
+
+
+def test_one_root_jacobian_keeps_the_sign_of_a_zero():
+    # below two roots the Jacobian is np.diag of the derivative alone, as the
+    # one-root-set formula has it: at a root 0 and imaginary mu the derivative
+    # has imaginary part -0.0, which 0.0 + x would turn into +0.0
+    lams = np.zeros(1, dtype=complex)
+    with np.errstate(all="ignore"):
+        want = _one_root_set(lambda z: np.cosh(z) / np.sinh(z), lams, 3, 0.5, 0.3j)[1]
+    assert np.signbit(want[0, 0].imag)
+    assert bethe._residual_and_jacobian(lams, 3, 0.5, 0.3j)[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N, s, walks", [(6, 0.5, 14), (4, 0.5, 1), (2, 0.5, 0), (2, 1.0, 0)])
+def test_only_candidates_above_the_stop_enter_newton(monkeypatch, N, s, walks):
+    # the census's TQ roots that already solve the equations below 1e-13 skip
+    # Newton (all 42 candidates of (6, 1/2) entered it before the stacked
+    # gate); the coverage and the matches stay those of the criterion 6 chains
+    entered, newton = [], bethe._newton
+
+    def counted(starts, *args):
+        entered.append(len(starts))
+        return newton(starts, *args)
+
+    monkeypatch.setattr(bethe, "_newton", counted)
+    report = sc.validate_against_ed(N, s, MU)
+    assert sum(entered) == walks
+    assert report["coverage"] == {(6, 0.5): [60, 64], (4, 0.5): [15, 16], (2, 0.5): [4, 4],
+                                  (2, 1.0): [9, 9]}[(N, s)]
+    assert report["mismatched_solutions"] == 0
 
 
 def test_pseudo_vacuum_eigenvalue():
