@@ -282,23 +282,28 @@ def eigenvalue_fn(system):
     """
     system = getattr(system, "system", system)
     N, s, mu = system.N, system.s, system.mu
-    poles = np.asarray(system.roots, dtype=complex) - 0.5j * mu
+    poles = (np.asarray(system.roots, dtype=complex) - 0.5j * mu).tolist()
 
-    def plain(lam):
-        a = cmath.sinh(lam + 0.5j * mu + 1j * mu * s) ** N
-        d = cmath.sinh(lam + 0.5j * mu - 1j * mu * s) ** N
+    def plain(lam, guard):
+        """The plain form at lam; None if guard is set and some |sinh(lam - v)| < 1e-6."""
         pa = pd = 1.0 + 0.0j
         for v in poles:
-            pa *= cmath.sinh(lam - v - 1j * mu) / cmath.sinh(lam - v)
-            pd *= cmath.sinh(lam - v + 1j * mu) / cmath.sinh(lam - v)
+            den = cmath.sinh(lam - v)
+            if guard and abs(den) < 1e-6:
+                return None
+            pa *= cmath.sinh(lam - v - 1j * mu) / den
+            pd *= cmath.sinh(lam - v + 1j * mu) / den
+        a = cmath.sinh(lam + 0.5j * mu + 1j * mu * s) ** N
+        d = cmath.sinh(lam + 0.5j * mu - 1j * mu * s) ** N
         return a * pa + d * pd
 
     def value(lam):
         lam = complex(lam)
-        if poles.size and np.abs(np.sinh(lam - poles)).min() < 1e-6:
+        near = plain(lam, True)
+        if near is None:
             h = 1e-4
-            return sum(plain(lam + h * z) for z in (1, 1j, -1, -1j)) / 4
-        return plain(lam)
+            return sum(plain(lam + h * z, False) for z in (1, 1j, -1, -1j)) / 4
+        return near
 
     return value
 

@@ -1,17 +1,22 @@
 """Command-line workbench over the library: verification suites, spectra,
 Bethe roots, anisotropy phase scans and Casimir asymptotics.
 
-Every command reads one JSON object from --config, writes JSON (or CSV where
-a fixed table is defined) and exits 0 on success, 1 when a verification
-check fails, 2 on usage or config errors.  Every error that the library
-raises on a config's values (a ValueError or an ArithmeticError) exits 2
-with one `config error:` line, mapped in one place, `main`, which also sets
-the one floating-point policy: an overflow or invalid operation raises
-FloatingPointError (an ArithmeticError) instead of warning.  No numerical
-logic lives here; identical config and seed produce byte-identical JSON.
-No command takes a threads key: --threads is accepted, on every command,
-and ignored, since the BLAS library takes its thread count from the
-environment (OPENBLAS_NUM_THREADS for OpenBLAS).
+Every command has one shape: `cmd_*` reads the JSON object loaded from
+--config, checks its keys and values, runs the library and returns
+(fields, rows, ok): its own top-level payload values, its CSV table
+(header, body) or None where CSV is not defined, and whether every check
+passed.  Only verify reads a flag, the --seed value.  `main` does the rest
+once: it adds the schema, the command and the status ("ok" or "fail", from
+ok), writes JSON or CSV in the command's default format from `_COMMANDS`
+unless --format is given, and exits 0 with "ok", 1 with "fail".  Every
+error that the library raises on a config's values (a ValueError or an
+ArithmeticError) exits 2 with one `config error:` line and nothing on
+stdout, mapped in the same place, which also sets the one floating-point
+policy: an overflow or invalid operation raises FloatingPointError (an
+ArithmeticError) instead of warning.  Identical config and seed produce
+byte-identical JSON.  No command takes a threads key: --threads is
+accepted, on every command, and ignored, since the BLAS library takes its
+thread count from the environment (OPENBLAS_NUM_THREADS for OpenBLAS).
 
 The JSON is json.dumps(payload, sort_keys=True, indent=2), byte for byte,
 written by `_dumps` one top-level value at a time; `spectrum` hands it its
@@ -178,8 +183,8 @@ def _dumps(payload: dict) -> str:
     return "".join(parts + ["\n}"]) if parts else "{}"
 
 
-def _emit(payload: dict, rows, args, default_format: str) -> None:
-    if (args.format or default_format) == "json":
+def _emit(payload: dict, rows, fmt: str, out) -> None:
+    if fmt == "json":
         text = _dumps(payload) + "\n"
     else:  # csv: argparse allows no other --format
         if rows is None:
@@ -188,9 +193,9 @@ def _emit(payload: dict, rows, args, default_format: str) -> None:
         lines = [",".join(header)]
         lines.extend(",".join(str(v) for v in row) for row in body)
         text = "\n".join(lines) + "\n"
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
@@ -453,7 +458,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: dict, args) -> int:
+def cmd_verify(cfg: dict, seed_flag) -> tuple:
     if "suite" not in cfg:
         raise ConfigError("verify config needs a suite")
     suite = cfg["suite"]
@@ -464,26 +469,16 @@ def cmd_verify(cfg: dict, args) -> int:
     # the --seed flag wins over the seed key, which is still checked: a key
     # that is no integer, or is negative, is refused even where the flag is given
     key = _as_int(cfg.get("seed", 0), "seed")
-    seed = key if args.seed is None else args.seed
+    seed = key if seed_flag is None else seed_flag
     lowest = min(seed, key)
     if lowest < 0:
         raise ConfigError(f"seed must be non-negative, not {lowest}")
     checks = runner(cfg, seed)
-    ok = all(c["pass"] for c in checks)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "suite": suite,
-        "mu": _comp(_resolve_mu(cfg)),
-        "seed": seed,
-        "checks": checks,
-        "status": "ok" if ok else "fail",
-    }
-    _emit(payload, None, args, "json")
-    return 0 if ok else 1
+    fields = {"suite": suite, "mu": _comp(_resolve_mu(cfg)), "seed": seed, "checks": checks}
+    return fields, None, all(c["pass"] for c in checks)
 
 
-def cmd_spectrum(cfg: dict, args) -> int:
+def cmd_spectrum(cfg: dict) -> tuple:
     _check_keys(cfg, {"N", "delta", "mu", "boundary"}, {"N"})
     N = _as_int(cfg["N"], "N")
     boundary_kind = cfg.get("boundary", "periodic")
@@ -506,24 +501,15 @@ def cmd_spectrum(cfg: dict, args) -> int:
         columns = lax.spectrum_levels(N, delta, boundary_kind)
     # a column table, which _dumps writes as the list of its rows' records
     levels = np.rec.fromarrays(list(columns.values()), names=list(columns))
-    payload = {
-        "schema": SCHEMA,
-        "command": "spectrum",
-        "N": N,
-        "delta": delta,
-        "boundary": boundary_kind,
-        "levels": levels,
-        "status": "ok",
-    }
+    fields = {"N": N, "delta": delta, "boundary": boundary_kind, "levels": levels}
     header = ["energy", "sz", "momentum"]
     pad = ("",) * (len(header) - len(columns))  # the open chain has no momentum
     # a generator: the rows are made only when --format csv writes them
     body = (row.item() + pad for row in levels)
-    _emit(payload, (header, body), args, "json")
-    return 0
+    return fields, (header, body), True
 
 
-def cmd_bethe(cfg: dict, args) -> int:
+def cmd_bethe(cfg: dict) -> tuple:
     _check_keys(
         cfg,
         {"N", "s", "mu", "delta", "M", "restarts", "validate", "rtol"},
@@ -552,27 +538,16 @@ def cmd_bethe(cfg: dict, args) -> int:
         )
     if M is not None and not 0 <= M <= (n - 1) * N:
         raise ConfigError(f"M must lie in [0, 2sN] = [0, {(n - 1) * N}]")
-    payload = {
-        "schema": SCHEMA,
-        "command": "bethe",
-        "N": N,
-        "s": s,
-        "mu": _comp(mu),
-        "restarts": restarts,
-    }
     if not validate and M is None:
         raise ConfigError("bethe without validation needs M")
-    if validate:
-        report = bethe.validate_against_ed(N, s, mu, M_range=None if M is None else [M], rtol=rtol)
-        payload["report"] = report
-        ok = report["mismatched_solutions"] == 0
-    else:
+    fields = {"N": N, "s": s, "mu": _comp(mu), "restarts": restarts}
+    if not validate:
         sols = bethe.solve_bae(N, s, mu, M)
-        payload["solutions"] = [bethe.solution_record(sol) for sol in sols]
-        ok = True
-    payload["status"] = "ok" if ok else "fail"
-    _emit(payload, None, args, "json")
-    return 0 if ok else 1
+        fields["solutions"] = [bethe.solution_record(sol) for sol in sols]
+        return fields, None, True
+    report = bethe.validate_against_ed(N, s, mu, M_range=None if M is None else [M], rtol=rtol)
+    fields["report"] = report
+    return fields, None, report["mismatched_solutions"] == 0
 
 
 def _delta_grid(cfg: dict) -> list:
@@ -599,7 +574,7 @@ def _delta_grid(cfg: dict) -> list:
     raise ConfigError("phase-scan needs deltas or a delta range")
 
 
-def cmd_phase_scan(cfg: dict, args) -> int:
+def cmd_phase_scan(cfg: dict) -> tuple:
     """Per delta of the grid, from the level columns of lax.spectrum_levels:
     the ground energy e0, the number of levels within 1e-8 of it, and the
     largest |Sz| among them."""
@@ -630,21 +605,12 @@ def cmd_phase_scan(cfg: dict, args) -> int:
         }
 
     table = [scan(delta) for delta in grid]
-    payload = {
-        "schema": SCHEMA,
-        "command": "phase-scan",
-        "N": N,
-        "boundary": boundary_kind,
-        "rows": table,
-        "status": "ok",
-    }
     header = ["delta", "e0", "degeneracy", "sz_abs"]
-    body = [[r["delta"], r["e0"], r["degeneracy"], r["sz_abs"]] for r in table]
-    _emit(payload, (header, body), args, "csv")
-    return 0
+    body = [[r[key] for key in header] for r in table]
+    return {"N": N, "boundary": boundary_kind, "rows": table}, (header, body), True
 
 
-def cmd_casimir(cfg: dict, args) -> int:
+def cmd_casimir(cfg: dict) -> tuple:
     _check_keys(cfg, {"spins", "mu", "delta"})
     mu = _resolve_mu(cfg)
     spins = cfg.get("spins", [0.5, 1.0])
@@ -655,23 +621,16 @@ def cmd_casimir(cfg: dict, args) -> int:
     q = cmath.exp(1j * mu)
     results = [_casimir_entry(spin, n, q) for spin, n in reps]
     ok = all(c["pass"] for entry in results for c in entry["checks"])
-    payload = {
-        "schema": SCHEMA,
-        "command": "casimir",
-        "mu": _comp(mu),
-        "representations": results,
-        "status": "ok" if ok else "fail",
-    }
-    _emit(payload, None, args, "json")
-    return 0 if ok else 1
+    return {"mu": _comp(mu), "representations": results}, None, ok
 
 
+# each command's function and its default --format
 _COMMANDS = {
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "bethe": cmd_bethe,
-    "phase-scan": cmd_phase_scan,
-    "casimir": cmd_casimir,
+    "verify": (cmd_verify, "json"),
+    "spectrum": (cmd_spectrum, "json"),
+    "bethe": (cmd_bethe, "json"),
+    "phase-scan": (cmd_phase_scan, "csv"),
+    "casimir": (cmd_casimir, "json"),
 }
 
 
@@ -692,11 +651,17 @@ _PARSER.add_argument("--threads", type=int, default=None,
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    command, default_format = _COMMANDS[args.command]
     # the one mapping of library errors to exit 2 (LinAlgError is a ValueError)
     try:
         cfg = _load_config(args.config)
         with np.errstate(over="raise", invalid="raise"):
-            return _COMMANDS[args.command](cfg, args)
+            # only verify reads a flag: --seed, which wins over its seed key
+            fields, rows, ok = command(cfg, args.seed) if args.command == "verify" else command(cfg)
+            payload = {**fields, "schema": SCHEMA, "command": args.command,
+                       "status": "ok" if ok else "fail"}
+            _emit(payload, rows, args.format or default_format, args.out)
+            return 0 if ok else 1
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,10 +4,14 @@
 
 imports `spinchain` from the directory SRC (a checkout's `src`), runs
 `cli.main` in-process on every config below and prints one sha256 per
-command, over each config's exit code and stdout, and a total over all of
-them.  A command named with a `-csv` suffix, such as `spectrum-csv`, is
-that command run with --format csv, and gets its own line.  With --each it first prints one sha256 per config, over the same
-exit code and stdout, after the config's command, index in the list and
+command, over each config's exit code and stdout (and its stderr, where
+there is any), and a total over all of them.  A command named with a
+`-csv` or `-json` suffix, such as `spectrum-csv`, is that command run with
+--format csv or --format json, and gets its own line.  The list takes every
+writer path: the JSON writer, the CSV writer and the CSV refusal, where
+`verify-csv` and `casimir-csv` exit 2 with one `config error:` line on
+stderr.  With --each it first prints one sha256 per config, over the same
+exit code and output, after the config's command, index in the list and
 JSON, so that a diff of two trees' lines names the configs that moved.
 Two trees print the same lines when their stdout agrees byte for byte on
 the whole list; compare them under one BLAS thread count, since the last
@@ -55,23 +59,31 @@ def configs() -> list:
     # that the configs before them keep their indices
     runs.append(("bethe", {"N": 2, "s": 7.5, "mu": MU}))
     runs.append(("bethe", {"N": 2, "s": 15.5, "mu": MU, "M": 20, "validate": False}))
+    # the writer paths not taken above, last for the same reason
+    runs.append(("phase-scan-json", {"N": 6, "deltas": [-1.5, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0]}))
+    runs.append(("verify-csv", {"suite": "ybe", "mu": MU, "pairs": 4}))
+    runs.append(("casimir-csv", {"mu": MU, "spins": [0.5]}))
     return runs
 
 
 def digests(main) -> tuple:
-    """({command: sha256 hex} of main's exit codes and stdout over configs(),
-    [sha256 hex of each config's exit code and stdout] in configs() order)."""
+    """({command: sha256 hex} of main's exit codes and output over configs(),
+    [sha256 hex of each config's exit code and output] in configs() order)."""
     hashes, each = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         for command, cfg in configs():
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
-            flags = ["--format", "csv"] if command.endswith("-csv") else []
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main([command.removesuffix("-csv"), "--config", path, *flags])
-            text = f"{json.dumps(cfg, sort_keys=True)}\n{code}\n".encode() + out.getvalue().encode()
+            name, _, fmt = command.rpartition("-")
+            if fmt not in ("csv", "json"):
+                name, fmt = command, None
+            flags = ["--format", fmt] if fmt else []
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([name, "--config", path, *flags])
+            text = (f"{json.dumps(cfg, sort_keys=True)}\n{code}\n{out.getvalue()}"
+                    f"{err.getvalue()}").encode()
             hashes.setdefault(command, hashlib.sha256()).update(text)
             each.append(hashlib.sha256(text).hexdigest())
     return {command: digest.hexdigest() for command, digest in hashes.items()}, each

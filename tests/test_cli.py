@@ -506,10 +506,16 @@ def test_every_command_takes_the_threads_and_seed_flags(tmp_path, capsys, comman
     assert all(len(outs) == 1 for outs in texts.values())
 
 
-def test_bethe_rejects_csv(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"N": 2, "M": 1})
-    code, _, err = run(capsys, ["bethe", "--config", cfg, "--format", "csv"])
-    assert code == 2 and "config error" in err
+@pytest.mark.parametrize("command, obj", [
+    ("bethe", {"N": 2, "M": 1}),
+    ("verify", {"suite": "ybe", "pairs": 2}),
+    ("casimir", {"spins": [0.5]}),
+], ids=["bethe", "verify", "casimir"])
+def test_json_only_commands_reject_csv(tmp_path, capsys, command, obj):
+    cfg = write_cfg(tmp_path, obj)
+    code, out, err = run(capsys, [command, "--config", cfg, "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == "config error: csv output is not defined for this command\n"
 
 
 def test_output_files_byte_identical(tmp_path, capsys):
@@ -598,12 +604,15 @@ def _scalars_only(make_iterencode):
     return make
 
 
-@pytest.mark.parametrize("command, obj", [
-    ("spectrum", {"N": 10, "delta": 0.37}),
-    ("bethe", {"N": 4, "s": 0.5, "mu": 0.3}),
-    ("verify", {"suite": "frt", "mu": 0.3, "pairs": 3}),
-], ids=["spectrum", "bethe", "verify"])
-def test_json_output_is_the_indented_stdlib_dump(tmp_path, capsys, monkeypatch, command, obj):
+@pytest.mark.parametrize("command, obj, flags", [
+    ("spectrum", {"N": 10, "delta": 0.37}, []),
+    ("bethe", {"N": 4, "s": 0.5, "mu": 0.3}, []),
+    ("verify", {"suite": "frt", "mu": 0.3, "pairs": 3}, []),
+    ("casimir", {"mu": 0.3, "spins": [0.5, 1.5]}, []),
+    ("phase-scan", {"N": 4, "deltas": [-1.0, 0.5]}, ["--format", "json"]),
+], ids=["spectrum", "bethe", "verify", "casimir", "phase-scan"])
+def test_json_output_is_the_indented_stdlib_dump(tmp_path, capsys, monkeypatch, command, obj,
+                                                 flags):
     cfg = write_cfg(tmp_path, obj)
     path = tmp_path / "out.json"
     if command == "spectrum":
@@ -611,10 +620,12 @@ def test_json_output_is_the_indented_stdlib_dump(tmp_path, capsys, monkeypatch, 
         # encoder, which only the payload's scalars enter
         monkeypatch.setattr(json.encoder, "_make_iterencode",
                             _scalars_only(json.encoder._make_iterencode))
-    code, out, _ = run(capsys, [command, "--config", cfg])
-    assert cli.main([command, "--config", cfg, "--out", str(path)]) == code == 0
+    code, out, _ = run(capsys, [command, "--config", cfg, *flags])
+    assert cli.main([command, "--config", cfg, "--out", str(path), *flags]) == code == 0
     monkeypatch.undo()
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    payload = json.loads(out)
+    assert (payload["schema"], payload["command"], payload["status"]) == ("v1", command, "ok")
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert path.read_text(encoding="utf-8") == out
 
 
